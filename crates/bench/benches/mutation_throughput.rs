@@ -1,8 +1,9 @@
 //! Live-mutability throughput: upsert rate into a
 //! [`ddc_engine::MutableEngine`] (solo and under concurrent search
-//! traffic), plus the cost of both compaction modes — the incremental
-//! *append* fold of pure growth and the full *fold* rebuild that
-//! deletions force. Emits `results/BENCH_mutation.json` (+ CSV).
+//! traffic), plus the cost of all three compaction modes — the
+//! incremental *append* of pure growth, the incremental *repair* that
+//! physically removes deleted rows, and the full *fold* rebuild
+//! (`compact_full`). Emits `results/BENCH_mutation.json` (+ CSV).
 //!
 //! This is the PR acceptance artifact for the mutation subsystem:
 //! correctness (grown ≡ fresh build, tombstones never surface) is
@@ -152,8 +153,10 @@ fn main() {
         ]);
     }
 
-    // ── Scenario 3: deletions force the full fold rebuild ─────────────
-    {
+    // ── Scenario 3: the same deletions compacted both ways — repaired
+    // in place (the default policy) and folded (`compact_full`), so the
+    // table shows append / repair / fold side by side.
+    for (scenario, full) in [("delete_repair", false), ("delete_fold", true)] {
         let me = build_mutable(&w, n);
         let dropped = growth / 10;
         let t0 = Instant::now();
@@ -162,12 +165,17 @@ fn main() {
         }
         let delete_s = dropped as f64 / t0.elapsed().as_secs_f64().max(1e-12);
         let t1 = Instant::now();
-        let report = me.compact().expect("compact");
+        let report = if full {
+            me.compact_full()
+        } else {
+            me.compact()
+        }
+        .expect("compact");
         let compact_ms = t1.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(report.mode, "fold", "deletions force the fold path");
+        assert_eq!(report.mode, if full { "fold" } else { "repair" });
         assert_eq!(report.dropped, dropped);
         table.row(&[
-            "delete_fold".into(),
+            scenario.into(),
             dropped.to_string(),
             f1(delete_s),
             "-".into(),
@@ -185,8 +193,9 @@ fn main() {
     println!("wrote {}", json.display());
     println!(
         "expected shape: upserts are O(1) overlay enqueues (millions/s — the \
-         index work is deferred to compaction); the append compaction costs \
-         a fraction of the fold, which rebuilds all {n} rows; readers keep \
+         index work is deferred to compaction); the append and repair \
+         compactions cost a fraction of the fold, which rebuilds all {n} rows \
+         (both are O(churn) on top of one deep copy); readers keep \
          searching through the compaction and the engine swap it lands — \
          search_qps covers that whole window with zero failed searches"
     );

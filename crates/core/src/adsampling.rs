@@ -40,7 +40,7 @@ use crate::batch::QueryBatch;
 use crate::counters::Counters;
 use crate::prep;
 use crate::snap_state::{StateReader, StateWriter};
-use crate::traits::{Dco, Decision, QueryDco};
+use crate::traits::{remove_column_rows, Dco, Decision, QueryDco};
 use ddc_linalg::kernels::{
     dot, dot_range, l2_sq, l2_sq_range, matvec_batch_f32, matvec_f32, norm_sq_range,
 };
@@ -299,6 +299,12 @@ impl Dco for AdSampling {
             }
             self.data.push(&buf)?;
         }
+        Ok(())
+    }
+
+    fn remove_rows(&mut self, dead_mask: &[bool]) -> crate::Result<()> {
+        self.data.remove_rows(dead_mask)?;
+        remove_column_rows(&mut self.ip_suffix, dead_mask);
         Ok(())
     }
 

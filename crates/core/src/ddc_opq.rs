@@ -13,7 +13,7 @@ use crate::counters::Counters;
 use crate::prep;
 use crate::snap_state::{StateReader, StateWriter};
 use crate::training::{collect_opq_samples, TrainingCaps};
-use crate::traits::{Dco, Decision, QueryDco};
+use crate::traits::{remove_column_rows, Dco, Decision, QueryDco};
 use ddc_learn::{calibrate_bias, LogisticConfig, LogisticModel, LogisticRegression};
 use ddc_linalg::kernels::{dot, l2_sq, matvec_batch_f32};
 use ddc_linalg::{Metric, RowAccess};
@@ -396,6 +396,13 @@ impl Dco for DdcOpq {
             });
             self.stale += 1;
         }
+        Ok(())
+    }
+
+    fn remove_rows(&mut self, dead_mask: &[bool]) -> crate::Result<()> {
+        self.data.remove_rows(dead_mask)?;
+        remove_column_rows(&mut self.codes.data, dead_mask);
+        remove_column_rows(&mut self.qerr, dead_mask);
         Ok(())
     }
 

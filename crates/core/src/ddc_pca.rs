@@ -15,7 +15,7 @@ use crate::counters::Counters;
 use crate::prep;
 use crate::snap_state::{StateReader, StateWriter};
 use crate::training::{collect_projection_samples, TrainingCaps};
-use crate::traits::{Dco, Decision, QueryDco};
+use crate::traits::{remove_column_rows, Dco, Decision, QueryDco};
 use ddc_learn::{calibrate_bias, LogisticConfig, LogisticModel, LogisticRegression};
 use ddc_linalg::kernels::{dot, l2_sq, l2_sq_range, norm_sq};
 use ddc_linalg::pca::Pca;
@@ -394,6 +394,12 @@ impl Dco for DdcPca {
             }
             self.stale += 1;
         }
+        Ok(())
+    }
+
+    fn remove_rows(&mut self, dead_mask: &[bool]) -> crate::Result<()> {
+        self.data.remove_rows(dead_mask)?;
+        remove_column_rows(&mut self.ip_row_corr, dead_mask);
         Ok(())
     }
 

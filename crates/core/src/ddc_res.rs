@@ -27,7 +27,7 @@ use crate::counters::Counters;
 use crate::prep;
 use crate::snap_state::{StateReader, StateWriter};
 use crate::stats::multiplier_for_quantile;
-use crate::traits::{Dco, Decision, QueryDco};
+use crate::traits::{remove_column_rows, Dco, Decision, QueryDco};
 use ddc_linalg::kernels::{dot, dot_range, norm_sq, weighted_sq_suffix};
 use ddc_linalg::pca::Pca;
 use ddc_linalg::{Metric, RowAccess};
@@ -410,6 +410,13 @@ impl Dco for DdcRes {
             }
             self.stale += 1;
         }
+        Ok(())
+    }
+
+    fn remove_rows(&mut self, dead_mask: &[bool]) -> crate::Result<()> {
+        self.data.remove_rows(dead_mask)?;
+        remove_column_rows(&mut self.norms, dead_mask);
+        remove_column_rows(&mut self.ip_row_corr, dead_mask);
         Ok(())
     }
 

@@ -77,6 +77,12 @@ pub trait DynDco {
     /// Same contract as [`Dco::append_rows`].
     fn append_rows(&mut self, new_rows: &dyn RowAccess) -> crate::Result<()>;
 
+    /// Physically removes the flagged rows (see [`Dco::remove_rows`]).
+    ///
+    /// # Errors
+    /// Same contract as [`Dco::remove_rows`].
+    fn remove_rows(&mut self, dead_mask: &[bool]) -> crate::Result<()>;
+
     /// Rows transformed with pre-append artifacts (see
     /// [`Dco::stale_rows`]).
     fn stale_rows(&self) -> usize;
@@ -124,6 +130,10 @@ impl<D: Dco> DynDco for D {
 
     fn append_rows(&mut self, new_rows: &dyn RowAccess) -> crate::Result<()> {
         Dco::append_rows(self, new_rows)
+    }
+
+    fn remove_rows(&mut self, dead_mask: &[bool]) -> crate::Result<()> {
+        Dco::remove_rows(self, dead_mask)
     }
 
     fn stale_rows(&self) -> usize {

@@ -158,6 +158,10 @@ impl Dco for Exact {
         Ok(())
     }
 
+    fn remove_rows(&mut self, dead_mask: &[bool]) -> crate::Result<()> {
+        Ok(self.data.remove_rows(dead_mask)?)
+    }
+
     fn begin<'a>(&'a self, q: &[f32]) -> ExactQuery<'a> {
         ExactQuery {
             dco: self,

@@ -475,6 +475,7 @@ fn parse_dco_spec(s: &str) -> Result<DcoSpec, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DynDco;
     use ddc_vecs::SynthSpec;
 
     #[test]
@@ -632,6 +633,149 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The removal grid: every operator, plus the inner-product variants
+    /// that carry extra per-row columns, with the side-column bytes each
+    /// keeps per row (8-d rows).
+    const REMOVAL_GRID: [(&str, usize); 9] = [
+        ("exact", 0),
+        ("exact(metric=cosine)", 0),
+        ("adsampling(delta_d=4)", 0),
+        ("adsampling(delta_d=2,metric=ip)", 3 * 4),
+        ("ddcres(init_d=4,delta_d=4)", 4),
+        ("ddcres(init_d=4,delta_d=4,metric=ip)", 4 + 4),
+        ("ddcpca(init_d=4,delta_d=4)", 0),
+        ("ddcpca(init_d=4,delta_d=4,metric=ip)", 4),
+        ("ddcopq(m=2,nbits=4,opq_iters=1)", 2 + 4),
+    ];
+
+    /// Asserts `shrunk` answers every survivor exactly as `full` does
+    /// under the dense renumbering: exact distances and `test` decisions
+    /// over a τ ladder, bit for bit.
+    fn assert_survivors_identical(
+        full: &dyn DynDco,
+        shrunk: &dyn DynDco,
+        dead: &[bool],
+        queries: &VecSet,
+        what: &str,
+    ) {
+        let old_ids: Vec<u32> = (0..dead.len() as u32)
+            .filter(|&i| !dead[i as usize])
+            .collect();
+        assert_eq!(shrunk.len(), old_ids.len(), "{what}");
+        for qi in 0..3 {
+            let q = queries.get(qi);
+            let (mut a, mut b) = (full.begin_dyn(q), shrunk.begin_dyn(q));
+            let mut dists: Vec<f32> = old_ids.iter().map(|&o| a.exact(o)).collect();
+            for (new, &old) in old_ids.iter().enumerate() {
+                let got = b.exact(new as u32);
+                assert_eq!(got.to_bits(), dists[new].to_bits(), "{what}: row {old}");
+            }
+            dists.sort_unstable_by(f32::total_cmp);
+            let n = dists.len();
+            for tau in [
+                f32::INFINITY,
+                dists[n * 9 / 10],
+                dists[n / 2],
+                dists[n / 10],
+            ] {
+                for (new, &old) in old_ids.iter().enumerate() {
+                    let (want, got) = (a.test(old, tau), b.test(new as u32, tau));
+                    assert_eq!(
+                        format!("{want:?}"),
+                        format!("{got:?}"),
+                        "{what}: row {old} at tau {tau}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn remove_rows_keeps_survivors_bit_identical_on_every_operator() {
+        let w = SynthSpec::tiny_test(8, 120, 13).generate();
+        let dead: Vec<bool> = (0..120)
+            .map(|i| i % 7 == 3 || (100..105).contains(&i))
+            .collect();
+        let removed = dead.iter().filter(|&&d| d).count();
+        let keep: Vec<usize> = (0..120).filter(|&i| !dead[i]).collect();
+        let survivors = w.base.select(&keep);
+        for (spec_str, per_row) in REMOVAL_GRID {
+            let spec: DcoSpec = spec_str.parse().unwrap();
+            let full = spec.build(&w.base, Some(&w.train_queries)).unwrap();
+            let mut shrunk = spec.build(&w.base, Some(&w.train_queries)).unwrap();
+            shrunk.remove_rows(&dead).unwrap();
+            assert_eq!(shrunk.stale_rows(), 0, "{spec_str}: removal is never stale");
+            assert_eq!(
+                full.extra_bytes() - shrunk.extra_bytes(),
+                removed * per_row,
+                "{spec_str}: side columns shrink with the rows"
+            );
+            assert_survivors_identical(&*full, &*shrunk, &dead, &w.queries, spec_str);
+
+            // The shrunk operator snapshots and restores like any other.
+            let rows =
+                SharedRows::Owned(VecSet::from_flat(8, shrunk.rows().as_flat().to_vec()).unwrap());
+            let restored = spec.restore(&shrunk.state_bytes(), rows).unwrap();
+            assert_eq!(restored.extra_bytes(), shrunk.extra_bytes(), "{spec_str}");
+            let what = format!("{spec_str} (restored)");
+            assert_survivors_identical(&*full, &*restored, &dead, &w.queries, &what);
+
+            // Data-independent transforms: removing rows ≡ never having
+            // had them.
+            if !spec.retrains_on_append() {
+                let fresh = spec.build(&survivors, None).unwrap();
+                assert_eq!(
+                    shrunk.rows().as_flat(),
+                    fresh.rows().as_flat(),
+                    "{spec_str}"
+                );
+                assert_eq!(shrunk.state_bytes(), fresh.state_bytes(), "{spec_str}");
+                assert_eq!(shrunk.extra_bytes(), fresh.extra_bytes(), "{spec_str}");
+            }
+
+            // Bad masks are errors and change nothing; an all-dead mask
+            // empties the operator.
+            assert!(
+                shrunk.remove_rows(&dead).is_err(),
+                "{spec_str}: stale mask length"
+            );
+            assert_eq!(shrunk.len(), survivors.len(), "{spec_str}");
+            shrunk.remove_rows(&vec![true; survivors.len()]).unwrap();
+            assert!(shrunk.is_empty(), "{spec_str}");
+            shrunk.remove_rows(&[]).unwrap();
+        }
+    }
+
+    #[test]
+    fn remove_rows_rejects_snapshot_mapped_operators() {
+        let w = SynthSpec::tiny_test(8, 60, 14).generate();
+        let mut path = std::env::temp_dir();
+        path.push(format!(
+            "ddc-core-mapped-removal-{}.snap",
+            std::process::id()
+        ));
+        for (spec_str, _) in REMOVAL_GRID {
+            let spec: DcoSpec = spec_str.parse().unwrap();
+            let built = spec.build(&w.base, Some(&w.train_queries)).unwrap();
+            let mut snap = ddc_vecs::SnapshotWriter::new();
+            let bytes = built.rows().as_flat().iter().flat_map(|v| v.to_le_bytes());
+            snap.add_section("rows", bytes.collect()).unwrap();
+            snap.finish(&path).unwrap();
+            let mapped = ddc_vecs::Snapshot::open(&path)
+                .unwrap()
+                .section_rows("rows", 8)
+                .unwrap();
+            let mut dco = spec.restore(&built.state_bytes(), mapped).unwrap();
+            let extra = dco.extra_bytes();
+            let mut dead = vec![false; 60];
+            dead[7] = true;
+            let err = dco.remove_rows(&dead).unwrap_err();
+            assert!(err.to_string().contains("immutable"), "{spec_str}: {err}");
+            assert_eq!((dco.len(), dco.extra_bytes()), (60, extra), "{spec_str}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

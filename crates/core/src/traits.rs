@@ -125,6 +125,23 @@ pub trait Dco {
         )))
     }
 
+    /// Physically removes every row whose `dead_mask` flag is set: the
+    /// matrix and every per-row side column shrink in place, and the
+    /// survivors are renumbered densely in their old order (row `i`
+    /// becomes the count of live rows before it). Survivors answer
+    /// [`QueryDco::exact`] / [`QueryDco::test`] bit-identically under the
+    /// new ids — nothing is re-transformed — so removal adds no
+    /// [`Dco::stale_rows`] and resets none.
+    ///
+    /// Requires heap-resident rows ([`SharedRows::Owned`]), like
+    /// [`Dco::append_rows`].
+    ///
+    /// # Errors
+    /// [`crate::CoreError`] when the mask does not cover exactly
+    /// [`Dco::len`] rows or the rows are mapped; the operator is unchanged
+    /// in every error case.
+    fn remove_rows(&mut self, dead_mask: &[bool]) -> crate::Result<()>;
+
     /// Number of served rows whose placement postdates the operator's
     /// trained artifacts — appended rows transformed with a PCA basis,
     /// codebook, or classifier fitted before they arrived. `0` (the
@@ -159,6 +176,16 @@ pub trait Dco {
     /// Implementations may panic when `batch.dim() != self.dim()`.
     fn begin_batch<'a>(&'a self, batch: &QueryBatch) -> Vec<Self::Query<'a>> {
         batch.iter().map(|q| self.begin(q)).collect()
+    }
+}
+
+/// Shrinks one per-row side column (norms, codes, correction terms) in
+/// step with the operator's matrix — the [`Dco::remove_rows`] helper. The
+/// column's width is whatever it holds per row, so an absent table (empty
+/// vector) passes through untouched.
+pub(crate) fn remove_column_rows<T: Copy>(col: &mut Vec<T>, dead_mask: &[bool]) {
+    if !dead_mask.is_empty() {
+        ddc_vecs::retain_live_rows(col, col.len() / dead_mask.len(), dead_mask);
     }
 }
 

@@ -707,8 +707,9 @@ impl Engine {
     /// Deep-copies the engine through its own persistence surface: the
     /// operator restores from its serialized state over a heap copy of the
     /// pre-rotated matrix, and the index reloads from its byte form. This
-    /// is the append-mode compaction primitive — the copy is mutable
-    /// without disturbing the serving instance.
+    /// is the incremental-compaction primitive — the copy is mutable
+    /// ([`Engine::apply_remove`], [`Engine::apply_append`]) without
+    /// disturbing the serving instance.
     ///
     /// # Errors
     /// Serialization round-trip failures.
@@ -726,6 +727,31 @@ impl Engine {
             overlay: None,
             payloads: self.payloads.clone(),
         })
+    }
+
+    /// Shrinks the engine in place: physically removes the rows flagged in
+    /// `dead_mask` from the index (graph repair / posting-list filtering),
+    /// the operator and the payload tags, renumbering the survivors
+    /// densely in their old order. `rows_before` is the original-space
+    /// matrix the engine serves *before* the removal, which the graph
+    /// repair reads for neighbor re-selection. Nothing dead is left
+    /// behind; survivors keep their exact distances.
+    ///
+    /// # Errors
+    /// Operators that cannot shrink (snapshot-mapped rows), a mask that
+    /// does not cover exactly the served rows, and a removal that would
+    /// leave the index empty.
+    pub(crate) fn apply_remove(
+        &mut self,
+        rows_before: &VecSet,
+        dead_mask: &[bool],
+    ) -> Result<(), EngineError> {
+        self.index.remove(rows_before, dead_mask)?;
+        self.dco.remove_rows(dead_mask)?;
+        if let Some(tags) = &mut self.payloads {
+            ddc_vecs::retain_live_rows(Arc::make_mut(tags), 1, dead_mask);
+        }
+        Ok(())
     }
 
     /// Grows the engine in place: transforms and appends the trailing

@@ -6,34 +6,45 @@
 //! instead accumulate in a small shared *overlay* (pending-insert rows
 //! plus a tombstone set) that every search consults:
 //!
-//! * **Deletes** become tombstones. The tombstone-filtered index cores
-//!   still route graph traversal through dead nodes (removing them would
-//!   tear the HNSW graph) but repair the result on the way out — dead ids
-//!   never consume one of the `k` result slots.
+//! * **Deletes** become tombstones. Until the next compaction
+//!   consolidates them away, the tombstone-filtered index cores still
+//!   route graph traversal through dead nodes (their edges are the HNSW
+//!   graph's connectivity) but repair the result on the way out — dead
+//!   ids never consume one of the `k` result slots.
 //! * **Inserts** land in an original-space delta that is brute-force
 //!   scanned and merged into the top-`k`. The delta is expected to stay
-//!   small: a background *compactor* periodically folds it (and the
-//!   tombstones) into a fresh engine, landed through the same
+//!   small: a background *compactor* periodically works it (and the
+//!   tombstones) into a replacement engine, landed through the same
 //!   epoch-stamped [`ServingHandle`] swap the server already uses for hot
 //!   reloads.
 //!
-//! Compaction has two modes:
+//! A compaction is **incremental** — O(churn), not O(n) — unless a fold
+//! is owed or asked for. It deep-copies the serving engine, physically
+//! removes the tombstoned rows ([`Engine::apply_remove`]: HNSW one-hop
+//! graph repair, IVF posting-list filtering, operator matrix and side
+//! columns compacted, ids renumbered — no dead row is retained), then
+//! grows the copy by the pending rows ([`Engine::apply_append`]: DCO rows
+//! transformed through the existing trained artifacts, HNSW graph
+//! insertion, IVF posting-list appends). The report names what happened:
 //!
-//! * **Fold** — full rebuild over the surviving rows. Bit-identical to a
-//!   fresh build over the same data (deterministic seeds and, for HNSW,
+//! * **`append`** — nothing was deleted; the copy only grew. For
+//!   data-independent operators the result is bit-identical to a fresh
+//!   build over the grown set.
+//! * **`repair`** — rows were removed (and possibly appended). A valid
+//!   index over exactly the live rows with exact distances, but *not*
+//!   bit-identical to a fresh build: the repaired graph is a different
+//!   (equally deterministic) graph.
+//! * **`fold`** — full rebuild over the surviving rows. Bit-identical to
+//!   a fresh build over the same data (deterministic seeds and, for HNSW,
 //!   the deterministic per-id level hash make build-from-scratch and
-//!   insert-one-at-a-time the same construction), so the parity story
-//!   survives any mutation history. Required whenever tombstones exist,
-//!   and whenever a data-driven operator's staleness budget is exhausted
-//!   (its PCA/OPQ rotation was trained on the old distribution —
-//!   re-rotation happens here).
-//! * **Append** — deep-copy the serving engine and grow it in place
-//!   ([`Engine::apply_append`]): DCO rows are transformed through the
-//!   existing trained artifacts and the index grows incrementally (HNSW
-//!   graph insertion, IVF posting-list appends). Cheap, but each appended
-//!   row of a data-driven operator counts against
-//!   [`MutableConfig::max_stale_rows`]; crossing the budget forces the
-//!   next compaction into fold mode.
+//!   insert-one-at-a-time the same construction), so
+//!   [`MutableEngine::compact_full`] restores the parity story after any
+//!   mutation history. Taken when forced, when nothing would survive the
+//!   removal, and when a data-driven operator's staleness budget is
+//!   exhausted: each appended row of such an operator counts against
+//!   [`MutableConfig::max_stale_rows`] (its PCA/OPQ rotation was trained
+//!   on the old distribution — re-rotation happens here). Removal adds no
+//!   stale rows and resets none.
 //!
 //! Rows are addressed by caller-chosen **external ids** (`u32`). The
 //! engine built at construction maps row `i` to external id `i`; after a
@@ -88,11 +99,12 @@ impl Layer {
         self.tombstones.is_empty() && self.delta_ids.is_empty()
     }
 
-    /// Drops pending insert `pos` (a delete of a not-yet-compacted row).
+    /// Drops pending insert `pos` (a delete of a not-yet-compacted row)
+    /// in place; the rows behind it keep their order, which is the order
+    /// a compaction appends them in.
     fn remove_delta_row(&mut self, pos: usize) {
         self.delta_ids.remove(pos);
-        let keep: Vec<usize> = (0..self.delta.len()).filter(|&i| i != pos).collect();
-        self.delta = self.delta.select(&keep);
+        self.delta.remove_row(pos);
     }
 }
 
@@ -334,7 +346,8 @@ pub struct CompactionReport {
     /// Epoch of the engine serving after the call (new epoch when work
     /// happened, current epoch on a no-op).
     pub epoch: u64,
-    /// `"fold"` (full rebuild), `"append"` (grown copy), or `"none"`.
+    /// `"append"` (copy grown in place), `"repair"` (rows removed from
+    /// the copy, then grown), `"fold"` (full rebuild), or `"none"`.
     pub mode: &'static str,
     /// Tombstoned base rows dropped.
     pub dropped: usize,
@@ -375,9 +388,14 @@ struct BaseRows {
 /// assert_ne!(r.neighbors[0].id, 777);
 ///
 /// me.delete(5); // tombstone a base row
-/// let report = me.compact().unwrap(); // fold: bit-identical to a fresh build
-/// assert_eq!(report.mode, "fold");
+/// let report = me.compact().unwrap(); // incremental: row 5 is physically gone
+/// assert_eq!(report.mode, "repair");
 /// assert_eq!(report.dropped, 1);
+///
+/// me.delete(6);
+/// let report = me.compact_full().unwrap(); // fold: bit-identical to a fresh build
+/// assert_eq!(report.mode, "fold");
+/// assert_eq!(report.len, 198);
 /// ```
 pub struct MutableEngine {
     handle: Arc<ServingHandle>,
@@ -593,11 +611,11 @@ impl MutableEngine {
         self.merge_hist.snapshot()
     }
 
-    /// Folds pending mutations into a replacement engine and swaps it into
-    /// the serving slot (epoch +1). Chooses append mode when nothing was
-    /// deleted and the staleness budget allows, fold mode otherwise; a
-    /// no-op when nothing is pending. Mutations and searches keep flowing
-    /// while the replacement builds.
+    /// Works pending mutations into a replacement engine and swaps it into
+    /// the serving slot (epoch +1). Incremental (`"append"` / `"repair"`)
+    /// while the staleness budget allows and at least one base row
+    /// survives, a fold otherwise; a no-op when nothing is pending.
+    /// Mutations and searches keep flowing while the replacement builds.
     ///
     /// # Errors
     /// Build failures — pending mutations are preserved (re-merged into
@@ -650,40 +668,43 @@ impl MutableEngine {
         // here (mutations only touch the active layer) and `base` is
         // stable under our mutex, so this read holds the lock only for
         // the copies.
-        let (new_rows, new_ids, delta_rows, dropped) = {
+        let (new_rows, new_ids, delta_rows, dead_mask) = {
             let st = read_state(&self.shared);
-            let dim = base.rows.dim();
-            let mut rows = VecSet::with_capacity(dim, base.rows.len() + st.sealed.delta.len());
-            let mut ids = Vec::with_capacity(base.ids.len() + st.sealed.delta_ids.len());
-            for (i, &id) in base.ids.iter().enumerate() {
-                if !st.sealed.tombstones.contains(&id) {
-                    rows.push(base.rows.get(i)).expect("base dims match");
-                    ids.push(id);
-                }
+            let dead_mask: Vec<bool> = base
+                .ids
+                .iter()
+                .map(|id| st.sealed.tombstones.contains(id))
+                .collect();
+            let delta_rows = st.sealed.delta.clone();
+            let mut rows = base.rows.clone();
+            rows.remove_rows(&dead_mask);
+            for row in delta_rows.iter() {
+                rows.push(row).expect("delta dims match");
             }
-            let dropped = base.ids.len() - ids.len();
-            let mut delta_rows = VecSet::with_capacity(dim, st.sealed.delta.len());
-            for i in 0..st.sealed.delta.len() {
-                rows.push(st.sealed.delta.get(i)).expect("delta dims match");
-                delta_rows
-                    .push(st.sealed.delta.get(i))
-                    .expect("delta dims match");
-                ids.push(st.sealed.delta_ids[i]);
-            }
-            (rows, ids, delta_rows, dropped)
+            let mut ids = base.ids.clone();
+            ddc_vecs::retain_live_rows(&mut ids, 1, &dead_mask);
+            ids.extend_from_slice(&st.sealed.delta_ids);
+            (rows, ids, delta_rows, dead_mask)
         };
         let appended = delta_rows.len();
+        let dropped = dead_mask.iter().filter(|&&dead| dead).count();
+        let survivors = dead_mask.len() - dropped;
 
         let prior_stale = self.stale.load(Ordering::Relaxed);
         let retrains = self.cfg.dco.retrains_on_append();
         let projected = prior_stale + if retrains { appended } else { 0 };
-        let use_append =
-            !force_fold && dropped == 0 && appended > 0 && projected <= self.mcfg.max_stale_rows;
+        // Incremental unless a fold is asked for, owed (stale budget), or
+        // the only option (an index cannot be repaired down to nothing).
+        let incremental =
+            !force_fold && projected <= self.mcfg.max_stale_rows && (dropped == 0 || survivors > 0);
 
         // Build the replacement outside every lock searches or mutations
         // take.
-        let built = if use_append {
+        let built = if incremental {
             self.handle.engine().duplicate().and_then(|mut copy| {
+                if dropped > 0 {
+                    copy.apply_remove(&base.rows, &dead_mask)?;
+                }
                 copy.apply_append(&new_rows, &delta_rows)?;
                 Ok(copy)
             })
@@ -721,7 +742,7 @@ impl MutableEngine {
             self.handle.swap_arc(Arc::new(next))
         };
         self.stale
-            .store(if use_append { projected } else { 0 }, Ordering::Relaxed);
+            .store(if incremental { projected } else { 0 }, Ordering::Relaxed);
         base.ids = (*ids_arc).clone();
         base.rows = new_rows;
         self.compactions.fetch_add(1, Ordering::Relaxed);
@@ -730,7 +751,11 @@ impl MutableEngine {
         }
         Ok(CompactionReport {
             epoch,
-            mode: if use_append { "append" } else { "fold" },
+            mode: match (incremental, dropped) {
+                (false, _) => "fold",
+                (true, 0) => "append",
+                (true, _) => "repair",
+            },
             dropped,
             appended,
             len: base.rows.len(),
@@ -835,6 +860,7 @@ fn lock_base(base: &Mutex<BaseRows>) -> MutexGuard<'_, BaseRows> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ddc_index::SearchParams;
     use ddc_vecs::SynthSpec;
 
     fn setup(index: &str, dco: &str) -> (Arc<MutableEngine>, ddc_vecs::Workload) {
@@ -909,7 +935,7 @@ mod tests {
         }
         me.upsert(300, w.queries.get(0)).unwrap();
         me.upsert(301, w.queries.get(1)).unwrap();
-        let report = me.compact().unwrap();
+        let report = me.compact_full().unwrap();
         assert_eq!(report.mode, "fold");
         assert_eq!(report.dropped, 3);
         assert_eq!(report.appended, 2);
@@ -945,6 +971,89 @@ mod tests {
         assert_eq!(me.mutation_stats().compactions, 1);
         assert_eq!(me.mutation_stats().pending_inserts, 0);
         assert_eq!(me.mutation_stats().tombstones, 0);
+    }
+
+    #[test]
+    fn repair_compaction_physically_removes_deleted_rows() {
+        for index in ["flat", "ivf(nlist=8)", "hnsw(m=6,ef_construction=30)"] {
+            let (me, w) = setup(index, "ddcres(init_d=4,delta_d=4)");
+            let dead = [4u32, 9, 40];
+            for id in dead {
+                assert!(me.delete(id));
+            }
+            me.upsert(7, w.queries.get(0)).unwrap(); // overwrite
+            me.upsert(300, w.queries.get(1)).unwrap(); // new id
+            let report = me.compact().unwrap();
+            assert_eq!(report.mode, "repair", "{index}");
+            assert_eq!(report.dropped, 4, "{index}: 3 deletes + the old row 7");
+            assert_eq!(report.appended, 2, "{index}");
+            assert_eq!(report.len, 198, "{index}");
+
+            // No dead row is retained anywhere: the engine serves exactly
+            // the live rows and the overlay is clean.
+            let engine = me.handle().engine();
+            assert_eq!(engine.len(), 198, "{index}");
+            let stats = me.mutation_stats();
+            assert_eq!((stats.live, stats.base_len), (198, 198), "{index}");
+            assert_eq!((stats.tombstones, stats.pending_inserts), (0, 0));
+            // Only the appended rows count as stale; removal adds none.
+            assert_eq!(stats.stale_rows, 2, "{index}");
+
+            // The overwrite and the insert answer with their new vectors,
+            // and a scan of everything never meets a deleted id.
+            for (qi, id) in [(0usize, 7u32), (1, 300)] {
+                let r = engine.search(w.queries.get(qi), 1).unwrap();
+                assert_eq!(r.neighbors[0].id, id, "{index}");
+                assert_eq!(r.neighbors[0].dist, 0.0, "{index}");
+            }
+            let params = SearchParams::new().with_ef(400).with_nprobe(8);
+            let all = engine.search_with(w.queries.get(2), 198, &params).unwrap();
+            let mut ids = all.ids();
+            ids.sort_unstable();
+            ids.dedup();
+            assert!(ids.len() >= 190, "{index}: {} rows reachable", ids.len());
+            assert!(ids.iter().all(|id| !dead.contains(id)), "{index}");
+        }
+    }
+
+    #[test]
+    fn fold_when_no_base_row_would_survive() {
+        let w = SynthSpec::tiny_test(12, 20, 31).generate();
+        let cfg = EngineConfig::from_strs("hnsw(m=6,ef_construction=30)", "exact").unwrap();
+        let me = MutableEngine::build(w.base.clone(), None, cfg, MutableConfig::default()).unwrap();
+        for id in 0..20 {
+            me.delete(id);
+        }
+        me.upsert(99, w.queries.get(0)).unwrap();
+        let report = me.compact().unwrap();
+        assert_eq!(
+            report.mode, "fold",
+            "a graph cannot be repaired down to nothing"
+        );
+        assert_eq!((report.dropped, report.appended, report.len), (20, 1, 1));
+        let r = me.handle().engine().search(w.queries.get(0), 5).unwrap();
+        assert_eq!(r.ids(), vec![99]);
+    }
+
+    #[test]
+    fn deleting_a_pending_insert_keeps_the_delta_in_arrival_order() {
+        let (me, w) = setup("flat", "exact");
+        for i in 0..5u32 {
+            me.upsert(300 + i, w.queries.get(i as usize)).unwrap();
+        }
+        assert!(me.delete(302));
+        assert!(me.delete(300));
+        {
+            let st = read_state(&me.shared);
+            assert_eq!(st.active.delta_ids, vec![301, 303, 304]);
+            for (pos, qi) in [(0usize, 1usize), (1, 3), (2, 4)] {
+                assert_eq!(st.active.delta.get(pos), w.queries.get(qi));
+            }
+        }
+        assert_eq!(me.compact().unwrap().mode, "append");
+        let r = me.handle().engine().search(w.queries.get(3), 1).unwrap();
+        assert_eq!(r.neighbors[0].id, 303);
+        assert_eq!(me.mutation_stats().live, 203);
     }
 
     #[test]
@@ -984,6 +1093,13 @@ mod tests {
         // 2 + 2 appended rows would exceed the budget of 3: re-rotation.
         assert_eq!(me.compact().unwrap().mode, "fold");
         assert_eq!(me.mutation_stats().stale_rows, 0);
+
+        // Removal neither adds stale rows nor resets them.
+        me.upsert(304, w.queries.get(4)).unwrap();
+        assert_eq!(me.compact().unwrap().mode, "append");
+        me.delete(0);
+        assert_eq!(me.compact().unwrap().mode, "repair");
+        assert_eq!(me.mutation_stats().stale_rows, 1);
     }
 
     #[test]
@@ -1009,7 +1125,7 @@ mod tests {
 
     #[test]
     fn deletes_and_upserts_survive_concurrent_compaction() {
-        // Mutations racing the fold land in the next layer and stay
+        // Mutations racing the compaction land in the next layer and stay
         // visible across the swap.
         let (me, w) = setup("hnsw(m=6,ef_construction=30)", "ddcres(init_d=4,delta_d=4)");
         let q = w.queries.get(0);
@@ -1019,11 +1135,11 @@ mod tests {
             let me = Arc::clone(&me);
             std::thread::spawn(move || me.compact().unwrap())
         };
-        // Race more mutations against the fold.
+        // Race more mutations against the repair.
         me.delete(20);
         me.upsert(401, w.queries.get(1)).unwrap();
         let first = compactor.join().unwrap();
-        assert_eq!(first.mode, "fold");
+        assert_eq!(first.mode, "repair");
 
         let engine = me.handle().engine();
         for (qi, wants) in [(0usize, 400u32), (1, 401)] {
@@ -1033,8 +1149,8 @@ mod tests {
         let all = engine.search(q, 50).unwrap();
         assert!(all.ids().iter().all(|&id| id != 10 && id != 20));
 
-        // The racing mutations either slipped in before the fold sealed
-        // its layer or fold in on this next pass — the totals and the
+        // The racing mutations either slipped in before the compaction
+        // sealed its layer or land on this next pass — the totals and the
         // end state are identical either way.
         let second = me.compact().unwrap();
         assert_eq!(first.dropped + second.dropped, 2);

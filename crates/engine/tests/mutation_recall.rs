@@ -12,7 +12,12 @@
 //!    rotation) recall@K must agree within a small tolerance.
 //! 2. **Tombstone correctness** — a deleted id is never returned, even
 //!    when the deleted row's own vector is the query, before and after
-//!    compaction, with mutations racing a background fold.
+//!    the compaction that physically removes it.
+//! 3. **Churn** — rounds of deletes, overwrites and inserts, each closed
+//!    by an incremental *repair* compaction, keep the engine an index
+//!    over exactly the live set (no dead row retained, recall within the
+//!    same band of a fresh build), and a final `compact_full()` lands
+//!    bit-identical to a fresh build whatever the repair history was.
 //!
 //! These pin the acceptance criteria of the live-mutability subsystem
 //! at the engine level; `crates/server/tests/mutation_e2e.rs` repeats
@@ -260,10 +265,185 @@ fn deleted_ids_are_never_returned_across_the_grid() {
             };
             assert_gone(&me.handle().engine(), "tombstoned");
             let report = me.compact().unwrap();
-            assert_eq!(report.mode, "fold");
+            assert_eq!(report.mode, "repair");
             assert_eq!(report.dropped, doomed.len());
             assert_gone(&me.handle().engine(), "compacted");
             assert_eq!(me.mutation_stats().live, N - doomed.len());
+            assert_eq!(me.handle().engine().len(), N - doomed.len());
+        }
+    }
+}
+
+/// The live set as the engine orders it: surviving base rows in base
+/// order, then each compaction's inserts in arrival order — the order a
+/// fold rebuilds in, so a fresh build over `rows()` is the fold's twin.
+struct Mirror {
+    live: Vec<(u32, Vec<f32>)>,
+    dead: Vec<u32>,
+    next_id: u32,
+}
+
+impl Mirror {
+    fn rows(&self) -> VecSet {
+        let mut rows = VecSet::new(self.live[0].1.len());
+        for (_, v) in &self.live {
+            rows.push(v).unwrap();
+        }
+        rows
+    }
+
+    /// One round of churn against `me`: delete 5 % of the live ids, then
+    /// upsert 7.5 % (two-thirds new ids, one-third overwrites of live
+    /// ones). Every pick is a pure function of `round`.
+    fn churn(&mut self, me: &MutableEngine, w: &Workload, round: usize) -> Vec<(u32, Vec<f32>)> {
+        let n = self.live.len();
+        let stride = |count: usize, offset: usize| {
+            (0..count).map(move |j| (offset + round + j * (n / count)) % n)
+        };
+        let mut doomed: Vec<usize> = stride(n / 20, 0).collect();
+        let overwritten: Vec<usize> = stride(n / 40, 7).filter(|p| !doomed.contains(p)).collect();
+        let blend = |a: usize, b: usize| -> Vec<f32> {
+            let (x, y) = (w.base.get(a % N), w.base.get(b % N));
+            x.iter().zip(y).map(|(p, q)| 0.5 * (p + q)).collect()
+        };
+
+        let mut upserts: Vec<(u32, Vec<f32>)> = overwritten
+            .iter()
+            .map(|&pos| (self.live[pos].0, blend(pos + round, 3 * pos + 1)))
+            .collect();
+        for j in 0..n / 20 {
+            upserts.push((self.next_id, blend(11 * j + round, 5 * j + 2 * round + 1)));
+            self.next_id += 1;
+        }
+
+        let baits: Vec<(u32, Vec<f32>)> = doomed.iter().map(|&p| self.live[p].clone()).collect();
+        for (id, _) in &baits {
+            assert!(me.delete(*id), "round {round}: {id} was live");
+            self.dead.push(*id);
+        }
+        for (id, v) in &upserts {
+            let replaced = me.upsert(*id, v).unwrap();
+            assert_eq!(
+                replaced,
+                *id < self.next_id - (n / 20) as u32,
+                "round {round}"
+            );
+        }
+        doomed.extend(overwritten);
+        doomed.sort_unstable();
+        for pos in doomed.into_iter().rev() {
+            self.live.remove(pos);
+        }
+        self.live.extend(upserts);
+        baits
+    }
+}
+
+#[test]
+fn churn_rounds_repair_in_place_and_fold_back_to_a_fresh_build() {
+    let w = workload();
+    let p = params();
+    for index in INDEX_SPECS {
+        for dco in DCO_SPECS {
+            let ctx = format!("{index} x {dco}");
+            let cfg = EngineConfig::from_strs(index, dco).unwrap().with_params(p);
+            let mcfg = MutableConfig {
+                compact_threshold: 0,
+                compact_interval: Duration::from_secs(3600),
+                max_stale_rows: 10 * N,
+            };
+            let me = MutableEngine::build(
+                w.base.clone(),
+                Some(w.train_queries.clone()),
+                cfg.clone(),
+                mcfg,
+            )
+            .unwrap();
+            let mut mirror = Mirror {
+                live: (0..N).map(|i| (i as u32, w.base.get(i).to_vec())).collect(),
+                dead: Vec::new(),
+                next_id: N as u32,
+            };
+            let assert_gone = |mirror: &Mirror, baits: &[(u32, Vec<f32>)], phase: &str| {
+                let engine = me.handle().engine();
+                for (id, v) in baits {
+                    let r = engine.search_with(v, K, &p).unwrap();
+                    assert!(
+                        r.neighbors.iter().all(|n| !mirror.dead.contains(&n.id)),
+                        "{ctx} ({phase}): a dead id surfaced for bait {id}"
+                    );
+                }
+            };
+
+            for round in 0..5 {
+                let baits = mirror.churn(&me, &w, round);
+                assert_gone(&mirror, &baits, "tombstoned");
+                let report = me.compact().unwrap();
+                assert_eq!(report.mode, "repair", "{ctx} round {round}");
+                assert_eq!(report.len, mirror.live.len(), "{ctx} round {round}");
+                assert_gone(&mirror, &baits, "repaired");
+                let stats = me.mutation_stats();
+                assert_eq!(stats.live, mirror.live.len(), "{ctx} round {round}");
+                assert_eq!(stats.base_len, mirror.live.len(), "{ctx} round {round}");
+                assert_eq!((stats.tombstones, stats.pending_inserts), (0, 0), "{ctx}");
+                assert_eq!(me.handle().engine().len(), mirror.live.len(), "{ctx}");
+            }
+
+            // Five repairs later the engine still searches like a fresh
+            // build over the same live set.
+            let rows = mirror.rows();
+            let ext = |ids: Vec<u32>| -> Vec<u32> {
+                ids.into_iter().map(|i| mirror.live[i as usize].0).collect()
+            };
+            let fresh = Engine::build(&rows, Some(&w.train_queries), cfg.clone()).unwrap();
+            let repaired = me.handle().engine();
+            let (mut r_fresh, mut r_repaired) = (0.0, 0.0);
+            for qi in 0..w.queries.len() {
+                let q = w.queries.get(qi);
+                let oracle = metric_oracle::top_k(&rows, q, K, &Metric::L2);
+                let oracle: Vec<_> = oracle
+                    .into_iter()
+                    .map(|mut n| {
+                        n.id = mirror.live[n.id as usize].0;
+                        n
+                    })
+                    .collect();
+                let got = ext(fresh.search_with(q, K, &p).unwrap().ids());
+                r_fresh += metric_oracle::recall_against(&oracle, &got);
+                let got = repaired.search_with(q, K, &p).unwrap().ids();
+                r_repaired += metric_oracle::recall_against(&oracle, &got);
+            }
+            let nq = w.queries.len() as f64;
+            let (r_fresh, r_repaired) = (r_fresh / nq, r_repaired / nq);
+            assert!(
+                (r_fresh - r_repaired).abs() <= 0.10,
+                "{ctx}: recall diverged — fresh {r_fresh:.3} vs repaired {r_repaired:.3}"
+            );
+            assert!(r_repaired >= 0.60, "{ctx}: repaired recall {r_repaired:.3}");
+
+            // One more delete, then a forced fold: whatever the repairs
+            // did to the graph, the rebuild is a fresh build's twin.
+            let (last, _) = mirror.live.remove(3);
+            assert!(me.delete(last));
+            let report = me.compact_full().unwrap();
+            assert_eq!(report.mode, "fold", "{ctx}");
+            let rows = mirror.rows();
+            let fresh = Engine::build(&rows, Some(&w.train_queries), cfg).unwrap();
+            let folded = me.handle().engine();
+            for qi in 0..w.queries.len() {
+                let a = folded.search_with(w.queries.get(qi), K, &p).unwrap();
+                let b = fresh.search_with(w.queries.get(qi), K, &p).unwrap();
+                let b_ids: Vec<u32> = b.ids().iter().map(|&i| mirror.live[i as usize].0).collect();
+                assert_eq!(a.ids(), b_ids, "{ctx} query {qi}: ids");
+                let bits = |r: &ddc_index::SearchResult| {
+                    r.neighbors
+                        .iter()
+                        .map(|n| n.dist.to_bits())
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&a), bits(&b), "{ctx} query {qi}: distance bits");
+                assert_eq!(a.counters, b.counters, "{ctx} query {qi}: work counters");
+            }
         }
     }
 }

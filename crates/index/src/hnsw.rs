@@ -14,11 +14,16 @@
 //! to one built from scratch over the same rows — the foundation of the
 //! mutability parity contract (`build ≡ insert-one-at-a-time`).
 //!
-//! Deletion is handled above this layer with tombstones; the filtered
-//! search core ([`Hnsw::search_eval_filtered`]) performs result repair
-//! during traversal: dead nodes still route the best-first walk (their
-//! edges are the graph's connectivity) but never enter the result queue,
-//! so they cannot consume `k` slots or hold down the pruning threshold.
+//! Deletion comes in two steps. Between compactions it is handled above
+//! this layer with tombstones; the filtered search core
+//! ([`Hnsw::search_eval_filtered`]) performs result repair during
+//! traversal: dead nodes still route the best-first walk (their edges are
+//! the graph's connectivity) but never enter the result queue, so they
+//! cannot consume `k` slots or hold down the pruning threshold. A
+//! compaction then consolidates them away for good: [`Hnsw::remove_rows`]
+//! re-links every live in-neighbour of a dead node around it, drops the
+//! dead nodes, and renumbers the survivors — local work, the same way
+//! [`Hnsw::insert_next`] makes growth local.
 //!
 //! Search descends greedily to layer 0, then runs the `ef`-bounded
 //! best-first scan in which **every candidate evaluation goes through the
@@ -31,6 +36,7 @@
 //! `simd_dispatch_e2e` test pins that a 1k-point search returns identical
 //! top-k under `DDC_FORCE_SCALAR=1` and the SIMD path.
 
+use crate::search_index::removal_plan;
 use crate::visited::VisitedSet;
 use crate::{IndexError, Result, SearchResult};
 use ddc_core::{Dco, Decision, QueryDco};
@@ -236,8 +242,24 @@ impl Hnsw {
         level: usize,
         m_max: usize,
     ) {
+        let ids = std::mem::take(&mut self.links[node as usize][level]);
+        self.reselect_links(base, node, level, &ids, m_max);
+    }
+
+    /// Replaces `node`'s list at `level` with the heuristic's pick of at
+    /// most `cap` of `ids` (distinct, none equal to `node`), ranked by
+    /// distance to `node`. `Neighbor`'s total order makes the ranking —
+    /// and so the pick — independent of the order `ids` arrive in.
+    fn reselect_links<R: RowAccess + ?Sized>(
+        &mut self,
+        base: &R,
+        node: u32,
+        level: usize,
+        ids: &[u32],
+        cap: usize,
+    ) {
         let nq = base.row(node as usize);
-        let mut cands: Vec<Neighbor> = self.links[node as usize][level]
+        let mut cands: Vec<Neighbor> = ids
             .iter()
             .map(|&e| Neighbor {
                 id: e,
@@ -246,7 +268,102 @@ impl Hnsw {
             .collect();
         cands.sort_unstable();
         self.links[node as usize][level] =
-            select_neighbors_heuristic(base, &cands, m_max, &self.metric);
+            select_neighbors_heuristic(base, &cands, cap, &self.metric);
+    }
+
+    /// Physically removes the rows flagged in `dead_mask` and renumbers
+    /// the survivors densely in their old order, after repairing the
+    /// graph around the holes — so a compaction that drops rows costs
+    /// O(churn) instead of a rebuild.
+    ///
+    /// The repair is one-hop delete consolidation (the FreshDiskANN rule):
+    /// on every level, each live node that links to a dead node re-selects
+    /// its list, through the construction heuristic, from its live
+    /// neighbours ∪ the dead neighbours' live neighbours. The new list is
+    /// capped at the length the old one had (all candidates are kept when
+    /// they fit), so adjacency memory never grows. Repairs read only dead
+    /// nodes' lists and write only live nodes' lists, which makes the
+    /// outcome independent of visiting order. If the entry point died, the
+    /// lowest-id live node on the highest surviving level takes over.
+    ///
+    /// `rows_before` is the row source the graph was built over (old
+    /// numbering). The repaired graph is a valid index over the survivors
+    /// but, unlike growth by [`Hnsw::insert_next`], **not** bit-identical
+    /// to a fresh build over them.
+    ///
+    /// # Errors
+    /// [`IndexError::Config`] when the mask or the row source does not
+    /// cover exactly the indexed rows, [`IndexError::Dimension`] on a row
+    /// width mismatch, [`IndexError::Empty`] when no row would survive.
+    /// The graph is unchanged in every error case.
+    pub fn remove_rows<R: RowAccess + ?Sized>(
+        &mut self,
+        rows_before: &R,
+        dead_mask: &[bool],
+    ) -> Result<()> {
+        if rows_before.dim() != self.dim {
+            return Err(IndexError::Dimension {
+                expected: self.dim,
+                actual: rows_before.dim(),
+            });
+        }
+        if rows_before.len() != self.links.len() {
+            return Err(IndexError::Config(format!(
+                "row source has {} rows, {} are indexed",
+                rows_before.len(),
+                self.links.len()
+            )));
+        }
+        let Some(new_ids) = removal_plan(self.links.len(), dead_mask)? else {
+            return Ok(());
+        };
+        let dead = |id: u32| dead_mask[id as usize];
+
+        let mut ids = Vec::new();
+        for node in (0..self.links.len() as u32).filter(|&u| !dead(u)) {
+            for level in 0..self.links[node as usize].len() {
+                let old = &self.links[node as usize][level];
+                if !old.iter().any(|&e| dead(e)) {
+                    continue;
+                }
+                ids.clear();
+                for &e in old {
+                    if dead(e) {
+                        let via = self.neighbors(e, level).iter();
+                        ids.extend(via.copied().filter(|&x| !dead(x) && x != node));
+                    } else {
+                        ids.push(e);
+                    }
+                }
+                ids.sort_unstable();
+                ids.dedup();
+                let cap = old.len();
+                self.reselect_links(rows_before, node, level, &ids, cap);
+            }
+        }
+
+        if dead(self.entry) {
+            // Every surviving node then fits under the new top level, as
+            // the loader demands.
+            let levels = |u: &u32| self.links[*u as usize].len();
+            let top = (0..self.links.len() as u32)
+                .filter(|&u| !dead(u))
+                .max_by_key(|u| (levels(u), std::cmp::Reverse(*u)))
+                .expect("removal_plan guarantees a survivor");
+            self.max_level = levels(&top) - 1;
+            self.entry = top;
+        }
+        self.entry = new_ids[self.entry as usize];
+
+        let mut keep = dead_mask.iter().map(|&d| !d);
+        self.links
+            .retain(|_| keep.next().expect("mask covers links"));
+        for list in self.links.iter_mut().flatten() {
+            for e in list {
+                *e = new_ids[*e as usize];
+            }
+        }
+        Ok(())
     }
 
     fn greedy_closest<R: RowAccess + ?Sized>(
@@ -473,7 +590,7 @@ impl Hnsw {
     }
 
     /// Number of layers node `id` participates in.
-    pub(crate) fn node_levels(&self, id: u32) -> usize {
+    pub fn node_levels(&self, id: u32) -> usize {
         self.links[id as usize].len()
     }
 

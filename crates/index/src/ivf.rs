@@ -8,6 +8,7 @@
 //! where the paper's operators plug in. Centroid ranking (`l2_sq`) rides
 //! the runtime-dispatched SIMD kernels of [`ddc_linalg::kernels`].
 
+use crate::search_index::removal_plan;
 use crate::{IndexError, Result, SearchResult};
 use ddc_cluster::{train as kmeans_train, KMeansConfig};
 use ddc_core::{Dco, Decision, QueryDco};
@@ -267,6 +268,27 @@ impl Ivf {
         for i in start..rows.len() {
             let best = nearest_centroid(&self.centroids, rows.row(i), &self.metric);
             self.lists[best].push(i as u32);
+        }
+        Ok(())
+    }
+
+    /// Physically removes the rows flagged in `dead_mask` from every
+    /// posting list and renumbers the survivors densely in their old
+    /// order. Centroids are untouched (k-means only re-runs on a fold).
+    ///
+    /// # Errors
+    /// [`IndexError::Config`] when the mask does not cover exactly the
+    /// indexed rows; [`IndexError::Empty`] when no row would survive.
+    pub fn remove_rows(&mut self, dead_mask: &[bool]) -> Result<()> {
+        let indexed: usize = self.lists.iter().map(Vec::len).sum();
+        let Some(new_ids) = removal_plan(indexed, dead_mask)? else {
+            return Ok(());
+        };
+        for list in &mut self.lists {
+            list.retain(|&id| !dead_mask[id as usize]);
+            for id in list {
+                *id = new_ids[*id as usize];
+            }
         }
         Ok(())
     }

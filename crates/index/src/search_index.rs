@@ -134,6 +134,22 @@ pub trait SearchIndex {
     /// [`IndexError::Dimension`] on a row-width mismatch.
     fn append(&mut self, rows: &dyn RowAccess, start: usize) -> Result<()>;
 
+    /// Physically removes the rows flagged in `dead_mask` (one flag per
+    /// indexed row) and renumbers the survivors densely in their old
+    /// order — row `i` becomes the count of live rows before it, the same
+    /// renumbering [`ddc_core::Dco::remove_rows`] applies. `rows_before`
+    /// is the original-space row source the index was built over, *before*
+    /// the removal. Flat indexes are stateless (the mask is only
+    /// validated); IVF filters its posting lists; HNSW repairs the graph
+    /// around the dead nodes first ([`Hnsw::remove_rows`]).
+    ///
+    /// # Errors
+    /// [`IndexError::Config`] when the mask does not cover exactly the
+    /// indexed rows, [`IndexError::Empty`] when no row would survive,
+    /// [`IndexError::Dimension`] on a row-width mismatch. The index is
+    /// unchanged in every error case.
+    fn remove(&mut self, rows_before: &dyn RowAccess, dead_mask: &[bool]) -> Result<()>;
+
     /// Persists the index structure to `path` (vectors and operators
     /// travel separately — see [`crate::persist`]).
     ///
@@ -187,6 +203,10 @@ impl SearchIndex for FlatIndex {
         Ok(())
     }
 
+    fn remove(&mut self, rows_before: &dyn RowAccess, dead_mask: &[bool]) -> Result<()> {
+        removal_plan(rows_before.len(), dead_mask).map(|_| ())
+    }
+
     fn save(&self, path: &Path) -> Result<()> {
         FlatIndex::save(self, path)
     }
@@ -230,6 +250,10 @@ impl SearchIndex for Ivf {
 
     fn append(&mut self, rows: &dyn RowAccess, start: usize) -> Result<()> {
         Ivf::append_rows(self, rows, start)
+    }
+
+    fn remove(&mut self, _rows_before: &dyn RowAccess, dead_mask: &[bool]) -> Result<()> {
+        Ivf::remove_rows(self, dead_mask)
     }
 
     fn save(&self, path: &Path) -> Result<()> {
@@ -289,12 +313,44 @@ impl SearchIndex for Hnsw {
         Ok(())
     }
 
+    fn remove(&mut self, rows_before: &dyn RowAccess, dead_mask: &[bool]) -> Result<()> {
+        Hnsw::remove_rows(self, rows_before, dead_mask)
+    }
+
     fn save(&self, path: &Path) -> Result<()> {
         Hnsw::save(self, path)
     }
 
     fn save_bytes(&self) -> Result<Vec<u8>> {
         Hnsw::save_bytes(self)
+    }
+}
+
+/// The shared front door of [`SearchIndex::remove`]: checks that
+/// `dead_mask` covers exactly the `indexed` rows and leaves at least one,
+/// and returns the dense old→new id map (entries of dead rows are
+/// meaningless) — or `None` when nothing is flagged and the removal is a
+/// no-op.
+pub(crate) fn removal_plan(indexed: usize, dead_mask: &[bool]) -> Result<Option<Vec<u32>>> {
+    if dead_mask.len() != indexed {
+        return Err(IndexError::Config(format!(
+            "removal mask covers {} rows, {indexed} are indexed",
+            dead_mask.len()
+        )));
+    }
+    let mut live = 0u32;
+    let new_ids: Vec<u32> = dead_mask
+        .iter()
+        .map(|&dead| {
+            let id = live;
+            live += u32::from(!dead);
+            id
+        })
+        .collect();
+    match live as usize {
+        0 => Err(IndexError::Empty),
+        n if n == indexed => Ok(None),
+        _ => Ok(Some(new_ids)),
     }
 }
 

@@ -45,13 +45,13 @@
 //! | `/search_batch` | POST | `{"queries": [[...], ...], "k": 10}`, coalesced with `/search` |
 //! | `/upsert` | POST | `{"id": 7, "vector": [...]}` — insert or replace a row (mutable boots) |
 //! | `/delete` | POST | `{"id": 7}` — tombstone a row (mutable boots) |
-//! | `/admin/compact` | POST | `{}` or `{"mode": "full"}` — fold pending mutations now (mutable boots) |
+//! | `/admin/compact` | POST | `{}` or `{"mode": "full"}` — compact pending mutations now; the reply's `mode` is `append`, `repair`, `fold` or `none` (mutable boots) |
 //! | `/admin/swap` | POST | `{"index": "...", "dco": "..."}` or `{"load": "dir"}` (immutable boots) |
 //!
 //! A server over heap-resident rows ([`Server::bind_mutable`], the
 //! `ddc-serve` default there) serves a [`ddc_engine::MutableEngine`]:
 //! mutations are visible to searches immediately and a background
-//! compactor folds them into fresh engines landed through the
+//! compactor works them into replacement engines landed through the
 //! epoch-stamped swap — on such boots `/admin/swap` is disabled (the
 //! compactor owns swaps), while immutable boots answer the mutation
 //! endpoints with `400`.

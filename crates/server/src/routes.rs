@@ -826,11 +826,14 @@ fn delete(state: &ServerState, req: &Request) -> Response {
     ]))
 }
 
-/// `POST /admin/compact`: folds pending mutations into a fresh serving
-/// engine now, without waiting for the background compactor. An empty
-/// (or `{}`) body runs the normal policy; `{"mode": "full"}` forces a
-/// from-scratch rebuild (re-training data-driven operators and clearing
-/// the stale-row debt) even when an append would do.
+/// `POST /admin/compact`: works pending mutations into a replacement
+/// serving engine now, without waiting for the background compactor. An
+/// empty (or `{}`) body runs the normal policy — incremental: the reply's
+/// `mode` is `"append"` when the copy only grew, `"repair"` when deleted
+/// rows were physically removed from it first; `{"mode": "full"}` forces
+/// the from-scratch `"fold"` (re-training data-driven operators and
+/// clearing the stale-row debt) even when the incremental path would do.
+/// `"none"` means nothing was pending.
 fn compact(state: &ServerState, req: &Request) -> Response {
     let Some(me) = &state.mutable else {
         return bad(IMMUTABLE);

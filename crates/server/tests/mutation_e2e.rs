@@ -38,8 +38,8 @@ fn spawn_mutable(w: &Workload, index: &str, dco: &str, mcfg: MutableConfig) -> S
     server.spawn().unwrap()
 }
 
-/// Only explicit `/admin/compact` calls fold; the background compactor
-/// never fires on its own.
+/// Only explicit `/admin/compact` calls compact; the background
+/// compactor never fires on its own.
 fn manual_compaction() -> MutableConfig {
     MutableConfig {
         compact_threshold: 0,
@@ -90,14 +90,19 @@ fn upsert_delete_compact_smoke_over_http() {
     assert_eq!(status, 200, "{reply}");
     assert_ne!(ids_of(&reply), vec![9999]);
 
-    // Tombstone a base row, force a compaction, and check the counters.
+    // Tombstone a base row, compact now, and check the counters: the
+    // default policy repairs the copy in place, dropping the row for good.
     let body = Json::obj([("id", Json::from(5usize))]).dump();
     let (status, _) = request(addr, "POST", "/delete", Some(&body));
     assert_eq!(status, 200);
     let (status, reply) = request(addr, "POST", "/admin/compact", Some("{}"));
     assert_eq!(status, 200, "{reply}");
-    assert_eq!(reply.get("mode").and_then(Json::as_str), Some("fold"));
+    assert_eq!(reply.get("mode").and_then(Json::as_str), Some("repair"));
     assert_eq!(reply.get("dropped").and_then(Json::as_usize), Some(1));
+    assert_eq!(
+        reply.get("len").and_then(Json::as_usize),
+        Some(w.base.len() - 1)
+    );
     let epoch = reply.get("epoch").and_then(Json::as_usize).unwrap();
     assert!(epoch >= 1, "compaction must land a new engine epoch");
 
@@ -118,6 +123,19 @@ fn upsert_delete_compact_smoke_over_http() {
     let (status, reply) = request(addr, "POST", "/search", Some(&search_body));
     assert_eq!(status, 200);
     assert_eq!(reply.get("epoch").and_then(Json::as_usize), Some(epoch));
+
+    // `{"mode": "full"}` still forces the from-scratch fold.
+    let body = Json::obj([("id", Json::from(6usize))]).dump();
+    let (status, _) = request(addr, "POST", "/delete", Some(&body));
+    assert_eq!(status, 200);
+    let (status, reply) = request(addr, "POST", "/admin/compact", Some(r#"{"mode":"full"}"#));
+    assert_eq!(status, 200, "{reply}");
+    assert_eq!(reply.get("mode").and_then(Json::as_str), Some("fold"));
+    assert_eq!(reply.get("dropped").and_then(Json::as_usize), Some(1));
+    assert_eq!(
+        reply.get("len").and_then(Json::as_usize),
+        Some(w.base.len() - 2)
+    );
 
     guard.shutdown();
 }

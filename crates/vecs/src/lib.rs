@@ -49,7 +49,7 @@ pub use metrics::{measure_qps, recall, recall_at};
 pub use snapshot::{SharedRows, Snapshot, SnapshotWriter};
 pub use store::{Advice, ChunkedReader, MmapVecs, VecStore};
 pub use synth::{SynthProfile, SynthSpec, Workload};
-pub use vecset::VecSet;
+pub use vecset::{retain_live_rows, VecSet};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, VecsError>;

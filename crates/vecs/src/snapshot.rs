@@ -928,6 +928,32 @@ impl SharedRows {
             )),
         }
     }
+
+    /// Removes every row whose `dead` flag is set, in place and order
+    /// preserving ([`VecSet::remove_rows`]). Like [`SharedRows::push`],
+    /// only the heap-resident variant can change.
+    ///
+    /// # Errors
+    /// [`VecsError::Format`] on the mapped variant or when the mask does
+    /// not cover exactly the stored rows.
+    pub fn remove_rows(&mut self, dead: &[bool]) -> Result<()> {
+        if dead.len() != self.len() {
+            return Err(VecsError::Format(format!(
+                "removal mask covers {} rows, {} are stored",
+                dead.len(),
+                self.len()
+            )));
+        }
+        match self {
+            SharedRows::Owned(s) => {
+                s.remove_rows(dead);
+                Ok(())
+            }
+            SharedRows::Mapped(_) => Err(VecsError::Format(
+                "snapshot-mapped rows are immutable and cannot shrink".into(),
+            )),
+        }
+    }
 }
 
 impl RowAccess for SharedRows {

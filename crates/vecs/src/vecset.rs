@@ -145,6 +145,24 @@ impl VecSet {
         out
     }
 
+    /// Removes row `i` in place; later rows shift down one, order kept.
+    ///
+    /// # Panics
+    /// Panics when `i >= self.len()`.
+    pub fn remove_row(&mut self, i: usize) {
+        self.data.drain(i * self.dim..(i + 1) * self.dim);
+    }
+
+    /// Removes every row whose `dead` flag is set, in place; the surviving
+    /// rows keep their relative order (row `i` lands at the count of live
+    /// rows before it).
+    ///
+    /// # Panics
+    /// Panics when `dead.len() != self.len()`.
+    pub fn remove_rows(&mut self, dead: &[bool]) {
+        retain_live_rows(&mut self.data, self.dim, dead);
+    }
+
     /// Splits into `(head, tail)` at row `at`.
     pub fn split_at(mut self, at: usize) -> (VecSet, VecSet) {
         let tail = self.data.split_off(at * self.dim);
@@ -159,6 +177,26 @@ impl VecSet {
             },
         )
     }
+}
+
+/// Compacts a row-major `dead.len() × width` table in place, dropping the
+/// rows whose `dead` flag is set and keeping the order of the rest — the
+/// one primitive behind [`VecSet::remove_rows`] and the per-row side
+/// columns (norms, codes, correction terms) operators keep beside their
+/// matrix.
+///
+/// # Panics
+/// Panics when `data.len() != width * dead.len()`.
+pub fn retain_live_rows<T: Copy>(data: &mut Vec<T>, width: usize, dead: &[bool]) {
+    assert_eq!(data.len(), width * dead.len(), "mask/table row count");
+    let mut live = 0;
+    for (row, _) in dead.iter().enumerate().filter(|(_, &d)| !d) {
+        if live != row {
+            data.copy_within(row * width..(row + 1) * width, live * width);
+        }
+        live += 1;
+    }
+    data.truncate(live * width);
 }
 
 /// A [`VecSet`] is the canonical in-RAM [`RowAccess`] source; the
@@ -244,6 +282,25 @@ mod tests {
         assert_eq!(head.len(), 1);
         assert_eq!(tail.len(), 3);
         assert_eq!(tail.get(0), &[1.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn remove_row_and_rows_keep_order() {
+        let mut s = sample();
+        s.remove_row(1);
+        assert_eq!(s, sample().select(&[0, 2, 3]));
+        let mut s = sample();
+        s.remove_rows(&[true, false, true, false]);
+        assert_eq!(s, sample().select(&[1, 3]));
+        let mut s = sample();
+        s.remove_rows(&[false; 4]);
+        assert_eq!(s, sample());
+        s.remove_rows(&[true; 4]);
+        assert!(s.is_empty());
+        // Width-0 side columns (an absent table) pass through untouched.
+        let mut none: Vec<f32> = Vec::new();
+        retain_live_rows(&mut none, 0, &[true, false]);
+        assert!(none.is_empty());
     }
 
     #[test]
