@@ -19,9 +19,8 @@
 //!
 //! Cost: one heap allocation per query (`Box<dyn DynQueryDco>`) plus a
 //! virtual call per candidate test. Against the `O(D)`–`O(D²)` arithmetic
-//! behind each of those calls, this is noise — the `engine_api` bench and
-//! the parity suite pin that the dynamic path returns bit-identical top-k
-//! ids to the generic path.
+//! behind each of those calls, this is noise — the parity suite pins that
+//! the dynamic path returns bit-identical top-k ids to the generic path.
 
 use crate::batch::QueryBatch;
 use crate::traits::{Dco, QueryDco};

@@ -1,30 +1,34 @@
 //! Server-side micro-batching: a submission queue that coalesces
-//! concurrent single-query searches into engine batches.
+//! concurrent search requests into engine batches.
 //!
 //! The batch entry points ([`Engine::search_batch`],
-//! [`Engine::search_batch_parallel`]) amortize the `O(D²)` per-query
+//! [`Engine::search_batch_parallel_with`]) amortize the `O(D²)` per-query
 //! evaluator setup the paper accounts in §VI-A — but only callers that
 //! *arrive* with a batch benefit. A serving workload arrives as many
-//! independent single-query requests; [`BatchCollector`] converts that
-//! concurrency into batches: the first submission opens a small
-//! coalescing window, every request arriving inside it (or until the
-//! queue reaches `max_batch`) joins the same batch, and results fan back
-//! out through per-request callbacks.
+//! independent requests, most of them a single query;
+//! [`BatchCollector`] converts that concurrency into batches: the first
+//! submission opens a small coalescing window, every request arriving
+//! inside it (or until `max_batch` queries are pending) joins the same
+//! drain, and results fan back out through per-request callbacks. There
+//! is one way in, [`BatchCollector::submit`]: a request is a
+//! [`QueryBatch`] of one or more queries (solo = one) plus `k`, the
+//! search parameters and an optional [`FilterPredicate`].
 //!
 //! Results are **bit-identical** to solo execution: the collector only
-//! ever calls the batch entry points, whose parity with per-query
+//! ever calls the engine's batch path, whose parity with per-query
 //! [`Engine::search`] is pinned across the full index × DCO grid by
-//! `crates/engine/tests/parity.rs`. Requests with differing `k` or
-//! search parameters never share a batch (they are grouped), so
-//! coalescing is invisible to every caller except in latency — bounded
-//! by the window — and throughput.
+//! `crates/engine/tests/parity.rs`. Requests with differing `k`, search
+//! parameters or predicate never share an engine call (they are
+//! grouped), so coalescing is invisible to every caller except in
+//! latency — bounded by the window — and throughput.
 //!
-//! Each executed batch runs against one [`ServingHandle`] snapshot taken
-//! at execution time; callbacks receive the epoch of that snapshot, so a
+//! Each drain runs against one [`ServingHandle`] snapshot taken at
+//! execution time; callbacks receive the epoch of that snapshot, so a
 //! server can attribute every coalesced response to exactly one
 //! installed engine even across hot swaps.
 //!
 //! ```
+//! use ddc_core::QueryBatch;
 //! use ddc_engine::{BatchCollector, CollectorConfig, Engine, EngineConfig};
 //! use ddc_engine::{ServingHandle, WorkerPool};
 //! use ddc_vecs::SynthSpec;
@@ -44,11 +48,12 @@
 //! let params = handle.engine().config().params;
 //! let (tx, rx) = mpsc::channel();
 //! collector.submit(
-//!     w.queries.get(0).to_vec(),
+//!     QueryBatch::from_rows(8, &[w.queries.get(0)]).unwrap(),
 //!     3,
 //!     params,
-//!     Box::new(move |epoch, _meta, result| {
-//!         tx.send((epoch, result.unwrap().ids())).unwrap();
+//!     None,
+//!     Box::new(move |epoch, _meta, results| {
+//!         tx.send((epoch, results.unwrap()[0].ids())).unwrap();
 //!     }),
 //! );
 //! let (epoch, ids) = rx.recv().unwrap();
@@ -57,6 +62,7 @@
 //! ```
 
 use crate::error::EngineError;
+use crate::filter::FilterPredicate;
 use crate::handle::ServingHandle;
 use crate::pool::WorkerPool;
 use ddc_core::QueryBatch;
@@ -67,11 +73,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Execution metadata delivered alongside every coalesced result: how
-/// long the submission queued, and the shape and duration of the engine
-/// batch it rode in. `batch_nanos` is the whole batch's execution time
-/// (shared by every batchmate); a query's own traversal time is the
-/// result's `elapsed_nanos`.
+/// Execution metadata delivered alongside every result: how long the
+/// request queued, and the shape and duration of the engine batch it
+/// rode in. `batch_nanos` is the whole batch's execution time (shared by
+/// every batchmate); a query's own traversal time is its result's
+/// `elapsed_nanos`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecMeta {
     /// Nanos from submission until the drained batch began executing.
@@ -83,34 +89,28 @@ pub struct ExecMeta {
     pub batch_nanos: u64,
 }
 
-/// Completion callback of one submitted search: the serving epoch the
-/// query executed under, its [`ExecMeta`], plus its result.
+/// Completion callback of one submitted request: the serving epoch it
+/// executed under, its [`ExecMeta`], and one result per query in
+/// submission order (all or nothing).
 pub type SearchCallback =
-    Box<dyn FnOnce(u64, ExecMeta, Result<SearchResult, EngineError>) + Send + 'static>;
-
-/// Completion callback of one [`BatchCollector::submit_group`] call: the
-/// highest epoch any fragment executed under, plus per-fragment results
-/// in submission order.
-pub type GroupCallback =
-    Box<dyn FnOnce(u64, Vec<Result<SearchResult, EngineError>>) + Send + 'static>;
+    Box<dyn FnOnce(u64, ExecMeta, Result<Vec<SearchResult>, EngineError>) + Send + 'static>;
 
 /// Coalescing knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct CollectorConfig {
-    /// How long the first pending submission waits for company before
-    /// the batch executes. Zero disables waiting (submissions still
-    /// coalesce whenever they outpace the collector). With
-    /// [`CollectorConfig::adaptive`] set this is the *ceiling* the
-    /// controller works under, not a fixed wait.
+    /// The longest the first pending submission waits for company before
+    /// the batch executes — the *ceiling* the window adapts under: solo
+    /// drains (no company arrived, no backlog) halve the live window
+    /// toward zero so an idle trickle stops paying it as pure latency;
+    /// any drain that coalesced or left a backlog doubles it back toward
+    /// this value (the crate-private `WindowController` holds the exact
+    /// policy). Zero disables waiting (submissions still coalesce
+    /// whenever they outpace the collector).
     pub window: Duration,
-    /// Executes the batch early once this many submissions are pending.
+    /// Executes the batch early once this many queries are pending. A
+    /// drain takes whole requests until it holds this many queries, so
+    /// the last one taken may overshoot it.
     pub max_batch: usize,
-    /// Adapt the window to traffic: solo drains (no company arrived, no
-    /// backlog) halve it toward zero so an idle trickle stops paying the
-    /// window as pure latency; any drain that coalesced or left a
-    /// backlog doubles it back toward the configured ceiling (the
-    /// crate-private `WindowController` holds the exact policy).
-    pub adaptive: bool,
 }
 
 impl Default for CollectorConfig {
@@ -118,7 +118,6 @@ impl Default for CollectorConfig {
         CollectorConfig {
             window: Duration::from_micros(200),
             max_batch: 64,
-            adaptive: true,
         }
     }
 }
@@ -184,7 +183,7 @@ pub const WAIT_BUCKETS_US: [u64; 6] = [50, 100, 200, 500, 1000, 5000];
 /// A snapshot of the collector's accumulated counters.
 #[derive(Debug, Clone, Default)]
 pub struct CollectorStats {
-    /// Searches submitted.
+    /// Queries submitted (a request of `n` queries counts `n`).
     pub submitted: u64,
     /// Engine batches executed (a batch of one still counts).
     pub batches: u64,
@@ -195,12 +194,11 @@ pub struct CollectorStats {
     /// Batch-size distribution over the [`SIZE_BUCKETS`] edges.
     pub size_hist: HistogramSnapshot,
     /// Queue-wait distribution (microseconds) over the
-    /// [`WAIT_BUCKETS_US`] edges. Wait = submission to the moment its
-    /// batch starts.
+    /// [`WAIT_BUCKETS_US`] edges, one observation per request. Wait =
+    /// submission to the moment its batch starts.
     pub wait_us_hist: HistogramSnapshot,
-    /// The coalescing window the next drain will wait, in microseconds.
-    /// Equals the configured window unless [`CollectorConfig::adaptive`]
-    /// has moved it.
+    /// The coalescing window the next drain will wait, in microseconds:
+    /// the configured ceiling until traffic moves it.
     pub window_us: u64,
 }
 
@@ -228,10 +226,12 @@ impl Counters {
     }
 }
 
+/// One submitted request.
 struct Pending {
-    query: Vec<f32>,
+    queries: QueryBatch,
     k: usize,
     params: SearchParams,
+    filter: Option<FilterPredicate>,
     enqueued: Instant,
     done: SearchCallback,
 }
@@ -239,6 +239,13 @@ struct Pending {
 struct Queue {
     jobs: Vec<Pending>,
     shutdown: bool,
+}
+
+impl Queue {
+    /// Queries pending across `jobs`.
+    fn rows(&self) -> usize {
+        self.jobs.iter().map(|j| j.queries.len()).sum()
+    }
 }
 
 struct Shared {
@@ -281,7 +288,6 @@ impl BatchCollector {
         let cfg = CollectorConfig {
             window: cfg.window,
             max_batch: cfg.max_batch.max(1),
-            adaptive: cfg.adaptive,
         };
         let shared = Arc::new(Shared {
             queue: Mutex::new(Queue {
@@ -309,26 +315,48 @@ impl BatchCollector {
         }
     }
 
-    /// Enqueues one search. `done` fires exactly once — on the collector
-    /// thread — with the epoch of the engine snapshot the query executed
-    /// under. The query is *not* dimension-checked here: a mismatch
-    /// against the engine installed at execution time surfaces as an
-    /// `Err` in the callback, individually, without failing batchmates.
+    /// Enqueues one request: `queries` searched for their `k` nearest
+    /// neighbors under `params`, restricted to rows matching `filter`
+    /// when one is given. Its queries share the queue (and therefore the
+    /// coalescing window and the engine call) with each other *and* with
+    /// whatever compatible requests arrive alongside them.
+    ///
+    /// `done` fires exactly once — on the collector thread — with the
+    /// epoch of the engine snapshot the request executed under and one
+    /// result per query in submission order. The request is *not*
+    /// checked against the engine here: a dimension mismatch (or a
+    /// predicate on an engine without payloads) against the engine
+    /// installed at execution time surfaces as an `Err` in the callback,
+    /// individually, without failing batchmates. An empty request is
+    /// answered immediately, on the calling thread.
     ///
     /// Callbacks run on the collector thread and must not block on it
     /// (hand heavy work to another thread).
-    pub fn submit(&self, query: Vec<f32>, k: usize, params: SearchParams, done: SearchCallback) {
-        self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        let mut q = self.shared.queue.lock().expect("collector queue poisoned");
+    pub fn submit(
+        &self,
+        queries: QueryBatch,
+        k: usize,
+        params: SearchParams,
+        filter: Option<FilterPredicate>,
+        done: SearchCallback,
+    ) {
+        let rows = queries.len();
+        let s = &self.shared;
+        if rows == 0 {
+            return done(s.handle.epoch(), ExecMeta::default(), Ok(Vec::new()));
+        }
+        s.stats.submitted.fetch_add(rows as u64, Ordering::Relaxed);
+        let mut q = s.queue.lock().expect("collector queue poisoned");
         q.jobs.push(Pending {
-            query,
+            queries,
             k,
             params,
+            filter,
             enqueued: Instant::now(),
             done,
         });
         drop(q);
-        self.shared.arrived.notify_one();
+        s.arrived.notify_one();
     }
 
     /// Accumulated counters.
@@ -344,77 +372,6 @@ impl BatchCollector {
             wait_us_hist: s.wait_us_hist.snapshot(),
             window_us: load(&s.window_us),
         }
-    }
-
-    /// Enqueues the fragments of one multi-query request as individual
-    /// submissions sharing the queue (and therefore the coalescing
-    /// window and any concurrent `submit` traffic) with everything else.
-    /// All fragments land under one queue lock, so with a live window
-    /// they share a batch with each other *and* with whatever solo
-    /// queries arrive alongside them.
-    ///
-    /// `done` fires exactly once, after the last fragment completes,
-    /// with per-fragment results in submission order and the highest
-    /// epoch any fragment executed under (fragments only straddle epochs
-    /// when a swap lands while they span multiple drains).
-    pub fn submit_group(
-        &self,
-        queries: Vec<Vec<f32>>,
-        k: usize,
-        params: SearchParams,
-        done: GroupCallback,
-    ) {
-        let n = queries.len();
-        if n == 0 {
-            done(self.shared.handle.epoch(), Vec::new());
-            return;
-        }
-        struct Agg {
-            slots: Vec<Option<(u64, Result<SearchResult, EngineError>)>>,
-            left: usize,
-            done: Option<GroupCallback>,
-        }
-        let agg = Arc::new(Mutex::new(Agg {
-            slots: (0..n).map(|_| None).collect(),
-            left: n,
-            done: Some(done),
-        }));
-        self.shared
-            .stats
-            .submitted
-            .fetch_add(n as u64, Ordering::Relaxed);
-        let enqueued = Instant::now();
-        let mut q = self.shared.queue.lock().expect("collector queue poisoned");
-        for (i, query) in queries.into_iter().enumerate() {
-            let agg = Arc::clone(&agg);
-            q.jobs.push(Pending {
-                query,
-                k,
-                params,
-                enqueued,
-                done: Box::new(move |epoch, _meta, result| {
-                    let mut a = agg.lock().expect("group aggregator poisoned");
-                    a.slots[i] = Some((epoch, result));
-                    a.left -= 1;
-                    if a.left > 0 {
-                        return;
-                    }
-                    let done = a.done.take().expect("group fires once");
-                    let slots = std::mem::take(&mut a.slots);
-                    drop(a);
-                    let mut epoch_max = 0;
-                    let mut results = Vec::with_capacity(slots.len());
-                    for slot in slots {
-                        let (epoch, result) = slot.expect("every fragment completed");
-                        epoch_max = epoch_max.max(epoch);
-                        results.push(result);
-                    }
-                    done(epoch_max, results);
-                }),
-            });
-        }
-        drop(q);
-        self.shared.arrived.notify_one();
     }
 }
 
@@ -443,14 +400,10 @@ fn collector_loop(s: &Shared) {
         // Coalescing window: measured from the first pending arrival so a
         // steady trickle cannot delay any request beyond one window. On
         // shutdown the wait is skipped — remaining jobs drain immediately.
-        let window = if s.cfg.adaptive {
-            win.window()
-        } else {
-            s.cfg.window
-        };
+        let window = win.window();
         if !window.is_zero() {
             let deadline = q.jobs[0].enqueued + window;
-            while !q.shutdown && q.jobs.len() < s.cfg.max_batch {
+            while !q.shutdown && q.rows() < s.cfg.max_batch {
                 let now = Instant::now();
                 if now >= deadline {
                     break;
@@ -462,54 +415,55 @@ fn collector_loop(s: &Shared) {
                 q = guard;
             }
         }
-        let take = q.jobs.len().min(s.cfg.max_batch);
-        let jobs: Vec<Pending> = q.jobs.drain(..take).collect();
-        if s.cfg.adaptive {
-            win.observe(take, q.jobs.len());
-            s.stats
-                .window_us
-                .store(win.window().as_micros() as u64, Ordering::Relaxed);
+        let (mut take, mut taken) = (0, 0);
+        while take < q.jobs.len() && taken < s.cfg.max_batch {
+            taken += q.jobs[take].queries.len();
+            take += 1;
         }
+        let jobs: Vec<Pending> = q.jobs.drain(..take).collect();
+        win.observe(taken, q.jobs.len());
+        s.stats
+            .window_us
+            .store(win.window().as_micros() as u64, Ordering::Relaxed);
         drop(q);
         execute(s, jobs);
         q = s.queue.lock().expect("collector queue poisoned");
     }
 }
 
-/// Runs one drained batch: group by `(k, params)`, screen dimensions,
-/// execute each group through the engine's batch path, fan results out.
+/// Runs one drain: group the requests that may share an engine call,
+/// screen dimensions, execute each group through the engine's batch
+/// path, fan results out.
 fn execute(s: &Shared, jobs: Vec<Pending>) {
     let snap = s.handle.snapshot();
     let started = Instant::now();
-    for job in &jobs {
-        let waited = started.duration_since(job.enqueued).as_micros() as u64;
-        s.stats.wait_us_hist.record(waited);
-    }
-    // Group submissions that can legally share a batch. `SearchParams`
-    // holds plain integers, so the key is exact — no float comparison.
-    let mut groups: Vec<((usize, usize, usize), Vec<Pending>)> = Vec::new();
+    let waited = |job: &Pending| started.duration_since(job.enqueued);
+    // Requests sharing a key may legally share an engine call; the key
+    // is plain integers and an exactly-compared predicate, no floats.
+    let mut groups: Vec<Vec<Pending>> = Vec::new();
     for job in jobs {
-        let key = (job.k, job.params.ef, job.params.nprobe);
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, group)) => group.push(job),
-            None => groups.push((key, vec![job])),
+        s.stats.wait_us_hist.record(waited(&job).as_micros() as u64);
+        let shares = |head: &Pending| {
+            (head.k, head.params, &head.filter) == (job.k, job.params, &job.filter)
+        };
+        match groups.iter_mut().find(|g| shares(&g[0])) {
+            Some(group) => group.push(job),
+            None => groups.push(vec![job]),
         }
     }
     let dim = snap.engine.dim();
-    for (_, group) in groups {
-        let k = group[0].k;
-        let params = group[0].params;
-        // Dimension screen: a bad query fails alone instead of poisoning
-        // the whole group with the engine's batch-level dimension error.
+    for group in groups {
+        // Dimension screen: a bad request fails alone instead of
+        // poisoning the whole group with the engine's batch-level
+        // dimension error.
         let (ok, bad): (Vec<Pending>, Vec<Pending>) =
-            group.into_iter().partition(|j| j.query.len() == dim);
+            group.into_iter().partition(|j| j.queries.dim() == dim);
         for job in bad {
-            let actual = job.query.len();
             let meta = ExecMeta {
-                queue_wait_nanos: started.duration_since(job.enqueued).as_nanos() as u64,
-                batch_len: 0,
-                batch_nanos: 0,
+                queue_wait_nanos: waited(&job).as_nanos() as u64,
+                ..ExecMeta::default()
             };
+            let actual = job.queries.dim();
             (job.done)(
                 snap.epoch,
                 meta,
@@ -519,51 +473,48 @@ fn execute(s: &Shared, jobs: Vec<Pending>) {
                 })),
             );
         }
-        if ok.is_empty() {
+        let Some(first) = ok.first() else {
             continue;
-        }
-        let rows: Vec<&[f32]> = ok.iter().map(|j| j.query.as_slice()).collect();
+        };
+        // A request alone in its group (every drain at concurrency 1)
+        // is searched as submitted; company is copied into one batch.
+        let merged = (ok.len() > 1).then(|| {
+            let rows: Vec<&[f32]> = ok.iter().flat_map(|j| j.queries.iter()).collect();
+            QueryBatch::from_rows(dim, &rows).expect("rows screened to the engine's dimension")
+        });
+        let batch = merged.as_ref().unwrap_or(&first.queries);
         let timing = ddc_obs::enabled().then(Instant::now);
-        let result = QueryBatch::from_rows(dim, &rows)
-            .map_err(EngineError::from)
-            .and_then(|batch| {
-                // Parallel only when it can help; the collector thread
-                // participates as the caller, so a saturated pool cannot
-                // deadlock the batch (see `search_batch_parallel_with`).
-                if ok.len() > 1 && s.pool.threads() > 1 {
-                    Arc::clone(&snap.engine).search_batch_parallel_with(&s.pool, &batch, k, &params)
-                } else {
-                    snap.engine.search_batch_with(&batch, k, &params)
-                }
-            });
+        // Shards across the pool when that can help; the collector
+        // thread participates as the caller, so a saturated pool cannot
+        // deadlock the batch.
+        let result = Arc::clone(&snap.engine).search_batch_parallel_with(
+            &s.pool,
+            batch,
+            first.k,
+            &first.params,
+            first.filter.as_ref(),
+        );
         let batch_nanos = timing.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let size = ok.len() as u64;
+        let size = batch.len();
         s.stats.batches.fetch_add(1, Ordering::Relaxed);
         if size >= 2 {
             s.stats.coalesced_batches.fetch_add(1, Ordering::Relaxed);
         }
-        s.stats.max_batch.fetch_max(size, Ordering::Relaxed);
-        s.stats.size_hist.record(size);
-        let meta_for = |job: &Pending| ExecMeta {
-            queue_wait_nanos: started.duration_since(job.enqueued).as_nanos() as u64,
-            batch_len: size as usize,
-            batch_nanos,
-        };
-        match result {
-            Ok(results) => {
-                for (job, r) in ok.into_iter().zip(results) {
-                    let meta = meta_for(&job);
-                    (job.done)(snap.epoch, meta, Ok(r));
-                }
-            }
-            Err(e) => {
-                // The error is not `Clone`; fan the message out instead.
-                let msg = e.to_string();
-                for job in ok {
-                    let meta = meta_for(&job);
-                    (job.done)(snap.epoch, meta, Err(EngineError::Config(msg.clone())));
-                }
-            }
+        s.stats.max_batch.fetch_max(size as u64, Ordering::Relaxed);
+        s.stats.size_hist.record(size as u64);
+        // The error is not `Clone`; fan the message out instead.
+        let mut results = result.map(Vec::into_iter).map_err(|e| e.to_string());
+        for job in ok {
+            let meta = ExecMeta {
+                queue_wait_nanos: waited(&job).as_nanos() as u64,
+                batch_len: size,
+                batch_nanos,
+            };
+            let mine = match &mut results {
+                Ok(all) => Ok(all.by_ref().take(job.queries.len()).collect()),
+                Err(msg) => Err(EngineError::Config(msg.clone())),
+            };
+            (job.done)(snap.epoch, meta, mine);
         }
     }
 }
@@ -584,6 +535,21 @@ mod tests {
             Arc::new(WorkerPool::new(2)),
             w,
         )
+    }
+
+    fn collector(
+        handle: &Arc<ServingHandle>,
+        pool: &Arc<WorkerPool>,
+        window: Duration,
+        max_batch: usize,
+    ) -> BatchCollector {
+        let cfg = CollectorConfig { window, max_batch };
+        BatchCollector::new(Arc::clone(handle), Arc::clone(pool), cfg)
+    }
+
+    /// A request of one query.
+    fn solo(q: &[f32]) -> QueryBatch {
+        QueryBatch::from_rows(q.len(), &[q]).unwrap()
     }
 
     fn fingerprint(r: &SearchResult) -> (Vec<(u32, u32)>, Vec<u64>) {
@@ -607,37 +573,40 @@ mod tests {
         let (handle, pool, w) = setup("ddcres(init_d=4,delta_d=4,seed=5)");
         // A long window so every submission below lands in one batch
         // deterministically.
-        let collector = BatchCollector::new(
-            Arc::clone(&handle),
-            Arc::clone(&pool),
-            CollectorConfig {
-                window: Duration::from_millis(250),
-                max_batch: 64,
-                adaptive: false,
-            },
-        );
+        let collector = collector(&handle, &pool, Duration::from_millis(250), 64);
         let params = handle.engine().config().params;
+        // Four solo requests, then queries 4 and 5 as one request of two.
         let n = 6;
+        let pair = QueryBatch::from_rows(12, &[w.queries.get(4), w.queries.get(5)]).unwrap();
+        let mut requests: Vec<_> = (0..4).map(|qi| (qi, solo(w.queries.get(qi)))).collect();
+        requests.push((4, pair));
         let (tx, rx) = mpsc::channel();
-        for qi in 0..n {
+        for (first, queries) in requests {
             let tx = tx.clone();
             collector.submit(
-                w.queries.get(qi).to_vec(),
+                queries,
                 5,
                 params,
-                Box::new(move |epoch, meta, result| {
-                    tx.send((qi, epoch, meta, result.map(|r| fingerprint(&r))))
-                        .unwrap();
+                None,
+                Box::new(move |epoch, meta, results| {
+                    tx.send((first, epoch, meta, results.unwrap())).unwrap();
                 }),
             );
         }
         let engine = handle.engine();
-        for _ in 0..n {
-            let (qi, epoch, meta, got) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        for _ in 0..5 {
+            let (first, epoch, meta, results) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
             assert_eq!(epoch, 0);
-            assert_eq!(meta.batch_len, n, "query {qi} must ride the shared batch");
-            let solo = engine.search_with(w.queries.get(qi), 5, &params).unwrap();
-            assert_eq!(got.unwrap(), fingerprint(&solo), "query {qi}");
+            assert_eq!(
+                meta.batch_len, n,
+                "request {first} must ride the shared batch"
+            );
+            assert_eq!(results.len(), if first == 4 { 2 } else { 1 });
+            for (i, got) in results.iter().enumerate() {
+                let qi = first + i;
+                let solo = engine.search_with(w.queries.get(qi), 5, &params).unwrap();
+                assert_eq!(fingerprint(got), fingerprint(&solo), "query {qi}");
+            }
         }
         let stats = collector.stats();
         assert_eq!(stats.submitted, n as u64);
@@ -645,33 +614,26 @@ mod tests {
         assert_eq!(stats.coalesced_batches, 1);
         assert_eq!(stats.max_batch, n as u64);
         assert_eq!(stats.size_hist.count_for(n as u64), 1);
-        assert_eq!(stats.wait_us_hist.count(), n as u64);
+        assert_eq!(stats.wait_us_hist.count(), 5, "one wait per request");
     }
 
     #[test]
     fn mixed_k_and_dim_submissions_split_and_fail_individually() {
         let (handle, pool, w) = setup("exact");
-        let collector = BatchCollector::new(
-            Arc::clone(&handle),
-            Arc::clone(&pool),
-            CollectorConfig {
-                window: Duration::from_millis(250),
-                max_batch: 64,
-                adaptive: false,
-            },
-        );
+        let collector = collector(&handle, &pool, Duration::from_millis(250), 64);
         let params = handle.engine().config().params;
         let (tx, rx) = mpsc::channel();
         for (tag, query, k) in [
-            (0u8, w.queries.get(0).to_vec(), 3usize),
-            (1, w.queries.get(1).to_vec(), 7),
-            (2, vec![1.0; 5], 3), // wrong dimension
+            (0u8, w.queries.get(0), 3usize),
+            (1, w.queries.get(1), 7),
+            (2, &[1.0; 5][..], 3), // wrong dimension
         ] {
             let tx = tx.clone();
             collector.submit(
-                query,
+                solo(query),
                 k,
                 params,
+                None,
                 Box::new(move |_, _, result| tx.send((tag, result)).unwrap()),
             );
         }
@@ -683,7 +645,7 @@ mod tests {
                 Ok(r) => {
                     ok += 1;
                     let k = if tag == 0 { 3 } else { 7 };
-                    assert_eq!(r.neighbors.len(), k);
+                    assert_eq!(r[0].neighbors.len(), k);
                 }
                 Err(e) => {
                     dim_errors += 1;
@@ -702,23 +664,17 @@ mod tests {
     #[test]
     fn drop_drains_pending_submissions() {
         let (handle, pool, w) = setup("exact");
-        let collector = BatchCollector::new(
-            Arc::clone(&handle),
-            Arc::clone(&pool),
-            CollectorConfig {
-                window: Duration::from_secs(5), // would stall without drain-on-drop
-                max_batch: 64,
-                adaptive: false,
-            },
-        );
+        // would stall without drain-on-drop
+        let collector = collector(&handle, &pool, Duration::from_secs(5), 64);
         let params = handle.engine().config().params;
         let (tx, rx) = mpsc::channel();
         for qi in 0..4 {
             let tx = tx.clone();
             collector.submit(
-                w.queries.get(qi).to_vec(),
+                solo(w.queries.get(qi)),
                 2,
                 params,
+                None,
                 Box::new(move |_, _, result| tx.send(result.is_ok()).unwrap()),
             );
         }
@@ -731,22 +687,15 @@ mod tests {
     #[test]
     fn callbacks_report_the_execution_epoch_across_swaps() {
         let (handle, pool, w) = setup("exact");
-        let collector = BatchCollector::new(
-            Arc::clone(&handle),
-            Arc::clone(&pool),
-            CollectorConfig {
-                window: Duration::ZERO,
-                max_batch: 64,
-                adaptive: false,
-            },
-        );
+        let collector = collector(&handle, &pool, Duration::ZERO, 64);
         let params = handle.engine().config().params;
         let run_one = || {
             let (tx, rx) = mpsc::channel();
             collector.submit(
-                w.queries.get(0).to_vec(),
+                solo(w.queries.get(0)),
                 3,
                 params,
+                None,
                 Box::new(move |epoch, _, result| tx.send((epoch, result.is_ok())).unwrap()),
             );
             rx.recv_timeout(Duration::from_secs(10)).unwrap()
@@ -816,24 +765,17 @@ mod tests {
     fn adaptive_collector_publishes_its_window_and_stays_correct() {
         let (handle, pool, w) = setup("exact");
         let base_us = 200_000; // wide, so the gauge moves visibly
-        let collector = BatchCollector::new(
-            Arc::clone(&handle),
-            Arc::clone(&pool),
-            CollectorConfig {
-                window: Duration::from_micros(base_us),
-                max_batch: 64,
-                adaptive: true,
-            },
-        );
+        let collector = collector(&handle, &pool, Duration::from_micros(base_us), 64);
         assert_eq!(collector.stats().window_us, base_us);
         let params = handle.engine().config().params;
         let run_one = |qi: usize| {
             let (tx, rx) = mpsc::channel();
             collector.submit(
-                w.queries.get(qi).to_vec(),
+                solo(w.queries.get(qi)),
                 3,
                 params,
-                Box::new(move |_, _, result| tx.send(result.unwrap().ids()).unwrap()),
+                None,
+                Box::new(move |_, _, result| tx.send(result.unwrap()[0].ids()).unwrap()),
             );
             rx.recv_timeout(Duration::from_secs(10)).unwrap()
         };
@@ -852,54 +794,18 @@ mod tests {
     }
 
     #[test]
-    fn submit_group_fans_fragments_through_the_shared_queue() {
-        let (handle, pool, w) = setup("ddcres(init_d=4,delta_d=4,seed=5)");
-        let collector = BatchCollector::new(
-            Arc::clone(&handle),
-            Arc::clone(&pool),
-            CollectorConfig {
-                window: Duration::from_millis(100),
-                max_batch: 64,
-                adaptive: false,
-            },
-        );
-        let params = handle.engine().config().params;
-        let queries: Vec<Vec<f32>> = (0..5).map(|qi| w.queries.get(qi).to_vec()).collect();
-        let (tx, rx) = mpsc::channel();
-        collector.submit_group(
-            queries,
-            4,
-            params,
-            Box::new(move |epoch, results| tx.send((epoch, results)).unwrap()),
-        );
-        let (epoch, results) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert_eq!(epoch, 0);
-        assert_eq!(results.len(), 5);
-        let engine = handle.engine();
-        for (qi, result) in results.into_iter().enumerate() {
-            let got = fingerprint(&result.unwrap());
-            let solo = engine.search_with(w.queries.get(qi), 4, &params).unwrap();
-            assert_eq!(got, fingerprint(&solo), "fragment {qi}");
-        }
-        // All five fragments entered under one lock inside one window:
-        // exactly one coalesced batch.
-        let stats = collector.stats();
-        assert_eq!(stats.submitted, 5);
-        assert_eq!(stats.batches, 1);
-        assert_eq!(stats.coalesced_batches, 1);
-    }
-
-    #[test]
-    fn submit_group_answers_empty_requests_immediately() {
+    fn empty_requests_are_answered_immediately() {
         let (handle, pool, _w) = setup("exact");
         let collector = BatchCollector::new(handle, pool, CollectorConfig::default());
         let (tx, rx) = mpsc::channel();
-        collector.submit_group(
-            Vec::new(),
+        collector.submit(
+            QueryBatch::from_rows(12, &[]).unwrap(),
             3,
             SearchParams::new(),
-            Box::new(move |epoch, results| tx.send((epoch, results.len())).unwrap()),
+            None,
+            Box::new(move |epoch, _, results| tx.send((epoch, results.unwrap().len())).unwrap()),
         );
         assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), (0, 0));
+        assert_eq!(collector.stats().submitted, 0);
     }
 }

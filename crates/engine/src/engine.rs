@@ -3,7 +3,7 @@
 
 use crate::error::EngineError;
 use crate::filter::FilterPredicate;
-use crate::mutable::{MutState, Overlay};
+use crate::mutable::Overlay;
 use crate::pool::WorkerPool;
 use crate::stats::{EngineStats, ServingCounters};
 use ddc_core::{BoxedDco, Counters, DcoSpec, DynDco, DynQueryDco, QueryBatch};
@@ -141,7 +141,7 @@ pub struct Engine {
     /// `None` (every plain constructor) leaves the search path untouched.
     overlay: Option<Overlay>,
     /// One opaque `u64` tag per row ([`Engine::set_payloads`]), the data
-    /// side of [`Engine::search_filtered`]. `None` until attached.
+    /// side of [`Engine::search_filtered_with`]. `None` until attached.
     payloads: Option<Arc<Vec<u64>>>,
 }
 
@@ -262,7 +262,7 @@ impl Engine {
     }
 
     /// Attaches one opaque `u64` payload tag per row, enabling
-    /// [`Engine::search_filtered`]. Length must equal [`Engine::len`].
+    /// [`Engine::search_filtered_with`]. Length must equal [`Engine::len`].
     ///
     /// Payloads ride along snapshots ([`Engine::save_snapshot`] adds a
     /// `payl` section and raises the container's generalized-features
@@ -312,34 +312,11 @@ impl Engine {
         k: usize,
         params: &SearchParams,
     ) -> Result<SearchResult, EngineError> {
-        self.check_dim(q.len())?;
-        // Per-query traversal timing is informational (`elapsed_nanos`
-        // never participates in result identity) and free when
-        // observability is off.
-        let timing = ddc_obs::enabled().then(Instant::now);
-        if let Some(ov) = &self.overlay {
-            let mut r = self.search_overlay_one(ov, q, k, params)?;
-            r.elapsed_nanos = timing.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            self.serving.record_query(&r.counters);
-            return Ok(r);
-        }
-        if k == 0 || self.dco.is_empty() {
-            // Don't rely on index-specific degenerate behavior (the flat
-            // scan's top-k floor, HNSW's entry point): an empty result is
-            // the engine-level contract.
-            let r = empty_result();
-            self.serving.record_query(&r.counters);
-            return Ok(r);
-        }
-        let mut r = self.index.search(&*self.dco, q, k, params)?;
-        r.elapsed_nanos = timing.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        self.serving.record_query(&r.counters);
-        Ok(r)
+        self.search_solo(q, k, params, None)
     }
 
     /// Searches for the `k` nearest neighbors of `q` **among rows whose
-    /// payload tag satisfies `filter`**, with the engine's default
-    /// parameters.
+    /// payload tag satisfies `filter`**.
     ///
     /// The predicate is evaluated *during* traversal through the same
     /// liveness hook the tombstone machinery uses: non-matching rows
@@ -357,19 +334,6 @@ impl Engine {
     /// # Errors
     /// Dimension mismatches; an engine without payloads
     /// ([`Engine::set_payloads`]).
-    pub fn search_filtered(
-        &self,
-        q: &[f32],
-        k: usize,
-        filter: &FilterPredicate,
-    ) -> Result<SearchResult, EngineError> {
-        self.search_filtered_with(q, k, &self.cfg.params, filter)
-    }
-
-    /// [`Engine::search_filtered`] with explicit per-call parameters.
-    ///
-    /// # Errors
-    /// Same contract as [`Engine::search_filtered`].
     pub fn search_filtered_with(
         &self,
         q: &[f32],
@@ -377,44 +341,7 @@ impl Engine {
         params: &SearchParams,
         filter: &FilterPredicate,
     ) -> Result<SearchResult, EngineError> {
-        self.check_dim(q.len())?;
-        let pay = self.payloads.as_ref().ok_or_else(|| {
-            EngineError::Config(
-                "filtered search requires per-row payloads; attach them with set_payloads".into(),
-            )
-        })?;
-        let timing = ddc_obs::enabled().then(Instant::now);
-        if k == 0 || self.dco.is_empty() {
-            let r = empty_result();
-            self.serving.record_query(&r.counters);
-            return Ok(r);
-        }
-        let mut eval = self.dco.begin_dyn(q);
-        let mut r = match &self.overlay {
-            Some(ov) => {
-                let st = ov.state();
-                let generation = ov.generation();
-                let map = ov.ids();
-                let live = |row: u32| {
-                    let ext = map.map_or(row, |m| m[row as usize]);
-                    filter.matches(pay[row as usize]) && !st.is_dead(generation, ext)
-                };
-                let mut r = self
-                    .index
-                    .search_prepared_filtered(&*self.dco, &mut *eval, q, k, params, &live);
-                drop(st);
-                ov.translate(&mut r.neighbors);
-                r
-            }
-            None => {
-                let live = |row: u32| filter.matches(pay[row as usize]);
-                self.index
-                    .search_prepared_filtered(&*self.dco, &mut *eval, q, k, params, &live)
-            }
-        };
-        r.elapsed_nanos = timing.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        self.serving.record_query(&r.counters);
-        Ok(r)
+        self.search_solo(q, k, params, Some(filter))
     }
 
     /// Searches a whole batch of queries with the engine's default
@@ -447,44 +374,29 @@ impl Engine {
         k: usize,
         params: &SearchParams,
     ) -> Result<Vec<SearchResult>, EngineError> {
-        // Checked even for empty batches: the rotation-based operators'
-        // `begin_batch` asserts the batch dimensionality unconditionally,
-        // and a mismatched-but-empty batch should fail the same way for
-        // every operator.
-        self.check_dim(batch.dim())?;
-        if (k == 0 || self.dco.is_empty()) && self.overlay.is_none() {
-            // With an overlay the per-query core handles these shapes: an
-            // empty base may still carry pending inserts worth scanning.
-            let out: Vec<SearchResult> = (0..batch.len()).map(|_| empty_result()).collect();
-            for r in &out {
-                self.serving.record_query(&r.counters);
-            }
-            self.serving.record_batch();
-            return Ok(out);
-        }
-        let out = self.search_batch_core(batch, k, params);
+        let out = self.search_group(batch, k, params, None)?;
         self.serving.record_batch();
         Ok(out)
     }
 
-    /// Searches a batch by splitting it into per-thread shards executed on
-    /// `pool`, with the engine's default parameters.
+    /// Searches a batch — optionally restricted by `filter`, as in
+    /// [`Engine::search_filtered_with`] — by splitting it into per-thread
+    /// shards executed on `pool`.
     ///
     /// Results are **bit-identical** to sequential [`Engine::search_batch`]
     /// (pinned across the full index × operator grid by the parity suite):
     /// each shard runs the same batched-rotation setup, which is itself
     /// bit-identical to per-query setup, so shard boundaries cannot perturb
-    /// a single bit.
+    /// a single bit. A batch (or pool) too small to shard runs inline.
     ///
     /// The calling thread *participates*: shards are claimed from a shared
     /// cursor by the caller and by up to `shards - 1` pool workers, so the
     /// call completes even when every pool worker is busy (no speedup, but
-    /// no deadlock — the server relies on this when a pooled connection
-    /// handler issues a batch search on the same pool).
+    /// no deadlock — the [`crate::BatchCollector`] relies on this).
     ///
     /// Takes `self: Arc<Engine>` because shard jobs outlive the borrow
     /// checker's view of the call: clone the `Arc` (cheap) at the call
-    /// site, e.g. `handle.engine().search_batch_parallel(...)`.
+    /// site, e.g. `handle.engine().search_batch_parallel_with(...)`.
     ///
     /// Cost note: the batch is copied once into the shared work item (to
     /// give pool jobs `'static` data) and each shard slices its
@@ -494,44 +406,30 @@ impl Engine {
     /// is noise; revisit only if profiles say otherwise.
     ///
     /// # Errors
-    /// Dimension mismatches.
-    pub fn search_batch_parallel(
-        self: Arc<Self>,
-        pool: &WorkerPool,
-        batch: &QueryBatch,
-        k: usize,
-    ) -> Result<Vec<SearchResult>, EngineError> {
-        let params = self.cfg.params;
-        self.search_batch_parallel_with(pool, batch, k, &params)
-    }
-
-    /// [`Engine::search_batch_parallel`] with explicit per-call parameters.
-    ///
-    /// # Errors
-    /// Dimension mismatches.
+    /// Dimension mismatches; a `filter` on an engine without payloads.
     pub fn search_batch_parallel_with(
         self: Arc<Self>,
         pool: &WorkerPool,
         batch: &QueryBatch,
         k: usize,
         params: &SearchParams,
+        filter: Option<&FilterPredicate>,
     ) -> Result<Vec<SearchResult>, EngineError> {
-        self.check_dim(batch.dim())?;
         let shards = pool.threads().min(batch.len());
-        if shards <= 1 || k == 0 || (self.dco.is_empty() && self.overlay.is_none()) {
-            // Degenerate shapes take the sequential path (identical
-            // results by the parity contract, and the same empty-result
-            // handling).
-            return self.search_batch_with(batch, k, params);
+        if shards <= 1 {
+            let out = self.search_group(batch, k, params, filter)?;
+            self.serving.record_batch();
+            return Ok(out);
         }
         let work = Arc::new(BatchWork {
             engine: Arc::clone(&self),
             batch: batch.clone(),
             k,
             params: *params,
+            filter: filter.cloned(),
             shards,
             cursor: AtomicUsize::new(0),
-            results: Mutex::new(vec![None; shards]),
+            results: Mutex::new((0..shards).map(|_| None).collect()),
             done: Mutex::new(0),
             all_done: Condvar::new(),
         });
@@ -558,7 +456,7 @@ impl Engine {
             out.append(
                 &mut slot
                     .take()
-                    .expect("a parallel batch shard panicked (see worker log)"),
+                    .expect("a parallel batch shard panicked (see worker log)")?,
             );
         }
         drop(slots);
@@ -566,134 +464,133 @@ impl Engine {
         Ok(out)
     }
 
-    /// The shared per-query loop behind every batch entry point: prepares
-    /// all evaluators through the batched rotation, searches each query,
-    /// and records per-query stats. No dimension check, no batch counter —
-    /// callers own both.
-    fn search_batch_core(
+    /// The one group entry point: the adapters above, each shard of the
+    /// parallel path and the [`crate::BatchCollector`]'s drained groups
+    /// all run through it. The dimension is checked even for empty
+    /// batches (the rotation-based operators' `begin_batch` asserts it
+    /// unconditionally, and a mismatched-but-empty batch should fail the
+    /// same way for every operator). The batch counter stays with the
+    /// callers — a sharded batch is one batch.
+    fn search_group(
         &self,
         batch: &QueryBatch,
         k: usize,
         params: &SearchParams,
-    ) -> Vec<SearchResult> {
-        let obs = ddc_obs::enabled();
+        filter: Option<&FilterPredicate>,
+    ) -> Result<Vec<SearchResult>, EngineError> {
+        self.check_dim(batch.dim())?;
+        let filter = self.tagged(filter)?;
         let evals = self.dco.begin_batch_dyn(batch);
-        let mut out = Vec::with_capacity(evals.len());
-        for (qi, mut eval) in evals.into_iter().enumerate() {
-            let q = batch.get(qi);
-            let timing = obs.then(Instant::now);
-            let mut r = match &self.overlay {
-                Some(ov) => self.search_overlay_prepared(ov, &mut *eval, q, k, params),
-                None => self
-                    .index
-                    .search_prepared(&*self.dco, &mut *eval, q, k, params),
-            };
-            r.elapsed_nanos = timing.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            self.serving.record_query(&r.counters);
-            out.push(r);
-        }
-        out
+        Ok(evals
+            .into_iter()
+            .enumerate()
+            .map(|(qi, mut eval)| self.search_one(&mut *eval, batch.get(qi), k, params, filter))
+            .collect())
     }
 
-    /// Single-query search through the mutation overlay. The clean path
-    /// (no pending mutations visible to this engine's generation) is the
-    /// plain index search plus id translation, so it stays bit-identical
-    /// to an overlay-free engine over the same rows.
-    fn search_overlay_one(
+    /// A group of one without the batch machinery: the evaluator comes
+    /// from `begin_dyn` and no batch is counted.
+    fn search_solo(
         &self,
-        ov: &Overlay,
         q: &[f32],
         k: usize,
         params: &SearchParams,
+        filter: Option<&FilterPredicate>,
     ) -> Result<SearchResult, EngineError> {
-        if k == 0 {
-            return Ok(empty_result());
-        }
-        {
-            let st = ov.state();
-            if !st.clean_for(ov.generation()) {
-                let mut eval = self.dco.begin_dyn(q);
-                return Ok(self.search_overlay_dirty(ov, &st, &mut *eval, q, k, params));
-            }
-        }
-        let mut r = if self.dco.is_empty() {
-            empty_result()
-        } else {
-            self.index.search(&*self.dco, q, k, params)?
-        };
-        ov.translate(&mut r.neighbors);
-        Ok(r)
+        self.check_dim(q.len())?;
+        let filter = self.tagged(filter)?;
+        let mut eval = self.dco.begin_dyn(q);
+        Ok(self.search_one(&mut *eval, q, k, params, filter))
     }
 
-    /// Batch-prepared variant of [`Engine::search_overlay_one`], sharing
-    /// the caller's evaluator from the batched rotation.
-    fn search_overlay_prepared(
+    /// Pairs a predicate with the payload tags it reads.
+    fn tagged<'a>(
+        &'a self,
+        filter: Option<&'a FilterPredicate>,
+    ) -> Result<Option<(&'a FilterPredicate, &'a [u64])>, EngineError> {
+        let Some(filter) = filter else {
+            return Ok(None);
+        };
+        let tags = self.payloads.as_ref().ok_or_else(|| {
+            EngineError::Config(
+                "filtered search requires per-row payloads; attach them with set_payloads".into(),
+            )
+        })?;
+        Ok(Some((filter, tags.as_slice())))
+    }
+
+    /// The per-query core every search runs through, exactly once.
+    /// `k == 0` or no rows answer empty, whatever the index would do
+    /// with the degenerate shape (the flat scan's top-k floor, HNSW's
+    /// entry point). With no predicate and no pending mutation visible
+    /// to this engine's generation the index runs without a liveness
+    /// hook, so a clean overlay stays bit-identical to an overlay-free
+    /// engine over the same rows; otherwise rows that fail the predicate
+    /// or are tombstoned still route graph traversal but never consume a
+    /// `k` slot. Pending inserts (an exact original-space scan of the
+    /// delta) are merged into unfiltered results only: they carry no
+    /// payload tags, so a filtered search cannot admit them.
+    fn search_one(
         &self,
-        ov: &Overlay,
         eval: &mut dyn DynQueryDco,
         q: &[f32],
         k: usize,
         params: &SearchParams,
+        filter: Option<(&FilterPredicate, &[u64])>,
     ) -> SearchResult {
-        if k == 0 {
-            return empty_result();
-        }
-        let st = ov.state();
-        if st.clean_for(ov.generation()) {
-            drop(st);
-            let mut r = if self.dco.is_empty() {
-                empty_result()
-            } else {
-                self.index.search_prepared(&*self.dco, eval, q, k, params)
-            };
-            ov.translate(&mut r.neighbors);
-            return r;
-        }
-        self.search_overlay_dirty(ov, &st, eval, q, k, params)
-    }
-
-    /// The dirty overlay path: a tombstone-filtered index search (dead
-    /// rows still route graph traversal but never consume `k` slots),
-    /// id translation to external ids, then an exact original-space scan
-    /// of the pending-insert delta merged into the top-`k`.
-    fn search_overlay_dirty(
-        &self,
-        ov: &Overlay,
-        st: &MutState,
-        eval: &mut dyn DynQueryDco,
-        q: &[f32],
-        k: usize,
-        params: &SearchParams,
-    ) -> SearchResult {
-        let generation = ov.generation();
-        let map = ov.ids();
-        let mut r = if self.dco.is_empty() {
-            empty_result()
-        } else {
-            let live = |row: u32| {
-                let ext = map.map_or(row, |m| m[row as usize]);
-                !st.is_dead(generation, ext)
-            };
-            self.index
-                .search_prepared_filtered(&*self.dco, eval, q, k, params, &live)
-        };
-        if let Some(m) = map {
-            for n in &mut r.neighbors {
-                n.id = m[n.id as usize];
-            }
-        }
+        // Per-query traversal timing is informational (`elapsed_nanos`
+        // never participates in result identity) and free when
+        // observability is off.
         let timing = ddc_obs::enabled().then(Instant::now);
-        let extra = st.delta_candidates(generation, q, &self.dco.metric(), &mut r.counters);
-        if !extra.is_empty() {
-            r.neighbors.extend(extra);
-            // `Neighbor`'s total order (distance bits, then id) keeps the
-            // merged ranking deterministic, matching `TopK::into_sorted`.
-            r.neighbors.sort_unstable();
-            r.neighbors.truncate(k);
+        let mut r = SearchResult {
+            neighbors: Vec::new(),
+            counters: Counters::new(),
+            elapsed_nanos: 0,
+        };
+        if k > 0 {
+            let overlay = self.overlay.as_ref();
+            // The read guard is held across the search only when there
+            // is something pending to filter or merge.
+            let dirty = overlay.and_then(|ov| {
+                let st = ov.state();
+                (!st.clean_for(ov.generation())).then_some((ov, st))
+            });
+            if !self.dco.is_empty() {
+                r = if filter.is_none() && dirty.is_none() {
+                    self.index.search_prepared(&*self.dco, eval, q, k, params)
+                } else {
+                    let live = |row: u32| {
+                        filter.is_none_or(|(f, tags)| f.matches(tags[row as usize]))
+                            && dirty.as_ref().is_none_or(|(ov, st)| {
+                                let ext = ov.ids().map_or(row, |m| m[row as usize]);
+                                !st.is_dead(ov.generation(), ext)
+                            })
+                    };
+                    self.index
+                        .search_prepared_filtered(&*self.dco, eval, q, k, params, &live)
+                };
+            }
+            if let Some(ov) = overlay {
+                ov.translate(&mut r.neighbors);
+            }
+            if let (Some((ov, st)), None) = (&dirty, filter) {
+                let merge = ddc_obs::enabled().then(Instant::now);
+                let extra =
+                    st.delta_candidates(ov.generation(), q, &self.dco.metric(), &mut r.counters);
+                if !extra.is_empty() {
+                    r.neighbors.extend(extra);
+                    // `Neighbor`'s total order (distance bits, then id) keeps the
+                    // merged ranking deterministic, matching `TopK::into_sorted`.
+                    r.neighbors.sort_unstable();
+                    r.neighbors.truncate(k);
+                }
+                if let Some(t) = merge {
+                    ov.record_merge(t.elapsed().as_nanos() as u64);
+                }
+            }
         }
-        if let Some(t) = timing {
-            ov.record_merge(t.elapsed().as_nanos() as u64);
-        }
+        r.elapsed_nanos = timing.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        self.serving.record_query(&r.counters);
         r
     }
 
@@ -1129,15 +1026,6 @@ impl Manifest {
 
 const MANIFEST_MAGIC: &str = "ddc-engine v1";
 
-/// The engine-level empty result: no neighbors, zero counters.
-fn empty_result() -> SearchResult {
-    SearchResult {
-        neighbors: Vec::new(),
-        counters: Counters::new(),
-        elapsed_nanos: 0,
-    }
-}
-
 /// One in-flight parallel batch: the shared cursor its claimants (caller +
 /// pool workers) pull shard indices from, and the latch the caller waits
 /// on.
@@ -1146,9 +1034,10 @@ struct BatchWork {
     batch: QueryBatch,
     k: usize,
     params: SearchParams,
+    filter: Option<FilterPredicate>,
     shards: usize,
     cursor: AtomicUsize,
-    results: Mutex<Vec<Option<Vec<SearchResult>>>>,
+    results: Mutex<Vec<Option<crate::Result<Vec<SearchResult>>>>>,
     done: Mutex<usize>,
     all_done: Condvar,
 }
@@ -1175,7 +1064,9 @@ impl BatchWork {
             let flat = self.batch.as_flat()[lo * dim..hi * dim].to_vec();
             let sub =
                 QueryBatch::new(VecSet::from_flat(dim, flat).expect("shard slice is row-aligned"));
-            let rs = self.engine.search_batch_core(&sub, self.k, &self.params);
+            let rs = self
+                .engine
+                .search_group(&sub, self.k, &self.params, self.filter.as_ref());
             match self.results.lock() {
                 Ok(mut slots) => slots[shard] = Some(rs),
                 Err(poisoned) => poisoned.into_inner()[shard] = Some(rs),
@@ -1451,10 +1342,11 @@ mod tests {
         let pool = crate::pool::WorkerPool::new(3);
         let batch = QueryBatch::new(w.queries.clone());
 
+        let params = engine.config().params;
         let seq = engine.search_batch(&batch, 5).unwrap();
         let par = engine
             .clone()
-            .search_batch_parallel(&pool, &batch, 5)
+            .search_batch_parallel_with(&pool, &batch, 5, &params, None)
             .unwrap();
         assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(&par) {
@@ -1467,19 +1359,19 @@ mod tests {
         let empty = QueryBatch::from_rows(12, &[]).unwrap();
         assert!(engine
             .clone()
-            .search_batch_parallel(&pool, &empty, 5)
+            .search_batch_parallel_with(&pool, &empty, 5, &params, None)
             .unwrap()
             .is_empty());
         assert!(engine
             .clone()
-            .search_batch_parallel(&pool, &batch, 0)
+            .search_batch_parallel_with(&pool, &batch, 0, &params, None)
             .unwrap()
             .iter()
             .all(|r| r.neighbors.is_empty()));
         let wrong = QueryBatch::from_rows(3, &[&[0.0; 3]]).unwrap();
         assert!(engine
             .clone()
-            .search_batch_parallel(&pool, &wrong, 5)
+            .search_batch_parallel_with(&pool, &wrong, 5, &params, None)
             .is_err());
     }
 
@@ -1578,7 +1470,10 @@ mod tests {
         .unwrap();
         let q = w.queries.get(0);
         let pred = FilterPredicate::Eq(1);
-        let err = engine.search_filtered(q, 5, &pred).unwrap_err();
+        let params = engine.config().params;
+        let err = engine
+            .search_filtered_with(q, 5, &params, &pred)
+            .unwrap_err();
         assert!(err.to_string().contains("set_payloads"), "got {err}");
 
         assert!(engine.set_payloads(vec![0; 3]).is_err(), "length guard");
@@ -1590,7 +1485,7 @@ mod tests {
         assert_eq!(engine.payloads().unwrap().len(), 300);
         assert!(engine.stats().payloads);
 
-        let r = engine.search_filtered(q, 5, &pred).unwrap();
+        let r = engine.search_filtered_with(q, 5, &params, &pred).unwrap();
         assert_eq!(r.neighbors.len(), 5, "filter must not cost result slots");
         for n in &r.neighbors {
             assert_eq!(payloads[n.id as usize], 1, "row {} fails the filter", n.id);
@@ -1601,12 +1496,14 @@ mod tests {
 
         // k=0 stays well-defined.
         assert!(engine
-            .search_filtered(q, 0, &pred)
+            .search_filtered_with(q, 0, &params, &pred)
             .unwrap()
             .neighbors
             .is_empty());
         // Dimension guard precedes everything else.
-        assert!(engine.search_filtered(&[0.0; 3], 5, &pred).is_err());
+        assert!(engine
+            .search_filtered_with(&[0.0; 3], 5, &params, &pred)
+            .is_err());
     }
 
     #[test]
@@ -1630,8 +1527,9 @@ mod tests {
         // Filtered searches agree across the round trip.
         let pred = FilterPredicate::Range(10, 50);
         let q = w.queries.get(2);
-        let a = engine.search_filtered(q, 5, &pred).unwrap();
-        let b = back.search_filtered(q, 5, &pred).unwrap();
+        let params = engine.config().params;
+        let a = engine.search_filtered_with(q, 5, &params, &pred).unwrap();
+        let b = back.search_filtered_with(q, 5, &params, &pred).unwrap();
         assert_eq!(a.ids(), b.ids());
         std::fs::remove_file(&path).ok();
     }

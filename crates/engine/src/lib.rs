@@ -21,6 +21,12 @@
 //!  └──────────────────────────────────────────────────┘
 //! ```
 //!
+//! * **One search path** — the six entry points ([`Engine::search`],
+//!   [`Engine::search_with`], [`Engine::search_filtered_with`],
+//!   [`Engine::search_batch`], [`Engine::search_batch_with`],
+//!   [`Engine::search_batch_parallel_with`]) are adapters of a few lines
+//!   over one private group method and one per-query core: a solo query
+//!   is a group of one, an unfiltered search has the predicate `None`.
 //! * **Runtime selection** — [`EngineConfig::from_strs`] parses
 //!   `name(key=value,...)` specs ([`ddc_core::DcoSpec`] /
 //!   [`ddc_index::IndexSpec`]) straight from CLI flags or config files.
@@ -42,24 +48,27 @@
 //!   needs no base vectors, runs in `O(ms)`, and serves the matrix
 //!   zero-copy off the map with results bit-identical to the saved
 //!   engine.
-//! * **Shard-parallel batches** — [`Engine::search_batch_parallel`] splits
-//!   a batch across a [`WorkerPool`] (fixed threads, sharded queues, no
-//!   work stealing) with results bit-identical to the sequential path;
-//!   the calling thread participates, so the call is deadlock-free even
-//!   on a saturated pool.
+//! * **Shard-parallel batches** — [`Engine::search_batch_parallel_with`]
+//!   splits a batch (filtered or not) across a [`WorkerPool`] (fixed
+//!   threads, sharded queues, no work stealing) with results
+//!   bit-identical to the sequential path; the calling thread
+//!   participates, so the call is deadlock-free even on a saturated
+//!   pool.
 //! * **Hot swap** — [`ServingHandle`] is an epoch-stamped engine slot:
 //!   readers snapshot an `Arc<Engine>`, [`ServingHandle::swap`] replaces
 //!   it atomically mid-traffic (what `ddc-server`'s `/admin/swap` uses).
 //! * **Request coalescing** — [`BatchCollector`] turns concurrent
-//!   single-query submissions into engine batches: arrivals within a
-//!   small window share one `search_batch` call (bit-identical to solo
-//!   execution by the parity contract) and fan back out through
-//!   per-request callbacks stamped with their execution epoch.
+//!   requests (one query or many, filtered or not) into engine batches
+//!   through its one `submit`: arrivals within a small adaptive window
+//!   that agree on `k`, parameters and predicate share one engine call
+//!   (bit-identical to solo execution by the parity contract) and fan
+//!   back out through per-request callbacks stamped with their
+//!   execution epoch.
 //! * **Generalized metrics & filtering** — both specs accept a `metric=`
 //!   key (`l2`, `ip`, `cosine`, `wl2:w1;w2;...`; see [`Metric`]) and the
 //!   engine validates that index and operator agree;
 //!   [`Engine::set_payloads`] attaches one opaque `u64` tag per row and
-//!   [`Engine::search_filtered`] restricts a search to rows matching a
+//!   [`Engine::search_filtered_with`] restricts a search to rows matching a
 //!   [`FilterPredicate`], evaluated **during** traversal through the same
 //!   liveness hook tombstones use — filtered-out rows never consume a
 //!   result slot.
@@ -95,9 +104,7 @@ mod mutable;
 mod pool;
 mod stats;
 
-pub use collector::{
-    BatchCollector, CollectorConfig, CollectorStats, ExecMeta, GroupCallback, SearchCallback,
-};
+pub use collector::{BatchCollector, CollectorConfig, CollectorStats, ExecMeta, SearchCallback};
 pub use collector::{SIZE_BUCKETS, WAIT_BUCKETS_US};
 pub use engine::{Engine, EngineConfig, SnapshotInfo};
 pub use error::EngineError;

@@ -1176,12 +1176,65 @@ mod tests {
         }
         // Parallel batch agrees.
         let pool = crate::pool::WorkerPool::new(3);
+        let params = engine.config().params;
         let par = engine
             .clone()
-            .search_batch_parallel(&pool, &batch, 5)
+            .search_batch_parallel_with(&pool, &batch, 5, &params, None)
             .unwrap();
         for (a, b) in rs.iter().zip(&par) {
             assert_eq!(a.ids(), b.ids());
+        }
+    }
+
+    #[test]
+    fn filtered_search_over_a_dirty_overlay_excludes_pending_inserts_and_tombstones() {
+        // `MutableEngine` builds its own untagged engine, so the tagged
+        // engine under a live overlay is assembled by hand.
+        let w = SynthSpec::tiny_test(12, 200, 31).generate();
+        for index in ["flat", "ivf(nlist=8)", "hnsw(m=6,ef_construction=30)"] {
+            let cfg = EngineConfig::from_strs(index, "adsampling(delta_d=4)").unwrap();
+            let mut engine = Engine::build(&w.base, None, cfg).unwrap();
+            engine
+                .set_payloads((0..200).map(|i| i % 2).collect())
+                .unwrap();
+            let shared = Arc::new(RwLock::new(MutState::fresh(12, (0..200).collect())));
+            engine.set_overlay(Overlay {
+                ids: None,
+                shared: Arc::clone(&shared),
+                generation: 0,
+                merge_hist: Arc::new(AtomicHistogram::log2()),
+            });
+            let (q, params) = (w.queries.get(0), engine.config().params);
+            let odd = crate::FilterPredicate::Eq(1);
+            let filtered = || engine.search_filtered_with(q, 5, &params, &odd).unwrap();
+
+            let clean = filtered();
+            let victim = clean.neighbors[0].id;
+            {
+                // Tombstone the best match and park the query itself as a
+                // pending insert: distance 0, but it carries no tag.
+                let mut st = write_state(&shared);
+                st.active.tombstones.insert(victim);
+                st.active.delta.push(q).unwrap();
+                st.active.delta_ids.push(5000);
+            }
+            let unfiltered = engine.search_with(q, 5, &params).unwrap();
+            assert_eq!(
+                unfiltered.neighbors[0].id, 5000,
+                "{index}: the delta is live"
+            );
+
+            let dirty = filtered();
+            assert_eq!(dirty.neighbors.len(), 5, "{index}: dead rows cost no slot");
+            for n in &dirty.neighbors {
+                assert!(
+                    n.id != victim && n.id != 5000,
+                    "{index}: id {} leaked",
+                    n.id
+                );
+                assert_eq!(n.id % 2, 1, "{index}: id {} fails the predicate", n.id);
+            }
+            assert_eq!(dirty.neighbors[0].id, clean.neighbors[1].id, "{index}");
         }
     }
 

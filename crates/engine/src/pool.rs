@@ -2,7 +2,7 @@
 //!
 //! The serving layer needs long-lived threads for two jobs: handling
 //! connections (`ddc-server`) and executing the shards of
-//! [`crate::Engine::search_batch_parallel`]. Both are throughput work —
+//! [`crate::Engine::search_batch_parallel_with`]. Both are throughput work —
 //! many independent tasks — so the pool deliberately skips work stealing:
 //! each worker owns one queue, submitters place each task once (on the
 //! least-loaded queue, ties broken round-robin), and a task never

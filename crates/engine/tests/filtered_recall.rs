@@ -1,7 +1,7 @@
 //! Filtered-search recall: evaluating the predicate **during** traversal
 //! must beat (never trail) filtering an unfiltered top-`k` after the fact.
 //!
-//! The contract being pinned: [`Engine::search_filtered`] routes traversal
+//! The contract being pinned: [`Engine::search_filtered_with`] routes traversal
 //! over all rows but spends result slots only on predicate matches, so at
 //! selectivity `s` it still returns `k` matching neighbors. The post-hoc
 //! strategy — unfiltered top-`k`, then drop non-matches — keeps `≈ s·k`
@@ -73,7 +73,9 @@ fn flat_in_traversal_filtering_is_exact_for_every_metric() {
             );
             for qi in 0..w.queries.len() {
                 let q = w.queries.get(qi);
-                let got = engine.search_filtered(q, K, &pred).unwrap();
+                let got = engine
+                    .search_filtered_with(q, K, &engine.config().params, &pred)
+                    .unwrap();
                 assert_eq!(got.neighbors.len(), K, "{pred}: k matching rows exist");
                 for n in &got.neighbors {
                     assert!(
@@ -123,7 +125,9 @@ fn hnsw_in_traversal_beats_post_hoc_at_low_selectivity() {
                     let oracle = metric_oracle::top_k_filtered(&w.base, q, K, &metric, &|id| {
                         pred.matches(tags[id as usize])
                     });
-                    let filtered = engine.search_filtered(q, K, &pred).unwrap();
+                    let filtered = engine
+                        .search_filtered_with(q, K, &engine.config().params, &pred)
+                        .unwrap();
                     let in_ids: Vec<u32> = filtered.neighbors.iter().map(|n| n.id).collect();
                     assert!(in_ids.iter().all(|&id| pred.matches(tags[id as usize])));
                     let unfiltered = engine.search(q, K).unwrap();
@@ -179,7 +183,9 @@ fn ivf_in_traversal_never_trails_post_hoc() {
             let oracle = metric_oracle::top_k_filtered(&w.base, q, K, &Metric::L2, &|id| {
                 pred.matches(tags[id as usize])
             });
-            let filtered = engine.search_filtered(q, K, &pred).unwrap();
+            let filtered = engine
+                .search_filtered_with(q, K, &engine.config().params, &pred)
+                .unwrap();
             let in_ids: Vec<u32> = filtered.neighbors.iter().map(|n| n.id).collect();
             let unfiltered = engine.search(q, K).unwrap();
             let post_ids: Vec<u32> = unfiltered

@@ -20,7 +20,7 @@
 //! neighbors win, never whether the execution paths agree bit-for-bit.
 
 use ddc_core::{AdSampling, Dco, DcoSpec, DdcOpq, DdcPca, DdcRes, Exact, QueryBatch};
-use ddc_engine::{Engine, EngineConfig, Metric, WorkerPool};
+use ddc_engine::{Engine, EngineConfig, FilterPredicate, Metric, WorkerPool};
 use ddc_index::{FlatIndex, Hnsw, IndexSpec, Ivf, SearchParams, SearchResult};
 use ddc_vecs::{SynthSpec, VecStore, Workload};
 use std::sync::Arc;
@@ -193,12 +193,16 @@ fn search_batch_parallel_matches_sequential_batch_on_the_full_grid() {
             let cfg = EngineConfig::from_strs(index_str, dco_str)
                 .unwrap()
                 .with_params(SearchParams::new().with_ef(50).with_nprobe(4));
-            let engine = Arc::new(Engine::build(&w.base, Some(&w.train_queries), cfg).unwrap());
+            let mut engine = Engine::build(&w.base, Some(&w.train_queries), cfg).unwrap();
+            let tags = (0..engine.len() as u64).map(|row| row % 5).collect();
+            engine.set_payloads(tags).unwrap();
+            let engine = Arc::new(engine);
+            let params = engine.config().params;
             let sequential = engine.search_batch(&batch, K).unwrap();
             for pool in &pools {
                 let parallel = engine
                     .clone()
-                    .search_batch_parallel(pool, &batch, K)
+                    .search_batch_parallel_with(pool, &batch, K, &params, None)
                     .unwrap();
                 assert_eq!(parallel.len(), sequential.len());
                 for (qi, (got, want)) in parallel.iter().zip(&sequential).enumerate() {
@@ -213,6 +217,23 @@ fn search_batch_parallel_matches_sequential_batch_on_the_full_grid() {
             let stats = engine.stats();
             assert_eq!(stats.batches, 3, "{index_str} x {dco_str}");
             assert_eq!(stats.queries, 3 * batch.len() as u64);
+
+            // The predicate rides the same path into every batch shape:
+            // a filtered batch, sharded or inline, ≡ filtered solo.
+            let pred = FilterPredicate::Range(1, 2);
+            for pool in &pools {
+                let filtered = engine
+                    .clone()
+                    .search_batch_parallel_with(pool, &batch, K, &params, Some(&pred))
+                    .unwrap();
+                for (qi, got) in filtered.iter().enumerate() {
+                    let ctx = format!("{index_str} x {dco_str} filtered query {qi}");
+                    let want = engine.search_filtered_with(batch.get(qi), K, &params, &pred);
+                    let want = want.unwrap();
+                    assert_same_results(got, &want, &ctx);
+                    assert_eq!(got.counters, want.counters, "{ctx}: counters diverge");
+                }
+            }
         }
     }
 }
@@ -357,7 +378,7 @@ fn snapshot_opened_engine_matches_fresh_build_on_the_full_grid() {
                 let want = fresh.search_batch(&batch, K).unwrap();
                 let got = back
                     .clone()
-                    .search_batch_parallel(&pool, &batch, K)
+                    .search_batch_parallel_with(&pool, &batch, K, &back.config().params, None)
                     .unwrap();
                 assert_eq!(got.len(), want.len());
                 for (qi, (g, w_)) in got.iter().zip(&want).enumerate() {

@@ -47,9 +47,6 @@ ddc-serve — serve an AKNN engine over HTTP (no external dependencies)
                      the adaptive controller treats this as its ceiling
   --coalesce-max-batch N  queue depth that triggers immediate batch
                      execution (default 64)
-  --coalesce-adaptive BOOL  adapt the window to traffic: idle solo
-                     drains shrink it toward zero, coalesced/backlogged
-                     drains grow it back to the ceiling (default true)
   --access-log       emit one structured JSON line per finished request
                      on stderr (endpoint, status, duration)
   --access-log-sample-n N  with --access-log: log every Nth request
@@ -249,7 +246,6 @@ fn main() {
             defaults.coalesce_window.as_micros() as u64,
         )),
         coalesce_max_batch: parsed("coalesce-max-batch", defaults.coalesce_max_batch),
-        coalesce_adaptive: parsed("coalesce-adaptive", defaults.coalesce_adaptive),
         access_log: std::env::args().any(|a| a == "--access-log"),
         access_log_sample_n: parsed("access-log-sample-n", 1),
         ..Default::default()
@@ -365,16 +361,11 @@ fn main() {
     let addr = server.local_addr().unwrap_or_else(|e| fail(&e.to_string()));
     println!(
         "ddc-serve listening on http://{addr}/ ({} workers, {} conns max, \
-         coalesce window {}us{}) — endpoints: /healthz /stats /metrics \
+         coalesce window {}us adaptive) — endpoints: /healthz /stats /metrics \
          /search /search_batch /upsert /delete /admin/compact /admin/swap",
         cfg.workers,
         cfg.max_connections,
         cfg.coalesce_window.as_micros(),
-        if cfg.coalesce_adaptive {
-            " adaptive"
-        } else {
-            ""
-        },
     );
     if let Some(path) = arg_opt("port-file") {
         std::fs::write(&path, addr.port().to_string())

@@ -54,8 +54,11 @@ enum State {
 pub(crate) enum ConnEvent {
     /// Nothing actionable; wait for the next readiness edge.
     Idle,
-    /// A complete request was framed (the connection is now `Busy`).
-    Request(Request),
+    /// A complete request was framed (the connection is now `Busy`),
+    /// with the nanos its framing took — the first half of the `parse`
+    /// stage, which the routing layer books (0 when observability is
+    /// off).
+    Request(Request, u64),
     /// The connection is finished; deregister and drop it.
     Closed,
 }
@@ -77,8 +80,8 @@ pub(crate) struct Conn {
     /// poller; `None` when deregistered. Owned by the reactor.
     pub(crate) registered: Option<(bool, bool)>,
     /// Shared observability: framing errors are booked here
-    /// (exactly once, on the `none` endpoint), and the parse/write
-    /// stage timers record through it.
+    /// (exactly once, on the `none` endpoint), and the write stage
+    /// timer records through it.
     obs: Arc<ServerObs>,
     /// When the oldest still-unflushed response was enqueued; drained
     /// into the `write` stage histogram once `wbuf` empties.
@@ -238,18 +241,14 @@ impl Conn {
         let parse_timing = ddc_obs::enabled().then(Instant::now);
         match parse_request(&self.rbuf, max_body_bytes) {
             Ok(Parsed::Complete(req, consumed)) => {
-                if let Some(t) = parse_timing {
-                    self.obs
-                        .stages()
-                        .record(Stage::Parse, t.elapsed().as_nanos() as u64);
-                }
+                let framing_nanos = parse_timing.map_or(0, |t| t.elapsed().as_nanos() as u64);
                 self.rbuf.drain(..consumed);
                 self.state = State::Busy;
                 if req.wants_close() {
                     self.close_after_flush = true;
                 }
                 self.last_activity = Instant::now();
-                ConnEvent::Request(req)
+                ConnEvent::Request(req, framing_nanos)
             }
             Ok(Parsed::Partial) => {
                 if self.eof_seen {

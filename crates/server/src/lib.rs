@@ -13,11 +13,13 @@
 //!                         │ read timeouts and the connection cap
 //!              ┌──────────┴──────────┐
 //!              │ POST /search        │ everything else
+//!              │ POST /search_batch  │
 //!              ▼                     ▼
-//!     BatchCollector          WorkerPool job
-//!      (coalesces concurrent   (parse body → route → respond)
-//!       queries into one
-//!       Engine::search_batch)
+//!     one search handler      WorkerPool job
+//!      → BatchCollector        (parse body → route → respond)
+//!      (coalesces concurrent
+//!       requests into one
+//!       batched engine call)
 //!              └──────────┬──────────┘
 //!                         ▼ completion queue wakes the reactor,
 //!                           which flushes responses nonblockingly
@@ -28,11 +30,13 @@
 //!
 //! Connections are multiplexed on one reactor thread, so idle
 //! keep-alive clients cost a registered fd each instead of a blocked
-//! worker; concurrent `/search` requests (and `/search_batch`
-//! fragments) that arrive within the coalescing window share one
-//! batched engine call with bit-identical results to solo execution,
-//! and the window adapts toward zero when traffic is solo (see
-//! `docs/ARCHITECTURE.md`).
+//! worker. Every search takes one request path: `/search` and
+//! `/search_batch` bodies parse into the same request (`/search` is a
+//! batch of one, an absent `filter` is `None`), and concurrent requests
+//! that arrive within the coalescing window and agree on `k`,
+//! `ef`/`nprobe` and predicate share one batched engine call with
+//! bit-identical results to solo execution; the window adapts toward
+//! zero when traffic is solo (see `docs/ARCHITECTURE.md`).
 //!
 //! Endpoints (all JSON):
 //!
@@ -41,8 +45,8 @@
 //! | `/healthz` | GET | liveness + current epoch and specs |
 //! | `/stats` | GET | [`ddc_engine::EngineStats`] snapshot + connection, coalescing, and mutation counters |
 //! | `/metrics` | GET | Prometheus text exposition: request/status ledger, latency + stage histograms, DCO work series, engine/storage gauges |
-//! | `/search` | POST | `{"query": [...], "k": 10}` → ids + distances; add `"explain": true` for a per-query `trace` block |
-//! | `/search_batch` | POST | `{"queries": [[...], ...], "k": 10}`, coalesced with `/search` |
+//! | `/search` | POST | `{"query": [...], "k": 10}` → ids + distances; optional `ef` / `nprobe`, a `"metric"` assertion, a `"filter"` predicate over payload tags, and `"explain": true` for a `trace` block |
+//! | `/search_batch` | POST | `{"queries": [[...], ...], "k": 10}` → `results: [...]`; the same optional fields as `/search` (the filter applies to every query, the trace is one block per request), coalesced with `/search` |
 //! | `/upsert` | POST | `{"id": 7, "vector": [...]}` — insert or replace a row (mutable boots) |
 //! | `/delete` | POST | `{"id": 7}` — tombstone a row (mutable boots) |
 //! | `/admin/compact` | POST | `{}` or `{"mode": "full"}` — compact pending mutations now; the reply's `mode` is `append`, `repair`, `fold` or `none` (mutable boots) |

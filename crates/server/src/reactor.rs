@@ -652,8 +652,8 @@ impl Reactor {
     fn apply(&mut self, token: u64, ev: ConnEvent) -> bool {
         match ev {
             ConnEvent::Idle => true,
-            ConnEvent::Request(req) => {
-                self.dispatch(token, req);
+            ConnEvent::Request(req, framing_nanos) => {
+                self.dispatch(token, req, framing_nanos);
                 true
             }
             ConnEvent::Closed => {
@@ -669,7 +669,7 @@ impl Reactor {
     /// (the response is then dropped — but still counted: this wrapper
     /// is the exactly-once accounting point for every request that
     /// framed successfully, whatever its handler or connection does).
-    fn dispatch(&mut self, token: u64, req: Request) {
+    fn dispatch(&mut self, token: u64, req: Request, framing_nanos: u64) {
         let completions = Arc::clone(&self.completions);
         let obs = Arc::clone(&self.state.obs);
         let endpoint = crate::metrics::ServerObs::endpoint_index(&req.path);
@@ -678,7 +678,7 @@ impl Reactor {
             obs.record_request(endpoint, resp.status, accepted.elapsed().as_nanos() as u64);
             completions.push(token, resp);
         });
-        routes::handle(&self.state, req, respond);
+        routes::handle(&self.state, req, framing_nanos, respond);
     }
 
     /// Writes queued responses into their connections.

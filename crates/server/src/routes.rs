@@ -1,11 +1,13 @@
 //! Endpoint dispatch.
 //!
 //! The reactor hands framed requests to [`handle`], which decides the
-//! execution venue: `POST /search` validates inline (cheap) and joins
-//! the [`ddc_engine::BatchCollector`] coalescing queue, and
-//! `POST /search_batch` does the same with its queries as individual
-//! fragments of one group (sharing the window with solo traffic);
-//! everything else — including the mutation endpoints `/upsert`,
+//! execution venue. Both search endpoints take one path: [`search`]
+//! parses `POST /search` and `POST /search_batch` bodies into the same
+//! request — `/search` is a batch of one, an absent `filter` is `None` —
+//! validates it inline (cheap), and joins the
+//! [`ddc_engine::BatchCollector`] coalescing queue; one completion books
+//! the stage ledger and the DCO counters and picks the response shape.
+//! Everything else — including the mutation endpoints `/upsert`,
 //! `/delete`, and `/admin/compact` of a mutable boot — becomes a
 //! [`ddc_engine::WorkerPool`] job running the synchronous [`route`].
 //! Either way the response comes back through a [`Responder`] callback —
@@ -13,17 +15,19 @@
 //!
 //! Every successful response carries the `epoch` of the engine snapshot
 //! that served it, so clients (and the stress suite) can attribute each
-//! answer to exactly one installed engine. Coalesced searches report the
-//! epoch of the snapshot their *batch executed* under — the engine that
-//! actually computed the answer.
+//! answer to exactly one installed engine. Searches report the epoch of
+//! the snapshot their *batch executed* under — the engine that actually
+//! computed the answer.
 
 use crate::http::{Request, Response};
 use crate::json::Json;
 use crate::server::ServerState;
+use ddc_core::{Counters, QueryBatch};
 use ddc_engine::{Engine, EngineConfig, ExecMeta, FilterPredicate, Metric};
 use ddc_index::{SearchParams, SearchResult};
 use ddc_obs::expo::Expo;
 use ddc_obs::{HistogramSnapshot, Stage, TraceSpan};
+use ddc_vecs::VecSet;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -35,21 +39,23 @@ pub(crate) type Responder = Box<dyn FnOnce(Response) + Send + 'static>;
 
 /// Entry point from the reactor: picks the venue and returns
 /// immediately; `respond` fires when the handler finishes.
-pub(crate) fn handle(state: &Arc<ServerState>, req: Request, respond: Responder) {
-    if req.method == "POST" && req.path == "/search" {
+/// `framing_nanos` is what the connection spent framing the request —
+/// the first half of its `parse` stage, booked here exactly once per
+/// request (searches add their JSON parse to it first).
+pub(crate) fn handle(
+    state: &Arc<ServerState>,
+    req: Request,
+    framing_nanos: u64,
+    respond: Responder,
+) {
+    if req.method == "POST" && (req.path == "/search" || req.path == "/search_batch") {
         // Validated inline on the reactor thread — submissions reach the
         // collector with minimal arrival spread, which is what lets
         // concurrent requests share a coalescing window.
-        search_coalesced(state, &req, respond);
+        search(state, &req, framing_nanos, respond);
         return;
     }
-    if req.method == "POST" && req.path == "/search_batch" {
-        // Same venue as `/search`: the batch is split into fragments
-        // that join the shared coalescing queue, so explicit batches and
-        // concurrent solo queries share engine calls.
-        search_batch_coalesced(state, &req, respond);
-        return;
-    }
+    state.obs.stages().record(Stage::Parse, framing_nanos);
     let state = Arc::clone(state);
     let pool = Arc::clone(&state.pool);
     pool.submit(Box::new(move || respond(route(&state, &req))));
@@ -58,7 +64,7 @@ pub(crate) fn handle(state: &Arc<ServerState>, req: Request, respond: Responder)
 /// Routes one request synchronously. Infallible by design: protocol and
 /// engine errors become 4xx responses. (`POST /search` and
 /// `POST /search_batch` never reach this — [`handle`] sends them through
-/// the collector.)
+/// [`search`].)
 pub(crate) fn route(state: &ServerState, req: &Request) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => healthz(state),
@@ -132,16 +138,7 @@ fn stats(state: &ServerState) -> Response {
         ("total_bytes", Json::from(s.total_bytes())),
         ("queries", Json::from(s.queries)),
         ("batches", Json::from(s.batches)),
-        (
-            "counters",
-            Json::obj([
-                ("candidates", Json::from(s.counters.candidates)),
-                ("pruned", Json::from(s.counters.pruned)),
-                ("exact", Json::from(s.counters.exact)),
-                ("dims_scanned", Json::from(s.counters.dims_scanned)),
-                ("dims_full", Json::from(s.counters.dims_full)),
-            ]),
-        ),
+        ("counters", counters_json(&s.counters)),
         ("workers", Json::from(state.pool.threads())),
         (
             "open_connections",
@@ -424,10 +421,12 @@ fn metric_guard(body: &Json, engine: &Engine) -> Result<(), Response> {
     Ok(())
 }
 
-/// Parses the optional `/search` `"filter"` clause: an object holding
+/// Parses the optional `"filter"` clause of a search: an object holding
 /// exactly one of `{"eq": v}`, `{"range": [lo, hi]}` (inclusive), or
-/// `{"any_bit": mask}` over the engine's per-row `u64` payload tags.
-fn filter_from(body: &Json) -> Result<Option<FilterPredicate>, Response> {
+/// `{"any_bit": mask}` over the engine's per-row `u64` payload tags. A
+/// well-formed predicate against an engine without payloads is the
+/// client's error too.
+fn filter_from(body: &Json, engine: &Engine) -> Result<Option<FilterPredicate>, Response> {
     const SHAPE: &str = "`filter` must be an object with exactly one of `eq`, `range`, `any_bit`";
     let Some(f) = body.get("filter") else {
         return Ok(None);
@@ -446,9 +445,9 @@ fn filter_from(body: &Json) -> Result<Option<FilterPredicate>, Response> {
             ))
         })
     };
-    match key.as_str() {
-        "eq" => Ok(Some(FilterPredicate::Eq(tag(val, "filter.eq")?))),
-        "any_bit" => Ok(Some(FilterPredicate::AnyBit(tag(val, "filter.any_bit")?))),
+    let pred = match key.as_str() {
+        "eq" => FilterPredicate::Eq(tag(val, "filter.eq")?),
+        "any_bit" => FilterPredicate::AnyBit(tag(val, "filter.any_bit")?),
         "range" => {
             let two = val
                 .as_arr()
@@ -456,14 +455,21 @@ fn filter_from(body: &Json) -> Result<Option<FilterPredicate>, Response> {
                 .ok_or_else(|| bad("`filter.range` must be a two-element array [lo, hi]"))?;
             let lo = tag(&two[0], "filter.range[0]")?;
             let hi = tag(&two[1], "filter.range[1]")?;
-            FilterPredicate::range(lo, hi)
-                .map(Some)
-                .map_err(|e| bad(&format!("`filter.range`: {e}")))
+            FilterPredicate::range(lo, hi).map_err(|e| bad(&format!("`filter.range`: {e}")))?
         }
-        other => Err(bad(&format!(
-            "`filter.{other}` is not a predicate; use one of `eq`, `range`, `any_bit`"
-        ))),
+        other => {
+            return Err(bad(&format!(
+                "`filter.{other}` is not a predicate; use one of `eq`, `range`, `any_bit`"
+            )))
+        }
+    };
+    if engine.payloads().is_none() {
+        return Err(bad(
+            "`filter`: this engine serves no per-row payloads to filter on \
+             (boot with --payloads or attach them with set_payloads)",
+        ));
     }
+    Ok(Some(pred))
 }
 
 /// The 400 for rebuild-shaped swaps on a snapshot-booted server.
@@ -500,254 +506,181 @@ fn finite_query(arr: &[Json], dim: usize, label: &str) -> Result<Vec<f32>, Respo
     Ok(out)
 }
 
-/// The shared success shape of `/search` (solo or coalesced). `trace`
-/// is the per-query explain block — present exactly when the request
-/// carried `"explain": true`, and built entirely from observations the
-/// untraced path also produces, so the results themselves are
-/// bit-identical either way.
-fn search_response(epoch: u64, k: usize, r: &SearchResult, trace: Option<Json>) -> Response {
-    let (ids, distances) = result_json(r);
-    let mut pairs = vec![
-        ("epoch".to_string(), Json::from(epoch)),
-        ("k".to_string(), Json::from(k)),
-        ("ids".to_string(), ids),
-        ("distances".to_string(), distances),
-        ("counters".to_string(), counters_json(r)),
-    ];
-    if let Some(t) = trace {
-        pairs.push(("trace".to_string(), t));
-    }
-    Response::ok(Json::Obj(pairs))
-}
-
-/// The `/search` explain block: per-stage nanos from the request's
+/// The explain block of a search: per-stage nanos from the request's
 /// [`TraceSpan`], the coalescing execution metadata, and the DCO work
-/// profile of this one query.
-fn trace_json(span: &TraceSpan, meta: &ExecMeta, epoch: u64, r: &SearchResult) -> Json {
+/// profile of the request (`work` sums its queries).
+fn trace_json(span: &TraceSpan, meta: &ExecMeta, epoch: u64, work: &Counters) -> Json {
     let stages = Json::Obj(
         span.stages()
             .into_iter()
             .map(|(s, n)| (s.name().to_string(), Json::from(n)))
             .collect(),
     );
+    let search_nanos = span.stage_nanos(Stage::Search).unwrap_or(0);
     Json::obj([
         ("epoch", Json::from(epoch)),
         ("stage_nanos", stages),
         ("queue_wait_nanos", Json::from(meta.queue_wait_nanos)),
         ("batch_len", Json::from(meta.batch_len)),
         ("batch_nanos", Json::from(meta.batch_nanos)),
-        ("search_nanos", Json::from(r.elapsed_nanos)),
-        ("candidates", Json::from(r.counters.candidates)),
-        ("pruned", Json::from(r.counters.pruned)),
-        ("exact", Json::from(r.counters.exact)),
-        ("dims_scanned", Json::from(r.counters.dims_scanned)),
-        ("dims_full", Json::from(r.counters.dims_full)),
-        ("pruned_rate", Json::Num(r.counters.pruned_rate())),
-        ("scan_rate", Json::Num(r.counters.scan_rate())),
+        ("search_nanos", Json::from(search_nanos)),
+        ("candidates", Json::from(work.candidates)),
+        ("pruned", Json::from(work.pruned)),
+        ("exact", Json::from(work.exact)),
+        ("dims_scanned", Json::from(work.dims_scanned)),
+        ("dims_full", Json::from(work.dims_full)),
+        ("pruned_rate", Json::Num(work.pruned_rate())),
+        ("scan_rate", Json::Num(work.scan_rate())),
     ])
 }
 
-fn result_json(r: &SearchResult) -> (Json, Json) {
+/// DCO work counters — which operator served a query is visible in
+/// these (scan/prune profiles differ per DCO even when distances agree),
+/// so they also pin responses to one engine epoch in the stress suite.
+fn counters_json(c: &Counters) -> Json {
+    Json::obj([
+        ("candidates", Json::from(c.candidates)),
+        ("pruned", Json::from(c.pruned)),
+        ("exact", Json::from(c.exact)),
+        ("dims_scanned", Json::from(c.dims_scanned)),
+        ("dims_full", Json::from(c.dims_full)),
+    ])
+}
+
+/// One query's answer: ids, distances, and its own work counters.
+fn hit_json(r: &SearchResult) -> Vec<(String, Json)> {
     let ids = r.ids();
     let distances: Vec<Json> = r
         .neighbors
         .iter()
         .map(|n| Json::Num(f64::from(n.dist)))
         .collect();
-    (Json::from(&ids[..]), Json::Arr(distances))
+    vec![
+        ("ids".to_string(), Json::from(&ids[..])),
+        ("distances".to_string(), Json::Arr(distances)),
+        ("counters".to_string(), counters_json(&r.counters)),
+    ]
 }
 
-/// Per-query work counters — which operator served the query is visible
-/// in these (scan/prune profiles differ per DCO even when distances
-/// agree), so they also pin responses to one engine epoch in the stress
-/// suite.
-fn counters_json(r: &SearchResult) -> Json {
-    Json::obj([
-        ("candidates", Json::from(r.counters.candidates)),
-        ("pruned", Json::from(r.counters.pruned)),
-        ("exact", Json::from(r.counters.exact)),
-        ("dims_scanned", Json::from(r.counters.dims_scanned)),
-        ("dims_full", Json::from(r.counters.dims_full)),
-    ])
+/// What both search endpoints parse into: `/search` is a request of one
+/// query, an absent `filter` is `None`.
+struct SearchRequest {
+    queries: QueryBatch,
+    k: usize,
+    params: SearchParams,
+    filter: Option<FilterPredicate>,
+    explain: bool,
 }
 
-/// `POST /search` through the coalescing collector: validate here (on
-/// the reactor thread), execute batched, answer from the callback. The
-/// callback also books the observability of the answered query: stage
-/// timings (queue wait, engine search, serialization) and the DCO work
-/// profile. `"explain": true` additionally returns a `trace` block —
-/// built from the same observations, never changing what was searched.
-fn search_coalesced(state: &Arc<ServerState>, req: &Request, respond: Responder) {
-    let parse_timing = ddc_obs::enabled().then(Instant::now);
-    let body = match req.json_body() {
-        Ok(b) => b,
-        Err(e) => return respond(bad(&e)),
-    };
-    let Some(arr) = body.get("query").and_then(Json::as_arr) else {
-        return respond(bad("`query` must be an array of numbers"));
-    };
+/// Parses and validates a search body against the engine serving right
+/// now (the one that executes it may be newer; see [`search`]).
+fn parse_search(state: &ServerState, req: &Request) -> Result<SearchRequest, Response> {
+    let body = req.json_body().map_err(|e| bad(&e))?;
     let snap = state.handle.snapshot();
-    let query = match finite_query(arr, snap.engine.dim(), "query") {
-        Ok(q) => q,
-        Err(resp) => return respond(resp),
+    let engine = &*snap.engine;
+    let dim = engine.dim();
+    let mut rows = VecSet::with_capacity(dim, 1);
+    let mut push = |arr: &[Json], label: &str| {
+        let row = finite_query(arr, dim, label)?;
+        rows.push(&row).map_err(|e| bad(&e.to_string()))
     };
-    let k = match k_from(&body, &snap.engine) {
-        Ok(k) => k,
-        Err(resp) => return respond(resp),
-    };
-    let params = match params_from(&body, &snap.engine) {
-        Ok(p) => p,
-        Err(resp) => return respond(resp),
-    };
-    if let Err(resp) = metric_guard(&body, &snap.engine) {
-        return respond(resp);
+    if req.path == "/search" {
+        let arr = body
+            .get("query")
+            .and_then(Json::as_arr)
+            .ok_or_else(|| bad("`query` must be an array of numbers"))?;
+        push(arr, "query")?;
+    } else {
+        let queries = body
+            .get("queries")
+            .and_then(Json::as_arr)
+            .ok_or_else(|| bad("`queries` must be an array of number arrays"))?;
+        for (qi, q) in queries.iter().enumerate() {
+            let arr = q
+                .as_arr()
+                .ok_or_else(|| bad(&format!("queries[{qi}] must be an array of numbers")))?;
+            push(arr, &format!("queries[{qi}]"))?;
+        }
     }
-    let filter = match filter_from(&body) {
-        Ok(f) => f,
+    let k = k_from(&body, engine)?;
+    let params = params_from(&body, engine)?;
+    metric_guard(&body, engine)?;
+    Ok(SearchRequest {
+        queries: QueryBatch::new(rows),
+        k,
+        params,
+        filter: filter_from(&body, engine)?,
+        explain: body.get("explain").and_then(Json::as_bool) == Some(true),
+    })
+}
+
+/// `POST /search` and `POST /search_batch`: validate here (on the
+/// reactor thread), execute through the coalescing collector — where the
+/// request shares the window, and an engine call, with whatever
+/// compatible traffic arrives around it — and answer from the callback.
+/// The callback also books the observability of the request: one
+/// `parse` (framing + JSON), one `queue_wait`, one `serialize`, and a
+/// `search` plus the DCO work profile per query. `"explain": true`
+/// additionally returns a `trace` block — built from the same
+/// observations, never changing what was searched. `/search_batch`
+/// wraps the per-query answers in `results`; any failure fails the
+/// whole request.
+fn search(state: &Arc<ServerState>, req: &Request, framing_nanos: u64, respond: Responder) {
+    let parse_timing = ddc_obs::enabled().then(Instant::now);
+    let parsed = parse_search(state, req);
+    let parse_nanos = framing_nanos + parse_timing.map_or(0, |t| t.elapsed().as_nanos() as u64);
+    let obs = Arc::clone(&state.obs);
+    obs.stages().record(Stage::Parse, parse_nanos);
+    let request = match parsed {
+        Ok(request) => request,
         Err(resp) => return respond(resp),
     };
-    drop(snap);
-    if let Some(pred) = filter {
-        // Filtered searches skip the coalescing queue: the predicate is
-        // per-request, so sharing an engine batch with unfiltered traffic
-        // would change its results. They run as pool jobs, like the
-        // mutation endpoints, against the engine snapshot taken at
-        // execution time.
-        let state = Arc::clone(state);
-        let pool = Arc::clone(&state.pool);
-        pool.submit(Box::new(move || {
-            let snap = state.handle.snapshot();
-            let resp = match snap.engine.search_filtered_with(&query, k, &params, &pred) {
-                Ok(r) => {
-                    state.obs.stages().record(Stage::Search, r.elapsed_nanos);
-                    state.obs.record_dco(&r.counters);
-                    search_response(snap.epoch, k, &r, None)
-                }
-                // Covers filter-on-an-unfiltered-engine (no payloads
-                // attached): the client's error, named after the field.
-                Err(e) => bad(&format!("`filter`: {e}")),
-            };
-            respond(resp);
-        }));
-        return;
-    }
-    let explain = body.get("explain").and_then(Json::as_bool) == Some(true);
-    let mut span = if explain {
+    let mut span = if request.explain {
         TraceSpan::enabled()
     } else {
         TraceSpan::disabled()
     };
-    let parse_nanos = parse_timing.map_or(0, |t| t.elapsed().as_nanos() as u64);
     span.record(Stage::Parse, parse_nanos);
-    let obs = Arc::clone(&state.obs);
-    obs.stages().record(Stage::Parse, parse_nanos);
+    let (k, batch_shape) = (request.k, req.path == "/search_batch");
     state.collector.submit(
-        query,
+        request.queries,
         k,
-        params,
-        Box::new(move |epoch, meta, result| {
-            respond(match result {
-                Ok(r) => {
-                    obs.stages().record(Stage::QueueWait, meta.queue_wait_nanos);
-                    obs.stages().record(Stage::Search, r.elapsed_nanos);
-                    obs.record_dco(&r.counters);
-                    span.record(Stage::QueueWait, meta.queue_wait_nanos);
-                    span.record(Stage::Search, r.elapsed_nanos);
-                    let ser_timing = ddc_obs::enabled().then(Instant::now);
-                    let trace = span
-                        .is_enabled()
-                        .then(|| trace_json(&span, &meta, epoch, &r));
-                    let resp = search_response(epoch, k, &r, trace);
-                    if let Some(t) = ser_timing {
-                        obs.stages()
-                            .record(Stage::Serialize, t.elapsed().as_nanos() as u64);
-                    }
-                    resp
-                }
+        request.params,
+        request.filter,
+        Box::new(move |epoch, meta, results| {
+            let results = match results {
+                Ok(results) => results,
                 // Post-validation failures are race-shaped (e.g. a swap
                 // changed the dimension mid-flight): still client-safe
                 // 400s, never 500.
-                Err(e) => bad(&e.to_string()),
-            });
-        }),
-    );
-}
-
-/// `POST /search_batch` through the same coalescing queue as `/search`:
-/// the request is validated inline on the reactor thread, split into
-/// per-query fragments, and submitted as one group. Fragments share the
-/// collector's window with each other *and* with concurrent solo
-/// `/search` traffic, so an explicit batch and the queries arriving
-/// around it land in one engine call (executed shard-parallel on the
-/// pool once the batch is big enough). The response reports the highest
-/// epoch any fragment executed under; any fragment error fails the whole
-/// request with its message, matching the old all-or-nothing contract.
-fn search_batch_coalesced(state: &Arc<ServerState>, req: &Request, respond: Responder) {
-    let body = match req.json_body() {
-        Ok(b) => b,
-        Err(e) => return respond(bad(&e)),
-    };
-    let Some(queries) = body.get("queries").and_then(Json::as_arr) else {
-        return respond(bad("`queries` must be an array of number arrays"));
-    };
-    let snap = state.handle.snapshot();
-    let dim = snap.engine.dim();
-    let mut rows: Vec<Vec<f32>> = Vec::with_capacity(queries.len());
-    for (qi, q) in queries.iter().enumerate() {
-        let Some(arr) = q.as_arr() else {
-            return respond(bad(&format!("queries[{qi}] must be an array of numbers")));
-        };
-        match finite_query(arr, dim, &format!("queries[{qi}]")) {
-            Ok(row) => rows.push(row),
-            Err(resp) => return respond(resp),
-        }
-    }
-    let k = match k_from(&body, &snap.engine) {
-        Ok(k) => k,
-        Err(resp) => return respond(resp),
-    };
-    let params = match params_from(&body, &snap.engine) {
-        Ok(p) => p,
-        Err(resp) => return respond(resp),
-    };
-    if let Err(resp) = metric_guard(&body, &snap.engine) {
-        return respond(resp);
-    }
-    if body.get("filter").is_some() {
-        return respond(bad(
-            "`filter` is only supported on /search (batches share engine calls \
-             across requests; a per-request predicate cannot)",
-        ));
-    }
-    drop(snap);
-    let obs = Arc::clone(&state.obs);
-    state.collector.submit_group(
-        rows,
-        k,
-        params,
-        Box::new(move |epoch, fragment_results| {
-            let ser_timing = ddc_obs::enabled().then(Instant::now);
-            let mut results = Vec::with_capacity(fragment_results.len());
-            for result in &fragment_results {
-                match result {
-                    Ok(r) => {
-                        obs.stages().record(Stage::Search, r.elapsed_nanos);
-                        obs.record_dco(&r.counters);
-                        let (ids, distances) = result_json(r);
-                        results.push(Json::obj([
-                            ("ids", ids),
-                            ("distances", distances),
-                            ("counters", counters_json(r)),
-                        ]));
-                    }
-                    Err(e) => return respond(bad(&e.to_string())),
-                }
+                Err(e) => return respond(bad(&e.to_string())),
+            };
+            obs.stages().record(Stage::QueueWait, meta.queue_wait_nanos);
+            span.record(Stage::QueueWait, meta.queue_wait_nanos);
+            let mut work = Counters::new();
+            for r in &results {
+                obs.stages().record(Stage::Search, r.elapsed_nanos);
+                span.record(Stage::Search, r.elapsed_nanos);
+                obs.record_dco(&r.counters);
+                work.merge(&r.counters);
             }
-            let resp = Response::ok(Json::obj([
-                ("epoch", Json::from(epoch)),
-                ("k", Json::from(k)),
-                ("results", Json::Arr(results)),
-            ]));
+            let ser_timing = ddc_obs::enabled().then(Instant::now);
+            let mut pairs = vec![
+                ("epoch".to_string(), Json::from(epoch)),
+                ("k".to_string(), Json::from(k)),
+            ];
+            let mut hits = results.iter().map(hit_json);
+            if batch_shape {
+                let hits = hits.map(Json::Obj).collect();
+                pairs.push(("results".to_string(), Json::Arr(hits)));
+            } else {
+                pairs.extend(hits.next().expect("one result per submitted query"));
+            }
+            if span.is_enabled() {
+                let trace = trace_json(&span, &meta, epoch, &work);
+                pairs.push(("trace".to_string(), trace));
+            }
+            let resp = Response::ok(Json::Obj(pairs));
             if let Some(t) = ser_timing {
                 obs.stages()
                     .record(Stage::Serialize, t.elapsed().as_nanos() as u64);

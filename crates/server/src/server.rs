@@ -4,8 +4,8 @@
 //! Connections no longer occupy [`WorkerPool`] workers: the reactor
 //! thread multiplexes all of them (epoll on Linux, timed polling
 //! elsewhere), the pool runs request handlers and batch shards, and the
-//! [`BatchCollector`] coalesces concurrent `/search` requests into
-//! engine batches. Idle keep-alive connections therefore cost one
+//! [`BatchCollector`] coalesces concurrent `/search` and `/search_batch`
+//! requests into engine batches. Idle keep-alive connections therefore cost one
 //! registered fd each — the concurrent-client ceiling is
 //! [`ServerConfig::max_connections`], not the worker count.
 
@@ -38,19 +38,16 @@ pub struct ServerConfig {
     /// Maximum simultaneously-open connections; clients over the cap
     /// get a best-effort `503` and are dropped.
     pub max_connections: usize,
-    /// Coalescing window for concurrent `/search` requests: the first
+    /// Coalescing window for concurrent search requests: the first
     /// pending query waits at most this long for company before the
-    /// batch executes (see [`BatchCollector`]). Zero disables waiting.
-    /// With [`ServerConfig::coalesce_adaptive`] this is the ceiling the
-    /// controller works under, not a fixed wait.
+    /// batch executes (see [`BatchCollector`]). This is the ceiling the
+    /// window adapts under: idle solo drains shrink the live window
+    /// toward zero (a trickle of requests stops paying it as latency),
+    /// coalesced or backlogged drains grow it back. Zero disables
+    /// waiting.
     pub coalesce_window: Duration,
     /// Queue depth that triggers immediate batch execution.
     pub coalesce_max_batch: usize,
-    /// Adapt the coalescing window to traffic: idle solo drains shrink
-    /// it toward zero (a trickle of requests stops paying the window as
-    /// latency), coalesced or backlogged drains grow it back toward
-    /// `coalesce_window`.
-    pub coalesce_adaptive: bool,
     /// Emit one structured JSON access-log line per finished request on
     /// stderr (sampled by [`ServerConfig::access_log_sample_n`]).
     pub access_log: bool,
@@ -69,7 +66,6 @@ impl Default for ServerConfig {
             max_connections: 1024,
             coalesce_window: Duration::from_micros(200),
             coalesce_max_batch: 64,
-            coalesce_adaptive: true,
             access_log: false,
             access_log_sample_n: 1,
         }
@@ -77,7 +73,7 @@ impl Default for ServerConfig {
 }
 
 /// Everything the handlers share: the hot-swappable engine slot, the
-/// worker pool, the `/search` coalescing collector, and the vector
+/// worker pool, the search coalescing collector, and the vector
 /// store swaps rebuild from (which may be a zero-copy memory map —
 /// rebuilds then stream rows straight off disk).
 ///
@@ -214,7 +210,6 @@ impl Server {
             CollectorConfig {
                 window: cfg.coalesce_window,
                 max_batch: cfg.coalesce_max_batch,
-                adaptive: cfg.coalesce_adaptive,
             },
         );
         let (mutable, compactor) = match mutable {

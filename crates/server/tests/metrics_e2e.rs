@@ -21,13 +21,17 @@ fn workload() -> Workload {
     SynthSpec::tiny_test(16, 300, 90125).generate()
 }
 
+/// The served engine carries payload tags `row % 4`, so every search
+/// shape — filtered ones included — is answerable.
 fn serve(w: &Workload, cfg: ServerConfig) -> ServerGuard {
-    let engine = Engine::build(
+    let mut engine = Engine::build(
         &w.base,
         Some(&w.train_queries),
         EngineConfig::from_strs(INDEX, DCO).unwrap(),
     )
     .unwrap();
+    let tags = (0..engine.len() as u64).map(|row| row % 4).collect();
+    engine.set_payloads(tags).unwrap();
     Server::bind(&cfg, engine, w.base.clone(), Some(w.train_queries.clone()))
         .unwrap()
         .spawn()
@@ -51,6 +55,33 @@ fn query_body(w: &Workload, qi: usize, extra: &[(&str, Json)]) -> String {
         pairs.push((key.to_string(), v.clone()));
     }
     Json::Obj(pairs).dump()
+}
+
+/// A `/search_batch` body over queries `0..n`, plus `extra` fields.
+fn batch_body(w: &Workload, n: usize, extra: &[(&str, Json)]) -> String {
+    let queries = (0..n).map(|qi| Json::from(w.queries.get(qi))).collect();
+    let mut pairs = vec![
+        ("queries".to_string(), Json::Arr(queries)),
+        ("k".to_string(), Json::from(K)),
+    ];
+    for (key, v) in extra {
+        pairs.push((key.to_string(), v.clone()));
+    }
+    Json::Obj(pairs).dump()
+}
+
+fn eq_filter(tag: usize) -> (&'static str, Json) {
+    ("filter", Json::obj([("eq", Json::from(tag))]))
+}
+
+/// Observations booked so far on one stage of the request ledger.
+fn stage_count(text: &str, stage: &str) -> u64 {
+    let series = format!("ddc_stage_duration_seconds_count{{stage=\"{stage}\"}} ");
+    text.lines()
+        .find_map(|l| l.strip_prefix(&series))
+        .unwrap_or_else(|| panic!("no {series}in:\n{text}"))
+        .parse()
+        .unwrap()
 }
 
 /// Every `ddc_requests_total` cell in an exposition body, as
@@ -204,64 +235,123 @@ fn stats_histogram_keys_stay_backward_compatible() {
     guard.shutdown();
 }
 
+/// Every search shape explains itself — `/search` and `/search_batch`,
+/// filtered or not (the last three had no trace before the search paths
+/// were collapsed) — only when asked, and without changing the answer.
 #[test]
 fn explain_trace_absent_by_default_and_consistent_when_enabled() {
+    const COUNTERS: [&str; 5] = ["candidates", "pruned", "exact", "dims_scanned", "dims_full"];
     let w = workload();
     let guard = serve(&w, default_cfg());
-
-    let (status, plain) = request(
-        guard.addr(),
-        "POST",
-        "/search",
-        Some(&query_body(&w, 1, &[])),
-    );
-    assert_eq!(status, 200);
-    assert!(plain.get("trace").is_none(), "trace must be opt-in");
-
-    let (status, traced) = request(
-        guard.addr(),
-        "POST",
-        "/search",
-        Some(&query_body(&w, 1, &[("explain", Json::Bool(true))])),
-    );
-    assert_eq!(status, 200);
-
-    // The explained search is bit-identical to the plain one: same ids,
-    // same distance bits, same work counters.
-    assert_eq!(fingerprint(&plain), fingerprint(&traced));
-
-    let trace = traced.get("trace").expect("trace block");
-    let get = |key: &str| {
-        trace
-            .get(key)
+    let num = |obj: &Json, key: &str| {
+        obj.get(key)
             .and_then(Json::as_usize)
-            .unwrap_or_else(|| panic!("trace lacks {key}")) as u64
+            .unwrap_or_else(|| panic!("no {key} in {obj}"))
     };
-    // The trace's DCO profile is the response's counters, restated.
-    let counters = traced.get("counters").expect("counters");
-    for key in ["candidates", "pruned", "exact", "dims_scanned", "dims_full"] {
-        assert_eq!(
-            Some(get(key) as usize),
-            counters.get(key).and_then(Json::as_usize)
-        );
-    }
-    assert_eq!(get("candidates"), get("pruned") + get("exact"));
-    assert!(get("batch_len") >= 1, "the query executed in some batch");
-    assert_eq!(
-        traced.get("epoch").and_then(Json::as_usize),
-        trace.get("epoch").and_then(Json::as_usize),
-    );
-    let stages = trace.get("stage_nanos").expect("stage_nanos");
-    for stage in ["parse", "queue_wait", "search"] {
-        assert!(stages.get(stage).is_some(), "stage_nanos lacks {stage}");
-    }
-    // Observability is on by default in-process, so the engine stamped a
-    // real search duration and it is echoed in both places.
-    assert_eq!(
-        trace.get("search_nanos").and_then(Json::as_usize),
-        stages.get("search").and_then(Json::as_usize),
-    );
+    let n = 3;
+    let shapes = ["/search", "/search_batch"].map(|p| [(p, false), (p, true)]);
+    for (path, filtered) in shapes.into_iter().flatten() {
+        let ask = |explain: bool| {
+            let mut extra = Vec::new();
+            extra.extend(filtered.then(|| eq_filter(1)));
+            extra.extend(explain.then_some(("explain", Json::Bool(true))));
+            let body = match path {
+                "/search" => query_body(&w, 1, &extra),
+                _ => batch_body(&w, n, &extra),
+            };
+            let (status, reply) = request(guard.addr(), "POST", path, Some(&body));
+            assert_eq!(status, 200, "{path}: {reply}");
+            reply
+        };
+        let (plain, traced) = (ask(false), ask(true));
+        assert!(plain.get("trace").is_none(), "{path}: trace must be opt-in");
 
+        // The explained search is bit-identical to the plain one: same
+        // ids, same distance bits, same work counters. `/search` answers
+        // one flat hit, `/search_batch` one per query under `results`.
+        let hits = |reply: &Json| match reply.get("results").and_then(Json::as_arr) {
+            Some(results) => results.to_vec(),
+            None => vec![reply.clone()],
+        };
+        let (plain_hits, traced_hits) = (hits(&plain), hits(&traced));
+        assert_eq!(traced_hits.len(), if path == "/search" { 1 } else { n });
+        assert_eq!(
+            plain_hits.iter().map(fingerprint).collect::<Vec<_>>(),
+            traced_hits.iter().map(fingerprint).collect::<Vec<_>>(),
+            "{path} filtered={filtered}"
+        );
+
+        // One request-level block; its DCO profile is the response's
+        // counters, restated (summed over a batch's queries).
+        let trace = traced.get("trace").expect("trace block");
+        for key in COUNTERS {
+            let sum: usize = traced_hits
+                .iter()
+                .map(|hit| num(hit.get("counters").expect("counters"), key))
+                .sum();
+            assert_eq!(num(trace, key), sum, "{path}: {key}");
+        }
+        assert_eq!(
+            num(trace, "candidates"),
+            num(trace, "pruned") + num(trace, "exact")
+        );
+        assert_eq!(num(trace, "batch_len"), traced_hits.len(), "{path}");
+        assert_eq!(num(&traced, "epoch"), num(trace, "epoch"));
+        let stages = trace.get("stage_nanos").expect("stage_nanos");
+        for stage in ["parse", "queue_wait", "search"] {
+            assert!(stages.get(stage).is_some(), "stage_nanos lacks {stage}");
+        }
+        // (with `search_nanos`) what the benchmark reads off a `/search`.
+        for key in ["queue_wait_nanos", "batch_nanos"] {
+            assert!(trace.get(key).is_some(), "{path}: trace lacks {key}");
+        }
+        // Observability is on by default in-process, so the engine
+        // stamped real search durations, echoed in both places.
+        assert_eq!(num(trace, "search_nanos"), num(stages, "search"));
+    }
+    guard.shutdown();
+}
+
+/// Every search request — `/search`, filtered `/search`, `/search_batch`,
+/// answered or rejected — books exactly one `parse` observation (HTTP
+/// framing and the JSON body together); every answered one exactly one
+/// `queue_wait` and one `serialize`, and one `search` per query.
+#[test]
+fn every_search_shape_books_each_stage_exactly_once() {
+    let w = workload();
+    let guard = serve(&w, default_cfg());
+    let scrape = || request_text(guard.addr(), "GET", "/metrics", None).1;
+    let before = scrape();
+
+    // (path, body, queries answered — 0: rejected after the body parsed,
+    // which books a parse and nothing else).
+    let bad_filter = ("filter", Json::from(7usize));
+    let requests = [
+        ("/search", query_body(&w, 0, &[]), 1),
+        ("/search", query_body(&w, 1, &[eq_filter(2)]), 1),
+        ("/search_batch", batch_body(&w, 4, &[]), 4),
+        ("/search_batch", batch_body(&w, 4, &[eq_filter(1)]), 4),
+        ("/search", "{\"query\": \"nope\"}".to_string(), 0),
+        ("/search_batch", batch_body(&w, 1, &[bad_filter]), 0),
+    ];
+    let mut conn = Conn::open(guard.addr());
+    for (path, body, n) in &requests {
+        let (status, reply) = conn.request("POST", path, Some(body), false);
+        assert_eq!(status, if *n > 0 { 200 } else { 400 }, "{reply}");
+    }
+
+    // Each `/metrics` request books its own framing before it renders,
+    // so the second scrape is one more request than the first saw.
+    let after = scrape();
+    let advanced = |stage: &str| stage_count(&after, stage) - stage_count(&before, stage);
+    let answered = requests.iter().filter(|r| r.2 > 0).count() as u64;
+    assert_eq!(advanced("parse"), requests.len() as u64 + 1);
+    assert_eq!(advanced("queue_wait"), answered);
+    assert_eq!(advanced("serialize"), answered);
+    assert_eq!(
+        advanced("search"),
+        requests.iter().map(|r| r.2).sum::<u64>()
+    );
     guard.shutdown();
 }
 

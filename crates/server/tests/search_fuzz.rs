@@ -1,4 +1,5 @@
-//! Fuzz + contract tests for the `/search` metric/filter surface.
+//! Fuzz + contract tests for the `/search` and `/search_batch`
+//! metric/filter surface.
 //!
 //! The property under fuzz: whatever a client puts in the `"metric"` or
 //! `"filter"` fields — unknown metric names, wrong JSON shapes, inverted
@@ -220,7 +221,9 @@ fn filtered_search_over_http_matches_the_engine() {
             .map(|v| v.as_usize().unwrap() as u32)
             .collect();
         let dists = resp.get("distances").and_then(Json::as_f32_vec).unwrap();
-        let direct = engine.search_filtered(q, K, &pred).unwrap();
+        let direct = engine
+            .search_filtered_with(q, K, &engine.config().params, &pred)
+            .unwrap();
         assert_eq!(
             ids,
             direct.ids(),
@@ -251,33 +254,63 @@ fn stats_report_metric_and_payload_presence() {
     assert_eq!(stats.get("payloads").and_then(Json::as_bool), Some(false));
 }
 
-/// `/search_batch` honors the metric assertion but rejects `filter`
-/// outright (batches share engine calls across requests; a per-request
-/// predicate cannot), with a 400 that says where to go instead.
+/// `/search_batch` honors the metric assertion and the `filter` clause:
+/// a filtered batch is the engine's filtered search per query, bit for
+/// bit, and a malformed or unservable predicate is the same field-naming
+/// 400 `/search` answers.
 #[test]
-fn search_batch_guards_metric_and_rejects_filter() {
+fn search_batch_guards_metric_and_filters_per_query() {
     let w = workload();
-    let q = w.queries.get(0);
-    let coords: Vec<String> = q.iter().map(|x| format!("{x}")).collect();
-    let queries = format!("[[{}]]", coords.join(", "));
+    let n = 4;
+    let rows: Vec<String> = (0..n)
+        .map(|qi| format!("{:?}", w.queries.get(qi)))
+        .collect();
+    let batch = |extra: &str| format!(r#"{{"queries": [{}], "k": {K}, {extra}}}"#, rows.join(", "));
+    let post = |addr, extra: &str| request(addr, "POST", "/search_batch", Some(&batch(extra)));
 
-    let body = format!(r#"{{"queries": {queries}, "k": {K}, "metric": "l2"}}"#);
-    let (status, resp) = request(tagged_addr(), "POST", "/search_batch", Some(&body));
+    let (status, resp) = post(tagged_addr(), r#""metric": "l2""#);
     assert_eq!(
         status, 400,
         "mismatched metric must be rejected on the batch path"
     );
     assert!(error_text(&resp).contains("metric"));
-
-    let body = format!(r#"{{"queries": {queries}, "k": {K}, "metric": "cosine"}}"#);
-    let (status, _) = request(tagged_addr(), "POST", "/search_batch", Some(&body));
+    let (status, _) = post(tagged_addr(), r#""metric": "cosine""#);
     assert_eq!(status, 200, "matching metric assertion must pass");
 
-    let body = format!(r#"{{"queries": {queries}, "k": {K}, "filter": {{"eq": 0}}}}"#);
-    let (status, resp) = request(tagged_addr(), "POST", "/search_batch", Some(&body));
-    assert_eq!(status, 400);
-    assert!(
-        error_text(&resp).contains("/search"),
-        "the batch-filter 400 should point at /search"
-    );
+    let guard = spawn_server(Metric::Cosine, true);
+    let engine = guard.handle().engine();
+    let pred = FilterPredicate::Range(0, 3);
+    let (status, resp) = post(guard.addr(), r#""filter": {"range": [0, 3]}"#);
+    assert_eq!(status, 200, "{resp}");
+    let results = resp.get("results").and_then(Json::as_arr).unwrap();
+    assert_eq!(results.len(), n);
+    for (qi, result) in results.iter().enumerate() {
+        let direct = engine
+            .search_filtered_with(w.queries.get(qi), K, &engine.config().params, &pred)
+            .unwrap();
+        assert_eq!(
+            util::fingerprint(result),
+            util::result_fingerprint(&direct),
+            "query {qi}: batch-filtered answer diverges from the engine"
+        );
+        assert!(direct
+            .ids()
+            .iter()
+            .all(|&id| pred.matches(tags()[id as usize])));
+    }
+    guard.shutdown();
+
+    for (addr, clause, needle) in [
+        (tagged_addr(), r#"{"range": [3, 0]}"#, "filter.range"),
+        (tagged_addr(), r#"{"tag": 1}"#, "filter.tag"),
+        (plain_addr(), r#"{"eq": 0}"#, "payloads"),
+    ] {
+        let (status, resp) = post(addr, &format!(r#""filter": {clause}"#));
+        assert_eq!(status, 400, "{clause} admitted");
+        let err = error_text(&resp);
+        assert!(
+            err.contains("`filter") && err.contains(needle),
+            "{clause}: {err}"
+        );
+    }
 }

@@ -14,7 +14,7 @@
 //! 3. search — single queries, whole batches
 //!    ([`Engine::search_batch`] amortizes the per-query rotation cost),
 //!    or shard-parallel batches over a [`WorkerPool`]
-//!    ([`Engine::search_batch_parallel`]),
+//!    ([`Engine::search_batch_parallel_with`]),
 //! 4. serve — the [`server`] subsystem (`ddc-serve` binary) exposes the
 //!    engine over HTTP with hot-swappable configuration
 //!    ([`ServingHandle`]).
