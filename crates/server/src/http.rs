@@ -139,39 +139,41 @@ pub fn read_request(
     Ok(Some(Request { body, ..req }))
 }
 
-/// Outcome of [`parse_request`] over a byte buffer.
+/// A request head framed off the front of a buffer by [`parse_head`].
 #[derive(Debug)]
-pub enum Parsed {
-    /// A complete request, plus how many buffer bytes it consumed
-    /// (pipelined followers may start right after).
-    Complete(Request, usize),
-    /// The buffer holds only a prefix of a request; read more bytes.
-    Partial,
+pub struct Head {
+    /// The request, its body still empty.
+    pub req: Request,
+    /// Buffer bytes the head occupies; the body starts right after.
+    pub len: usize,
+    /// The declared `Content-Length` (0 without one), within the limit.
+    pub body_len: usize,
 }
 
 /// Incremental variant of [`read_request`] for nonblocking connections:
-/// parses one request out of the front of `buf` without consuming it.
+/// parses the request line and headers out of the front of `buf` without
+/// consuming it; `None` while the buffer holds only a prefix of them
+/// (read more bytes and retry). The caller waits for `body_len` more
+/// bytes behind the head — once framed, a head is not parsed again.
 ///
 /// Framing semantics are shared with [`read_request`] (same helpers
 /// parse the request line, headers, and `Content-Length`), so the two
-/// entry points accept and reject exactly the same byte streams. The
-/// difference is the incomplete case: where the blocking reader waits on
-/// the socket, this returns [`Parsed::Partial`] and the caller retries
-/// with more bytes. Protocol violations surface as soon as they are
-/// visible in the prefix — an over-long line or an over-limit declared
-/// body fails without waiting for the rest of the request.
+/// entry points accept and reject exactly the same byte streams.
+/// Protocol violations surface as soon as they are visible in the
+/// prefix — an over-long line or an over-limit declared body fails
+/// without waiting for the rest of the request.
 ///
 /// # Errors
 /// Same as [`read_request`], minus [`HttpError::Io`] (no socket here).
-pub fn parse_request(buf: &[u8], max_body_bytes: usize) -> Result<Parsed, HttpError> {
+pub fn parse_head(buf: &[u8], max_body_bytes: usize) -> Result<Option<Head>, HttpError> {
     let Some((line, mut pos)) = take_line(buf, 0)? else {
-        return Ok(Parsed::Partial);
+        return Ok(None);
     };
     let (method, path) = parse_request_line(&line)?;
     let mut headers = Vec::new();
     loop {
         let Some((line, next)) = take_line(buf, pos)? else {
-            return Ok(Parsed::Partial);
+            return Ok(None);
         };
         pos = next;
         if line.is_empty() {
@@ -188,12 +190,12 @@ pub fn parse_request(buf: &[u8], max_body_bytes: usize) -> Result<Parsed, HttpEr
         headers,
         body: Vec::new(),
     };
-    let len = content_length(&req, max_body_bytes)?;
-    if buf.len() - pos < len {
-        return Ok(Parsed::Partial);
-    }
-    let body = buf[pos..pos + len].to_vec();
-    Ok(Parsed::Complete(Request { body, ..req }, pos + len))
+    let body_len = content_length(&req, max_body_bytes)?;
+    Ok(Some(Head {
+        req,
+        len: pos,
+        body_len,
+    }))
 }
 
 /// Validates the request line into `(method, path)`.
@@ -324,10 +326,15 @@ pub struct Response {
 impl Response {
     /// A response with the given status and JSON body.
     pub fn json(status: u16, body: Json) -> Response {
+        Response::json_text(status, body.dump())
+    }
+
+    /// A response whose JSON body is already serialized.
+    pub fn json_text(status: u16, body: String) -> Response {
         Response {
             status,
             content_type: "application/json",
-            body: body.dump(),
+            body,
         }
     }
 
@@ -498,22 +505,22 @@ mod tests {
     fn incremental_parser_handles_split_arrivals() {
         let raw =
             b"POST /search HTTP/1.1\r\nContent-Length: 9\r\nConnection: close\r\n\r\n{\"k\": 3}\n";
-        let mut buf = raw.to_vec();
-        buf.extend_from_slice(b"GET /pipelined"); // a follower's prefix
-        for cut in 0..raw.len() {
+        let head_len = raw.len() - 9;
+        for cut in 0..head_len {
             assert!(
-                matches!(parse_request(&buf[..cut], 1024), Ok(Parsed::Partial)),
-                "cut at {cut} must be Partial"
+                matches!(parse_head(&raw[..cut], 1024), Ok(None)),
+                "cut at {cut} must be partial"
             );
         }
-        let Ok(Parsed::Complete(req, consumed)) = parse_request(&buf, 1024) else {
-            panic!("complete request did not parse");
-        };
-        assert_eq!(consumed, raw.len(), "consumed must stop at the follower");
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/search");
-        assert_eq!(req.body, b"{\"k\": 3}\n");
-        assert!(req.wants_close());
+        // From the blank line on, the head is framed whatever follows it.
+        for cut in head_len..=raw.len() {
+            let head = parse_head(&raw[..cut], 1024).unwrap().unwrap();
+            assert_eq!((head.len, head.body_len), (head_len, 9), "cut at {cut}");
+            assert_eq!(head.req.method, "POST");
+            assert_eq!(head.req.path, "/search");
+            assert!(head.req.body.is_empty());
+            assert!(head.req.wants_close());
+        }
     }
 
     #[test]
@@ -521,22 +528,22 @@ mod tests {
         // Framing violations fail as soon as the prefix shows them — no
         // waiting for the body or the rest of the head.
         assert!(matches!(
-            parse_request(b"POST /x HTTP/1.1\r\nContent-Length: 9999\r\n\r\n", 1024),
+            parse_head(b"POST /x HTTP/1.1\r\nContent-Length: 9999\r\n\r\n", 1024),
             Err(HttpError::TooLarge(_))
         ));
         assert!(matches!(
-            parse_request(b"GARBAGE LINE HERE\r\n", 1024),
+            parse_head(b"GARBAGE LINE HERE\r\n", 1024),
             Err(HttpError::Malformed(_))
         ));
         // An unterminated over-long line cannot become valid with more
         // bytes; it must error now rather than buffer forever.
         let unterminated = "a".repeat(10_000);
         assert!(matches!(
-            parse_request(unterminated.as_bytes(), 1024),
+            parse_head(unterminated.as_bytes(), 1024),
             Err(HttpError::TooLarge(_))
         ));
         assert!(matches!(
-            parse_request(
+            parse_head(
                 b"POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nab",
                 1024
             ),

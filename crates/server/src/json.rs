@@ -9,7 +9,13 @@
 //! (no whitespace); numbers print through Rust's shortest-roundtrip float
 //! formatting, so every `f32` distance survives encode → decode → `as
 //! f32` bit-exactly. Non-finite numbers serialize as `null` (JSON has no
-//! NaN/inf).
+//! NaN/inf). Non-negative integers below 2⁶⁴ are [`Json::Int`] and never
+//! pass through `f64`, so ids and payload tags are exact.
+//!
+//! The search and upsert bodies — a few keys and up to megabytes of
+//! floats — do not become trees at all: `scan_body` reads the
+//! vector rows straight into one flat `Vec<f32>` (`Parser::f32_token`
+//! says why that is bit-for-bit the tree's `parse::<f64>() as f32`).
 //!
 //! ```
 //! use ddc_server::json::Json;
@@ -20,6 +26,8 @@
 //! assert_eq!(q, vec![1.5, -2.0]);
 //! assert_eq!(Json::from(q.as_slice()).dump(), "[1.5,-2]");
 //! ```
+
+use std::fmt::Write as _;
 
 /// Maximum nesting depth the parser accepts (objects + arrays).
 const MAX_DEPTH: usize = 64;
@@ -32,7 +40,11 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number.
+    /// A non-negative integer, exact: every number token without a minus
+    /// sign whose decimal value is an integer below 2⁶⁴ (`7`, `7.0`,
+    /// `7e2`, at most 20 significant digits) parses to this.
+    Int(u64),
+    /// Any other JSON number.
     Num(f64),
     /// A string.
     Str(String),
@@ -71,10 +83,7 @@ impl Json {
         };
         p.skip_ws();
         let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing content after document"));
-        }
+        p.end()?;
         Ok(v)
     }
 
@@ -85,17 +94,13 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact serialization to `out`.
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => {
-                if x.is_finite() {
-                    out.push_str(&x.to_string());
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::Int(n) => write!(out, "{n}").expect(INFALLIBLE),
+            Json::Num(x) => write_f64(*x, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -138,7 +143,19 @@ impl Json {
     /// The number, if this is one.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::Int(n) => Some(*n as f64),
             Json::Num(x) => Some(*x),
+            _ => None,
+        }
+    }
+
+    /// The exact non-negative integer, if this is one. A parsed
+    /// [`Json::Num`] is by construction not one (negative, fractional,
+    /// or 2⁶⁴ and beyond), so request fields read through this are exact
+    /// or refused — never rounded through `f64`.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Int(n) => Some(*n),
             _ => None,
         }
     }
@@ -146,12 +163,7 @@ impl Json {
     /// The number as a non-negative integer (rejects fractions and
     /// negatives).
     pub fn as_usize(&self) -> Option<usize> {
-        let x = self.as_f64()?;
-        if x >= 0.0 && x.fract() == 0.0 && x <= usize::MAX as f64 {
-            Some(x as usize)
-        } else {
-            None
-        }
+        usize::try_from(self.as_u64()?).ok()
     }
 
     /// The string, if this is one.
@@ -202,13 +214,13 @@ impl From<f64> for Json {
 
 impl From<u64> for Json {
     fn from(x: u64) -> Json {
-        Json::Num(x as f64)
+        Json::Int(x)
     }
 }
 
 impl From<usize> for Json {
     fn from(x: usize) -> Json {
-        Json::Num(x as f64)
+        Json::Int(x as u64)
     }
 }
 
@@ -239,13 +251,26 @@ impl From<&[f32]> for Json {
 
 impl From<&[u32]> for Json {
     fn from(xs: &[u32]) -> Json {
-        Json::Arr(xs.iter().map(|&x| Json::Num(f64::from(x))).collect())
+        Json::Arr(xs.iter().map(|&x| Json::Int(u64::from(x))).collect())
     }
 }
 
 impl std::fmt::Display for Json {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.dump())
+    }
+}
+
+/// Why `write!` into a `String` is unwrapped.
+pub(crate) const INFALLIBLE: &str = "writing to a String cannot fail";
+
+/// One number the way [`Json::dump`] prints it: shortest round-trip
+/// digits, `null` when not finite.
+pub(crate) fn write_f64(x: f64, out: &mut String) {
+    if x.is_finite() {
+        write!(out, "{x}").expect(INFALLIBLE);
+    } else {
+        out.push_str("null");
     }
 }
 
@@ -272,7 +297,7 @@ struct Parser<'a> {
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn err(&self, msg: &str) -> JsonError {
         JsonError {
             pos: self.pos,
@@ -325,13 +350,17 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
+    /// Walks one object, handing each key to `member` with the cursor on
+    /// its value.
+    fn object_with(
+        &mut self,
+        mut member: impl FnMut(&mut Self, String) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
         self.eat(b'{')?;
-        let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(pairs));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -339,41 +368,61 @@ impl Parser<'_> {
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            let value = self.value(depth + 1)?;
-            pairs.push((key, value));
+            member(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(pairs));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected `,` or `}` in object")),
             }
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
+        let mut pairs = Vec::new();
+        self.object_with(|p, key| {
+            pairs.push((key, p.value(depth + 1)?));
+            Ok(())
+        })?;
+        Ok(Json::Obj(pairs))
+    }
+
+    /// Walks one array, calling `item` with the cursor on each element.
+    fn array_with(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
         self.eat(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected `,` or `]` in array")),
             }
         }
+    }
+
+    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
+        let mut items = Vec::new();
+        self.array_with(|p| {
+            items.push(p.value(depth + 1)?);
+            Ok(())
+        })?;
+        Ok(Json::Arr(items))
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -394,8 +443,9 @@ impl Parser<'_> {
                 }
                 0x00..=0x1f => return Err(self.err("raw control character in string")),
                 _ => {
-                    // Consume one UTF-8 scalar (input is &str, so
-                    // boundaries are valid).
+                    // Consume one UTF-8 scalar: a lead byte and its
+                    // continuation bytes, validated (the scanner reads
+                    // raw body bytes).
                     let start = self.pos;
                     let mut end = start + 1;
                     while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
@@ -461,36 +511,194 @@ impl Parser<'_> {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+    /// Sweeps one number token — the span the tree path hands to
+    /// `parse::<f64>` — and, when it is plain decimal (a digit, at most
+    /// 20 significant ones fitting a `u64`, a complete exponent), its
+    /// parts `(negative, mantissa, exp10)`: the token's exact value is
+    /// `±mantissa × 10^exp10`. Returns where the token started.
+    fn sweep(&mut self) -> (usize, Option<(bool, u64, i32)>) {
+        let (b, start) = (self.bytes, self.pos);
+        let neg = b.get(start) == Some(&b'-');
+        let first = start + usize::from(neg);
+        let (mut i, mut dot) = (first, None);
+        let (mut mant, mut sig, mut plain) = (0u64, 0u32, true);
+        loop {
+            match b.get(i) {
+                // 19 digits cannot overflow; the 20th may.
+                Some(&c @ b'0'..=b'9') if sig < 19 => {
+                    mant = mant * 10 + u64::from(c - b'0');
+                    sig += u32::from(mant != 0);
+                }
+                Some(&c @ b'0'..=b'9') => {
+                    match mant
+                        .checked_mul(10)
+                        .and_then(|m| m.checked_add(u64::from(c - b'0')))
+                    {
+                        Some(m) => mant = m,
+                        None => plain = false,
+                    }
+                }
+                Some(b'.') if dot.is_none() => dot = Some(i + 1),
+                _ => break,
+            }
+            i += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+        let frac = dot.map_or(0, |d| i - d);
+        plain &= i - first > usize::from(dot.is_some());
+        let mut exp = 0i32;
+        if let Some(b'e' | b'E') = b.get(i) {
+            i += 1;
+            let eneg = b.get(i) == Some(&b'-');
+            i += usize::from(matches!(b.get(i), Some(b'+' | b'-')));
+            let digits = i;
+            while let Some(&c @ b'0'..=b'9') = b.get(i) {
+                exp = exp.saturating_mul(10).saturating_add(i32::from(c - b'0'));
+                i += 1;
+            }
+            plain &= i > digits;
+            if eneg {
+                exp = -exp;
             }
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
+        self.pos = i;
+        let exp10 = exp.saturating_sub(i32::try_from(frac).unwrap_or(i32::MAX));
+        (start, plain.then_some((neg, mant, exp10)))
+    }
+
+    /// The token `start..pos` through the standard library's correctly
+    /// rounded decimal parser: the reference, and the judge of the grammar.
+    fn f64_from(&self, start: usize) -> Result<f64, JsonError> {
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>().map(Json::Num).map_err(|_| JsonError {
+        text.parse::<f64>().map_err(|_| JsonError {
             pos: start,
             msg: format!("invalid number `{text}`"),
         })
     }
+
+    fn number(&mut self) -> Result<Json, JsonError> {
+        let (start, parts) = self.sweep();
+        if let Some((false, mant, exp10)) = parts {
+            let pow = 10u64.checked_pow(exp10.unsigned_abs());
+            let exact = match (mant, pow) {
+                (0, _) => Some(0),
+                (_, Some(p)) if exp10 >= 0 => mant.checked_mul(p),
+                (_, Some(p)) if mant % p == 0 => Some(mant / p),
+                _ => None,
+            };
+            if let Some(n) = exact {
+                return Ok(Json::Int(n));
+            }
+        }
+        self.f64_from(start).map(Json::Num)
+    }
+
+    /// One number token as the `f32` that `parse::<f64>() as f32` gives,
+    /// bit for bit, finite or an error.
+    ///
+    /// Fast path: `mantissa × 10^exp10` (or `/ 10^-exp10`) in one `f64`
+    /// operation when `|exp10| ≤ 22`, whose powers are exact. The mantissa
+    /// may exceed 2⁵³, so `x` carries up to two roundings and can sit a
+    /// few ulps from the correctly rounded `f64`; the two narrow to
+    /// different `f32`s only across an `f32` rounding boundary — over the
+    /// normal range, the `f64`s whose low 29 mantissa bits read `1 << 28`
+    /// (a nonzero `x` is at least `1e-22`, far above the subnormals). So
+    /// an `x` within `f32::MAX` and more than 8 ulps from that pattern is
+    /// taken; every other token goes to the reference parser.
+    fn f32_token(&mut self) -> Result<f32, JsonError> {
+        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            return Err(self.err("expected a number"));
+        }
+        let (start, parts) = self.sweep();
+        if let Some((neg, mant, exp10)) = parts {
+            if let Some(&pow) = POW10.get(exp10.unsigned_abs() as usize) {
+                let x = if exp10 < 0 {
+                    mant as f64 / pow
+                } else {
+                    mant as f64 * pow
+                };
+                let low = x.to_bits() & ((1 << 29) - 1);
+                if x <= f64::from(f32::MAX) && low.abs_diff(1 << 28) > 8 {
+                    return Ok(if neg { -(x as f32) } else { x as f32 });
+                }
+            }
+        }
+        let cast = self.f64_from(start)? as f32;
+        if cast.is_finite() {
+            Ok(cast)
+        } else {
+            Err(self.err("not a finite f32"))
+        }
+    }
+
+    /// One array of exactly `dim` finite numbers, appended to `out`.
+    fn f32_row(&mut self, dim: usize, out: &mut Vec<f32>) -> Result<(), JsonError> {
+        let start = out.len();
+        self.array_with(|p| {
+            out.push(p.f32_token()?);
+            Ok(())
+        })?;
+        if out.len() - start == dim {
+            Ok(())
+        } else {
+            Err(self.err("row of another length"))
+        }
+    }
+
+    fn end(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing content after document"))
+        }
+    }
+}
+
+/// `10^i` for every `i` whose power of ten is exact in `f64`.
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// Reads a search or upsert body in one pass over its bytes:
+/// `{"<key>": <rows>, ...}` where `<rows>` is one array of `dim` numbers
+/// or (`nested`) an array of such arrays. Returns the rows as flat
+/// finite `f32`s and every other top-level member as a tree; a repeated
+/// `key` lands there too, ignored as [`Json::get`] ignores it.
+///
+/// `None` means only "not that" — malformed, a non-number, a non-finite
+/// `f32`, a row of another length, no `key`. The caller re-reads the
+/// body as a tree to say which, so this owes no error text.
+pub(crate) fn scan_body(
+    body: &[u8],
+    key: &str,
+    nested: bool,
+    dim: usize,
+) -> Option<(Vec<f32>, Json)> {
+    let mut p = Parser {
+        bytes: body,
+        pos: 0,
+    };
+    let (mut flat, mut rest) = (None, Vec::new());
+    p.skip_ws();
+    p.object_with(|p, k| {
+        if k == key && flat.is_none() {
+            let mut rows = Vec::with_capacity(if nested { body.len() / 16 } else { dim });
+            if nested {
+                p.array_with(|p| p.f32_row(dim, &mut rows))?;
+            } else {
+                p.f32_row(dim, &mut rows)?;
+            }
+            flat = Some(rows);
+        } else {
+            rest.push((k, p.value(1)?));
+        }
+        Ok(())
+    })
+    .ok()?;
+    p.end().ok()?;
+    Some((flat?, Json::Obj(rest)))
 }
 
 #[cfg(test)]
@@ -571,9 +779,11 @@ mod tests {
 
     #[test]
     fn usize_accessor_rejects_fractions_and_negatives() {
-        assert_eq!(Json::Num(10.0).as_usize(), Some(10));
-        assert_eq!(Json::Num(1.5).as_usize(), None);
-        assert_eq!(Json::Num(-1.0).as_usize(), None);
+        let parsed = |text: &str| Json::parse(text).unwrap().as_usize();
+        assert_eq!(parsed("10"), Some(10));
+        assert_eq!(parsed("10.0"), Some(10));
+        assert_eq!(parsed("1.5"), None);
+        assert_eq!(parsed("-1"), None);
         assert_eq!(Json::Str("10".into()).as_usize(), None);
     }
 

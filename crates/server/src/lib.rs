@@ -100,6 +100,8 @@
 //! guard.shutdown();
 //! ```
 
+#[cfg(test)]
+mod codec_tests;
 mod conn;
 pub mod error;
 pub mod http;

@@ -20,7 +20,7 @@
 //! computed the answer.
 
 use crate::http::{Request, Response};
-use crate::json::Json;
+use crate::json::{scan_body, write_f64, Json, INFALLIBLE};
 use crate::server::ServerState;
 use ddc_core::{Counters, QueryBatch};
 use ddc_engine::{Engine, EngineConfig, ExecMeta, FilterPredicate, Metric};
@@ -28,6 +28,7 @@ use ddc_index::{SearchParams, SearchResult};
 use ddc_obs::expo::Expo;
 use ddc_obs::{HistogramSnapshot, Stage, TraceSpan};
 use ddc_vecs::VecSet;
+use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -371,9 +372,10 @@ fn params_from(body: &Json, engine: &Engine) -> Result<SearchParams, Response> {
     let mut params = engine.config().params;
     for (key, slot) in [("ef", &mut params.ef), ("nprobe", &mut params.nprobe)] {
         if let Some(v) = body.get(key) {
-            *slot = v
-                .as_usize()
+            let n = v
+                .as_u64()
                 .ok_or_else(|| bad(&format!("`{key}` must be a non-negative integer")))?;
+            *slot = usize::try_from(n).unwrap_or(usize::MAX);
         }
     }
     params.ef = params.ef.min(engine.len().max(1));
@@ -386,10 +388,10 @@ fn k_from(body: &Json, engine: &Engine) -> Result<usize, Response> {
     let k = match body.get("k") {
         None => 10,
         Some(v) => v
-            .as_usize()
+            .as_u64()
             .ok_or_else(|| bad("`k` must be a non-negative integer"))?,
     };
-    Ok(k.min(engine.len()))
+    Ok(k.min(engine.len() as u64) as usize)
 }
 
 fn bad(msg: &str) -> Response {
@@ -439,7 +441,7 @@ fn filter_from(body: &Json, engine: &Engine) -> Result<Option<FilterPredicate>, 
     }
     let (key, val) = &pairs[0];
     let tag = |v: &Json, field: &str| -> Result<u64, Response> {
-        v.as_usize().map(|n| n as u64).ok_or_else(|| {
+        v.as_u64().ok_or_else(|| {
             bad(&format!(
                 "`{field}` must be a non-negative integer payload tag"
             ))
@@ -476,34 +478,64 @@ fn filter_from(body: &Json, engine: &Engine) -> Result<Option<FilterPredicate>, 
 const NO_BASE: &str = "this server was started from a snapshot and retains no base \
                        vectors; swap with a `snapshot` container path instead";
 
-/// Validates one query array into finite `f32`s of the engine's
-/// dimension. JSON numbers are f64, so a value like `1e39` is finite on
-/// the wire but overflows to `+inf` as f32 — admitted, it would poison
-/// every distance to NaN under an HTTP 200. Both that and a length
-/// mismatch are the client's error: 400, naming the offending index.
-///
-/// `label` names the field in error messages (`query` or `queries[i]`).
-fn finite_query(arr: &[Json], dim: usize, label: &str) -> Result<Vec<f32>, Response> {
-    let mut out = Vec::with_capacity(arr.len());
-    for (i, v) in arr.iter().enumerate() {
+/// Reads a search or upsert body in one pass ([`scan_body`]):
+/// the vector rows as flat `f32`s plus the tree of every other member.
+/// When the scan declines the body, the whole body is read as a tree
+/// instead and the rows come back `None` — the caller runs whatever
+/// checks precede the vector's, then answers [`rows_problem`].
+pub(crate) fn read_body(
+    req: &Request,
+    key: &str,
+    nested: bool,
+    dim: usize,
+) -> Result<(Option<Vec<f32>>, Json), Response> {
+    match scan_body(&req.body, key, nested, dim) {
+        Some((flat, rest)) => Ok((Some(flat), rest)),
+        None => Ok((None, req.json_body().map_err(|e| bad(&e))?)),
+    }
+}
+
+/// What is wrong with the vector rows of a body the scan declined, in
+/// the order a client fixes them: the field's shape, then row by row.
+pub(crate) fn rows_problem(body: &Json, key: &str, nested: bool, dim: usize) -> Response {
+    let of = if nested { "number arrays" } else { "numbers" };
+    let Some(arr) = body.get(key).and_then(Json::as_arr) else {
+        return bad(&format!("`{key}` must be an array of {of}"));
+    };
+    let problem = if nested {
+        arr.iter().enumerate().find_map(|(qi, q)| match q.as_arr() {
+            Some(row) => row_problem(row, dim, &format!("{key}[{qi}]")),
+            None => Some(format!("{key}[{qi}] must be an array of numbers")),
+        })
+    } else {
+        row_problem(arr, dim, key)
+    };
+    // The scan declines only what one of these checks names (the codec
+    // suite holds it to that), so the fallback is never the answer.
+    bad(&problem.unwrap_or_else(|| format!("`{key}` could not be read")))
+}
+
+/// The first fault in one row: a non-number, a component that is finite
+/// on the wire but not as `f32` (`1e39` would poison every distance to
+/// NaN under an HTTP 200), or the wrong length — naming the offending
+/// index. `label` names the row (`query` or `queries[i]`).
+fn row_problem(row: &[Json], dim: usize, label: &str) -> Option<String> {
+    for (i, v) in row.iter().enumerate() {
         let Some(x) = v.as_f64() else {
-            return Err(bad(&format!("{label}[{i}] must be a number")));
+            return Some(format!("{label}[{i}] must be a number"));
         };
-        let cast = x as f32;
-        if !cast.is_finite() {
-            return Err(bad(&format!(
+        if !(x as f32).is_finite() {
+            return Some(format!(
                 "{label}[{i}] ({x}) is not representable as a finite f32"
-            )));
+            ));
         }
-        out.push(cast);
     }
-    if out.len() != dim {
-        return Err(bad(&format!(
+    (row.len() != dim).then(|| {
+        format!(
             "{label} has {} dims but the engine serves {dim}-dimensional vectors",
-            out.len()
-        )));
-    }
-    Ok(out)
+            row.len()
+        )
+    })
 }
 
 /// The explain block of a search: per-stage nanos from the request's
@@ -547,19 +579,62 @@ fn counters_json(c: &Counters) -> Json {
     ])
 }
 
-/// One query's answer: ids, distances, and its own work counters.
-fn hit_json(r: &SearchResult) -> Vec<(String, Json)> {
-    let ids = r.ids();
-    let distances: Vec<Json> = r
-        .neighbors
-        .iter()
-        .map(|n| Json::Num(f64::from(n.dist)))
-        .collect();
-    vec![
-        ("ids".to_string(), Json::from(&ids[..])),
-        ("distances".to_string(), Json::Arr(distances)),
-        ("counters".to_string(), counters_json(&r.counters)),
-    ]
+/// One query's answer — `"ids":[..],"distances":[..],"counters":{..}`,
+/// its own work counters — written as `Json::dump` would print the tree.
+fn write_hit(out: &mut String, r: &SearchResult) {
+    out.push_str("\"ids\":[");
+    let comma = |i: usize| if i == 0 { "" } else { "," };
+    for (i, n) in r.neighbors.iter().enumerate() {
+        write!(out, "{}{}", comma(i), n.id).expect(INFALLIBLE);
+    }
+    out.push_str("],\"distances\":[");
+    for (i, n) in r.neighbors.iter().enumerate() {
+        out.push_str(comma(i));
+        write_f64(f64::from(n.dist), out);
+    }
+    let c = &r.counters;
+    write!(
+        out,
+        "],\"counters\":{{\"candidates\":{},\"pruned\":{},\"exact\":{},\
+         \"dims_scanned\":{},\"dims_full\":{}}}",
+        c.candidates, c.pruned, c.exact, c.dims_scanned, c.dims_full
+    )
+    .expect(INFALLIBLE);
+}
+
+/// The 200 body of a search — `{"epoch","k"}`, then one hit flat or
+/// (`batch_shape`) every hit under `results`, then the explain block —
+/// written into one preallocated string, byte for byte what dumping the
+/// same tree would give.
+pub(crate) fn search_body(
+    epoch: u64,
+    k: usize,
+    results: &[SearchResult],
+    batch_shape: bool,
+    trace: Option<&Json>,
+) -> String {
+    // An id is at most 10 bytes, a widened-f32 distance 24.
+    let hit_bytes = |r: &SearchResult| 160 + 36 * r.neighbors.len();
+    let mut out = String::with_capacity(512 + results.iter().map(hit_bytes).sum::<usize>());
+    write!(out, "{{\"epoch\":{epoch},\"k\":{k},").expect(INFALLIBLE);
+    if batch_shape {
+        out.push_str("\"results\":[");
+        for (i, r) in results.iter().enumerate() {
+            out.push_str(if i == 0 { "{" } else { ",{" });
+            write_hit(&mut out, r);
+            out.push('}');
+        }
+        out.push(']');
+    } else {
+        let only = results.first().expect("one result per submitted query");
+        write_hit(&mut out, only);
+    }
+    if let Some(trace) = trace {
+        out.push_str(",\"trace\":");
+        trace.write(&mut out);
+    }
+    out.push('}');
+    out
 }
 
 /// What both search endpoints parse into: `/search` is a request of one
@@ -575,33 +650,19 @@ struct SearchRequest {
 /// Parses and validates a search body against the engine serving right
 /// now (the one that executes it may be newer; see [`search`]).
 fn parse_search(state: &ServerState, req: &Request) -> Result<SearchRequest, Response> {
-    let body = req.json_body().map_err(|e| bad(&e))?;
     let snap = state.handle.snapshot();
     let engine = &*snap.engine;
     let dim = engine.dim();
-    let mut rows = VecSet::with_capacity(dim, 1);
-    let mut push = |arr: &[Json], label: &str| {
-        let row = finite_query(arr, dim, label)?;
-        rows.push(&row).map_err(|e| bad(&e.to_string()))
-    };
-    if req.path == "/search" {
-        let arr = body
-            .get("query")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("`query` must be an array of numbers"))?;
-        push(arr, "query")?;
+    let (key, nested) = if req.path == "/search" {
+        ("query", false)
     } else {
-        let queries = body
-            .get("queries")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("`queries` must be an array of number arrays"))?;
-        for (qi, q) in queries.iter().enumerate() {
-            let arr = q
-                .as_arr()
-                .ok_or_else(|| bad(&format!("queries[{qi}] must be an array of numbers")))?;
-            push(arr, &format!("queries[{qi}]"))?;
-        }
-    }
+        ("queries", true)
+    };
+    let (flat, body) = read_body(req, key, nested, dim)?;
+    let Some(flat) = flat else {
+        return Err(rows_problem(&body, key, nested, dim));
+    };
+    let rows = VecSet::from_flat(dim, flat).map_err(|e| bad(&e.to_string()))?;
     let k = k_from(&body, engine)?;
     let params = params_from(&body, engine)?;
     metric_guard(&body, engine)?;
@@ -665,22 +726,11 @@ fn search(state: &Arc<ServerState>, req: &Request, framing_nanos: u64, respond: 
                 work.merge(&r.counters);
             }
             let ser_timing = ddc_obs::enabled().then(Instant::now);
-            let mut pairs = vec![
-                ("epoch".to_string(), Json::from(epoch)),
-                ("k".to_string(), Json::from(k)),
-            ];
-            let mut hits = results.iter().map(hit_json);
-            if batch_shape {
-                let hits = hits.map(Json::Obj).collect();
-                pairs.push(("results".to_string(), Json::Arr(hits)));
-            } else {
-                pairs.extend(hits.next().expect("one result per submitted query"));
-            }
-            if span.is_enabled() {
-                let trace = trace_json(&span, &meta, epoch, &work);
-                pairs.push(("trace".to_string(), trace));
-            }
-            let resp = Response::ok(Json::Obj(pairs));
+            let trace = span
+                .is_enabled()
+                .then(|| trace_json(&span, &meta, epoch, &work));
+            let body = search_body(epoch, k, &results, batch_shape, trace.as_ref());
+            let resp = Response::json_text(200, body);
             if let Some(t) = ser_timing {
                 obs.stages()
                     .record(Stage::Serialize, t.elapsed().as_nanos() as u64);
@@ -699,7 +749,7 @@ const IMMUTABLE: &str = "this server serves an immutable engine (snapshot, mmap,
 fn id_from(body: &Json) -> Result<u32, Response> {
     let id = body
         .get("id")
-        .and_then(Json::as_usize)
+        .and_then(Json::as_u64)
         .ok_or_else(|| bad("`id` must be a non-negative integer"))?;
     u32::try_from(id).map_err(|_| bad("`id` exceeds the u32 external-id space"))
 }
@@ -710,20 +760,16 @@ fn upsert(state: &ServerState, req: &Request) -> Response {
     let Some(me) = &state.mutable else {
         return bad(IMMUTABLE);
     };
-    let body = match req.json_body() {
-        Ok(b) => b,
-        Err(e) => return bad(&e),
+    let (vector, body) = match read_body(req, "vector", false, me.dim()) {
+        Ok(read) => read,
+        Err(resp) => return resp,
     };
     let id = match id_from(&body) {
         Ok(id) => id,
         Err(resp) => return resp,
     };
-    let Some(arr) = body.get("vector").and_then(Json::as_arr) else {
-        return bad("`vector` must be an array of numbers");
-    };
-    let vector = match finite_query(arr, me.dim(), "vector") {
-        Ok(v) => v,
-        Err(resp) => return resp,
+    let Some(vector) = vector else {
+        return rows_problem(&body, "vector", false, me.dim());
     };
     match me.upsert(id, &vector) {
         Ok(replaced) => Response::ok(Json::obj([

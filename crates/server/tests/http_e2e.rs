@@ -307,6 +307,40 @@ fn protocol_errors_are_4xx_not_crashes() {
     guard.shutdown();
 }
 
+/// A `/search` with a body and a `/healthz` pipelined behind it on one
+/// keep-alive connection, in one write and split in two at every byte:
+/// the search handler gets exactly its Content-Length (one byte more or
+/// fewer is not a JSON document and would draw a 400) and the follower
+/// is answered after it.
+#[test]
+fn pipelined_requests_split_at_every_offset_are_both_answered() {
+    let w = workload();
+    let guard = serve(&w, 2);
+    let body = query_body(&w, 0, K);
+    let (status, expected) = request(guard.addr(), "POST", "/search", Some(&body));
+    assert_eq!(status, 200);
+
+    let raw = format!(
+        "POST /search HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}GET /healthz HTTP/1.1\r\n\r\n",
+        body.len()
+    );
+    let mut conn = Conn::open(guard.addr());
+    for cut in 0..=raw.len() {
+        conn.send(&raw.as_bytes()[..cut]);
+        // Let the first part land on a readable edge of its own.
+        std::thread::sleep(std::time::Duration::from_micros(200));
+        conn.send(&raw.as_bytes()[cut..]);
+        let (status, text) = conn.read_response();
+        assert_eq!(status, 200, "cut {cut}: {text}");
+        let hit = Json::parse(&text).unwrap();
+        assert_eq!(fingerprint(&hit), fingerprint(&expected), "cut {cut}");
+        let (status, text) = conn.read_response();
+        assert_eq!(status, 200, "cut {cut}: {text}");
+        assert!(text.contains("\"status\":\"ok\""), "cut {cut}: {text}");
+    }
+    guard.shutdown();
+}
+
 /// Satellite of the finiteness bugfix: JSON numbers are f64, so `1e39`
 /// is finite on the wire but overflows to `+inf` once cast to f32 —
 /// before the fix it sailed into the engine and produced NaN distances

@@ -39,13 +39,17 @@ fn tags() -> Vec<u64> {
 }
 
 fn spawn_server(metric: Metric, with_payloads: bool) -> ServerGuard {
+    spawn_tagged(metric, with_payloads.then(tags))
+}
+
+fn spawn_tagged(metric: Metric, payloads: Option<Vec<u64>>) -> ServerGuard {
     let w = workload();
     let cfg = EngineConfig::from_strs("hnsw(m=6,ef_construction=40,seed=3)", "exact")
         .unwrap()
         .with_metric(metric);
     let mut engine = Engine::build(&w.base, Some(&w.train_queries), cfg).unwrap();
-    if with_payloads {
-        engine.set_payloads(tags()).unwrap();
+    if let Some(payloads) = payloads {
+        engine.set_payloads(payloads).unwrap();
     }
     let scfg = ServerConfig {
         addr: "127.0.0.1:0".into(),
@@ -105,9 +109,13 @@ proptest! {
     fn arbitrary_filter_clauses_never_crash_the_server(
         kind in 0usize..8,
         qi in 0usize..16,
-        a in 0u64..1u64 << 40,
-        b in 0u64..1u64 << 40,
+        a in any::<u64>(),
+        b in any::<u64>(),
+        narrow in any::<bool>(),
     ) {
+        // The full u64 tag space, and half the time tags small enough to
+        // match rows (tags are 0..16).
+        let (a, b) = if narrow { (a % 24, b % 24) } else { (a, b) };
         let (lo, hi) = (a.min(b), a.max(b));
         let clause = match kind {
             0 => format!(r#""filter": {{"eq": {a}}}"#),
@@ -191,6 +199,105 @@ proptest! {
         let err = error_text(&resp);
         prop_assert!(err.contains("filter"), "400 does not name `filter`: {err}");
         prop_assert!(err.contains("payloads"), "400 does not say what is missing: {err}");
+    }
+}
+
+/// Integer fields are read exactly or refused — never rounded through
+/// `f64`: tags past 2^53 keep every bit, and a token that is not a `u64`
+/// is a 400 naming its field instead of a saturated or truncated value.
+#[test]
+fn integer_fields_are_exact_or_rejected() {
+    let ids_of = |resp: &Json| -> Vec<usize> {
+        let ids = resp.get("ids").and_then(Json::as_arr).expect("ids");
+        ids.iter().map(|id| id.as_usize().unwrap()).collect()
+    };
+
+    // 2^63 + 1 as an any_bit mask: through f64 bit 0 was lost and nothing
+    // matched; exactly, every odd tag does.
+    let clause = r#""filter": {"any_bit": 9223372036854775809}"#;
+    let (status, resp) = request(
+        tagged_addr(),
+        "POST",
+        "/search",
+        Some(&body_with(0, clause)),
+    );
+    assert_eq!(status, 200, "{resp}");
+    let ids = ids_of(&resp);
+    assert_eq!(ids.len(), K, "odd tags exist: {resp}");
+    assert!(ids.iter().all(|id| id % 16 % 2 == 1), "{resp}");
+
+    // Rows tagged 2^53 and 2^53 + 1 alternate; through f64 an `eq` on the
+    // odd tag read as the even one and matched the wrong half.
+    const BIG: u64 = 1 << 53;
+    let payloads = (0..N as u64).map(|i| BIG + i % 2).collect();
+    let guard = spawn_tagged(Metric::Cosine, Some(payloads));
+    for (tag, parity) in [(BIG, 0), (BIG + 1, 1)] {
+        let clause = format!(r#""filter": {{"eq": {tag}}}"#);
+        let (status, resp) = request(
+            guard.addr(),
+            "POST",
+            "/search",
+            Some(&body_with(1, &clause)),
+        );
+        assert_eq!(status, 200, "{resp}");
+        let ids = ids_of(&resp);
+        assert_eq!(ids.len(), K, "{resp}");
+        assert!(ids.iter().all(|id| id % 2 == parity), "eq {tag}: {resp}");
+    }
+    let clause = format!(r#""filter": {{"range": [{}, {}]}}"#, BIG + 1, u64::MAX);
+    let (status, resp) = request(
+        guard.addr(),
+        "POST",
+        "/search",
+        Some(&body_with(2, &clause)),
+    );
+    assert_eq!(status, 200, "{resp}");
+    assert!(ids_of(&resp).iter().all(|id| id % 2 == 1), "{resp}");
+    guard.shutdown();
+
+    // 2^64 passed the old `x <= usize::MAX as f64` test and saturated;
+    // fractions, negatives and near-integers are not integers either.
+    let q = body_with(3, r#""explain": false"#);
+    let with = |field: &str, value: &str| {
+        let body = q.replacen(r#""k": 5"#, &format!(r#""k": 5, "{field}": {value}"#), 1);
+        // The first `k` wins, so a second one is never read; swap it in.
+        if field == "k" {
+            q.replacen(r#""k": 5"#, &format!(r#""k": {value}"#), 1)
+        } else {
+            body
+        }
+    };
+    for (field, value, needle) in [
+        ("filter", r#"{"eq": 18446744073709551616}"#, "filter.eq"),
+        ("filter", r#"{"any_bit": 1.5}"#, "filter.any_bit"),
+        (
+            "filter",
+            r#"{"range": [0, 18446744073709551616]}"#,
+            "filter.range[1]",
+        ),
+        ("filter", r#"{"eq": -1}"#, "filter.eq"),
+        ("k", "18446744073709551616", "`k`"),
+        ("k", "1.0000000000000000001", "`k`"),
+        ("k", "-0", "`k`"),
+        ("ef", "1e20", "`ef`"),
+        ("nprobe", "0.5", "`nprobe`"),
+    ] {
+        let (status, resp) = request(tagged_addr(), "POST", "/search", Some(&with(field, value)));
+        assert_eq!(status, 400, "{field} = {value} admitted: {resp}");
+        assert!(
+            error_text(&resp).contains(needle),
+            "{field} = {value}: {resp}"
+        );
+    }
+    // Integers spelled as floats or with an exponent still are integers.
+    for (field, value) in [
+        ("k", "5.0"),
+        ("k", "0.5e1"),
+        ("ef", "1e2"),
+        ("nprobe", "18446744073709551615"),
+    ] {
+        let (status, resp) = request(tagged_addr(), "POST", "/search", Some(&with(field, value)));
+        assert_eq!(status, 200, "{field} = {value} rejected: {resp}");
     }
 }
 

@@ -62,7 +62,15 @@ impl Conn {
         self.read_response()
     }
 
-    fn read_response(&mut self) -> (u16, String) {
+    /// Writes raw request bytes — any part of one or several requests —
+    /// unbuffered, so each call reaches the server as its own segment.
+    pub fn send(&mut self, bytes: &[u8]) {
+        self.writer.set_nodelay(true).expect("nodelay");
+        self.writer.write_all(bytes).expect("write bytes");
+    }
+
+    /// Reads the next response on the connection.
+    pub fn read_response(&mut self) -> (u16, String) {
         let mut line = String::new();
         self.reader.read_line(&mut line).expect("status line");
         let status: u16 = line
