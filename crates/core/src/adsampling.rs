@@ -14,9 +14,9 @@
 //! multiplicative error bound at significance `2·exp(-c₀·ε₀²)`. If no prefix
 //! prunes, the scan reaches `d = D` and the distance is exact.
 //!
-//! Metric support: cosine / weighted-L2 rows and queries are **prepped**
-//! before rotation (see the crate-private `prep` module), after which the scan above *is*
-//! the metric distance — the JL test applies unchanged. Inner product
+//! Metric support: the store preps cosine / weighted-L2 rows and queries
+//! before rotation, after which the scan above *is* the metric distance —
+//! the JL test applies unchanged. Inner product
 //! exploits that the rotation is dot-preserving (orthogonal, no
 //! centering): the scan accumulates the partial dot, and a deterministic
 //! Cauchy–Schwarz certificate replaces the hypothesis test —
@@ -36,17 +36,14 @@
 //! SIMD kernels of [`ddc_linalg::kernels`]; `DDC_FORCE_SCALAR=1` restores
 //! the paper's SIMD-free cost model (§VII-A).
 
-use crate::batch::QueryBatch;
 use crate::counters::Counters;
-use crate::prep;
+use crate::projected::{remove_column_rows, Projected, Projection};
 use crate::snap_state::{StateReader, StateWriter};
-use crate::traits::{remove_column_rows, Dco, Decision, QueryDco};
-use ddc_linalg::kernels::{
-    dot, dot_range, l2_sq, l2_sq_range, matvec_batch_f32, matvec_f32, norm_sq_range,
-};
+use crate::traits::{Dco, Decision, QueryDco};
+use ddc_linalg::kernels::{dot, dot_range, l2_sq, l2_sq_range, norm_sq_range};
 use ddc_linalg::orthogonal::random_orthogonal_f32;
 use ddc_linalg::{Metric, RowAccess};
-use ddc_vecs::{SharedRows, VecSet};
+use ddc_vecs::SharedRows;
 
 /// ADSampling configuration.
 #[derive(Debug, Clone)]
@@ -76,9 +73,10 @@ impl Default for AdSamplingConfig {
 /// ADSampling DCO: rotated data + the hypothesis-test scan.
 #[derive(Debug, Clone)]
 pub struct AdSampling {
-    data: SharedRows,
-    rotation: Vec<f32>,
-    cfg: AdSamplingConfig,
+    store: Projected,
+    epsilon0: f32,
+    delta_d: usize,
+    seed: u64,
     /// Inner-product only: per-row suffix norms `‖x_{>d}‖` at every `Δd`
     /// boundary `d < D`, row-major `len × checkpoints`. Recomputed from
     /// the stored rotated rows at build/append/restore; empty otherwise.
@@ -100,54 +98,29 @@ fn push_suffix_norms(x: &[f32], delta_d: usize, out: &mut Vec<f32>) {
     }
 }
 
-impl AdSampling {
-    /// Rotates `base` with a fresh Haar rotation and stores it.
-    pub fn build(base: &VecSet, cfg: AdSamplingConfig) -> crate::Result<AdSampling> {
-        AdSampling::build_rows(base, cfg)
+fn check_scan(epsilon0: f32, delta_d: usize) -> crate::Result<()> {
+    if delta_d == 0 {
+        return Err(crate::CoreError::Config("delta_d must be positive".into()));
     }
+    if epsilon0.is_nan() || epsilon0 <= 0.0 {
+        return Err(crate::CoreError::Config("epsilon0 must be positive".into()));
+    }
+    Ok(())
+}
 
-    /// [`AdSampling::build`] over any [`RowAccess`] source — rows stream
-    /// through the (prep and) rotation one at a time, so only the rotated
-    /// output is ever resident.
-    pub fn build_rows<R: RowAccess + ?Sized>(
+impl AdSampling {
+    /// Rotates `base` — any [`RowAccess`] source — with a fresh Haar
+    /// rotation: rows stream into the store and are rotated there in
+    /// place, so only the rotated output is ever resident.
+    pub fn build<R: RowAccess + ?Sized>(
         base: &R,
         cfg: AdSamplingConfig,
     ) -> crate::Result<AdSampling> {
-        if cfg.delta_d == 0 {
-            return Err(crate::CoreError::Config("delta_d must be positive".into()));
-        }
-        if cfg.epsilon0.is_nan() || cfg.epsilon0 <= 0.0 {
-            return Err(crate::CoreError::Config("epsilon0 must be positive".into()));
-        }
-        let dim = base.dim();
-        cfg.metric
-            .validate_dim(dim)
-            .map_err(|e| crate::CoreError::Config(format!("ADSampling: {e}")))?;
-        let rotation = random_orthogonal_f32(dim, cfg.seed);
-        let mut data = VecSet::with_capacity(dim, base.len());
-        let mut prepped = vec![0.0f32; dim];
-        let mut buf = vec![0.0f32; dim];
-        let mut ip_suffix = Vec::new();
-        let is_ip = cfg.metric == Metric::InnerProduct;
-        for i in 0..base.len() {
-            let row = if cfg.metric.needs_prep() {
-                cfg.metric.prep_into(base.row(i), &mut prepped);
-                &prepped[..]
-            } else {
-                base.row(i)
-            };
-            matvec_f32(&rotation, dim, dim, row, &mut buf);
-            if is_ip {
-                push_suffix_norms(&buf, cfg.delta_d, &mut ip_suffix);
-            }
-            data.push(&buf).expect("dims match");
-        }
-        Ok(AdSampling {
-            data: SharedRows::from(data),
-            rotation,
-            cfg,
-            ip_suffix,
-        })
+        check_scan(cfg.epsilon0, cfg.delta_d)?;
+        let store = Projected::build(base, cfg.metric, "ADSampling")?;
+        let rotation = random_orthogonal_f32(base.dim(), cfg.seed);
+        let store = store.project(Projection::Rotation(rotation));
+        Ok(AdSampling::over(store, cfg.epsilon0, cfg.delta_d, cfg.seed))
     }
 
     /// Rebuilds the operator from a snapshot state blob (rotation +
@@ -161,62 +134,27 @@ impl AdSampling {
     pub fn restore(state: &[u8], rows: SharedRows) -> crate::Result<AdSampling> {
         let mut r = StateReader::new(state, "ADSampling");
         r.expect_name("ADSampling")?;
-        let mut cfg = AdSamplingConfig {
-            epsilon0: r.take_f32()?,
-            delta_d: r.take_usize()?,
-            seed: r.take_u64()?,
-            metric: Metric::L2,
-        };
-        let rotation = r.take_f32s()?;
-        cfg.metric = prep::take_metric_suffix(&mut r)?;
-        r.finish()?;
-        if cfg.delta_d == 0 || cfg.epsilon0.is_nan() || cfg.epsilon0 <= 0.0 {
-            return Err(crate::CoreError::Config(
-                "ADSampling state: invalid epsilon0/delta_d".into(),
-            ));
-        }
-        let dim = rows.dim();
-        if rotation.len() != dim * dim {
-            return Err(crate::CoreError::Config(format!(
-                "ADSampling state: rotation has {} entries, rows are {dim}-dimensional",
-                rotation.len()
-            )));
-        }
-        cfg.metric
-            .validate_dim(dim)
-            .map_err(|e| crate::CoreError::Config(format!("ADSampling state: {e}")))?;
+        let (epsilon0, delta_d, seed) = (r.take_f32()?, r.take_usize()?, r.take_u64()?);
+        check_scan(epsilon0, delta_d)?;
+        let rotation = Projection::take_rotation(&mut r)?;
+        let store = Projected::restore(r, rotation, rows)?;
+        Ok(AdSampling::over(store, epsilon0, delta_d, seed))
+    }
+
+    /// Derives the suffix-norm column from the stored rows.
+    fn over(store: Projected, epsilon0: f32, delta_d: usize, seed: u64) -> AdSampling {
         let mut ip_suffix = Vec::new();
-        if cfg.metric == Metric::InnerProduct {
-            for i in 0..rows.len() {
-                push_suffix_norms(rows.get(i), cfg.delta_d, &mut ip_suffix);
+        if store.is_ip() {
+            for i in 0..store.len() {
+                push_suffix_norms(store.row(i), delta_d, &mut ip_suffix);
             }
         }
-        Ok(AdSampling {
-            data: rows,
-            rotation,
-            cfg,
+        AdSampling {
+            store,
+            epsilon0,
+            delta_d,
+            seed,
             ip_suffix,
-        })
-    }
-
-    /// The rotated dataset (tests / diagnostics).
-    pub fn rotated_data(&self) -> &SharedRows {
-        &self.data
-    }
-
-    /// Builds the per-query state from an already-rotated (and, for
-    /// cosine/wl2, already-prepped) query — shared by [`Dco::begin`] and
-    /// the batched path, so both are bit-identical.
-    fn query_from_rotated(&self, rq: Vec<f32>) -> AdSamplingQuery<'_> {
-        let mut ip_q_suffix = Vec::new();
-        if self.cfg.metric == Metric::InnerProduct {
-            push_suffix_norms(&rq, self.cfg.delta_d, &mut ip_q_suffix);
-        }
-        AdSamplingQuery {
-            dco: self,
-            q: rq,
-            ip_q_suffix,
-            counters: Counters::new(),
         }
     }
 }
@@ -238,102 +176,56 @@ impl Dco for AdSampling {
         "ADSampling"
     }
 
-    fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    fn dim(&self) -> usize {
-        self.data.dim()
-    }
-
-    fn metric(&self) -> Metric {
-        self.cfg.metric.clone()
+    fn store(&self) -> &Projected {
+        &self.store
     }
 
     /// Preprocessing bytes beyond the raw vectors: the rotation matrix
     /// (`D²` floats — the paper's Fig. 7 space accounting), plus the
     /// per-row suffix-norm table under inner product.
     fn extra_bytes(&self) -> usize {
-        (self.rotation.len() + self.ip_suffix.len()) * std::mem::size_of::<f32>()
-    }
-
-    fn rows(&self) -> &SharedRows {
-        &self.data
+        (self.store.extra_floats() + self.ip_suffix.len()) * std::mem::size_of::<f32>()
     }
 
     fn state_bytes(&self) -> Vec<u8> {
         let mut w = StateWriter::new("ADSampling");
-        w.put_f32(self.cfg.epsilon0);
-        w.put_usize(self.cfg.delta_d);
-        w.put_u64(self.cfg.seed);
-        w.put_f32s(&self.rotation);
-        prep::put_metric_suffix(&mut w, &self.cfg.metric);
+        w.put_f32(self.epsilon0);
+        w.put_usize(self.delta_d);
+        w.put_u64(self.seed);
+        self.store.put_projection(&mut w);
+        self.store.put_metric(&mut w);
         w.into_bytes()
     }
 
-    /// Appends rows through the same per-row (prep and) rotation the
-    /// build path uses. The rotation is data-independent (Haar random
-    /// from the seed), so the grown operator is bit-identical to building
-    /// over the grown set — never stale.
+    /// The rotation is data-independent (Haar random from the seed), so
+    /// the grown operator is bit-identical to building over the grown set
+    /// — never stale.
     fn append_rows(&mut self, new_rows: &dyn RowAccess) -> crate::Result<()> {
-        let dim = self.data.dim();
-        if new_rows.dim() != dim {
-            return Err(crate::CoreError::Config(format!(
-                "appended rows are {}-dimensional, operator serves {dim}",
-                new_rows.dim()
-            )));
-        }
-        let mut prepped = vec![0.0f32; dim];
-        let mut buf = vec![0.0f32; dim];
-        let is_ip = self.cfg.metric == Metric::InnerProduct;
-        for i in 0..new_rows.len() {
-            let row = if self.cfg.metric.needs_prep() {
-                self.cfg.metric.prep_into(new_rows.row(i), &mut prepped);
-                &prepped[..]
-            } else {
-                new_rows.row(i)
-            };
-            matvec_f32(&self.rotation, dim, dim, row, &mut buf);
+        let (is_ip, delta_d, suffix) = (self.store.is_ip(), self.delta_d, &mut self.ip_suffix);
+        self.store.append(new_rows, false, |x| {
             if is_ip {
-                push_suffix_norms(&buf, self.cfg.delta_d, &mut self.ip_suffix);
+                push_suffix_norms(x, delta_d, suffix);
             }
-            self.data.push(&buf)?;
-        }
-        Ok(())
+        })
     }
 
     fn remove_rows(&mut self, dead_mask: &[bool]) -> crate::Result<()> {
-        self.data.remove_rows(dead_mask)?;
+        self.store.remove(dead_mask)?;
         remove_column_rows(&mut self.ip_suffix, dead_mask);
         Ok(())
     }
 
-    fn begin<'a>(&'a self, q: &[f32]) -> AdSamplingQuery<'a> {
-        let dim = self.data.dim();
-        let pq = prep::prep_query(q, &self.cfg.metric);
-        let mut rq = vec![0.0f32; dim];
-        matvec_f32(&self.rotation, dim, dim, &pq, &mut rq);
-        self.query_from_rotated(rq)
-    }
-
-    fn begin_batch<'a>(&'a self, batch: &QueryBatch) -> Vec<AdSamplingQuery<'a>> {
-        let dim = self.data.dim();
-        assert_eq!(batch.dim(), dim, "query batch dimensionality");
-        let batch = prep::prep_batch(batch, &self.cfg.metric);
-        let mut rotated = vec![0.0f32; batch.len() * dim];
-        matvec_batch_f32(
-            &self.rotation,
-            dim,
-            dim,
-            batch.as_flat(),
-            batch.len(),
-            &mut rotated,
-        );
-        rotated
-            .chunks(dim.max(1))
-            .take(batch.len())
-            .map(|rq| self.query_from_rotated(rq.to_vec()))
-            .collect()
+    fn begin_projected<'a>(&'a self, rq: Vec<f32>) -> AdSamplingQuery<'a> {
+        let mut ip_q_suffix = Vec::new();
+        if self.store.is_ip() {
+            push_suffix_norms(&rq, self.delta_d, &mut ip_q_suffix);
+        }
+        AdSamplingQuery {
+            dco: self,
+            q: rq,
+            ip_q_suffix,
+            counters: Counters::new(),
+        }
     }
 }
 
@@ -341,11 +233,11 @@ impl AdSamplingQuery<'_> {
     /// Inner-product test: incremental dot with the deterministic
     /// Cauchy–Schwarz lower bound on `−⟨x, q⟩`.
     fn test_ip(&mut self, id: u32, tau: f32) -> Decision {
-        let dim = self.dco.data.dim();
-        let x = self.dco.data.get(id as usize);
+        let dim = self.dco.store.dim();
+        let x = self.dco.store.row(id as usize);
         let n_ck = self.ip_q_suffix.len();
         let x_suffix = &self.dco.ip_suffix[id as usize * n_ck..(id as usize + 1) * n_ck];
-        let delta_d = self.dco.cfg.delta_d;
+        let delta_d = self.dco.delta_d;
         let mut d = 0usize;
         let mut ck = 0usize;
         let mut partial = 0.0f32;
@@ -371,10 +263,10 @@ impl AdSamplingQuery<'_> {
 
 impl QueryDco for AdSamplingQuery<'_> {
     fn exact(&mut self, id: u32) -> f32 {
-        let dim = self.dco.data.dim() as u64;
+        let dim = self.dco.store.dim() as u64;
         self.counters.record(false, dim, dim);
-        let row = self.dco.data.get(id as usize);
-        if self.dco.cfg.metric == Metric::InnerProduct {
+        let row = self.dco.store.row(id as usize);
+        if self.dco.store.is_ip() {
             -dot(row, &self.q)
         } else {
             l2_sq(row, &self.q)
@@ -385,16 +277,16 @@ impl QueryDco for AdSamplingQuery<'_> {
         if !tau.is_finite() {
             return Decision::Exact(self.exact(id));
         }
-        if self.dco.cfg.metric == Metric::InnerProduct {
+        if self.dco.store.is_ip() {
             return self.test_ip(id, tau);
         }
-        let dim = self.dco.data.dim();
-        let x = self.dco.data.get(id as usize);
-        let eps0 = self.dco.cfg.epsilon0;
+        let dim = self.dco.store.dim();
+        let x = self.dco.store.row(id as usize);
+        let eps0 = self.dco.epsilon0;
         let mut d = 0usize;
         let mut partial = 0.0f32;
         loop {
-            let next = (d + self.dco.cfg.delta_d).min(dim);
+            let next = (d + self.dco.delta_d).min(dim);
             partial += l2_sq_range(x, &self.q, d, next);
             d = next;
             if d >= dim {
@@ -420,6 +312,7 @@ impl QueryDco for AdSamplingQuery<'_> {
 mod tests {
     use super::*;
     use ddc_vecs::SynthSpec;
+    use ddc_vecs::VecSet;
 
     fn setup() -> (ddc_vecs::Workload, AdSampling) {
         let w = SynthSpec::tiny_test(32, 400, 7).generate();

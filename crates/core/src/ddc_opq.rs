@@ -8,14 +8,13 @@
 //! of the linear model"). There is no incremental level: a candidate either
 //! prunes on the code distance or pays one exact computation.
 
-use crate::batch::QueryBatch;
 use crate::counters::Counters;
-use crate::prep;
+use crate::projected::{remove_column_rows, Projected, Projection};
 use crate::snap_state::{StateReader, StateWriter};
 use crate::training::{collect_opq_samples, TrainingCaps};
-use crate::traits::{remove_column_rows, Dco, Decision, QueryDco};
+use crate::traits::{Dco, Decision, QueryDco};
 use ddc_learn::{calibrate_bias, LogisticConfig, LogisticModel, LogisticRegression};
-use ddc_linalg::kernels::{dot, l2_sq, matvec_batch_f32};
+use ddc_linalg::kernels::{dot, l2_sq};
 use ddc_linalg::{Metric, RowAccess};
 use ddc_quant::{Codes, Opq, OpqConfig, Pq};
 use ddc_vecs::{SharedRows, VecSet};
@@ -73,39 +72,52 @@ impl Default for DdcOpqConfig {
 /// DDCopq DCO: OPQ rotation + codes + calibrated classifier.
 #[derive(Debug, Clone)]
 pub struct DdcOpq {
-    data: SharedRows,
-    opq: Opq,
+    /// Rows under the OPQ rotation (the store's projection).
+    store: Projected,
+    pq: Pq,
+    /// Mean reconstruction error per OPQ alternation (persisted).
+    error_trace: Vec<f32>,
     codes: Codes,
     qerr: Vec<f32>,
     model: LogisticModel,
-    metric: Metric,
-    /// Appended rows encoded with pre-append codebooks (see
-    /// [`Dco::stale_rows`]). Runtime-only; not persisted.
-    stale: usize,
+}
+
+/// Encodes one rotated row and records its quantization error — the one
+/// per-row step behind both the build and the append path. With `qerr_on`
+/// false the feature column is zeroed (at training AND query time), which
+/// reduces the model to the two-feature form.
+/// `recon` is scratch for the decoded row.
+fn encode_row(
+    pq: &Pq,
+    x: &[f32],
+    qerr_on: bool,
+    recon: &mut Vec<f32>,
+    codes: &mut Codes,
+    qerr: &mut Vec<f32>,
+) {
+    let at = codes.data.len();
+    codes.data.resize(at + pq.m, 0);
+    pq.encode(x, &mut codes.data[at..]);
+    qerr.push(if qerr_on {
+        recon.resize(x.len(), 0.0);
+        pq.decode(&codes.data[at..], recon);
+        l2_sq(x, recon)
+    } else {
+        0.0
+    });
 }
 
 impl DdcOpq {
     /// Trains OPQ, encodes the base, collects training tuples with
-    /// `train_queries`, and fits + calibrates the classifier.
+    /// `train_queries`, and fits + calibrates the classifier. `base` is
+    /// any [`RowAccess`] source: rows stream into the store, OPQ trains on
+    /// a capped sample of them and the rotation runs in place, so only the
+    /// rotated copy this DCO keeps is ever resident (one code path, hence
+    /// bit-identical whichever backend supplied the rows).
     ///
     /// # Errors
     /// Quantizer/config failures or empty training data.
-    pub fn build(
-        base: &VecSet,
-        train_queries: &VecSet,
-        cfg: DdcOpqConfig,
-    ) -> crate::Result<DdcOpq> {
-        DdcOpq::build_rows(base, train_queries, cfg)
-    }
-
-    /// [`DdcOpq::build`] over any [`RowAccess`] source: OPQ trains on a
-    /// capped sample drawn straight from the store and the rotation
-    /// streams rows, so only the rotated copy this DCO keeps is ever
-    /// resident. Bit-identical to the in-RAM build (same code path).
-    ///
-    /// # Errors
-    /// Same contract as [`DdcOpq::build`].
-    pub fn build_rows<R: RowAccess + ?Sized>(
+    pub fn build<R: RowAccess + ?Sized>(
         base: &R,
         train_queries: &VecSet,
         cfg: DdcOpqConfig,
@@ -116,24 +128,6 @@ impl DdcOpq {
                 got: 0,
             });
         }
-        cfg.metric
-            .validate_dim(base.dim())
-            .map_err(|e| crate::CoreError::Config(format!("DDCopq: {e}")))?;
-        if cfg.metric.needs_prep() {
-            let prepped = prep::prep_rows(base, &cfg.metric);
-            let prepped_queries = prep::prep_rows(train_queries, &cfg.metric);
-            Self::build_inner(&prepped, &prepped_queries, cfg)
-        } else {
-            Self::build_inner(base, train_queries, cfg)
-        }
-    }
-
-    /// Build body over already-prepped (or raw, for L2/IP) rows.
-    fn build_inner<R: RowAccess + ?Sized>(
-        base: &R,
-        train_queries: &VecSet,
-        cfg: DdcOpqConfig,
-    ) -> crate::Result<DdcOpq> {
         let dim = base.dim();
         let m = if cfg.m == 0 {
             (dim / 4).clamp(1, dim)
@@ -145,19 +139,39 @@ impl DdcOpq {
         opq_cfg.pq.seed = cfg.seed;
         opq_cfg.opq_iters = cfg.opq_iters;
 
-        let opq = Opq::train_rows(base, &opq_cfg)?;
-        let data = opq.rotate_rows(base);
-        let codes = opq.pq.encode_set(&data);
-        // With the feature disabled, the column is zeroed at training AND
-        // query time, which reduces the model to the two-feature form.
-        let qerr = if cfg.use_qerr_feature {
-            opq.pq.reconstruction_errors(&data, &codes)
-        } else {
-            vec![0.0f32; data.len()]
+        let store = Projected::build(base, cfg.metric, "DDCopq")?;
+        let Opq {
+            rotation,
+            pq,
+            error_trace,
+        } = Opq::train_rows(store.rows(), &opq_cfg)?;
+        let store = store.project(Projection::Rotation(rotation));
+        let mut codes = Codes {
+            m: pq.m,
+            data: Vec::with_capacity(store.len() * pq.m),
         };
+        let (mut qerr, mut recon) = (Vec::with_capacity(store.len()), Vec::new());
+        for i in 0..store.len() {
+            let x = store.row(i);
+            encode_row(
+                &pq,
+                x,
+                cfg.use_qerr_feature,
+                &mut recon,
+                &mut codes,
+                &mut qerr,
+            );
+        }
 
-        let rotated_queries = opq.rotate_set(train_queries);
-        let ds = collect_opq_samples(&data, &rotated_queries, &opq.pq, &codes, &qerr, &cfg.caps);
+        let rotated_queries = VecSet::from_flat(dim, store.project_batch(train_queries))?;
+        let ds = collect_opq_samples(
+            store.rows(),
+            &rotated_queries,
+            &pq,
+            &codes,
+            &qerr,
+            &cfg.caps,
+        );
         if ds.is_empty() {
             return Err(crate::CoreError::InsufficientTraining {
                 what: "DDCopq classifier",
@@ -171,13 +185,12 @@ impl DdcOpq {
         calibrate_bias(&mut model, calibrate_on, cfg.target_recall);
 
         Ok(DdcOpq {
-            data: SharedRows::from(data),
-            opq,
+            store,
+            pq,
+            error_trace,
             codes,
             qerr,
             model,
-            metric: cfg.metric,
-            stale: 0,
         })
     }
 
@@ -192,7 +205,7 @@ impl DdcOpq {
     pub fn restore(state: &[u8], rows: SharedRows) -> crate::Result<DdcOpq> {
         let mut r = StateReader::new(state, "DDCopq");
         r.expect_name("DDCopq")?;
-        let rotation = r.take_f32s()?;
+        let rotation = Projection::take_rotation(&mut r)?;
         let error_trace = r.take_f32s()?;
         let dim = r.take_usize()?;
         let m = r.take_usize()?;
@@ -230,8 +243,7 @@ impl DdcOpq {
             weights: r.take_f32s()?,
             bias: r.take_f32()?,
         };
-        let metric = prep::take_metric_suffix(&mut r)?;
-        r.finish()?;
+        let store = Projected::restore(r, rotation, rows)?;
         if pq.codebooks.iter().any(|cb| cb.len() != ksub)
             || codes.data.iter().any(|&c| usize::from(c) >= ksub)
         {
@@ -239,30 +251,20 @@ impl DdcOpq {
                 "DDCopq state: codes or codebooks inconsistent with ksub".into(),
             ));
         }
-        if dim != rows.dim()
-            || rotation.len() != dim * dim
-            || codes.len() != rows.len()
-            || qerr.len() != rows.len()
-        {
+        if dim != store.dim() || codes.len() != store.len() || qerr.len() != store.len() {
             return Err(crate::CoreError::Config(format!(
-                "DDCopq state: rotation/codes/qerr geometry does not fit a \
-                 {}x{} row matrix",
-                rows.len(),
-                rows.dim()
+                "DDCopq state: codes/qerr geometry does not fit a {}x{} row matrix",
+                store.len(),
+                store.dim()
             )));
         }
         Ok(DdcOpq {
-            data: rows,
-            opq: Opq {
-                rotation,
-                pq,
-                error_trace,
-            },
+            store,
+            pq,
+            error_trace,
             codes,
             qerr,
             model,
-            metric,
-            stale: 0,
         })
     }
 
@@ -271,23 +273,9 @@ impl DdcOpq {
         &self.model
     }
 
-    /// The OPQ-rotated dataset.
-    pub fn rotated_data(&self) -> &SharedRows {
-        &self.data
-    }
-
-    /// Builds the per-query state (ADC lookup table included) from an
-    /// already-OPQ-rotated query (shared by [`Dco::begin`] and the batched
-    /// path, so both are bit-identical).
-    fn query_from_rotated(&self, rq: Vec<f32>) -> DdcOpqQuery<'_> {
-        let mut lut = Vec::new();
-        self.opq.pq.build_lut(&rq, &mut lut);
-        DdcOpqQuery {
-            dco: self,
-            q: rq,
-            lut,
-            counters: Counters::new(),
-        }
+    /// The inner product quantizer (for diagnostics and the query path).
+    pub fn pq(&self) -> &Pq {
+        &self.pq
     }
 }
 
@@ -307,52 +295,39 @@ impl Dco for DdcOpq {
         "DDCopq"
     }
 
-    fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    fn dim(&self) -> usize {
-        self.data.dim()
+    fn store(&self) -> &Projected {
+        &self.store
     }
 
     /// Preprocessing bytes beyond raw vectors: rotation, codes, per-point
     /// quantization errors, codebooks (Fig. 7 space accounting).
     fn extra_bytes(&self) -> usize {
-        let codebook_floats: usize = self
-            .opq
-            .pq
-            .codebooks
-            .iter()
-            .map(|cb| cb.as_flat().len())
-            .sum();
-        (self.opq.rotation.len() + codebook_floats + self.qerr.len()) * std::mem::size_of::<f32>()
+        let codebooks = self.pq.codebooks.iter();
+        let codebook_floats: usize = codebooks.map(|cb| cb.as_flat().len()).sum();
+        (self.store.extra_floats() + codebook_floats + self.qerr.len()) * std::mem::size_of::<f32>()
             + self.codes.storage_bytes()
             + (self.model.weights.len() + 1) * std::mem::size_of::<f32>()
     }
 
-    fn rows(&self) -> &SharedRows {
-        &self.data
-    }
-
     fn state_bytes(&self) -> Vec<u8> {
         let mut w = StateWriter::new("DDCopq");
-        w.put_f32s(&self.opq.rotation);
-        w.put_f32s(&self.opq.error_trace);
-        w.put_usize(self.opq.pq.dim);
-        w.put_usize(self.opq.pq.m);
-        w.put_usize(self.opq.pq.ksub);
-        for &(start, end) in &self.opq.pq.ranges {
+        self.store.put_projection(&mut w);
+        w.put_f32s(&self.error_trace);
+        w.put_usize(self.pq.dim);
+        w.put_usize(self.pq.m);
+        w.put_usize(self.pq.ksub);
+        for &(start, end) in &self.pq.ranges {
             w.put_usize(start);
             w.put_usize(end);
         }
-        for cb in &self.opq.pq.codebooks {
+        for cb in &self.pq.codebooks {
             w.put_f32s(cb.as_flat());
         }
         w.put_bytes(&self.codes.data);
         w.put_f32s(&self.qerr);
         w.put_f32s(&self.model.weights);
         w.put_f32(self.model.bias);
-        prep::put_metric_suffix(&mut w, &self.metric);
+        self.store.put_metric(&mut w);
         w.into_bytes()
     }
 
@@ -365,89 +340,40 @@ impl Dco for DdcOpq {
     /// so each append bumps [`Dco::stale_rows`] until a compaction
     /// retrains.
     fn append_rows(&mut self, new_rows: &dyn RowAccess) -> crate::Result<()> {
-        let dim = self.data.dim();
-        if new_rows.dim() != dim {
-            return Err(crate::CoreError::Config(format!(
-                "appended rows are {}-dimensional, operator serves {dim}",
-                new_rows.dim()
-            )));
-        }
         let qerr_on = self.qerr.iter().any(|&e| e != 0.0);
-        let mut buf = vec![0.0f32; dim];
-        let mut code = vec![0u8; self.opq.pq.m];
-        let mut recon = vec![0.0f32; dim];
-        let mut prepped = vec![0.0f32; dim];
-        for i in 0..new_rows.len() {
-            let row = if self.metric.needs_prep() {
-                self.metric.prep_into(new_rows.row(i), &mut prepped);
-                &prepped[..]
-            } else {
-                new_rows.row(i)
-            };
-            self.opq.rotate(row, &mut buf);
-            self.data.push(&buf)?;
-            self.opq.pq.encode(&buf, &mut code);
-            self.codes.data.extend_from_slice(&code);
-            self.qerr.push(if qerr_on {
-                self.opq.pq.decode(&code, &mut recon);
-                l2_sq(&buf, &recon)
-            } else {
-                0.0
-            });
-            self.stale += 1;
-        }
-        Ok(())
+        let (pq, codes, qerr) = (&self.pq, &mut self.codes, &mut self.qerr);
+        let mut recon = Vec::new();
+        self.store.append(new_rows, true, |x| {
+            encode_row(pq, x, qerr_on, &mut recon, codes, qerr);
+        })
     }
 
     fn remove_rows(&mut self, dead_mask: &[bool]) -> crate::Result<()> {
-        self.data.remove_rows(dead_mask)?;
+        self.store.remove(dead_mask)?;
         remove_column_rows(&mut self.codes.data, dead_mask);
         remove_column_rows(&mut self.qerr, dead_mask);
         Ok(())
     }
 
-    fn stale_rows(&self) -> usize {
-        self.stale
-    }
-
-    fn metric(&self) -> Metric {
-        self.metric.clone()
-    }
-
-    fn begin<'a>(&'a self, q: &[f32]) -> DdcOpqQuery<'a> {
-        let pq = prep::prep_query(q, &self.metric);
-        let mut rq = vec![0.0f32; self.data.dim()];
-        self.opq.rotate(&pq, &mut rq);
-        self.query_from_rotated(rq)
-    }
-
-    fn begin_batch<'a>(&'a self, batch: &QueryBatch) -> Vec<DdcOpqQuery<'a>> {
-        let dim = self.data.dim();
-        assert_eq!(batch.dim(), dim, "query batch dimensionality");
-        let batch = prep::prep_batch(batch, &self.metric);
-        let mut rotated = vec![0.0f32; batch.len() * dim];
-        matvec_batch_f32(
-            &self.opq.rotation,
-            dim,
-            dim,
-            batch.as_flat(),
-            batch.len(),
-            &mut rotated,
-        );
-        rotated
-            .chunks(dim.max(1))
-            .take(batch.len())
-            .map(|rq| self.query_from_rotated(rq.to_vec()))
-            .collect()
+    /// Builds the ADC lookup table for the rotated query.
+    fn begin_projected<'a>(&'a self, rq: Vec<f32>) -> DdcOpqQuery<'a> {
+        let mut lut = Vec::new();
+        self.pq.build_lut(&rq, &mut lut);
+        DdcOpqQuery {
+            dco: self,
+            q: rq,
+            lut,
+            counters: Counters::new(),
+        }
     }
 }
 
 impl QueryDco for DdcOpqQuery<'_> {
     fn exact(&mut self, id: u32) -> f32 {
-        let dim = self.dco.data.dim() as u64;
+        let dim = self.dco.store.dim() as u64;
         self.counters.record(false, dim, dim);
-        let row = self.dco.data.get(id as usize);
-        if self.dco.metric == Metric::InnerProduct {
+        let row = self.dco.store.row(id as usize);
+        if self.dco.store.is_ip() {
             // The OPQ rotation is a pure orthogonal matvec (no centering),
             // so the rotated-space dot IS the raw-space dot.
             return -dot(row, &self.q);
@@ -458,34 +384,24 @@ impl QueryDco for DdcOpqQuery<'_> {
     fn test(&mut self, id: u32, tau: f32) -> Decision {
         // ADC prunes L2-family distances only; inner product answers
         // exactly (honest full-scan counters), as does infinite τ.
-        if !tau.is_finite() || self.dco.metric == Metric::InnerProduct {
+        if !tau.is_finite() || self.dco.store.is_ip() {
             return Decision::Exact(self.exact(id));
         }
         let m = self.dco.codes.m as u64;
-        let adc = self
-            .dco
-            .pq()
-            .adc(&self.lut, self.dco.codes.get(id as usize));
+        let adc = self.dco.pq.adc(&self.lut, self.dco.codes.get(id as usize));
         let feats = [adc, tau, self.dco.qerr[id as usize]];
         if self.dco.model.predict(&feats) {
             // The m-lookup ADC is charged as m "dimensions".
-            self.counters.record(true, m, self.dco.data.dim() as u64);
+            self.counters.record(true, m, self.dco.store.dim() as u64);
             return Decision::Pruned(adc);
         }
-        let dim = self.dco.data.dim() as u64;
+        let dim = self.dco.store.dim() as u64;
         self.counters.record(false, dim + m, dim);
-        Decision::Exact(l2_sq(self.dco.data.get(id as usize), &self.q))
+        Decision::Exact(l2_sq(self.dco.store.row(id as usize), &self.q))
     }
 
     fn counters(&self) -> Counters {
         self.counters
-    }
-}
-
-impl DdcOpq {
-    /// The inner product quantizer (for diagnostics and the query path).
-    pub fn pq(&self) -> &ddc_quant::Pq {
-        &self.opq.pq
     }
 }
 

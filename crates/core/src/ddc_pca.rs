@@ -10,14 +10,13 @@
 //! Prefix scans (`l2_sq_range`) dispatch to the SIMD kernel backend of
 //! [`ddc_linalg::kernels`]; `DDC_FORCE_SCALAR=1` pins the scalar path.
 
-use crate::batch::QueryBatch;
 use crate::counters::Counters;
-use crate::prep;
+use crate::projected::{Projected, Projection};
 use crate::snap_state::{StateReader, StateWriter};
 use crate::training::{collect_projection_samples, TrainingCaps};
-use crate::traits::{remove_column_rows, Dco, Decision, QueryDco};
+use crate::traits::{Dco, Decision, QueryDco};
 use ddc_learn::{calibrate_bias, LogisticConfig, LogisticModel, LogisticRegression};
-use ddc_linalg::kernels::{dot, l2_sq, l2_sq_range, norm_sq};
+use ddc_linalg::kernels::{l2_sq, l2_sq_range};
 use ddc_linalg::pca::Pca;
 use ddc_linalg::{Metric, RowAccess};
 use ddc_vecs::{SharedRows, VecSet};
@@ -71,56 +70,21 @@ impl Default for DdcPcaConfig {
 /// DDCpca DCO: PCA-rotated data plus one calibrated classifier per level.
 #[derive(Debug, Clone)]
 pub struct DdcPca {
-    data: SharedRows,
-    pca: Pca,
+    store: Projected,
     levels: Vec<usize>,
     models: Vec<LogisticModel>,
-    cfg_metric: Metric,
-    /// Appended rows rotated with the pre-append PCA basis (see
-    /// [`Dco::stale_rows`]). Runtime-only; not persisted.
-    stale: usize,
-    /// Inner-product mean-correction vector `c = Rμ` (see
-    /// [`crate::DdcRes`] — same identity). Empty unless the metric is IP.
-    ip_center: Vec<f32>,
-    /// `‖c‖² = ‖μ‖²`.
-    ip_center_sq: f32,
-    /// Per-row `⟨x′_i, c⟩`, recomputed at build/append/restore.
-    ip_row_corr: Vec<f32>,
-}
-
-/// `c = Rμ`, computed as `−pca.transform(0⃗)` (transform mean-centers).
-fn ip_center_of(pca: &Pca) -> Vec<f32> {
-    let zero = vec![0.0f32; pca.dim];
-    let mut c = vec![0.0f32; pca.dim];
-    pca.transform(&zero, &mut c);
-    for v in &mut c {
-        *v = -*v;
-    }
-    c
 }
 
 impl DdcPca {
-    /// Fits the projection, collects training tuples by querying the base
-    /// with `train_queries`, and trains + calibrates one classifier per
+    /// Fits the projection on `base` (any [`RowAccess`] source — one code
+    /// path, hence bit-identical artifacts whichever backend supplied the
+    /// rows), collects training tuples by querying the base with
+    /// `train_queries`, and trains + calibrates one classifier per
     /// incremental level.
     ///
     /// # Errors
     /// Configuration errors, PCA failures, or empty training data.
-    pub fn build(
-        base: &VecSet,
-        train_queries: &VecSet,
-        cfg: DdcPcaConfig,
-    ) -> crate::Result<DdcPca> {
-        DdcPca::build_rows(base, train_queries, cfg)
-    }
-
-    /// [`DdcPca::build`] over any [`RowAccess`] source (training queries
-    /// stay resident — they are small). Same code path as the in-RAM
-    /// build, hence bit-identical artifacts.
-    ///
-    /// # Errors
-    /// Same contract as [`DdcPca::build`].
-    pub fn build_rows<R: RowAccess + ?Sized>(
+    pub fn build<R: RowAccess + ?Sized>(
         base: &R,
         train_queries: &VecSet,
         cfg: DdcPcaConfig,
@@ -136,28 +100,13 @@ impl DdcPca {
                 got: 0,
             });
         }
-        cfg.metric
-            .validate_dim(base.dim())
-            .map_err(|e| crate::CoreError::Config(format!("DDCpca: {e}")))?;
-        if cfg.metric.needs_prep() {
-            // Rows *and* training queries move to prepped space, so the
-            // collected training tuples are metric distances.
-            let prepped_base = prep::prep_rows(base, &cfg.metric);
-            let prepped_queries = prep::prep_rows(train_queries, &cfg.metric);
-            return Self::build_inner(&prepped_base, &prepped_queries, cfg);
-        }
-        Self::build_inner(base, train_queries, cfg)
-    }
-
-    fn build_inner<R: RowAccess + ?Sized>(
-        base: &R,
-        train_queries: &VecSet,
-        cfg: DdcPcaConfig,
-    ) -> crate::Result<DdcPca> {
         let dim = base.dim();
-        let pca = Pca::fit_rows(base, cfg.pca_samples, cfg.seed)?;
-        let data = VecSet::from_flat(dim, pca.transform_rows(base))?;
-        let rq = VecSet::from_flat(dim, pca.transform_set(train_queries.as_flat()))?;
+        let store = Projected::build(base, cfg.metric, "DDCpca")?;
+        let pca = Pca::fit_rows(store.rows(), cfg.pca_samples, cfg.seed)?;
+        let store = store.project(Projection::Pca(pca));
+        // Training queries go through the store like any query batch, so
+        // the collected tuples are prepped-space (= metric) distances.
+        let rq = VecSet::from_flat(dim, store.project_batch(train_queries))?;
 
         // Levels strictly below D: at d = D the distance is exact anyway.
         let mut levels = Vec::new();
@@ -172,7 +121,7 @@ impl DdcPca {
             levels.push((dim / 2).max(1));
         }
 
-        let datasets = collect_projection_samples(&data, &rq, &levels, &cfg.caps);
+        let datasets = collect_projection_samples(store.rows(), &rq, &levels, &cfg.caps);
         let mut models = Vec::with_capacity(levels.len());
         for ds in &datasets {
             if ds.is_empty() {
@@ -188,24 +137,10 @@ impl DdcPca {
             calibrate_bias(&mut model, calibrate_on, cfg.target_recall);
             models.push(model);
         }
-        let (ip_center, ip_center_sq, ip_row_corr) = if cfg.metric == Metric::InnerProduct {
-            let c = ip_center_of(&pca);
-            let corr: Vec<f32> = (0..data.len()).map(|i| dot(data.get(i), &c)).collect();
-            let csq = norm_sq(&c);
-            (c, csq, corr)
-        } else {
-            (Vec::new(), 0.0, Vec::new())
-        };
         Ok(DdcPca {
-            data: SharedRows::from(data),
-            pca,
+            store,
             levels,
             models,
-            cfg_metric: cfg.metric,
-            stale: 0,
-            ip_center,
-            ip_center_sq,
-            ip_row_corr,
         })
     }
 
@@ -220,14 +155,9 @@ impl DdcPca {
     pub fn restore(state: &[u8], rows: SharedRows) -> crate::Result<DdcPca> {
         let mut r = StateReader::new(state, "DDCpca");
         r.expect_name("DDCpca")?;
-        let pca = Pca {
-            dim: r.take_usize()?,
-            mean: r.take_f32s()?,
-            rotation: r.take_f32s()?,
-            eigenvalues: r.take_f32s()?,
-        };
+        let pca = Projection::take_pca(&mut r)?;
         let n_levels = r.take_usize()?;
-        if n_levels > rows.dim().max(1) {
+        if n_levels == 0 || n_levels > rows.dim().max(1) {
             return Err(crate::CoreError::Config(format!(
                 "DDCpca state: implausible level count {n_levels}"
             )));
@@ -243,34 +173,10 @@ impl DdcPca {
                 bias: r.take_f32()?,
             });
         }
-        let metric = prep::take_metric_suffix(&mut r)?;
-        r.finish()?;
-        if levels.is_empty() || pca.dim != rows.dim() {
-            return Err(crate::CoreError::Config(format!(
-                "DDCpca state: {} levels / PCA dim {} do not fit {}-dimensional rows",
-                levels.len(),
-                pca.dim,
-                rows.dim()
-            )));
-        }
-        let (ip_center, ip_center_sq, ip_row_corr) = if metric == Metric::InnerProduct {
-            let c = ip_center_of(&pca);
-            let corr: Vec<f32> = (0..rows.len()).map(|i| dot(rows.get(i), &c)).collect();
-            let csq = norm_sq(&c);
-            (c, csq, corr)
-        } else {
-            (Vec::new(), 0.0, Vec::new())
-        };
         Ok(DdcPca {
-            data: rows,
-            pca,
+            store: Projected::restore(r, pca, rows)?,
             levels,
             models,
-            cfg_metric: metric,
-            stale: 0,
-            ip_center,
-            ip_center_sq,
-            ip_row_corr,
         })
     }
 
@@ -282,27 +188,6 @@ impl DdcPca {
     /// The calibrated per-level models.
     pub fn models(&self) -> &[LogisticModel] {
         &self.models
-    }
-
-    /// The PCA-rotated dataset.
-    pub fn rotated_data(&self) -> &SharedRows {
-        &self.data
-    }
-
-    /// Builds the per-query state from an already-PCA-rotated query
-    /// (shared by [`Dco::begin`] and the batched path).
-    fn query_from_rotated(&self, rq: Vec<f32>) -> DdcPcaQuery<'_> {
-        let ip_qc = if self.cfg_metric == Metric::InnerProduct {
-            dot(&rq, &self.ip_center)
-        } else {
-            0.0
-        };
-        DdcPcaQuery {
-            dco: self,
-            q: rq,
-            ip_qc,
-            counters: Counters::new(),
-        }
     }
 }
 
@@ -323,36 +208,20 @@ impl Dco for DdcPca {
         "DDCpca"
     }
 
-    fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    fn dim(&self) -> usize {
-        self.data.dim()
-    }
-
-    fn metric(&self) -> Metric {
-        self.cfg_metric.clone()
+    fn store(&self) -> &Projected {
+        &self.store
     }
 
     /// Preprocessing bytes beyond raw vectors: rotation + per-level models
     /// (+ the inner-product correction table when that metric is active).
     fn extra_bytes(&self) -> usize {
         let model_floats: usize = self.models.iter().map(|m| m.weights.len() + 1).sum();
-        (self.pca.rotation.len() + model_floats + self.ip_center.len() + self.ip_row_corr.len())
-            * std::mem::size_of::<f32>()
-    }
-
-    fn rows(&self) -> &SharedRows {
-        &self.data
+        (self.store.extra_floats() + model_floats) * std::mem::size_of::<f32>()
     }
 
     fn state_bytes(&self) -> Vec<u8> {
         let mut w = StateWriter::new("DDCpca");
-        w.put_usize(self.pca.dim);
-        w.put_f32s(&self.pca.mean);
-        w.put_f32s(&self.pca.rotation);
-        w.put_f32s(&self.pca.eigenvalues);
+        self.store.put_projection(&mut w);
         w.put_usize(self.levels.len());
         for &l in &self.levels {
             w.put_usize(l);
@@ -361,7 +230,7 @@ impl Dco for DdcPca {
             w.put_f32s(&m.weights);
             w.put_f32(m.bias);
         }
-        prep::put_metric_suffix(&mut w, &self.cfg_metric);
+        self.store.put_metric(&mut w);
         w.into_bytes()
     }
 
@@ -370,88 +239,43 @@ impl Dco for DdcPca {
     /// per-level classifiers were trained before these rows arrived, so
     /// each append bumps [`Dco::stale_rows`] until a compaction retrains.
     fn append_rows(&mut self, new_rows: &dyn RowAccess) -> crate::Result<()> {
-        let dim = self.data.dim();
-        if new_rows.dim() != dim {
-            return Err(crate::CoreError::Config(format!(
-                "appended rows are {}-dimensional, operator serves {dim}",
-                new_rows.dim()
-            )));
-        }
-        let mut prepped = vec![0.0f32; dim];
-        let mut buf = vec![0.0f32; dim];
-        let is_ip = self.cfg_metric == Metric::InnerProduct;
-        for i in 0..new_rows.len() {
-            let row = if self.cfg_metric.needs_prep() {
-                self.cfg_metric.prep_into(new_rows.row(i), &mut prepped);
-                &prepped[..]
-            } else {
-                new_rows.row(i)
-            };
-            self.pca.transform(row, &mut buf);
-            self.data.push(&buf)?;
-            if is_ip {
-                self.ip_row_corr.push(dot(&buf, &self.ip_center));
-            }
-            self.stale += 1;
-        }
-        Ok(())
+        self.store.append(new_rows, true, |_| {})
     }
 
     fn remove_rows(&mut self, dead_mask: &[bool]) -> crate::Result<()> {
-        self.data.remove_rows(dead_mask)?;
-        remove_column_rows(&mut self.ip_row_corr, dead_mask);
-        Ok(())
+        self.store.remove(dead_mask)
     }
 
-    fn stale_rows(&self) -> usize {
-        self.stale
-    }
-
-    fn begin<'a>(&'a self, q: &[f32]) -> DdcPcaQuery<'a> {
-        let pq = prep::prep_query(q, &self.cfg_metric);
-        let mut rq = vec![0.0f32; self.data.dim()];
-        self.pca.transform(&pq, &mut rq);
-        self.query_from_rotated(rq)
-    }
-
-    fn begin_batch<'a>(&'a self, batch: &QueryBatch) -> Vec<DdcPcaQuery<'a>> {
-        let dim = self.data.dim();
-        assert_eq!(batch.dim(), dim, "query batch dimensionality");
-        let batch = prep::prep_batch(batch, &self.cfg_metric);
-        let rotated = self.pca.transform_batch(batch.as_flat(), batch.len());
-        rotated
-            .chunks(dim.max(1))
-            .take(batch.len())
-            .map(|rq| self.query_from_rotated(rq.to_vec()))
-            .collect()
+    fn begin_projected<'a>(&'a self, rq: Vec<f32>) -> DdcPcaQuery<'a> {
+        DdcPcaQuery {
+            dco: self,
+            ip_qc: self.store.ip_query_term(&rq),
+            q: rq,
+            counters: Counters::new(),
+        }
     }
 }
 
 impl QueryDco for DdcPcaQuery<'_> {
     fn exact(&mut self, id: u32) -> f32 {
-        let dim = self.dco.data.dim() as u64;
+        let store = &self.dco.store;
+        let dim = store.dim() as u64;
         self.counters.record(false, dim, dim);
-        let x = self.dco.data.get(id as usize);
-        if self.dco.cfg_metric == Metric::InnerProduct {
-            // Mean-corrected dot (the PCA transform centers; see
-            // `ip_center`): ⟨x,q⟩ = ⟨x′,q′⟩ + ⟨x′,c⟩ + ⟨q′,c⟩ + ‖c‖².
-            return -(dot(x, &self.q)
-                + self.dco.ip_row_corr[id as usize]
-                + self.ip_qc
-                + self.dco.ip_center_sq);
+        if store.is_ip() {
+            return store.ip_exact(id as usize, &self.q, self.ip_qc);
         }
-        l2_sq(x, &self.q)
+        l2_sq(store.row(id as usize), &self.q)
     }
 
     fn test(&mut self, id: u32, tau: f32) -> Decision {
-        if !tau.is_finite() || self.dco.cfg_metric == Metric::InnerProduct {
+        if !tau.is_finite() || self.dco.store.is_ip() {
             // The classifiers are trained on (prepped-space) L2 prefix
             // distances; under IP there is no such reduction — answer
             // exactly with honest full-scan counters.
             return Decision::Exact(self.exact(id));
         }
-        let dim = self.dco.data.dim();
-        let x = self.dco.data.get(id as usize);
+        let dim = self.dco.store.dim();
+        let x = self.dco.store.row(id as usize);
         let mut acc = 0.0f32;
         let mut lo = 0usize;
         for (level, model) in self.dco.levels.iter().zip(&self.dco.models) {
@@ -475,6 +299,7 @@ impl QueryDco for DdcPcaQuery<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ddc_linalg::kernels::dot;
     use ddc_vecs::SynthSpec;
 
     fn setup() -> (ddc_vecs::Workload, DdcPca) {

@@ -22,16 +22,15 @@
 //! [`ddc_linalg::kernels`]; `DDC_FORCE_SCALAR=1` pins the scalar
 //! reference path the paper's cost model assumes.
 
-use crate::batch::QueryBatch;
 use crate::counters::Counters;
-use crate::prep;
+use crate::projected::{remove_column_rows, Projected, Projection};
 use crate::snap_state::{StateReader, StateWriter};
 use crate::stats::multiplier_for_quantile;
-use crate::traits::{remove_column_rows, Dco, Decision, QueryDco};
+use crate::traits::{Dco, Decision, QueryDco};
 use ddc_linalg::kernels::{dot, dot_range, norm_sq, weighted_sq_suffix};
 use ddc_linalg::pca::Pca;
 use ddc_linalg::{Metric, RowAccess};
-use ddc_vecs::{SharedRows, VecSet};
+use ddc_vecs::SharedRows;
 
 /// DDCres configuration.
 #[derive(Debug, Clone)]
@@ -76,56 +75,24 @@ impl Default for DdcResConfig {
 /// DDCres DCO: PCA-rotated data, per-point norms, per-axis variances.
 #[derive(Debug, Clone)]
 pub struct DdcRes {
-    data: SharedRows,
+    store: Projected,
     norms: Vec<f32>,
     variances: Vec<f32>,
-    pca: Pca,
     m: f32,
     cfg: DdcResConfig,
-    /// Appended rows rotated with the pre-append PCA basis (see
-    /// [`Dco::stale_rows`]). Runtime-only; not persisted.
-    stale: usize,
-    /// Inner-product only: the mean-correction vector `c = Rμ` (`R` the
-    /// PCA rotation, `μ` the mean), recomputed as `−pca.transform(0⃗)`.
-    /// With `x = Rᵀx′ + μ` the raw dot decomposes as
-    /// `⟨x, q⟩ = ⟨x′, q′⟩ + ⟨x′, c⟩ + ⟨q′, c⟩ + ‖c‖²`. Empty otherwise.
-    ip_center: Vec<f32>,
-    /// `‖c‖² = ‖μ‖²` (the rotation is orthogonal).
-    ip_center_sq: f32,
-    /// Per-row `⟨x′_i, c⟩` — recomputed at build/append/restore, never
-    /// serialized. Empty unless the metric is inner product.
-    ip_row_corr: Vec<f32>,
-}
-
-/// `c = Rμ`, computed as `−pca.transform(0⃗)` (transform mean-centers).
-fn ip_center_of(pca: &Pca) -> Vec<f32> {
-    let zero = vec![0.0f32; pca.dim];
-    let mut c = vec![0.0f32; pca.dim];
-    pca.transform(&zero, &mut c);
-    for v in &mut c {
-        *v = -*v;
-    }
-    c
 }
 
 impl DdcRes {
-    /// Fits PCA on `base`, rotates it, and precomputes norms.
+    /// Fits PCA on `base` — any [`RowAccess`] source — rotates it, and
+    /// precomputes norms. Rows stream into the store, the PCA fit samples
+    /// them there and the rotation runs in place, so the original matrix
+    /// is never materialized a second time — and because every backend
+    /// takes this one code path, the operator is bit-identical whichever
+    /// supplied the rows.
     ///
     /// # Errors
     /// Configuration errors and PCA failures.
-    pub fn build(base: &VecSet, cfg: DdcResConfig) -> crate::Result<DdcRes> {
-        DdcRes::build_rows(base, cfg)
-    }
-
-    /// [`DdcRes::build`] over any [`RowAccess`] source. The PCA fit
-    /// samples rows in place and the rotation streams blocks, so the
-    /// original matrix is never materialized on the heap — and because
-    /// both steps take the same code path as the in-RAM build, the
-    /// operator is bit-identical either way.
-    ///
-    /// # Errors
-    /// Same contract as [`DdcRes::build`].
-    pub fn build_rows<R: RowAccess + ?Sized>(base: &R, cfg: DdcResConfig) -> crate::Result<DdcRes> {
+    pub fn build<R: RowAccess + ?Sized>(base: &R, cfg: DdcResConfig) -> crate::Result<DdcRes> {
         if cfg.init_d == 0 || cfg.delta_d == 0 {
             return Err(crate::CoreError::Config(
                 "init_d and delta_d must be positive".into(),
@@ -137,43 +104,19 @@ impl DdcRes {
                 cfg.quantile
             )));
         }
-        cfg.metric
-            .validate_dim(base.dim())
-            .map_err(|e| crate::CoreError::Config(format!("DDCres: {e}")))?;
-        if cfg.metric.needs_prep() {
-            let prepped = prep::prep_rows(base, &cfg.metric);
-            return Self::build_inner(&prepped, cfg);
-        }
-        Self::build_inner(base, cfg)
-    }
-
-    fn build_inner<R: RowAccess + ?Sized>(base: &R, cfg: DdcResConfig) -> crate::Result<DdcRes> {
-        let pca = Pca::fit_rows(base, cfg.pca_samples, cfg.seed)?;
-        let data = VecSet::from_flat(base.dim(), pca.transform_rows(base))?;
-        let norms = data.norms_sq();
+        let store = Projected::build(base, cfg.metric.clone(), "DDCres")?;
+        let pca = Pca::fit_rows(store.rows(), cfg.pca_samples, cfg.seed)?;
         let variances = pca.eigenvalues.clone();
+        let store = store.project(Projection::Pca(pca));
         let m = cfg
             .multiplier
             .unwrap_or_else(|| multiplier_for_quantile(cfg.quantile) as f32);
-        let (ip_center, ip_center_sq, ip_row_corr) = if cfg.metric == Metric::InnerProduct {
-            let c = ip_center_of(&pca);
-            let corr: Vec<f32> = (0..data.len()).map(|i| dot(data.get(i), &c)).collect();
-            let csq = norm_sq(&c);
-            (c, csq, corr)
-        } else {
-            (Vec::new(), 0.0, Vec::new())
-        };
         Ok(DdcRes {
-            data: SharedRows::from(data),
-            norms,
+            norms: (0..store.len()).map(|i| norm_sq(store.row(i))).collect(),
+            store,
             variances,
-            pca,
             m,
             cfg,
-            stale: 0,
-            ip_center,
-            ip_center_sq,
-            ip_row_corr,
         })
     }
 
@@ -204,86 +147,35 @@ impl DdcRes {
         let m = r.take_f32()?;
         let norms = r.take_f32s()?;
         let variances = r.take_f32s()?;
-        let pca = Pca {
-            dim: r.take_usize()?,
-            mean: r.take_f32s()?,
-            rotation: r.take_f32s()?,
-            eigenvalues: r.take_f32s()?,
-        };
-        cfg.metric = prep::take_metric_suffix(&mut r)?;
-        r.finish()?;
+        let pca = Projection::take_pca(&mut r)?;
+        let store = Projected::restore(r, pca, rows)?;
+        cfg.metric = store.metric().clone();
         if cfg.init_d == 0 || cfg.delta_d == 0 {
             return Err(crate::CoreError::Config(
                 "DDCres state: init_d and delta_d must be positive".into(),
             ));
         }
-        let dim = rows.dim();
-        if norms.len() != rows.len() || variances.len() != dim || pca.dim != dim {
+        if norms.len() != store.len() || variances.len() != store.dim() {
             return Err(crate::CoreError::Config(format!(
-                "DDCres state: {} norms / {} variances / PCA dim {} do not fit \
-                 a {}x{dim} row matrix",
+                "DDCres state: {} norms / {} variances do not fit a {}x{} row matrix",
                 norms.len(),
                 variances.len(),
-                pca.dim,
-                rows.len()
+                store.len(),
+                store.dim()
             )));
         }
-        let (ip_center, ip_center_sq, ip_row_corr) = if cfg.metric == Metric::InnerProduct {
-            let c = ip_center_of(&pca);
-            let corr: Vec<f32> = (0..rows.len()).map(|i| dot(rows.get(i), &c)).collect();
-            let csq = norm_sq(&c);
-            (c, csq, corr)
-        } else {
-            (Vec::new(), 0.0, Vec::new())
-        };
         Ok(DdcRes {
-            data: rows,
+            store,
             norms,
             variances,
-            pca,
             m,
             cfg,
-            stale: 0,
-            ip_center,
-            ip_center_sq,
-            ip_row_corr,
         })
-    }
-
-    /// The fitted PCA transform.
-    pub fn pca(&self) -> &Pca {
-        &self.pca
-    }
-
-    /// The PCA-rotated dataset.
-    pub fn rotated_data(&self) -> &SharedRows {
-        &self.data
     }
 
     /// The bound multiplier `m` in use.
     pub fn multiplier(&self) -> f32 {
         self.m
-    }
-
-    /// Builds the per-query state from an already-PCA-rotated query
-    /// (shared by [`Dco::begin`] and the batched path, so both are
-    /// bit-identical).
-    fn query_from_rotated(&self, rq: Vec<f32>) -> DdcResQuery<'_> {
-        let mut suffix = Vec::new();
-        weighted_sq_suffix(&rq, &self.variances, &mut suffix);
-        let ip_qc = if self.cfg.metric == Metric::InnerProduct {
-            dot(&rq, &self.ip_center)
-        } else {
-            0.0
-        };
-        DdcResQuery {
-            q_norm: norm_sq(&rq),
-            q: rq,
-            suffix,
-            ip_qc,
-            counters: Counters::new(),
-            dco: self,
-        }
     }
 }
 
@@ -313,7 +205,7 @@ impl DdcResQuery<'_> {
     /// Approximate distance `dis′ = C1 − C2` using the first `d` dimensions
     /// (diagnostics; the search path uses [`QueryDco::test`]).
     pub fn approx_distance(&self, id: u32, d: usize) -> f32 {
-        let x = self.dco.data.get(id as usize);
+        let x = self.dco.store.row(id as usize);
         let c1 = self.dco.norms[id as usize] + self.q_norm;
         let c2 = 2.0 * dot_range(x, &self.q, 0, d.min(x.len()));
         c1 - c2
@@ -327,32 +219,16 @@ impl Dco for DdcRes {
         "DDCres"
     }
 
-    fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    fn dim(&self) -> usize {
-        self.data.dim()
-    }
-
-    fn metric(&self) -> Metric {
-        self.cfg.metric.clone()
+    fn store(&self) -> &Projected {
+        &self.store
     }
 
     /// Preprocessing bytes beyond the raw vectors: rotation matrix, per-point
     /// norms, per-axis variances (Fig. 7 space accounting), plus the
     /// inner-product correction table when that metric is active.
     fn extra_bytes(&self) -> usize {
-        (self.pca.rotation.len()
-            + self.norms.len()
-            + self.variances.len()
-            + self.ip_center.len()
-            + self.ip_row_corr.len())
+        (self.store.extra_floats() + self.norms.len() + self.variances.len())
             * std::mem::size_of::<f32>()
-    }
-
-    fn rows(&self) -> &SharedRows {
-        &self.data
     }
 
     fn state_bytes(&self) -> Vec<u8> {
@@ -370,107 +246,63 @@ impl Dco for DdcRes {
         w.put_f32(self.m);
         w.put_f32s(&self.norms);
         w.put_f32s(&self.variances);
-        w.put_usize(self.pca.dim);
-        w.put_f32s(&self.pca.mean);
-        w.put_f32s(&self.pca.rotation);
-        w.put_f32s(&self.pca.eigenvalues);
-        prep::put_metric_suffix(&mut w, &self.cfg.metric);
+        self.store.put_projection(&mut w);
+        self.store.put_metric(&mut w);
         w.into_bytes()
     }
 
-    /// Appends rows through the already-fitted PCA basis (per-row
-    /// [`Pca::transform`], bit-identical to the build-time block rotation)
-    /// and extends the norm cache. Distances stay exact — the rotation is
-    /// orthonormal regardless of what it was fitted on — but the variance
-    /// model behind the pruning bound predates these rows, so each append
-    /// bumps [`Dco::stale_rows`] until a compaction refits.
+    /// Appends rows through the already-fitted PCA basis and extends the
+    /// norm cache. Distances stay exact — the rotation is orthonormal
+    /// regardless of what it was fitted on — but the variance model behind
+    /// the pruning bound predates these rows, so each append bumps
+    /// [`Dco::stale_rows`] until a compaction refits.
     fn append_rows(&mut self, new_rows: &dyn RowAccess) -> crate::Result<()> {
-        let dim = self.data.dim();
-        if new_rows.dim() != dim {
-            return Err(crate::CoreError::Config(format!(
-                "appended rows are {}-dimensional, operator serves {dim}",
-                new_rows.dim()
-            )));
-        }
-        let mut prepped = vec![0.0f32; dim];
-        let mut buf = vec![0.0f32; dim];
-        let is_ip = self.cfg.metric == Metric::InnerProduct;
-        for i in 0..new_rows.len() {
-            let row = if self.cfg.metric.needs_prep() {
-                self.cfg.metric.prep_into(new_rows.row(i), &mut prepped);
-                &prepped[..]
-            } else {
-                new_rows.row(i)
-            };
-            self.pca.transform(row, &mut buf);
-            self.data.push(&buf)?;
-            self.norms.push(norm_sq(&buf));
-            if is_ip {
-                self.ip_row_corr.push(dot(&buf, &self.ip_center));
-            }
-            self.stale += 1;
-        }
-        Ok(())
+        let norms = &mut self.norms;
+        self.store
+            .append(new_rows, true, |x| norms.push(norm_sq(x)))
     }
 
     fn remove_rows(&mut self, dead_mask: &[bool]) -> crate::Result<()> {
-        self.data.remove_rows(dead_mask)?;
+        self.store.remove(dead_mask)?;
         remove_column_rows(&mut self.norms, dead_mask);
-        remove_column_rows(&mut self.ip_row_corr, dead_mask);
         Ok(())
     }
 
-    fn stale_rows(&self) -> usize {
-        self.stale
-    }
-
-    fn begin<'a>(&'a self, q: &[f32]) -> DdcResQuery<'a> {
-        let dim = self.data.dim();
-        let pq = prep::prep_query(q, &self.cfg.metric);
-        let mut rq = vec![0.0f32; dim];
-        self.pca.transform(&pq, &mut rq);
-        self.query_from_rotated(rq)
-    }
-
-    fn begin_batch<'a>(&'a self, batch: &QueryBatch) -> Vec<DdcResQuery<'a>> {
-        let dim = self.data.dim();
-        assert_eq!(batch.dim(), dim, "query batch dimensionality");
-        let batch = prep::prep_batch(batch, &self.cfg.metric);
-        let rotated = self.pca.transform_batch(batch.as_flat(), batch.len());
-        rotated
-            .chunks(dim.max(1))
-            .take(batch.len())
-            .map(|rq| self.query_from_rotated(rq.to_vec()))
-            .collect()
+    fn begin_projected<'a>(&'a self, rq: Vec<f32>) -> DdcResQuery<'a> {
+        let mut suffix = Vec::new();
+        weighted_sq_suffix(&rq, &self.variances, &mut suffix);
+        DdcResQuery {
+            q_norm: norm_sq(&rq),
+            ip_qc: self.store.ip_query_term(&rq),
+            q: rq,
+            suffix,
+            counters: Counters::new(),
+            dco: self,
+        }
     }
 }
 
 impl QueryDco for DdcResQuery<'_> {
     fn exact(&mut self, id: u32) -> f32 {
-        let dim = self.dco.data.dim() as u64;
+        let store = &self.dco.store;
+        let dim = store.dim() as u64;
         self.counters.record(false, dim, dim);
-        let x = self.dco.data.get(id as usize);
-        if self.dco.cfg.metric == Metric::InnerProduct {
-            // ⟨x, q⟩ = ⟨x′, q′⟩ + ⟨x′, c⟩ + ⟨q′, c⟩ + ‖c‖² (the PCA
-            // transform mean-centers; see `ip_center` on the struct).
-            return -(dot(x, &self.q)
-                + self.dco.ip_row_corr[id as usize]
-                + self.ip_qc
-                + self.dco.ip_center_sq);
+        if store.is_ip() {
+            return store.ip_exact(id as usize, &self.q, self.ip_qc);
         }
         let c1 = self.dco.norms[id as usize] + self.q_norm;
-        (c1 - 2.0 * dot(x, &self.q)).max(0.0)
+        (c1 - 2.0 * dot(store.row(id as usize), &self.q)).max(0.0)
     }
 
     fn test(&mut self, id: u32, tau: f32) -> Decision {
-        if !tau.is_finite() || self.dco.cfg.metric == Metric::InnerProduct {
+        if !tau.is_finite() || self.dco.store.is_ip() {
             // IP has no residual pruning bound (the C1−C2−C3 decomposition
             // is L2-specific): answer exactly, with honest full-scan
             // counters from `exact`.
             return Decision::Exact(self.exact(id));
         }
-        let dim = self.dco.data.dim();
-        let x = self.dco.data.get(id as usize);
+        let dim = self.dco.store.dim();
+        let x = self.dco.store.row(id as usize);
         let m = self.dco.m;
         let c1 = self.dco.norms[id as usize] + self.q_norm;
 
@@ -509,6 +341,7 @@ mod tests {
     use super::*;
     use ddc_linalg::kernels::l2_sq;
     use ddc_vecs::SynthSpec;
+    use ddc_vecs::VecSet;
 
     fn setup(incremental: bool) -> (ddc_vecs::Workload, DdcRes) {
         let mut spec = SynthSpec::tiny_test(32, 500, 11);
@@ -790,8 +623,8 @@ mod tests {
 
         // Restore path recomputes the correction table bit-identically.
         let restored = DdcRes::restore(&full.state_bytes(), full.rows().clone()).unwrap();
-        assert_eq!(restored.ip_row_corr, full.ip_row_corr);
-        assert_eq!(restored.ip_center, full.ip_center);
+        assert!(full.store.ip_columns().is_some());
+        assert_eq!(restored.store.ip_columns(), full.store.ip_columns());
         let q = w.queries.get(1);
         let mut a = full.begin(q);
         let mut b = restored.begin(q);
@@ -813,7 +646,7 @@ mod tests {
         };
         let mut grown = DdcRes::build(&head, cfg).unwrap();
         grown.append_rows(&tail).unwrap();
-        assert_eq!(grown.ip_row_corr.len(), 80);
+        assert_eq!(grown.store.ip_columns().unwrap().1.len(), 80);
         let mut g = grown.begin(q);
         for id in 60..80u32 {
             let want = -dot(w.base.get(id as usize), q);

@@ -1,14 +1,12 @@
 //! The exact-distance baseline DCO (plain `HNSW` / `IVF` in the paper's
 //! experiment tables): every test computes the full distance.
 //!
-//! Metric support: cosine / weighted-L2 rows are stored **prepped** (see
-//! the crate-private `prep` module), so the stored-space `l2_sq` is the
-//! metric distance;
-//! inner product stores raw rows and negates the dot product. L2 is the
-//! unchanged original path.
+//! The store's identity projection: rows are kept as prepped, so the
+//! stored-space `l2_sq` is the metric distance for L2 / cosine /
+//! weighted-L2; inner product negates the dot product of the raw rows.
 
 use crate::counters::Counters;
-use crate::prep;
+use crate::projected::{Projected, Projection};
 use crate::snap_state::{StateReader, StateWriter};
 use crate::traits::{Dco, Decision, QueryDco};
 use ddc_linalg::kernels::{dot, l2_sq};
@@ -18,60 +16,25 @@ use ddc_vecs::{SharedRows, VecSet};
 /// Exact distance computation over an owned copy of the dataset.
 #[derive(Debug, Clone)]
 pub struct Exact {
-    data: SharedRows,
-    metric: Metric,
+    store: Projected,
 }
 
 impl Exact {
     /// Builds the L2 baseline from the original vectors.
     pub fn build(base: &VecSet) -> Exact {
-        Exact {
-            data: SharedRows::from(base.clone()),
-            metric: Metric::L2,
-        }
+        Self::build_metric(base, Metric::L2).expect("L2 build cannot fail")
     }
 
-    /// [`Exact::build`] over any [`RowAccess`] source: rows stream into
-    /// the one resident copy this DCO keeps (an out-of-core input is
-    /// never double-materialized).
-    pub fn build_rows<R: RowAccess + ?Sized>(base: &R) -> Exact {
-        Self::build_rows_metric(base, Metric::L2).expect("L2 build cannot fail")
-    }
-
-    /// Builds the baseline under `metric`. Cosine / weighted-L2 rows are
-    /// stored prepped; L2 / inner-product rows are stored raw.
+    /// Builds the baseline under `metric` from any [`RowAccess`] source:
+    /// rows stream into the one resident copy this DCO keeps, prepped for
+    /// cosine / weighted-L2, raw for L2 / inner product.
     ///
     /// # Errors
     /// [`crate::CoreError::Config`] when the metric doesn't fit the
     /// dimensionality (weighted-L2 weight-count mismatch).
-    pub fn build_metric(base: &VecSet, metric: Metric) -> crate::Result<Exact> {
-        Self::build_rows_metric(base, metric)
-    }
-
-    /// [`Exact::build_metric`] over any [`RowAccess`] source.
-    ///
-    /// # Errors
-    /// Same contract as [`Exact::build_metric`].
-    pub fn build_rows_metric<R: RowAccess + ?Sized>(
-        base: &R,
-        metric: Metric,
-    ) -> crate::Result<Exact> {
-        metric
-            .validate_dim(base.dim())
-            .map_err(|e| crate::CoreError::Config(format!("exact: {e}")))?;
-        let data = if metric.needs_prep() {
-            prep::prep_rows(base, &metric)
-        } else {
-            let mut data = VecSet::with_capacity(base.dim(), base.len());
-            for i in 0..base.len() {
-                data.push(base.row(i)).expect("dims match");
-            }
-            data
-        };
-        Ok(Exact {
-            data: SharedRows::from(data),
-            metric,
-        })
+    pub fn build_metric<R: RowAccess + ?Sized>(base: &R, metric: Metric) -> crate::Result<Exact> {
+        let store = Projected::build(base, metric, "exact")?;
+        Ok(Exact { store })
     }
 
     /// Rebuilds the baseline from a snapshot state blob plus its row
@@ -84,15 +47,8 @@ impl Exact {
     pub fn restore(state: &[u8], rows: SharedRows) -> crate::Result<Exact> {
         let mut r = StateReader::new(state, "Exact");
         r.expect_name("Exact")?;
-        let metric = prep::take_metric_suffix(&mut r)?;
-        r.finish()?;
-        Ok(Exact { data: rows, metric })
-    }
-
-    /// Borrow the underlying vectors (stored-space: prepped for
-    /// cosine/wl2).
-    pub fn data(&self) -> &SharedRows {
-        &self.data
+        let store = Projected::restore(r, Projection::Identity, rows)?;
+        Ok(Exact { store })
     }
 }
 
@@ -111,61 +67,30 @@ impl Dco for Exact {
         "Exact"
     }
 
-    fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    fn dim(&self) -> usize {
-        self.data.dim()
-    }
-
-    fn metric(&self) -> Metric {
-        self.metric.clone()
-    }
-
-    fn rows(&self) -> &SharedRows {
-        &self.data
+    fn store(&self) -> &Projected {
+        &self.store
     }
 
     fn state_bytes(&self) -> Vec<u8> {
         let mut w = StateWriter::new("Exact");
-        prep::put_metric_suffix(&mut w, &self.metric);
+        self.store.put_metric(&mut w);
         w.into_bytes()
     }
 
-    /// Appends rows with the build-path transform (raw for L2/IP, prepped
-    /// for cosine/wl2) — the grown operator is bit-identical to building
-    /// over the grown set. Never stale.
+    /// The grown operator is bit-identical to building over the grown
+    /// set. Never stale.
     fn append_rows(&mut self, new_rows: &dyn RowAccess) -> crate::Result<()> {
-        if self.metric.needs_prep() {
-            let mut buf = vec![0.0f32; self.data.dim()];
-            for i in 0..new_rows.len() {
-                if new_rows.row(i).len() != buf.len() {
-                    return Err(crate::CoreError::Config(format!(
-                        "append row dim {} != {}",
-                        new_rows.row(i).len(),
-                        buf.len()
-                    )));
-                }
-                self.metric.prep_into(new_rows.row(i), &mut buf);
-                self.data.push(&buf)?;
-            }
-        } else {
-            for i in 0..new_rows.len() {
-                self.data.push(new_rows.row(i))?;
-            }
-        }
-        Ok(())
+        self.store.append(new_rows, false, |_| {})
     }
 
     fn remove_rows(&mut self, dead_mask: &[bool]) -> crate::Result<()> {
-        Ok(self.data.remove_rows(dead_mask)?)
+        self.store.remove(dead_mask)
     }
 
-    fn begin<'a>(&'a self, q: &[f32]) -> ExactQuery<'a> {
+    fn begin_projected<'a>(&'a self, rq: Vec<f32>) -> ExactQuery<'a> {
         ExactQuery {
             dco: self,
-            q: prep::prep_query(q, &self.metric).into_owned(),
+            q: rq,
             counters: Counters::new(),
         }
     }
@@ -173,12 +98,14 @@ impl Dco for Exact {
 
 impl QueryDco for ExactQuery<'_> {
     fn exact(&mut self, id: u32) -> f32 {
-        let d = self.dco.data.dim() as u64;
+        let store = &self.dco.store;
+        let d = store.dim() as u64;
         self.counters.record(false, d, d);
-        let row = self.dco.data.get(id as usize);
-        match self.dco.metric {
-            Metric::InnerProduct => -dot(row, &self.q),
-            _ => l2_sq(row, &self.q),
+        let row = store.row(id as usize);
+        if store.is_ip() {
+            -dot(row, &self.q)
+        } else {
+            l2_sq(row, &self.q)
         }
     }
 
@@ -316,7 +243,7 @@ mod tests {
         grown.append_rows(&tail).unwrap();
         assert_eq!(grown.len(), full.len());
         for i in 0..12 {
-            assert_eq!(grown.data().get(i), full.data().get(i), "row {i}");
+            assert_eq!(grown.rows().get(i), full.rows().get(i), "row {i}");
         }
     }
 }

@@ -17,10 +17,16 @@
 //! | [`DdcOpq`] | OPQ asymmetric distance | learned classifier + quantization-error feature | §V.B |
 //! | [`plain::FixedProjection`] | fixed-`d` prefix, no correction | none | Table III (`PCA`, `Rand`) |
 //!
-//! All DCOs operate on their own isometrically-transformed copy of the
-//! dataset (ids preserved), record [`Counters`] (dimensions scanned, pruned
-//! rate — Fig. 10's metrics), and share the [`Dco`]/[`QueryDco`] traits so
-//! indexes stay generic.
+//! The paper decouples the *approximation* (an orthogonal projection of
+//! the dataset) from the *correction* (what certifies `dis > τ` from a
+//! partial distance), and so does the crate: the crate-private `projected`
+//! module owns the one projected-row store every operator serves —
+//! metric prep, projection, rows, appends and removals, query projection,
+//! the inner-product mean correction — and each operator file holds only
+//! its correction: config, training, side columns, `test()`. All DCOs
+//! record [`Counters`] (dimensions scanned, pruned rate — Fig. 10's
+//! metrics) and share the [`Dco`]/[`QueryDco`] traits so indexes stay
+//! generic.
 
 pub mod adsampling;
 pub mod batch;
@@ -32,7 +38,7 @@ pub mod dyn_dco;
 pub mod error;
 pub mod exact;
 pub mod plain;
-pub(crate) mod prep;
+pub(crate) mod projected;
 pub mod snap_state;
 pub mod spec;
 pub mod stats;

@@ -103,6 +103,11 @@ impl<'a> StateReader<'a> {
         }
     }
 
+    /// The operator name this reader reports errors under.
+    pub fn what(&self) -> &'static str {
+        self.what
+    }
+
     fn err(&self, detail: String) -> CoreError {
         CoreError::Config(format!(
             "{} state blob: {detail} (at byte {})",

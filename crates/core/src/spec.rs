@@ -244,22 +244,22 @@ impl DcoSpec {
         train_queries: Option<&VecSet>,
     ) -> crate::Result<BoxedDco> {
         Ok(match self {
-            DcoSpec::Exact(m) => Box::new(Exact::build_rows_metric(base, m.clone())?),
-            DcoSpec::AdSampling(cfg) => Box::new(AdSampling::build_rows(base, cfg.clone())?),
-            DcoSpec::DdcRes(cfg) => Box::new(DdcRes::build_rows(base, cfg.clone())?),
+            DcoSpec::Exact(m) => Box::new(Exact::build_metric(base, m.clone())?),
+            DcoSpec::AdSampling(cfg) => Box::new(AdSampling::build(base, cfg.clone())?),
+            DcoSpec::DdcRes(cfg) => Box::new(DdcRes::build(base, cfg.clone())?),
             DcoSpec::DdcPca(cfg) => {
                 let tq = train_queries.ok_or(CoreError::InsufficientTraining {
                     what: "DDCpca (spec built without training queries)",
                     got: 0,
                 })?;
-                Box::new(DdcPca::build_rows(base, tq, cfg.clone())?)
+                Box::new(DdcPca::build(base, tq, cfg.clone())?)
             }
             DcoSpec::DdcOpq(cfg) => {
                 let tq = train_queries.ok_or(CoreError::InsufficientTraining {
                     what: "DDCopq (spec built without training queries)",
                     got: 0,
                 })?;
-                Box::new(DdcOpq::build_rows(base, tq, cfg.clone())?)
+                Box::new(DdcOpq::build(base, tq, cfg.clone())?)
             }
         })
     }
@@ -582,12 +582,20 @@ mod tests {
         // Exact and ADSampling transform rows independently of the data
         // they were built on, so growing by append must be bit-identical
         // to building over the grown set (the compactor's append-mode
-        // assumption). The PCA/OPQ family only promises staleness
+        // assumption) — rows, side columns and state blob alike, under
+        // every metric. The PCA/OPQ family only promises staleness
         // accounting, checked below.
         let w = SynthSpec::tiny_test(8, 120, 9).generate();
         let n0 = 100;
         let (head, tail) = w.base.clone().split_at(n0);
-        for spec_str in ["exact", "adsampling(delta_d=4)"] {
+        for spec_str in [
+            "exact",
+            "exact(metric=cosine)",
+            "exact(metric=wl2:0.5;1;2;1;0.25;4;1;3)",
+            "adsampling(delta_d=4)",
+            "adsampling(delta_d=2,metric=ip)",
+            "adsampling(delta_d=4,metric=cosine)",
+        ] {
             let spec: DcoSpec = spec_str.parse().unwrap();
             assert!(!spec.retrains_on_append());
             let full = spec.build(&w.base, None).unwrap();
@@ -600,6 +608,8 @@ mod tests {
                 full.rows().as_flat(),
                 "{spec_str}: appended rows must be bit-identical to build"
             );
+            assert_eq!(grown.extra_bytes(), full.extra_bytes(), "{spec_str}");
+            assert_eq!(grown.state_bytes(), full.state_bytes(), "{spec_str}");
         }
     }
 
@@ -610,7 +620,9 @@ mod tests {
         let (head, tail) = w.base.clone().split_at(n0);
         for spec_str in [
             "ddcres(init_d=4,delta_d=4)",
+            "ddcres(init_d=4,delta_d=4,metric=ip)",
             "ddcpca(init_d=4,delta_d=4)",
+            "ddcpca(init_d=4,delta_d=4,metric=ip)",
             "ddcopq(m=2,nbits=4,opq_iters=1)",
         ] {
             let spec: DcoSpec = spec_str.parse().unwrap();
@@ -621,14 +633,15 @@ mod tests {
             assert_eq!(dco.len(), 120, "{spec_str}");
             assert_eq!(dco.stale_rows(), 20, "{spec_str}");
             // Grown operators still answer exact distances correctly:
-            // their transforms are isometric whatever data fitted them.
+            // their transforms are isometric whatever data fitted them
+            // (under IP this is what checks the appended `⟨x′, c⟩` entries).
             let q = w.queries.get(0);
             let mut eval = dco.begin_dyn(q);
-            for id in [0u32, 99, 100, 119] {
-                let want = ddc_linalg::kernels::l2_sq(w.base.get(id as usize), q);
+            for id in [0u32, 99, 100, 107, 119] {
+                let want = spec.metric().distance(w.base.get(id as usize), q);
                 let got = eval.exact(id);
                 assert!(
-                    (want - got).abs() < 1e-2 * want.max(1.0),
+                    (want - got).abs() < 1e-2 * want.abs().max(1.0),
                     "{spec_str} id {id}: {want} vs {got}"
                 );
             }
@@ -750,6 +763,8 @@ mod tests {
 
     #[test]
     fn remove_rows_rejects_snapshot_mapped_operators() {
+        // ... and so are appends: a refused mutation of either kind leaves
+        // the operator exactly as it was.
         let w = SynthSpec::tiny_test(8, 60, 14).generate();
         let mut path = std::env::temp_dir();
         path.push(format!(
@@ -774,6 +789,10 @@ mod tests {
             let err = dco.remove_rows(&dead).unwrap_err();
             assert!(err.to_string().contains("immutable"), "{spec_str}: {err}");
             assert_eq!((dco.len(), dco.extra_bytes()), (60, extra), "{spec_str}");
+            let err = dco.append_rows(&w.queries).unwrap_err();
+            assert!(err.to_string().contains("immutable"), "{spec_str}: {err}");
+            let after = (dco.len(), dco.extra_bytes(), dco.stale_rows());
+            assert_eq!(after, (60, extra, 0), "{spec_str}: refused append");
         }
         std::fs::remove_file(&path).ok();
     }

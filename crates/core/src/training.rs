@@ -10,6 +10,7 @@
 
 use ddc_learn::Dataset;
 use ddc_linalg::kernels::{l2_sq, l2_sq_range};
+use ddc_linalg::RowAccess;
 use ddc_quant::{Codes, Pq};
 use ddc_vecs::{TopK, VecSet};
 use rand::rngs::StdRng;
@@ -41,10 +42,10 @@ impl Default for TrainingCaps {
 
 /// Per-query exact scan shared by both collectors: returns
 /// `(sorted_knn_ids, tau)`.
-fn exact_scan(base: &VecSet, q: &[f32], k: usize) -> (Vec<u32>, f32) {
+fn exact_scan<R: RowAccess + ?Sized>(base: &R, q: &[f32], k: usize) -> (Vec<u32>, f32) {
     let mut top = TopK::new(k.min(base.len()));
     for i in 0..base.len() {
-        top.offer(i as u32, l2_sq(base.get(i), q));
+        top.offer(i as u32, l2_sq(base.row(i), q));
     }
     let sorted = top.into_sorted();
     let tau = sorted.last().map_or(f32::INFINITY, |n| n.dist);
@@ -56,8 +57,8 @@ fn exact_scan(base: &VecSet, q: &[f32], k: usize) -> (Vec<u32>, f32) {
 ///
 /// `rotated_base` / `rotated_queries` must already be in the projection
 /// space; `levels` are the incremental dimensionalities to featurize.
-pub fn collect_projection_samples(
-    rotated_base: &VecSet,
+pub fn collect_projection_samples<R: RowAccess + ?Sized>(
+    rotated_base: &R,
     rotated_queries: &VecSet,
     levels: &[usize],
     caps: &TrainingCaps,
@@ -72,7 +73,7 @@ pub fn collect_projection_samples(
         let q = rotated_queries.get(t);
         let (knn, tau) = exact_scan(rotated_base, q, caps.k);
         let emit = |id: u32, feats: &mut [f32], datasets: &mut [Dataset]| {
-            let x = rotated_base.get(id as usize);
+            let x = rotated_base.row(id as usize);
             // Partial distances at every level in one left-to-right pass.
             let mut acc = 0.0f32;
             let mut lo = 0usize;
@@ -104,8 +105,8 @@ pub fn collect_projection_samples(
 ///
 /// `rotated_base` / `rotated_queries` are in the OPQ-rotated space; `codes`
 /// and `qerr` come from encoding the rotated base.
-pub fn collect_opq_samples(
-    rotated_base: &VecSet,
+pub fn collect_opq_samples<R: RowAccess + ?Sized>(
+    rotated_base: &R,
     rotated_queries: &VecSet,
     pq: &Pq,
     codes: &Codes,
@@ -124,7 +125,7 @@ pub fn collect_opq_samples(
         let (knn, tau) = exact_scan(rotated_base, q, caps.k);
         let emit = |id: u32, dataset: &mut Dataset| {
             let adc = pq.adc(&lut, codes.get(id as usize));
-            let exact = l2_sq(rotated_base.get(id as usize), q);
+            let exact = l2_sq(rotated_base.row(id as usize), q);
             dataset.push(&[adc, tau, qerr[id as usize]], exact > tau);
         };
         for &id in &knn {

@@ -9,6 +9,7 @@
 
 use crate::batch::QueryBatch;
 use crate::counters::Counters;
+use crate::projected::Projected;
 use ddc_linalg::{Metric, RowAccess};
 use ddc_vecs::SharedRows;
 
@@ -45,6 +46,15 @@ impl Decision {
 /// A `Dco` is immutable and shareable; per-query state (rotated query,
 /// lookup tables, counters) lives in the [`QueryDco`] value returned by
 /// [`Dco::begin`].
+///
+/// Every operator is a *correction* over one projected-row store (the
+/// crate-private `projected` module: metric prep, projection, rows). An
+/// implementation names its store ([`Dco::store`]), turns a projected
+/// query into its evaluator ([`Dco::begin_projected`]) and keeps its own
+/// side columns in step with the rows ([`Dco::append_rows`],
+/// [`Dco::remove_rows`], [`Dco::state_bytes`]); everything else —
+/// geometry, metric, query projection solo and batched — is provided
+/// over the store, once.
 pub trait Dco {
     /// Per-query evaluator. (The `'a` outlives-bound lets the dynamic
     /// dispatch layer box evaluators as `dyn` objects — see
@@ -56,8 +66,19 @@ pub trait Dco {
     /// Short display name (`"DDCres"`, `"ADSampling"`, ...).
     fn name(&self) -> &'static str;
 
+    /// The projected-row store this operator corrects over.
+    fn store(&self) -> &Projected;
+
+    /// Per-query state for a query **already in stored space** (prepped
+    /// and projected by the store) — the one place an operator derives
+    /// its per-query tables. [`Dco::begin`] and [`Dco::begin_batch`] both
+    /// end here, which is what makes them bit-identical.
+    fn begin_projected<'a>(&'a self, rq: Vec<f32>) -> Self::Query<'a>;
+
     /// Number of database points the DCO serves.
-    fn len(&self) -> usize;
+    fn len(&self) -> usize {
+        self.store().len()
+    }
 
     /// True when the DCO serves no points.
     fn is_empty(&self) -> bool {
@@ -65,16 +86,16 @@ pub trait Dco {
     }
 
     /// Dimensionality of the (original) vector space.
-    fn dim(&self) -> usize;
+    fn dim(&self) -> usize {
+        self.store().dim()
+    }
 
     /// The distance metric this operator answers in. Every distance it
     /// reports — [`QueryDco::exact`], the payload of [`Decision`] — is in
     /// this metric's smaller-is-better form (see
-    /// [`ddc_linalg::Metric::distance`]). The default is plain squared
-    /// Euclidean; metric-aware operators override it with their configured
-    /// metric.
+    /// [`ddc_linalg::Metric::distance`]).
     fn metric(&self) -> Metric {
-        Metric::L2
+        self.store().metric().clone()
     }
 
     /// Preprocessing bytes the DCO holds **beyond** the raw vectors it
@@ -92,7 +113,9 @@ pub trait Dco {
     /// serves zero-copy ([`SharedRows::Mapped`]) after a restore. Freshly
     /// built operators return the heap-resident [`SharedRows::Owned`]
     /// variant; both answer queries through the same code path.
-    fn rows(&self) -> &SharedRows;
+    fn rows(&self) -> &SharedRows {
+        self.store().rows()
+    }
 
     /// Serializes everything the operator needs **except** the row matrix
     /// — rotations, spectra, codebooks, codes, calibrated models, the
@@ -116,7 +139,9 @@ pub trait Dco {
     ///
     /// # Errors
     /// [`crate::CoreError`] on a dimensionality mismatch, mapped rows, or
-    /// an operator without an append story.
+    /// an operator without an append story; the operator is unchanged in
+    /// every error case (the store pushes the row before any side column
+    /// grows).
     fn append_rows(&mut self, new_rows: &dyn RowAccess) -> crate::Result<()> {
         let _ = new_rows;
         Err(crate::CoreError::Config(format!(
@@ -144,48 +169,37 @@ pub trait Dco {
 
     /// Number of served rows whose placement postdates the operator's
     /// trained artifacts — appended rows transformed with a PCA basis,
-    /// codebook, or classifier fitted before they arrived. `0` (the
-    /// default, and always the case for data-independent operators) means
-    /// the operator is exactly what a fresh build would produce; a growing
-    /// count is the compactor's re-rotation trigger. Not persisted: a
-    /// restored operator starts at `0`.
+    /// codebook, or classifier fitted before they arrived. `0` (always
+    /// the case for data-independent operators) means the operator is
+    /// exactly what a fresh build would produce; a growing count is the
+    /// compactor's re-rotation trigger. Not persisted: a restored
+    /// operator starts at `0`.
     fn stale_rows(&self) -> usize {
-        0
+        self.store().stale_rows()
     }
 
     /// Prepares per-query state for the **original-space** query `q`
-    /// (the DCO applies its own transform — the `O(D²)` rotation cost the
-    /// paper accounts to the query, §VI-A).
-    fn begin<'a>(&'a self, q: &[f32]) -> Self::Query<'a>;
+    /// (the store applies prep and projection — the `O(D²)` rotation cost
+    /// the paper accounts to the query, §VI-A).
+    fn begin<'a>(&'a self, q: &[f32]) -> Self::Query<'a> {
+        self.begin_projected(self.store().project_query(q))
+    }
 
-    /// Prepares per-query state for a whole batch of original-space
-    /// queries at once, returning one evaluator per query in batch order.
-    ///
-    /// The per-query setup cost is dominated by the `O(D²)` rotation
-    /// (`micro_kernels`); implementations that rotate through a shared
-    /// matrix override this to push the whole batch through the
-    /// cache-blocked [`ddc_linalg::kernels::matvec_batch_f32`], which
-    /// streams the rotation from memory once per block of queries instead
-    /// of once per query. Overrides must be **bit-identical** to calling
-    /// [`Dco::begin`] per query — batching amortizes memory traffic, it
-    /// must never change results.
-    ///
-    /// The default is the sequential per-query loop.
+    /// [`Dco::begin`] for a whole batch, one evaluator per query in batch
+    /// order. The store pushes the batch through the cache-blocked
+    /// [`ddc_linalg::kernels::matvec_batch_f32`], streaming the rotation
+    /// from memory once per block of queries instead of once per query;
+    /// **bit-identical** to calling [`Dco::begin`] per query.
     ///
     /// # Panics
-    /// Implementations may panic when `batch.dim() != self.dim()`.
+    /// Panics when `batch.dim() != self.dim()`.
     fn begin_batch<'a>(&'a self, batch: &QueryBatch) -> Vec<Self::Query<'a>> {
-        batch.iter().map(|q| self.begin(q)).collect()
-    }
-}
-
-/// Shrinks one per-row side column (norms, codes, correction terms) in
-/// step with the operator's matrix — the [`Dco::remove_rows`] helper. The
-/// column's width is whatever it holds per row, so an absent table (empty
-/// vector) passes through untouched.
-pub(crate) fn remove_column_rows<T: Copy>(col: &mut Vec<T>, dead_mask: &[bool]) {
-    if !dead_mask.is_empty() {
-        ddc_vecs::retain_live_rows(col, col.len() / dead_mask.len(), dead_mask);
+        self.store()
+            .project_batch(batch.as_vecset())
+            .chunks(self.dim().max(1))
+            .take(batch.len())
+            .map(|rq| self.begin_projected(rq.to_vec()))
+            .collect()
     }
 }
 

@@ -1246,6 +1246,49 @@ mod tests {
     }
 
     #[test]
+    fn open_snapshot_rejects_a_projection_that_does_not_fit_the_rows() {
+        // A CRC-valid container whose operator state carries a rotation
+        // 8 floats short must fail at open, not panic in the first query.
+        let w = workload();
+        let cfg = EngineConfig::from_strs("flat", "ddcres(init_d=4,delta_d=4)").unwrap();
+        let mut path = std::env::temp_dir();
+        path.push(format!("ddc-engine-shortrot-{}.snap", std::process::id()));
+        Engine::build(&w.base, None, cfg)
+            .unwrap()
+            .save_snapshot(&path)
+            .unwrap();
+
+        // An L2 DDCres blob ends `.. rotation (D² f32s) eigenvalues (D f32s)`,
+        // each behind a u64 length.
+        let snap = Snapshot::open(&path).unwrap();
+        let dim = w.base.dim();
+        let state = snap.section("dcostate").unwrap();
+        let eig = state.len() - (8 + 4 * dim);
+        let rot = eig - (8 + 4 * dim * dim);
+        assert_eq!(state[rot..rot + 8], ((dim * dim) as u64).to_le_bytes());
+        let mut bad = state[..rot].to_vec();
+        bad.extend_from_slice(&((dim * dim - 8) as u64).to_le_bytes());
+        bad.extend_from_slice(&state[rot + 8..eig - 32]);
+        bad.extend_from_slice(&state[eig..]);
+
+        let mut out = SnapshotWriter::new();
+        for (tag, _) in snap.sections() {
+            let bytes = if tag == "dcostate" {
+                bad.clone()
+            } else {
+                snap.section(tag).unwrap().to_vec()
+            };
+            out.add_section(tag, bytes).unwrap();
+        }
+        out.finish(&path).unwrap();
+        let Err(err) = Engine::open_snapshot(&path) else {
+            panic!("a short rotation must not open");
+        };
+        assert!(err.to_string().contains("does not fit"), "got {err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn load_rejects_mismatched_base() {
         let w = workload();
         let engine = Engine::build(

@@ -23,27 +23,17 @@ impl FlatIndex {
     /// Scans all points of `dco` for the `k` nearest to `q`.
     pub fn search<D: Dco>(&self, dco: &D, q: &[f32], k: usize) -> SearchResult {
         let mut eval = dco.begin(q);
-        self.search_eval(dco.len(), &mut eval, k)
+        self.search_eval_filtered(dco.len(), &mut eval, k, &|_| true)
     }
 
     /// [`FlatIndex::search`] through an already-prepared evaluator over
     /// `n` points — the entry point for batched search (the batch path
     /// prepares all evaluators up front to amortize query rotation) and
-    /// for dynamic dispatch (`Q = dyn DynQueryDco`).
-    pub fn search_eval<Q: QueryDco + ?Sized>(
-        &self,
-        n: usize,
-        eval: &mut Q,
-        k: usize,
-    ) -> SearchResult {
-        self.search_eval_filtered(n, eval, k, &|_| true)
-    }
-
-    /// [`FlatIndex::search_eval`] with a liveness filter — the tombstone
-    /// entry point. Dead ids are skipped before they reach the DCO, so
-    /// they cost no distance work and cannot consume a `k` slot. With an
-    /// always-true filter this is exactly [`FlatIndex::search_eval`]
-    /// (which is how that path is implemented).
+    /// for dynamic dispatch (`Q = dyn DynQueryDco`) — with a liveness
+    /// filter, the tombstone hook. Dead ids are skipped before they reach
+    /// the DCO, so they cost no distance work and cannot consume a `k`
+    /// slot. The unfiltered paths pass the literal `&|_| true`, which
+    /// monomorphises the hook away.
     pub fn search_eval_filtered<Q: QueryDco + ?Sized, F: Fn(u32) -> bool + ?Sized>(
         &self,
         n: usize,

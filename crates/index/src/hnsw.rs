@@ -453,33 +453,22 @@ impl Hnsw {
             });
         }
         let mut eval = dco.begin(q);
-        Ok(self.search_eval(&mut eval, k, ef, visited))
+        Ok(self.search_eval_filtered(&mut eval, k, ef, visited, &|_| true))
     }
 
     /// [`Hnsw::search_with_visited`] through an already-prepared evaluator
     /// — the entry point for batched search (evaluators prepared up front,
-    /// rotation amortized) and dynamic dispatch (`Q = dyn DynQueryDco`).
-    /// The caller is responsible for the dimension check.
-    pub fn search_eval<Q: QueryDco + ?Sized>(
-        &self,
-        eval: &mut Q,
-        k: usize,
-        ef: usize,
-        visited: &mut VisitedSet,
-    ) -> SearchResult {
-        self.search_eval_filtered(eval, k, ef, visited, &|_| true)
-    }
-
-    /// [`Hnsw::search_eval`] with a liveness filter — the tombstone entry
-    /// point. Dead nodes (`live(id) == false`) still route the traversal
-    /// (their edges carry the graph's connectivity, so reachability does
-    /// not degrade as points are deleted) but are repaired out of the
-    /// result before they consume a `k` slot: they never enter the result
-    /// queue, and the pruning threshold `τ` reflects live results only.
+    /// rotation amortized) and dynamic dispatch (`Q = dyn DynQueryDco`) —
+    /// with a liveness filter, the tombstone hook. The caller is
+    /// responsible for the dimension check. Dead nodes
+    /// (`live(id) == false`) still route the traversal (their edges carry
+    /// the graph's connectivity, so reachability does not degrade as
+    /// points are deleted) but are repaired out of the result before they
+    /// consume a `k` slot: they never enter the result queue, and the
+    /// pruning threshold `τ` reflects live results only.
     ///
-    /// With an always-true filter this is exactly [`Hnsw::search_eval`]
-    /// (same evaluations in the same order — bit-identical results and
-    /// work counters), which is how the unfiltered path is implemented.
+    /// The unfiltered paths pass the literal `&|_| true`, which
+    /// monomorphises the hook away.
     pub fn search_eval_filtered<Q: QueryDco + ?Sized, F: Fn(u32) -> bool + ?Sized>(
         &self,
         eval: &mut Q,
@@ -927,7 +916,7 @@ mod tests {
         let q = w.queries.get(0);
         let mut visited = VisitedSet::new(g.len());
         let mut eval = dco.begin(q);
-        let full = g.search_eval(&mut eval, k, 80, &mut visited);
+        let full = g.search_eval_filtered(&mut eval, k, 80, &mut visited, &|_| true);
         // Tombstone the best hit: the filtered search must still fill all
         // k slots with live ids and never return the dead one.
         let dead = full.neighbors[0].id;

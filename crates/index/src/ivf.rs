@@ -189,29 +189,18 @@ impl Ivf {
             });
         }
         let mut eval = dco.begin(q);
-        Ok(self.search_eval(&mut eval, q, k, nprobe))
+        Ok(self.search_eval_filtered(&mut eval, q, k, nprobe, &|_| true))
     }
 
     /// [`Ivf::search`] through an already-prepared evaluator — the entry
     /// point for batched search (evaluators prepared up front, rotation
-    /// amortized) and dynamic dispatch (`Q = dyn DynQueryDco`). `q` is
-    /// still needed in the original space for centroid ranking. The caller
-    /// is responsible for the dimension check.
-    pub fn search_eval<Q: QueryDco + ?Sized>(
-        &self,
-        eval: &mut Q,
-        q: &[f32],
-        k: usize,
-        nprobe: usize,
-    ) -> SearchResult {
-        self.search_eval_filtered(eval, q, k, nprobe, &|_| true)
-    }
-
-    /// [`Ivf::search_eval`] with a liveness filter — the tombstone entry
-    /// point. Dead ids are skipped before they reach the DCO, so they
-    /// cost no distance work and cannot consume a `k` slot. With an
-    /// always-true filter this is exactly [`Ivf::search_eval`] (which is
-    /// how that path is implemented).
+    /// amortized) and dynamic dispatch (`Q = dyn DynQueryDco`) — with a
+    /// liveness filter, the tombstone hook. `q` is still needed in the
+    /// original space for centroid ranking; the caller is responsible for
+    /// the dimension check. Dead ids are skipped before they reach the
+    /// DCO, so they cost no distance work and cannot consume a `k` slot.
+    /// The unfiltered paths pass the literal `&|_| true`, which
+    /// monomorphises the hook away.
     pub fn search_eval_filtered<Q: QueryDco + ?Sized, F: Fn(u32) -> bool + ?Sized>(
         &self,
         eval: &mut Q,

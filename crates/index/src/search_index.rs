@@ -9,8 +9,9 @@
 //! axes of the (index × DCO) grid are therefore runtime choices — what
 //! `ddc-engine` builds on.
 //!
-//! Every implementation routes into the same `search_eval` core as the
-//! statically-dispatched methods, so dynamic dispatch returns bit-identical
+//! Every implementation routes into the same `search_eval_filtered` core
+//! as the statically-dispatched methods (the unfiltered entry points pass
+//! the literal `&|_| true`), so dynamic dispatch returns bit-identical
 //! results (pinned by the engine parity suite).
 
 use crate::visited::VisitedSet;
@@ -184,7 +185,7 @@ impl SearchIndex for FlatIndex {
         k: usize,
         _params: &SearchParams,
     ) -> SearchResult {
-        self.search_eval(dco.len(), eval, k)
+        self.search_eval_filtered(dco.len(), eval, k, &|_| true)
     }
 
     fn search_prepared_filtered(
@@ -233,7 +234,7 @@ impl SearchIndex for Ivf {
         k: usize,
         params: &SearchParams,
     ) -> SearchResult {
-        self.search_eval(eval, q, k, params.nprobe)
+        self.search_eval_filtered(eval, q, k, params.nprobe, &|_| true)
     }
 
     fn search_prepared_filtered(
@@ -283,7 +284,7 @@ impl SearchIndex for Hnsw {
         params: &SearchParams,
     ) -> SearchResult {
         let mut visited = VisitedSet::new(self.len());
-        self.search_eval(eval, k, params.ef, &mut visited)
+        self.search_eval_filtered(eval, k, params.ef, &mut visited, &|_| true)
     }
 
     fn search_prepared_filtered(

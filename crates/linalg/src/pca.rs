@@ -173,34 +173,6 @@ impl Pca {
         out
     }
 
-    /// Transforms every row of a [`RowAccess`] source, returning the
-    /// rotated set as a flat row-major buffer.
-    ///
-    /// Rows stream through a fixed-size block buffer (so an out-of-core
-    /// source is never materialized whole on the heap beyond the rotated
-    /// output itself) and each block goes through [`Pca::transform_batch`].
-    /// Since [`matvec_batch_f32`] computes every vector independently of
-    /// its batch neighbors, the result is **bit-identical** to
-    /// [`Pca::transform_set`] on the equivalent flat buffer.
-    pub fn transform_rows<R: RowAccess + ?Sized>(&self, data: &R) -> Vec<f32> {
-        assert_eq!(data.dim(), self.dim, "row source dimensionality");
-        const BLOCK_ROWS: usize = 1024;
-        let n = data.len();
-        let mut out = Vec::with_capacity(n * self.dim);
-        let mut block = Vec::with_capacity(BLOCK_ROWS.min(n.max(1)) * self.dim);
-        let mut i = 0usize;
-        while i < n {
-            let hi = (i + BLOCK_ROWS).min(n);
-            block.clear();
-            for r in i..hi {
-                block.extend_from_slice(data.row(r));
-            }
-            out.extend_from_slice(&self.transform_batch(&block, hi - i));
-            i = hi;
-        }
-        out
-    }
-
     /// Fraction of total variance captured by the first `d` components.
     ///
     /// The paper uses this to explain when PCA-based DCOs beat OPQ-based ones
@@ -356,13 +328,6 @@ mod tests {
             assert_eq!(flat.mean, via_rows.mean);
             assert_eq!(flat.rotation, via_rows.rotation);
             assert_eq!(flat.eigenvalues, via_rows.eigenvalues);
-            let a = flat.transform_set(&data);
-            let b = flat.transform_rows(&rows);
-            let (ab, bb): (Vec<u32>, Vec<u32>) = (
-                a.iter().map(|v| v.to_bits()).collect(),
-                b.iter().map(|v| v.to_bits()).collect(),
-            );
-            assert_eq!(ab, bb, "max_samples={max_samples}");
         }
     }
 }

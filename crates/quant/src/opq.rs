@@ -159,12 +159,6 @@ impl Opq {
         rotate_set(&self.rotation, data)
     }
 
-    /// Rotates every row of a [`RowAccess`] source into a new resident
-    /// set (row-by-row, bit-identical to [`Opq::rotate_set`]).
-    pub fn rotate_rows<R: RowAccess + ?Sized>(&self, data: &R) -> VecSet {
-        rotate_set(&self.rotation, data)
-    }
-
     /// Encodes already-rotated data.
     pub fn encode_rotated(&self, rotated: &VecSet) -> crate::pq::Codes {
         self.pq.encode_set(rotated)
