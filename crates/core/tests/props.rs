@@ -90,7 +90,7 @@ proptest! {
             ..Default::default()
         }).unwrap();
         let q = w.queries.get(0);
-        let tau = ddc_bench::metric_oracle::tau_at_rank(&w.base, q, tau_rank, &ddc_linalg::Metric::L2);
+        let tau = ddc_vecs::metric_oracle::tau_at_rank(&w.base, q, tau_rank, &ddc_linalg::Metric::L2);
         let mut eval = res.begin(q);
         for id in 0..w.base.len() as u32 {
             eval.test(id, tau);

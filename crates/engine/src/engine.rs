@@ -1436,7 +1436,7 @@ mod tests {
         // matches the exact oracle for the metric.
         let q = w.queries.get(0);
         let r = engine.search(q, 1).unwrap();
-        let oracle = ddc_bench::metric_oracle::top_k(&w.base, q, 1, &Metric::InnerProduct);
+        let oracle = ddc_vecs::metric_oracle::top_k(&w.base, q, 1, &Metric::InnerProduct);
         assert_eq!(r.neighbors[0].id, oracle[0].id);
         assert_eq!(r.neighbors[0].dist, oracle[0].dist);
     }

@@ -9,10 +9,9 @@
 //! Every recall number here is measured against the brute-force
 //! [`metric_oracle`] for the engine's metric, restricted to the predicate.
 
-use ddc_bench::metric_oracle;
 use ddc_engine::{Engine, EngineConfig, FilterPredicate, Metric};
 use ddc_index::SearchParams;
-use ddc_vecs::{SynthSpec, Workload};
+use ddc_vecs::{metric_oracle, SynthSpec, Workload};
 
 const K: usize = 10;
 const N: usize = 2000;

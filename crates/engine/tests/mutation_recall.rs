@@ -34,10 +34,9 @@
 //! the crate's unit tests), which is what makes the grown-engine recall
 //! under similarity metrics comparable at all.
 
-use ddc_bench::metric_oracle;
 use ddc_engine::{Engine, EngineConfig, Metric, MutableConfig, MutableEngine};
 use ddc_index::SearchParams;
-use ddc_vecs::{recall, GroundTruth, SynthSpec, VecSet, Workload};
+use ddc_vecs::{metric_oracle, recall, GroundTruth, SynthSpec, VecSet, Workload};
 use std::sync::Arc;
 use std::time::Duration;
 

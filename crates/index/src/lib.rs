@@ -8,10 +8,7 @@
 //! * [`ivf`] — inverted file index: k-means clustering at build time,
 //!   `nprobe` nearest buckets scanned at query time;
 //! * [`hnsw`] — Hierarchical Navigable Small World graph with heuristic
-//!   neighbor selection and `ef`-bounded best-first search;
-//! * [`finger`] — the FINGER baseline (paper §VII, Exp-4): per-node rank-1
-//!   residual bases plus per-edge LSH signatures, estimating edge distances
-//!   during HNSW traversal.
+//!   neighbor selection and `ef`-bounded best-first search.
 //!
 //! Indexes are **built once with exact distances on the original vectors**
 //! and searched with any [`ddc_core::Dco`]; because every DCO transform is
@@ -35,7 +32,6 @@
 //! ```
 
 pub mod error;
-pub mod finger;
 pub mod flat;
 pub mod hnsw;
 pub mod ivf;
@@ -45,7 +41,6 @@ pub mod spec;
 pub mod visited;
 
 pub use error::IndexError;
-pub use finger::{Finger, FingerConfig};
 pub use flat::FlatIndex;
 pub use hnsw::{Hnsw, HnswConfig};
 pub use ivf::{Ivf, IvfConfig};

@@ -16,7 +16,7 @@
 //! * [`scalar`] — the reference implementation: plain loops with 4-way
 //!   unrolled independent accumulators, exactly the code the paper's cost
 //!   model assumes. Always compiled, on every architecture, and kept
-//!   public so tests and benches can pin it.
+//!   public so tests can pin it.
 //! * `avx2` (x86-64 only) — AVX2 + FMA intrinsics, 4× unrolled 8-lane
 //!   accumulators (32 floats in flight per iteration).
 //! * `neon` (aarch64 only) — NEON intrinsics, 4× unrolled 4-lane
@@ -30,8 +30,8 @@
 //! Setting the environment variable `DDC_FORCE_SCALAR` to any value other
 //! than `0` or the empty string pins the scalar reference path for the
 //! whole process (read once, at first kernel call). [`backend_name`]
-//! reports which path was selected, so benches and tests can assert or log
-//! the active backend.
+//! reports which path was selected, so the benchmark and tests can
+//! assert or log the active backend.
 //!
 //! The `_range` variants accept arbitrary `lo`/`hi` offsets: DDC's
 //! early-termination scans resume from whatever split point the previous

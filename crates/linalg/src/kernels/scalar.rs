@@ -7,7 +7,8 @@
 //! the ground truth the `simd_equivalence` property suite compares the
 //! SIMD backends against. It is reachable three ways:
 //!
-//! * directly, through these public functions (benches pin it this way);
+//! * directly, through these public functions (the equivalence suite pins
+//!   it this way);
 //! * via dispatch on hardware without a SIMD backend;
 //! * via dispatch when `DDC_FORCE_SCALAR` is set (how CI keeps this path
 //!   exercised end to end).

@@ -1,12 +1,15 @@
 //! Exact (brute-force) K-nearest-neighbor ground truth.
 //!
 //! Recall@K (the paper's accuracy metric, §VII-A) is measured against the
-//! exact KNN set `G`; this module computes it with a parallel linear scan.
+//! exact KNN set `G`; this module computes it for a whole query set, one
+//! [`crate::metric_oracle::top_k`] scan per query, spread over threads.
 //! It also provides the reusable bounded top-K collector that the indexes'
 //! result queues are built on.
 
+use crate::metric_oracle::top_k;
 use crate::vecset::VecSet;
 use crate::{Result, VecsError};
+use ddc_linalg::Metric;
 
 /// A `(distance, id)` pair ordered by distance (ties broken by id) — the
 /// element type of every result queue in the workspace.
@@ -167,12 +170,7 @@ impl GroundTruth {
                         ids_chunk.iter_mut().zip(dists_chunk.iter_mut()).enumerate()
                     {
                         let q = queries.get(t * chunk + off);
-                        let mut top = TopK::new(k);
-                        for i in 0..base.len() {
-                            let d = base.l2_sq_to(i, q);
-                            top.offer(i as u32, d);
-                        }
-                        for n in top.into_sorted() {
+                        for n in top_k(*base, q, k, &Metric::L2) {
                             id_row.push(n.id);
                             dist_row.push(n.dist);
                         }

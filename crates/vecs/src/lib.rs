@@ -5,8 +5,9 @@
 //! public ANN benchmark ([`io`]), out-of-core storage backends — zero-copy
 //! memory-mapped files and chunked streaming ([`store`]) — seeded synthetic
 //! workload generators that stand in for the paper's datasets ([`synth`]),
-//! multi-threaded brute-force ground truth ([`gt`]), and the recall/QPS
-//! evaluation metrics ([`metrics`]).
+//! exact top-`k` under any metric ([`metric_oracle`]) with its
+//! multi-threaded L2 ground truth ([`gt`]), and the recall/QPS evaluation
+//! metrics ([`metrics`]).
 //!
 //! [`VecSet`] and [`VecStore`] both implement [`RowAccess`], the row-level
 //! contract every build path in the workspace consumes — which is how a
@@ -35,6 +36,7 @@
 pub mod error;
 pub mod gt;
 pub mod io;
+pub mod metric_oracle;
 pub mod metrics;
 pub mod snapshot;
 pub mod store;
@@ -45,7 +47,7 @@ pub mod vecset;
 pub use ddc_linalg::RowAccess;
 pub use error::VecsError;
 pub use gt::{GroundTruth, Neighbor, TopK};
-pub use metrics::{measure_qps, recall, recall_at};
+pub use metrics::{hits, measure_qps, recall, recall_at};
 pub use snapshot::{SharedRows, Snapshot, SnapshotWriter};
 pub use store::{Advice, ChunkedReader, MmapVecs, VecStore};
 pub use synth::{SynthProfile, SynthSpec, Workload};

@@ -1,18 +1,19 @@
 //! The exact-answer oracle behind every recall measurement: brute-force
 //! top-`k` under any [`Metric`].
 //!
-//! [`ddc_vecs::GroundTruth`] is the parallel L2 scanner the original
-//! recall suites were built on; this module is its metric-general sibling,
-//! shared by the recall and property suites across the workspace so that
-//! "exact top-k under metric m" is defined in exactly one place (the
-//! previous per-test sort-all-distances loops each re-derived it). All
-//! distances come from [`Metric::distance`] — the same smaller-is-better
-//! convention every operator, index, and engine in the workspace reports —
-//! and ties break by ascending id ([`Neighbor`]'s total order), so oracle
-//! rankings are deterministic and directly comparable to search results.
+//! "Exact top-k under metric m" is defined here once: [`GroundTruth`]
+//! (the parallel per-query-set scan under L2) calls [`top_k`] per query,
+//! and the recall and property suites across the workspace call it
+//! directly. All distances come from [`Metric::distance`] — the same
+//! smaller-is-better convention every operator, index, and engine in the
+//! workspace reports — and ties break by ascending id ([`Neighbor`]'s
+//! total order), so oracle rankings are deterministic and directly
+//! comparable to search results.
+//!
+//! [`GroundTruth`]: crate::GroundTruth
 
+use crate::gt::{Neighbor, TopK};
 use ddc_linalg::{Metric, RowAccess};
-use ddc_vecs::{Neighbor, TopK};
 
 /// Exact top-`k` of `rows` for query `q` under `metric`, ascending
 /// distance, ties by id. Empty when `k == 0` or there are no rows.
@@ -55,9 +56,7 @@ pub fn top_k_filtered<R: RowAccess + ?Sized>(
 
 /// The distance of the `rank`-th nearest row (0-based) under `metric` —
 /// the pruning threshold `τ` a result queue holds once `rank + 1`
-/// neighbors are kept. Replaces the sort-every-distance loops the
-/// property tests and micro-benchmarks used to derive mid-range
-/// thresholds.
+/// neighbors are kept (the property tests' mid-range thresholds).
 ///
 /// # Panics
 /// When `rank >= rows.len()` (there is no such neighbor) or on the
@@ -80,22 +79,20 @@ pub fn tau_at_rank<R: RowAccess + ?Sized>(
 }
 
 /// Recall of `got` against the oracle's answer set: `|got ∩ oracle| /
-/// |oracle|`. `1.0` when the oracle set is empty (nothing to miss).
+/// |oracle|`, counting an id `got` repeats once ([`crate::metrics::hits`]).
+/// `1.0` when the oracle set is empty (nothing to miss).
 pub fn recall_against(oracle: &[Neighbor], got: &[u32]) -> f64 {
     if oracle.is_empty() {
         return 1.0;
     }
-    let hits = got
-        .iter()
-        .filter(|id| oracle.iter().any(|n| n.id == **id))
-        .count();
-    hits as f64 / oracle.len() as f64
+    let truth: Vec<u32> = oracle.iter().map(|n| n.id).collect();
+    crate::metrics::hits(got, &truth) as f64 / oracle.len() as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddc_vecs::{GroundTruth, SynthSpec};
+    use crate::{GroundTruth, SynthSpec};
 
     #[test]
     fn l2_oracle_matches_ground_truth_bit_for_bit() {
@@ -177,6 +174,7 @@ mod tests {
         ];
         assert_eq!(recall_against(&oracle, &[1, 2, 3, 4]), 1.0);
         assert_eq!(recall_against(&oracle, &[1, 2, 9, 9]), 0.5);
+        assert_eq!(recall_against(&oracle, &[1, 1, 1, 1]), 0.25);
         assert_eq!(recall_against(&oracle, &[]), 0.0);
         assert_eq!(recall_against(&[], &[7]), 1.0);
     }

@@ -4,17 +4,26 @@
 //! `G` is the exact KNN set, and QPS is end-to-end query throughput.
 
 use crate::gt::GroundTruth;
+use std::collections::HashSet;
+
+/// `|T ∩ G|` as sets: the number of distinct ids of `result` that appear
+/// in `truth`. An id `result` repeats counts once, so a search that
+/// returns duplicates loses recall instead of hiding them.
+pub fn hits(result: &[u32], truth: &[u32]) -> usize {
+    let g: HashSet<u32> = truth.iter().copied().collect();
+    let t: HashSet<u32> = result.iter().copied().collect();
+    t.intersection(&g).count()
+}
 
 /// Recall of a single result list against a single ground-truth list,
-/// evaluated at `k` (both lists may be longer; only the first `k` ground
-/// truth entries define `G`).
+/// evaluated at `k` (both lists may be longer; only the first `k` entries
+/// of each define `T` and `G`).
 pub fn recall_at(result: &[u32], truth: &[u32], k: usize) -> f64 {
     if k == 0 {
         return 1.0;
     }
-    let g: std::collections::HashSet<u32> = truth.iter().take(k).copied().collect();
-    let hits = result.iter().take(k).filter(|id| g.contains(id)).count();
-    hits as f64 / k.min(truth.len()).max(1) as f64
+    let found = hits(&result[..k.min(result.len())], &truth[..k.min(truth.len())]);
+    found as f64 / k.min(truth.len()).max(1) as f64
 }
 
 /// Mean recall@K over a query batch.
@@ -71,6 +80,7 @@ mod tests {
     #[test]
     fn partial_recall() {
         assert!((recall_at(&[1, 9, 8], &[1, 2, 3], 3) - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(recall_at(&[1, 1, 1, 1], &[1, 2, 3, 4], 4), 0.25);
         let r = recall(&[vec![1, 2, 9], vec![9, 9, 9]], &gt2(), 3);
         assert!((r - (2.0 / 3.0 + 0.0) / 2.0).abs() < 1e-12);
     }
