@@ -15,7 +15,7 @@
 //!   every [`Dco`], so all five operators (and any future one) are usable
 //!   as `&dyn DynDco` with zero extra code.
 //! * [`BoxedDco`] — the owned, thread-safe handle
-//!   ([`crate::DcoSpec::build`] returns it; `ddc-engine` stores it).
+//!   ([`crate::DcoSpec::build_rows`] returns it; `ddc-engine` stores it).
 //!
 //! Cost: one heap allocation per query (`Box<dyn DynQueryDco>`) plus a
 //! virtual call per candidate test. Against the `O(D)`–`O(D²)` arithmetic
@@ -152,7 +152,7 @@ impl<D: Dco> DynDco for D {
 }
 
 /// An owned, thread-safe dynamic DCO handle — what runtime configuration
-/// ([`crate::DcoSpec::build`]) produces and what `ddc-engine` stores.
+/// ([`crate::DcoSpec::build_rows`]) produces and what `ddc-engine` stores.
 ///
 /// # Threading contract
 ///

@@ -19,8 +19,9 @@
 //!
 //! that parses via [`FromStr`], prints its canonical full form via
 //! [`Display`] (so `parse(display(x))` round-trips, which is what
-//! `ddc-engine`'s manifest persistence relies on), and [`DcoSpec::build`]s
-//! into a [`BoxedDco`] ready for dynamic dispatch.
+//! the `meta` section of `ddc-engine`'s snapshots relies on), and
+//! [`DcoSpec::build_rows`] builds it into a [`BoxedDco`] ready for dynamic
+//! dispatch.
 //!
 //! Exposed keys cover the tuning surface of each operator; deliberately
 //! unexposed internals (training caps, logistic hyperparameters) stay at
@@ -32,7 +33,7 @@ use crate::{
     DdcResConfig, Exact,
 };
 use ddc_linalg::{Metric, RowAccess};
-use ddc_vecs::{SharedRows, VecSet, VecStore};
+use ddc_vecs::{SharedRows, VecSet};
 use std::fmt::{self, Display};
 use std::str::FromStr;
 
@@ -206,38 +207,15 @@ impl DcoSpec {
     /// Builds the operator over `base`.
     ///
     /// `train_queries` feeds the data-driven operators (DDCpca / DDCopq);
-    /// the others ignore it.
+    /// the others ignore it. One code path for every row source, so an
+    /// operator built over a mapped `VecStore` is **bit-identical** to one
+    /// built over a resident `VecSet` (pinned across the full index ×
+    /// operator grid by `crates/engine/tests/parity.rs`).
     ///
     /// # Errors
     /// Configuration/build failures, and
     /// [`CoreError::InsufficientTraining`] when a data-driven spec gets
     /// `None` training queries.
-    pub fn build(&self, base: &VecSet, train_queries: Option<&VecSet>) -> crate::Result<BoxedDco> {
-        self.build_rows(base, train_queries)
-    }
-
-    /// [`DcoSpec::build`] from a [`VecStore`] — an engine over a mapped
-    /// SIFT1M builds without the base set ever being heap-resident (each
-    /// operator keeps only its own transformed copy).
-    ///
-    /// # Errors
-    /// Same contract as [`DcoSpec::build`].
-    pub fn build_from_store(
-        &self,
-        store: &VecStore,
-        train_queries: Option<&VecSet>,
-    ) -> crate::Result<BoxedDco> {
-        self.build_rows(store, train_queries)
-    }
-
-    /// The row-generic builder behind [`DcoSpec::build`] and
-    /// [`DcoSpec::build_from_store`]: one code path for every backend, so
-    /// a store-built operator is **bit-identical** to a RAM-built one
-    /// (pinned across the full index × operator grid by
-    /// `crates/engine/tests/parity.rs`).
-    ///
-    /// # Errors
-    /// Same contract as [`DcoSpec::build`].
     pub fn build_rows<R: RowAccess + ?Sized>(
         &self,
         base: &R,
@@ -545,12 +523,12 @@ mod tests {
         let w = SynthSpec::tiny_test(8, 60, 12).generate();
         for s in ["exact(metric=ip)", "adsampling(delta_d=4,metric=cosine)"] {
             let spec: DcoSpec = s.parse().unwrap();
-            let dco = spec.build(&w.base, None).unwrap();
+            let dco = spec.build_rows(&w.base, None).unwrap();
             assert_eq!(dco.metric(), *spec.metric(), "{s}");
         }
         // wl2 weight-count mismatch surfaces at build, not parse.
         let bad: DcoSpec = "exact(metric=wl2:1;2;3)".parse().unwrap();
-        assert!(bad.build(&w.base, None).is_err());
+        assert!(bad.build_rows(&w.base, None).is_err());
     }
 
     #[test]
@@ -598,8 +576,8 @@ mod tests {
         ] {
             let spec: DcoSpec = spec_str.parse().unwrap();
             assert!(!spec.retrains_on_append());
-            let full = spec.build(&w.base, None).unwrap();
-            let mut grown = spec.build(&head, None).unwrap();
+            let full = spec.build_rows(&w.base, None).unwrap();
+            let mut grown = spec.build_rows(&head, None).unwrap();
             grown.append_rows(&tail).unwrap();
             assert_eq!(grown.len(), full.len(), "{spec_str}");
             assert_eq!(grown.stale_rows(), 0, "{spec_str}");
@@ -627,7 +605,7 @@ mod tests {
         ] {
             let spec: DcoSpec = spec_str.parse().unwrap();
             assert!(spec.retrains_on_append());
-            let mut dco = spec.build(&head, Some(&w.train_queries)).unwrap();
+            let mut dco = spec.build_rows(&head, Some(&w.train_queries)).unwrap();
             assert_eq!(dco.stale_rows(), 0);
             dco.append_rows(&tail).unwrap();
             assert_eq!(dco.len(), 120, "{spec_str}");
@@ -716,8 +694,8 @@ mod tests {
         let survivors = w.base.select(&keep);
         for (spec_str, per_row) in REMOVAL_GRID {
             let spec: DcoSpec = spec_str.parse().unwrap();
-            let full = spec.build(&w.base, Some(&w.train_queries)).unwrap();
-            let mut shrunk = spec.build(&w.base, Some(&w.train_queries)).unwrap();
+            let full = spec.build_rows(&w.base, Some(&w.train_queries)).unwrap();
+            let mut shrunk = spec.build_rows(&w.base, Some(&w.train_queries)).unwrap();
             shrunk.remove_rows(&dead).unwrap();
             assert_eq!(shrunk.stale_rows(), 0, "{spec_str}: removal is never stale");
             assert_eq!(
@@ -738,7 +716,7 @@ mod tests {
             // Data-independent transforms: removing rows ≡ never having
             // had them.
             if !spec.retrains_on_append() {
-                let fresh = spec.build(&survivors, None).unwrap();
+                let fresh = spec.build_rows(&survivors, None).unwrap();
                 assert_eq!(
                     shrunk.rows().as_flat(),
                     fresh.rows().as_flat(),
@@ -773,7 +751,7 @@ mod tests {
         ));
         for (spec_str, _) in REMOVAL_GRID {
             let spec: DcoSpec = spec_str.parse().unwrap();
-            let built = spec.build(&w.base, Some(&w.train_queries)).unwrap();
+            let built = spec.build_rows(&w.base, Some(&w.train_queries)).unwrap();
             let mut snap = ddc_vecs::SnapshotWriter::new();
             let bytes = built.rows().as_flat().iter().flat_map(|v| v.to_le_bytes());
             snap.add_section("rows", bytes.collect()).unwrap();
@@ -800,13 +778,15 @@ mod tests {
     #[test]
     fn append_rejects_bad_dims() {
         let w = SynthSpec::tiny_test(8, 50, 11).generate();
-        let mut dco = DcoSpec::Exact(Metric::L2).build(&w.base, None).unwrap();
+        let mut dco = DcoSpec::Exact(Metric::L2)
+            .build_rows(&w.base, None)
+            .unwrap();
         let narrow = VecSet::from_flat(3, vec![0.0; 3]).unwrap();
         assert!(dco.append_rows(&narrow).is_err());
         let mut ads = "adsampling"
             .parse::<DcoSpec>()
             .unwrap()
-            .build(&w.base, None)
+            .build_rows(&w.base, None)
             .unwrap();
         assert!(ads.append_rows(&narrow).is_err());
     }
@@ -817,7 +797,7 @@ mod tests {
         let exact = "exact"
             .parse::<DcoSpec>()
             .unwrap()
-            .build(&w.base, None)
+            .build_rows(&w.base, None)
             .unwrap();
         assert_eq!(exact.name(), "Exact");
         assert_eq!(exact.len(), 80);
@@ -825,16 +805,16 @@ mod tests {
         let ads = "adsampling(delta_d=4)"
             .parse::<DcoSpec>()
             .unwrap()
-            .build(&w.base, None)
+            .build_rows(&w.base, None)
             .unwrap();
         assert_eq!(ads.name(), "ADSampling");
 
         let pca_spec: DcoSpec = "ddcpca(init_d=4,delta_d=4)".parse().unwrap();
         assert!(pca_spec.requires_training_queries());
         assert!(matches!(
-            pca_spec.build(&w.base, None),
+            pca_spec.build_rows(&w.base, None),
             Err(CoreError::InsufficientTraining { .. })
         ));
-        assert!(pca_spec.build(&w.base, Some(&w.train_queries)).is_ok());
+        assert!(pca_spec.build_rows(&w.base, Some(&w.train_queries)).is_ok());
     }
 }

@@ -1,5 +1,5 @@
 //! The engine proper: construction, single and batched search, stats, and
-//! directory-level persistence.
+//! snapshot persistence.
 
 use crate::error::EngineError;
 use crate::filter::FilterPredicate;
@@ -10,7 +10,7 @@ use ddc_core::{BoxedDco, Counters, DcoSpec, DynDco, DynQueryDco, QueryBatch};
 use ddc_index::{BoxedIndex, IndexSpec, SearchParams, SearchResult};
 use ddc_linalg::kernels::backend_name;
 use ddc_linalg::{Metric, RowAccess};
-use ddc_vecs::{Advice, SharedRows, Snapshot, SnapshotWriter, VecSet, VecStore};
+use ddc_vecs::{Advice, SharedRows, Snapshot, SnapshotWriter, VecSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -90,7 +90,7 @@ impl EngineConfig {
     }
 
     /// The metric the operator answers in (index agreement is validated
-    /// at build/load time, so a served engine has exactly one metric).
+    /// at build/open time, so a served engine has exactly one metric).
     pub fn metric(&self) -> &Metric {
         self.dco.metric()
     }
@@ -147,8 +147,8 @@ pub struct Engine {
 
 /// Provenance of an engine opened from a snapshot container
 /// ([`Engine::open_snapshot`]): where the container lives and how its
-/// working set is served. Freshly built or directory-loaded engines have
-/// none ([`Engine::snapshot_info`] returns `None`).
+/// working set is served. Freshly built engines have none
+/// ([`Engine::snapshot_info`] returns `None`).
 #[derive(Debug, Clone)]
 pub struct SnapshotInfo {
     /// The container file the engine was opened from.
@@ -173,7 +173,13 @@ impl std::fmt::Debug for Engine {
 }
 
 impl Engine {
-    /// Builds the configured index and operator over `base`.
+    /// Builds the configured index and operator over `base` — a resident
+    /// [`VecSet`] or a [`ddc_vecs::VecStore`]. With the mapped store
+    /// backend the base matrix is never heap-resident: rows page in lazily
+    /// while the index and operator build, and only their own structures
+    /// (graph, rotated copy, codes) stay in RAM. Every row source goes
+    /// through the same loop, so results are **bit-identical** across
+    /// backends (the parity suite pins the full index × operator grid).
     ///
     /// `train_queries` feeds the data-driven operators (DDCpca / DDCopq);
     /// pass `None` for the others.
@@ -181,37 +187,7 @@ impl Engine {
     /// # Errors
     /// Index/operator build failures; a data-driven spec without training
     /// queries.
-    pub fn build(
-        base: &VecSet,
-        train_queries: Option<&VecSet>,
-        cfg: EngineConfig,
-    ) -> Result<Engine, EngineError> {
-        Engine::build_rows(base, train_queries, cfg)
-    }
-
-    /// [`Engine::build`] from a [`VecStore`]: with the mapped backend the
-    /// base matrix is never heap-resident — rows page in lazily while the
-    /// index and operator build, and only their own structures (graph,
-    /// rotated copy, codes) stay in RAM. Results are **bit-identical** to
-    /// [`Engine::build`] over the same data (the parity suite pins the
-    /// full index × operator grid).
-    ///
-    /// # Errors
-    /// Same contract as [`Engine::build`].
-    pub fn build_from_store(
-        store: &VecStore,
-        train_queries: Option<&VecSet>,
-        cfg: EngineConfig,
-    ) -> Result<Engine, EngineError> {
-        Engine::build_rows(store, train_queries, cfg)
-    }
-
-    /// The row-generic constructor behind [`Engine::build`] and
-    /// [`Engine::build_from_store`].
-    ///
-    /// # Errors
-    /// Same contract as [`Engine::build`].
-    pub fn build_rows<R: RowAccess + ?Sized>(
+    pub fn build<R: RowAccess + ?Sized>(
         base: &R,
         train_queries: Option<&VecSet>,
         cfg: EngineConfig,
@@ -266,9 +242,8 @@ impl Engine {
     ///
     /// Payloads ride along snapshots ([`Engine::save_snapshot`] adds a
     /// `payl` section and raises the container's generalized-features
-    /// flag) but **not** the structure-only directory format — re-attach
-    /// them after [`Engine::load`]. Rows appended later (live mutability)
-    /// get payload `0` until re-tagged.
+    /// flag). Rows appended later (live mutability) get payload `0` until
+    /// re-tagged.
     ///
     /// # Errors
     /// A length that disagrees with the row count.
@@ -614,7 +589,7 @@ impl Engine {
         let flat = self.dco.rows().as_flat().to_vec();
         let rows = SharedRows::Owned(VecSet::from_flat(self.dco.dim(), flat)?);
         let dco = self.cfg.dco.restore(&self.dco.state_bytes(), rows)?;
-        let index = self.cfg.index.load_bytes(&self.index.save_bytes()?)?;
+        let index = self.cfg.index.load_bytes(&self.index.save_bytes())?;
         Ok(Engine {
             cfg: self.cfg.clone(),
             index,
@@ -714,116 +689,13 @@ impl Engine {
         }
     }
 
-    /// Persists the engine to directory `dir`: the index structure
-    /// (`index.bin`, via [`ddc_index::SearchIndex::save`]) plus a text
-    /// manifest (`engine.manifest`) carrying both specs and the default
-    /// parameters.
-    ///
-    /// Vectors are **not** written — like [`ddc_index::persist`], the
-    /// format stores structure only; operators rebuild deterministically
-    /// from their spec'd seeds at [`Engine::load`] time.
-    ///
-    /// # Errors
-    /// I/O failures.
-    pub fn save(&self, dir: &Path) -> Result<(), EngineError> {
-        std::fs::create_dir_all(dir)?;
-        self.index.save(&dir.join("index.bin"))?;
-        let manifest = format!(
-            "{MANIFEST_MAGIC}\nindex={}\ndco={}\nef={}\nnprobe={}\nlen={}\ndim={}\n",
-            self.cfg.index,
-            self.cfg.dco,
-            self.cfg.params.ef,
-            self.cfg.params.nprobe,
-            self.len(),
-            self.dim(),
-        );
-        std::fs::write(dir.join("engine.manifest"), manifest)?;
-        Ok(())
-    }
-
-    /// Reassembles an engine persisted by [`Engine::save`]: reloads the
-    /// index structure and rebuilds the operator (deterministic seeds)
-    /// from the manifest's specs over the caller-supplied `base` vectors.
-    ///
-    /// # Errors
-    /// Missing/corrupt manifest, base-vector mismatch against the recorded
-    /// `len`/`dim`, and index/operator failures.
-    pub fn load(
-        dir: &Path,
-        base: &VecSet,
-        train_queries: Option<&VecSet>,
-    ) -> Result<Engine, EngineError> {
-        Engine::load_rows(dir, base, train_queries)
-    }
-
-    /// [`Engine::load`] over a [`VecStore`] — reattach a persisted engine
-    /// to a mapped dataset without materializing it.
-    ///
-    /// # Errors
-    /// Same contract as [`Engine::load`].
-    pub fn load_from_store(
-        dir: &Path,
-        store: &VecStore,
-        train_queries: Option<&VecSet>,
-    ) -> Result<Engine, EngineError> {
-        Engine::load_rows(dir, store, train_queries)
-    }
-
-    /// The row-generic loader behind [`Engine::load`] and
-    /// [`Engine::load_from_store`].
-    ///
-    /// # Errors
-    /// Same contract as [`Engine::load`].
-    pub fn load_rows<R: RowAccess + ?Sized>(
-        dir: &Path,
-        base: &R,
-        train_queries: Option<&VecSet>,
-    ) -> Result<Engine, EngineError> {
-        let path = dir.join("engine.manifest");
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| EngineError::Io(format!("{}: {e}", path.display())))?;
-        let manifest = Manifest::parse(&text, &path.display().to_string())?;
-        if let Some(len) = manifest.len {
-            if len != base.len() {
-                return Err(EngineError::Config(format!(
-                    "engine was saved over {len} points but base has {}",
-                    base.len()
-                )));
-            }
-        }
-        if let Some(dim) = manifest.dim {
-            if dim != base.dim() {
-                return Err(EngineError::Config(format!(
-                    "engine was saved at {dim}d but base is {}d",
-                    base.dim()
-                )));
-            }
-        }
-        check_metric_agreement(&manifest.index, &manifest.dco)?;
-        let dco = manifest.dco.build_rows(base, train_queries)?;
-        let loaded = manifest.index.load(&dir.join("index.bin"))?;
-        Ok(Engine {
-            cfg: EngineConfig {
-                index: manifest.index,
-                dco: manifest.dco,
-                params: manifest.params,
-            },
-            index: loaded,
-            dco,
-            serving: ServingCounters::default(),
-            snapshot: None,
-            overlay: None,
-            payloads: None,
-        })
-    }
-
     /// Writes the engine to a single snapshot container at `path`
     /// ([`ddc_vecs::snapshot`] format): the operator's pre-rotated matrix,
     /// its serialized state (norms, codebooks, rotations, classifiers),
     /// the index structure, and a `meta` section carrying both spec
     /// strings and the default parameters.
     ///
-    /// Unlike [`Engine::save`], the container is self-sufficient:
+    /// The container is self-sufficient:
     /// [`Engine::open_snapshot`] needs no base vectors and no training
     /// queries — nothing is rebuilt, so the reopened engine is
     /// **bit-identical** to this one (the parity suite pins this across
@@ -831,7 +703,7 @@ impl Engine {
     /// (temp + rename) and every section is CRC-checksummed.
     ///
     /// # Errors
-    /// I/O failures; index serialization failures.
+    /// I/O failures.
     pub fn save_snapshot(&self, path: &Path) -> Result<(), EngineError> {
         let mut w = SnapshotWriter::new();
         let meta = format!(
@@ -851,7 +723,7 @@ impl Engine {
         }
         w.add_section("rows", rows)?;
         w.add_section("dcostate", self.dco.state_bytes())?;
-        w.add_section("index", self.index.save_bytes()?)?;
+        w.add_section("index", self.index.save_bytes())?;
         if let Some(p) = &self.payloads {
             let mut bytes = Vec::with_capacity(p.len() * 8);
             for &tag in p.iter() {
@@ -883,8 +755,9 @@ impl Engine {
     /// # Errors
     /// [`EngineError::Vecs`] for container corruption (bad magic,
     /// checksum mismatches, truncation, unknown sections — each error
-    /// names the file and byte offset); [`EngineError::Config`] for a
-    /// well-formed container whose sections disagree with each other.
+    /// names the file and byte offset); [`EngineError::Config`], naming
+    /// the file, for a well-formed container whose sections fail
+    /// validation or disagree with each other.
     pub fn open_snapshot(path: impl AsRef<Path>) -> Result<Engine, EngineError> {
         let path = path.as_ref();
         let snap = Snapshot::open(path)?;
@@ -895,12 +768,7 @@ impl Engine {
             ))
         })?;
         let manifest = Manifest::parse(meta, &format!("{} (meta section)", path.display()))?;
-        let (Some(len), Some(dim)) = (manifest.len, manifest.dim) else {
-            return Err(EngineError::Config(format!(
-                "{}: snapshot meta is missing `len=` or `dim=`",
-                path.display()
-            )));
-        };
+        let (len, dim) = (manifest.len, manifest.dim);
         let rows = snap.section_rows("rows", dim)?;
         if rows.len() != len {
             return Err(EngineError::Config(format!(
@@ -910,8 +778,17 @@ impl Engine {
             )));
         }
         check_metric_agreement(&manifest.index, &manifest.dco)?;
-        let dco = manifest.dco.restore(snap.section("dcostate")?, rows)?;
-        let index = manifest.index.load_bytes(snap.section("index")?)?;
+        let invalid = |tag: &str, e: &dyn std::fmt::Display| {
+            EngineError::Config(format!("{}: `{tag}` section: {e}", path.display()))
+        };
+        let dco = manifest
+            .dco
+            .restore(snap.section("dcostate")?, rows)
+            .map_err(|e| invalid("dcostate", &e))?;
+        let index = manifest
+            .index
+            .load_bytes(snap.section("index")?)
+            .map_err(|e| invalid("index", &e))?;
         let payloads = if snap.sections().iter().any(|(tag, _)| *tag == "payl") {
             let bytes = snap.section("payl")?;
             if bytes.len() != len * 8 {
@@ -955,20 +832,20 @@ impl Engine {
     }
 
     /// Where this engine came from, when it was opened from a snapshot
-    /// container; `None` for built or directory-loaded engines.
+    /// container; `None` for built engines.
     pub fn snapshot_info(&self) -> Option<&SnapshotInfo> {
         self.snapshot.as_ref()
     }
 }
 
-/// The parsed key=value body shared by the directory manifest and the
-/// snapshot `meta` section.
+/// The parsed key=value body of the snapshot `meta` section
+/// ([`Engine::save_snapshot`] writes it).
 struct Manifest {
     index: IndexSpec,
     dco: DcoSpec,
     params: SearchParams,
-    len: Option<usize>,
-    dim: Option<usize>,
+    len: usize,
+    dim: usize,
 }
 
 impl Manifest {
@@ -1009,10 +886,10 @@ impl Manifest {
                 }
             }
         }
-        let (Some(index), Some(dco)) = (index, dco) else {
-            return Err(EngineError::Config(
-                "manifest is missing an `index=` or `dco=` line".into(),
-            ));
+        let (Some(index), Some(dco), Some(len), Some(dim)) = (index, dco, len, dim) else {
+            return Err(EngineError::Config(format!(
+                "{origin}: manifest is missing an `index=`, `dco=`, `len=` or `dim=` line"
+            )));
         };
         Ok(Manifest {
             index,
@@ -1173,29 +1050,6 @@ mod tests {
     }
 
     #[test]
-    fn save_load_roundtrip_preserves_results() {
-        let w = workload();
-        let cfg =
-            EngineConfig::from_strs("hnsw(m=6,ef_construction=30)", "ddcres(init_d=4,delta_d=4)")
-                .unwrap()
-                .with_params(SearchParams::new().with_ef(40));
-        let engine = Engine::build(&w.base, None, cfg).unwrap();
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("ddc-engine-rt-{}", std::process::id()));
-        engine.save(&dir).unwrap();
-        let back = Engine::load(&dir, &w.base, None).unwrap();
-        for qi in 0..w.queries.len().min(6) {
-            assert_eq!(
-                engine.search(w.queries.get(qi), 5).unwrap().ids(),
-                back.search(w.queries.get(qi), 5).unwrap().ids(),
-                "query {qi}"
-            );
-        }
-        assert_eq!(back.config().params.ef, 40);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn snapshot_roundtrip_is_bit_identical_and_self_sufficient() {
         let w = workload();
         let cfg =
@@ -1289,23 +1143,53 @@ mod tests {
     }
 
     #[test]
-    fn load_rejects_mismatched_base() {
+    fn open_snapshot_rejects_a_forged_index_section() {
+        // A real engine's `meta` / `rows` / `dcostate` beside an `index`
+        // section whose counts claim more than the stream holds: the CRCs
+        // are valid, so only the index loader's bounds stand between these
+        // bytes and a multi-gigabyte allocation.
         let w = workload();
-        let engine = Engine::build(
-            &w.base,
-            None,
-            EngineConfig::from_strs("flat", "exact").unwrap(),
-        )
-        .unwrap();
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("ddc-engine-mismatch-{}", std::process::id()));
-        engine.save(&dir).unwrap();
-        let other = SynthSpec::tiny_test(12, 100, 5).generate();
-        assert!(matches!(
-            Engine::load(&dir, &other.base, None),
-            Err(EngineError::Config(_))
-        ));
-        std::fs::remove_dir_all(&dir).ok();
+        let mut ivf = b"DDCIVF01".to_vec();
+        for v in [4u32, 1] {
+            ivf.extend_from_slice(&v.to_le_bytes()); // dim, nlist
+        }
+        ivf.extend_from_slice(&(1u64 << 40).to_le_bytes()); // centroid floats
+        let mut hnsw = b"DDCHNSW2".to_vec();
+        for v in [u32::MAX, 0, 0, 4, 4] {
+            hnsw.extend_from_slice(&v.to_le_bytes()); // n, entry, max_level, m, dim
+        }
+        hnsw.extend_from_slice(&0u64.to_le_bytes()); // seed
+        hnsw.extend_from_slice(&16u32.to_le_bytes()); // ef_construction
+        for (index, forged) in [
+            ("ivf(nlist=8)", ivf),
+            ("hnsw(m=6,ef_construction=30)", hnsw),
+        ] {
+            let cfg = EngineConfig::from_strs(index, "exact").unwrap();
+            let engine = Engine::build(&w.base, None, cfg).unwrap();
+            let mut path = std::env::temp_dir();
+            path.push(format!("ddc-engine-forged-{}.snap", std::process::id()));
+            engine.save_snapshot(&path).unwrap();
+            let snap = Snapshot::open(&path).unwrap();
+            let mut out = SnapshotWriter::new();
+            for (tag, _) in snap.sections() {
+                let bytes = if tag == "index" {
+                    forged.clone()
+                } else {
+                    snap.section(tag).unwrap().to_vec()
+                };
+                out.add_section(tag, bytes).unwrap();
+            }
+            drop(snap);
+            out.finish(&path).unwrap();
+
+            let Err(err) = Engine::open_snapshot(&path) else {
+                panic!("{index}: a forged index section must not open");
+            };
+            let msg = err.to_string();
+            assert!(msg.contains(&path.display().to_string()), "{index}: {msg}");
+            assert!(msg.contains("`index` section"), "{index}: {msg}");
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]
@@ -1442,26 +1326,12 @@ mod tests {
     }
 
     #[test]
-    fn metric_survives_dir_save_and_snapshot() {
+    fn metric_survives_snapshot() {
         let w = workload();
         let cfg = EngineConfig::from_strs("flat", "exact")
             .unwrap()
             .with_metric(Metric::Cosine);
         let engine = Engine::build(&w.base, None, cfg).unwrap();
-
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("ddc-engine-metric-rt-{}", std::process::id()));
-        engine.save(&dir).unwrap();
-        let back = Engine::load(&dir, &w.base, None).unwrap();
-        assert_eq!(back.metric(), Metric::Cosine);
-        for qi in 0..4 {
-            assert_eq!(
-                engine.search(w.queries.get(qi), 5).unwrap().ids(),
-                back.search(w.queries.get(qi), 5).unwrap().ids(),
-                "query {qi}"
-            );
-        }
-        std::fs::remove_dir_all(&dir).ok();
 
         let mut path = std::env::temp_dir();
         path.push(format!(

@@ -1,4 +1,4 @@
-//! Error type for engine construction, search, and persistence.
+//! Error type for engine construction, search, and snapshots.
 
 use std::fmt;
 
@@ -11,8 +11,6 @@ pub enum EngineError {
     Index(ddc_index::IndexError),
     /// Invalid engine configuration or manifest.
     Config(String),
-    /// Persistence i/o failed.
-    Io(String),
     /// Snapshot container i/o or validation failed.
     Vecs(ddc_vecs::VecsError),
 }
@@ -23,7 +21,6 @@ impl fmt::Display for EngineError {
             EngineError::Core(e) => write!(f, "operator failure: {e}"),
             EngineError::Index(e) => write!(f, "index failure: {e}"),
             EngineError::Config(msg) => write!(f, "invalid engine config: {msg}"),
-            EngineError::Io(msg) => write!(f, "engine persistence i/o failure: {msg}"),
             EngineError::Vecs(e) => write!(f, "snapshot failure: {e}"),
         }
     }
@@ -52,12 +49,6 @@ impl From<ddc_index::IndexError> for EngineError {
     }
 }
 
-impl From<std::io::Error> for EngineError {
-    fn from(e: std::io::Error) -> Self {
-        EngineError::Io(e.to_string())
-    }
-}
-
 impl From<ddc_vecs::VecsError> for EngineError {
     fn from(e: ddc_vecs::VecsError) -> Self {
         EngineError::Vecs(e)
@@ -75,7 +66,5 @@ mod tests {
         assert!(std::error::Error::source(&e).is_none());
         let e = EngineError::from(ddc_index::IndexError::Empty);
         assert!(std::error::Error::source(&e).is_some());
-        let e: EngineError = std::io::Error::new(std::io::ErrorKind::NotFound, "gone").into();
-        assert!(e.to_string().contains("gone"));
     }
 }

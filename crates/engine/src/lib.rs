@@ -11,13 +11,13 @@
 //!
 //! ```text
 //!            EngineConfig ("hnsw(m=16)" × "ddcres")
-//!                          │ build / load
+//!                          │ build / open_snapshot
 //!                          ▼
 //!  ┌───────────────────── Engine ─────────────────────┐
 //!  │  BoxedIndex (dyn SearchIndex)   BoxedDco (dyn)   │
 //!  │   flat │ ivf │ hnsw      exact │ ads │ ddc{res,  │
 //!  │                                      pca,opq}    │
-//!  │  search · search_batch · stats · save · load     │
+//!  │  search · search_batch · stats · save_snapshot   │
 //!  └──────────────────────────────────────────────────┘
 //! ```
 //!
@@ -38,16 +38,16 @@
 //! * **One stats surface** — [`Engine::stats`] reports composition,
 //!   memory (Fig. 7 accounting), the active SIMD backend, and accumulated
 //!   work counters (Fig. 10 metrics) in one [`EngineStats`].
-//! * **Persistence** — [`Engine::save`] / [`Engine::load`] compose the
-//!   index formats of [`ddc_index::persist`] with a text manifest; the
-//!   operator rebuilds deterministically from its spec'd seeds.
-//! * **Snapshots** — [`Engine::save_snapshot`] /
+//! * **One constructor, one file format** — [`Engine::build`] takes any
+//!   row source (a resident [`ddc_vecs::VecSet`] or a mapped
+//!   [`ddc_vecs::VecStore`]) through one loop. [`Engine::save_snapshot`] /
 //!   [`Engine::open_snapshot`] write and reopen one checksummed,
 //!   memory-mapped container ([`ddc_vecs::snapshot`]) holding the
-//!   pre-rotated matrix, operator state, and index structure; reopening
-//!   needs no base vectors, runs in `O(ms)`, and serves the matrix
-//!   zero-copy off the map with results bit-identical to the saved
-//!   engine.
+//!   pre-rotated matrix, the fitted operator state (projection,
+//!   classifiers, calibrated multiplier), and the index structure
+//!   ([`ddc_index::persist`]); reopening needs no base vectors, refits
+//!   nothing, runs in `O(ms)`, and serves the matrix zero-copy off the map
+//!   with results bit-identical to the saved engine.
 //! * **Shard-parallel batches** — [`Engine::search_batch_parallel_with`]
 //!   splits a batch (filtered or not) across a [`WorkerPool`] (fixed
 //!   threads, sharded queues, no work stealing) with results

@@ -272,7 +272,7 @@ fn store_built_engine_matches_ram_built_on_the_full_grid() {
                 .unwrap()
                 .with_params(params);
             let ram = Engine::build(&w.base, Some(&w.train_queries), cfg.clone()).unwrap();
-            let stored = Engine::build_from_store(&store, Some(&w.train_queries), cfg).unwrap();
+            let stored = Engine::build(&store, Some(&w.train_queries), cfg).unwrap();
             for qi in 0..w.queries.len() {
                 let a = ram.search(w.queries.get(qi), K).unwrap();
                 let b = stored.search(w.queries.get(qi), K).unwrap();
@@ -282,42 +282,6 @@ fn store_built_engine_matches_ram_built_on_the_full_grid() {
             }
         }
     }
-    std::fs::remove_file(&path).ok();
-}
-
-/// A persisted engine reattached to a mapped store serves the same
-/// results as one reattached to resident vectors.
-#[test]
-fn engine_load_from_store_matches_load_from_ram() {
-    let w = workload();
-    let mut dir = std::env::temp_dir();
-    dir.push(format!("ddc-parity-store-load-{}", std::process::id()));
-    let mut path = std::env::temp_dir();
-    path.push(format!(
-        "ddc-parity-store-load-{}.fvecs",
-        std::process::id()
-    ));
-    ddc_vecs::io::write_fvecs(&path, &w.base).unwrap();
-    let store = VecStore::open(&path).unwrap();
-
-    let cfg = EngineConfig::from_strs(
-        "hnsw(m=6,ef_construction=40,seed=3)",
-        "ddcres(init_d=4,delta_d=4,seed=5)",
-    )
-    .unwrap()
-    .with_params(SearchParams::new().with_ef(50));
-    let engine = Engine::build(&w.base, None, cfg).unwrap();
-    engine.save(&dir).unwrap();
-    let from_ram = Engine::load(&dir, &w.base, None).unwrap();
-    let from_store = Engine::load_from_store(&dir, &store, None).unwrap();
-    for qi in 0..w.queries.len() {
-        assert_same_results(
-            &from_ram.search(w.queries.get(qi), K).unwrap(),
-            &from_store.search(w.queries.get(qi), K).unwrap(),
-            &format!("store reload query {qi}"),
-        );
-    }
-    std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_file(&path).ok();
 }
 
@@ -349,8 +313,7 @@ fn snapshot_opened_engine_matches_fresh_build_on_the_full_grid() {
                 .with_params(params);
             let ram =
                 Arc::new(Engine::build(&w.base, Some(&w.train_queries), cfg.clone()).unwrap());
-            let stored =
-                Arc::new(Engine::build_from_store(&store, Some(&w.train_queries), cfg).unwrap());
+            let stored = Arc::new(Engine::build(&store, Some(&w.train_queries), cfg).unwrap());
             for (label, fresh) in [("ram", &ram), ("store", &stored)] {
                 let mut path = std::env::temp_dir();
                 path.push(format!(
@@ -462,7 +425,7 @@ fn batch_store_and_snapshot_parity_hold_across_metrics() {
                     .with_params(params)
                     .with_metric(metric.clone());
                 let engine = Engine::build(&w.base, Some(&w.train_queries), cfg.clone()).unwrap();
-                let stored = Engine::build_from_store(&store, Some(&w.train_queries), cfg).unwrap();
+                let stored = Engine::build(&store, Some(&w.train_queries), cfg).unwrap();
 
                 let mut snap = std::env::temp_dir();
                 snap.push(format!(
@@ -491,27 +454,4 @@ fn batch_store_and_snapshot_parity_hold_across_metrics() {
         }
     }
     std::fs::remove_file(&fvecs).ok();
-}
-
-#[test]
-fn engine_save_load_round_trips_across_the_grid() {
-    let w = workload();
-    let mut dir = std::env::temp_dir();
-    dir.push(format!("ddc-parity-persist-{}", std::process::id()));
-    for index_str in INDEX_SPECS {
-        let cfg = EngineConfig::from_strs(index_str, "ddcres(init_d=4,delta_d=4,seed=5)")
-            .unwrap()
-            .with_params(SearchParams::new().with_ef(50).with_nprobe(4));
-        let engine = Engine::build(&w.base, None, cfg).unwrap();
-        engine.save(&dir).unwrap();
-        let back = Engine::load(&dir, &w.base, None).unwrap();
-        for qi in 0..w.queries.len() {
-            assert_same_results(
-                &engine.search(w.queries.get(qi), K).unwrap(),
-                &back.search(w.queries.get(qi), K).unwrap(),
-                &format!("{index_str} reload query {qi}"),
-            );
-        }
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }

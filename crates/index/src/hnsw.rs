@@ -609,9 +609,9 @@ impl Hnsw {
         &self.metric
     }
 
-    /// Re-tags the graph with its construction metric. The index file
-    /// format does not store the metric (it lives in the engine manifest's
-    /// spec), so loaders inject it here — future [`Hnsw::insert_next`]
+    /// Re-tags the graph with its construction metric. The index byte
+    /// form does not store the metric (it lives in the spec of the
+    /// snapshot `meta` section), so loaders inject it here — future [`Hnsw::insert_next`]
     /// calls must wire edges under the same geometry the graph was built
     /// with.
     #[must_use]

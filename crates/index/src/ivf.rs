@@ -124,7 +124,7 @@ impl Ivf {
     }
 
     /// Reassembles an index from persisted parts (metric defaults to L2;
-    /// loaders re-tag via [`Ivf::with_metric`] — the file format does not
+    /// loaders re-tag via [`Ivf::with_metric`] — the byte form does not
     /// store it).
     pub(crate) fn from_parts(centroids: VecSet, lists: Vec<Vec<u32>>) -> Ivf {
         Ivf {

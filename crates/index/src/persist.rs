@@ -1,194 +1,152 @@
-//! Binary persistence for built indexes.
+//! The byte form of a built index — the `index` section of an engine
+//! snapshot container (see `ddc_vecs::snapshot`).
 //!
-//! Building an HNSW graph dominates end-to-end setup time (Fig. 7/9), so a
-//! production deployment builds once and reloads. The format is a plain
-//! little-endian stream with a magic tag and version byte; it deliberately
-//! stores only the *index structure* — vectors travel separately (fvecs via
-//! `ddc-vecs::io`), and DCOs are retrained or rebuilt from their own seeds,
-//! keeping the file format independent of operator evolution.
+//! A plain little-endian stream behind a magic tag and version byte that
+//! stores only the *index structure*: the rows and the operator state
+//! travel in their own snapshot sections, keeping this format independent
+//! of operator evolution.
 //!
-//! Every serializer is generic over `impl Write`/`impl Read`, so the same
-//! byte stream lands either in a standalone file (`save`/`load`) or inside
-//! the `index` section of an engine snapshot container
-//! (`save_bytes`/`load_bytes` — see `ddc_vecs::snapshot`).
+//! Loaders read a `&[u8]` and never trust a length from the stream: every
+//! count is bounded by the bytes that remain before anything is
+//! allocated, so a forged or truncated section is an `Err`, never an
+//! allocation larger than the input.
 
 use crate::flat::FlatIndex;
 use crate::hnsw::Hnsw;
 use crate::ivf::Ivf;
 use crate::{IndexError, Result};
 use ddc_vecs::VecSet;
-use std::io::{BufReader, BufWriter, Read, Write};
-use std::path::Path;
 
 const HNSW_MAGIC: &[u8; 8] = b"DDCHNSW2";
 const IVF_MAGIC: &[u8; 8] = b"DDCIVF01";
 const FLAT_MAGIC: &[u8; 8] = b"DDCFLAT1";
 
-fn io_err(e: std::io::Error) -> IndexError {
-    IndexError::Config(format!("persistence i/o failure: {e}"))
+fn corrupt(detail: impl std::fmt::Display) -> IndexError {
+    IndexError::Config(format!("corrupt index stream: {detail}"))
 }
 
-fn write_u32(w: &mut impl Write, v: u32) -> Result<()> {
-    w.write_all(&v.to_le_bytes()).map_err(io_err)
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn write_u64(w: &mut impl Write, v: u64) -> Result<()> {
-    w.write_all(&v.to_le_bytes()).map_err(io_err)
-}
-
-fn read_u32(r: &mut impl Read) -> Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b).map_err(io_err)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut impl Read) -> Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b).map_err(io_err)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn write_u32_slice(w: &mut impl Write, v: &[u32]) -> Result<()> {
-    write_u64(w, v.len() as u64)?;
+fn put_u32_slice(out: &mut Vec<u8>, v: &[u32]) {
+    out.extend_from_slice(&(v.len() as u64).to_le_bytes());
     for &x in v {
-        write_u32(w, x)?;
+        put_u32(out, x);
     }
-    Ok(())
 }
 
-fn read_u32_vec(r: &mut impl Read, cap: u64) -> Result<Vec<u32>> {
-    let len = read_u64(r)?;
-    if len > cap {
-        return Err(IndexError::Config(format!(
-            "corrupt index file: list length {len} exceeds bound {cap}"
-        )));
-    }
-    (0..len).map(|_| read_u32(r)).collect()
-}
+/// A cursor over a serialized index.
+struct Cursor<'a>(&'a [u8]);
 
-fn write_f32_slice(w: &mut impl Write, v: &[f32]) -> Result<()> {
-    write_u64(w, v.len() as u64)?;
-    for &x in v {
-        w.write_all(&x.to_le_bytes()).map_err(io_err)?;
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        if n > self.0.len() {
+            return Err(corrupt(format!(
+                "needs {n} more bytes, {} remain",
+                self.0.len()
+            )));
+        }
+        let (head, tail) = self.0.split_at(n);
+        self.0 = tail;
+        Ok(head)
     }
-    Ok(())
-}
 
-fn read_f32_vec(r: &mut impl Read, cap: u64) -> Result<Vec<f32>> {
-    let len = read_u64(r)?;
-    if len > cap {
-        return Err(IndexError::Config(format!(
-            "corrupt index file: buffer length {len} exceeds bound {cap}"
-        )));
+    fn u32(&mut self) -> Result<u32> {
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
     }
-    let mut out = Vec::with_capacity(len as usize);
-    let mut b = [0u8; 4];
-    for _ in 0..len {
-        r.read_exact(&mut b).map_err(io_err)?;
-        out.push(f32::from_le_bytes(b));
-    }
-    Ok(out)
-}
 
-/// Sanity bound on any single persisted list (prevents absurd allocations
-/// from corrupt headers).
-const MAX_LIST: u64 = 1 << 40;
+    fn u64(&mut self) -> Result<u64> {
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
+    }
+
+    /// A count of items that each occupy at least `min_bytes` of what is
+    /// left — the bound that keeps allocation below the input size.
+    fn count(&mut self, n: u64, min_bytes: usize, what: &str) -> Result<usize> {
+        let fits = (self.0.len() / min_bytes) as u64;
+        if n > fits {
+            return Err(corrupt(format!(
+                "{what} count {n} cannot fit in the {} bytes left",
+                self.0.len()
+            )));
+        }
+        Ok(n as usize)
+    }
+
+    /// A `u64`-length-prefixed run of 4-byte words, each decoded by `word`.
+    fn words<T>(&mut self, what: &str, word: fn([u8; 4]) -> T) -> Result<Vec<T>> {
+        let len = self.u64()?;
+        let len = self.count(len, 4, what)?;
+        Ok(self
+            .take(4 * len)?
+            .chunks_exact(4)
+            .map(|b| word(b.try_into().expect("4 bytes")))
+            .collect())
+    }
+
+    fn magic(&mut self, magic: &[u8; 8], what: &str) -> Result<()> {
+        match self.take(8) {
+            Ok(m) if m == magic => Ok(()),
+            _ => Err(IndexError::Config(format!("not a DDC {what} stream"))),
+        }
+    }
+}
 
 impl Hnsw {
-    /// Serializes the graph structure to `path`.
-    ///
-    /// # Errors
-    /// I/O failures surface as [`IndexError::Config`].
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        let file = std::fs::File::create(path).map_err(io_err)?;
-        let mut w = BufWriter::new(file);
-        self.save_to(&mut w)?;
-        w.flush().map_err(io_err)
-    }
-
-    /// Serializes the graph structure into an in-memory byte buffer (the
-    /// snapshot `index` section).
-    ///
-    /// # Errors
-    /// Same contract as [`Hnsw::save`].
-    pub fn save_bytes(&self) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        self.save_to(&mut out)?;
-        Ok(out)
-    }
-
-    /// The writer-generic serializer behind [`Hnsw::save`] and
-    /// [`Hnsw::save_bytes`] — one byte stream, any destination.
-    ///
-    /// # Errors
-    /// I/O failures surface as [`IndexError::Config`].
-    pub fn save_to(&self, w: &mut impl Write) -> Result<()> {
-        w.write_all(HNSW_MAGIC).map_err(io_err)?;
-        write_u32(w, self.len() as u32)?;
-        write_u32(w, self.entry())?;
-        write_u32(w, self.max_level() as u32)?;
-        write_u32(w, self.m_param() as u32)?;
-        write_u32(w, self.dim_param() as u32)?;
-        write_u64(w, self.seed())?;
-        write_u32(w, self.ef_construction() as u32)?;
+    /// Serializes the graph structure (the snapshot `index` section).
+    pub fn save_bytes(&self) -> Vec<u8> {
+        let mut out = HNSW_MAGIC.to_vec();
+        put_u32(&mut out, self.len() as u32);
+        put_u32(&mut out, self.entry());
+        put_u32(&mut out, self.max_level() as u32);
+        put_u32(&mut out, self.m_param() as u32);
+        put_u32(&mut out, self.dim_param() as u32);
+        out.extend_from_slice(&self.seed().to_le_bytes());
+        put_u32(&mut out, self.ef_construction() as u32);
         for id in 0..self.len() as u32 {
             let levels = self.node_levels(id);
-            write_u32(w, levels as u32)?;
+            put_u32(&mut out, levels as u32);
             for lev in 0..levels {
-                write_u32_slice(w, self.neighbors(id, lev))?;
+                put_u32_slice(&mut out, self.neighbors(id, lev));
             }
         }
-        Ok(())
+        out
     }
 
-    /// Reloads a graph saved with [`Hnsw::save`].
+    /// Deserializes a graph written by [`Hnsw::save_bytes`].
     ///
     /// # Errors
-    /// I/O failures and structural validation errors.
-    pub fn load(path: impl AsRef<Path>) -> Result<Hnsw> {
-        let file = std::fs::File::open(path).map_err(io_err)?;
-        Hnsw::load_from(&mut BufReader::new(file))
-    }
-
-    /// Deserializes a graph from an in-memory byte stream (the snapshot
-    /// `index` section).
-    ///
-    /// # Errors
-    /// Same contract as [`Hnsw::load`].
-    pub fn load_bytes(mut bytes: &[u8]) -> Result<Hnsw> {
-        Hnsw::load_from(&mut bytes)
-    }
-
-    /// The reader-generic deserializer behind [`Hnsw::load`] and
-    /// [`Hnsw::load_bytes`].
-    ///
-    /// # Errors
-    /// I/O failures and structural validation errors.
-    pub fn load_from(r: &mut impl Read) -> Result<Hnsw> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic).map_err(io_err)?;
-        if &magic != HNSW_MAGIC {
-            return Err(IndexError::Config("not a DDC HNSW file".into()));
-        }
-        let n = read_u32(r)? as usize;
-        let entry = read_u32(r)?;
-        let max_level = read_u32(r)? as usize;
-        let m = read_u32(r)? as usize;
-        let dim = read_u32(r)? as usize;
-        let seed = read_u64(r)?;
-        let ef_construction = read_u32(r)? as usize;
-        if n == 0 || (entry as usize) >= n {
+    /// A wrong magic tag, truncation, and structural validation errors.
+    pub fn load_bytes(bytes: &[u8]) -> Result<Hnsw> {
+        let mut r = Cursor(bytes);
+        r.magic(HNSW_MAGIC, "HNSW")?;
+        let n = r.u32()?;
+        let entry = r.u32()?;
+        let max_level = r.u32()? as usize;
+        let m = r.u32()? as usize;
+        let dim = r.u32()? as usize;
+        let seed = r.u64()?;
+        let ef_construction = r.u32()? as usize;
+        if n == 0 || entry >= n {
             return Err(IndexError::Config("corrupt HNSW header".into()));
         }
+        // Every node carries at least its 4-byte level word.
+        let n = r.count(u64::from(n), 4, "HNSW node")?;
         let mut links = Vec::with_capacity(n);
         for _ in 0..n {
-            let levels = read_u32(r)? as usize;
+            let levels = r.u32()? as usize;
             if levels == 0 || levels > max_level + 1 {
                 return Err(IndexError::Config("corrupt HNSW node level".into()));
             }
+            // Every level carries at least its 8-byte list length.
+            let levels = r.count(levels as u64, 8, "HNSW level")?;
             let mut node = Vec::with_capacity(levels);
             for _ in 0..levels {
-                let nbrs = read_u32_vec(r, MAX_LIST)?;
+                let nbrs = r.words("list", u32::from_le_bytes)?;
                 if nbrs.iter().any(|&e| e as usize >= n) {
                     return Err(IndexError::Config("corrupt HNSW edge id".into()));
                 }
@@ -209,126 +167,63 @@ impl Hnsw {
 }
 
 impl FlatIndex {
-    /// Serializes the (stateless) flat index: a magic tag only, written so
-    /// engine-level persistence treats all three index kinds uniformly.
-    ///
-    /// # Errors
-    /// I/O failures surface as [`IndexError::Config`].
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        std::fs::write(path, FLAT_MAGIC).map_err(io_err)
+    /// The (stateless) flat index's byte form: a magic tag only, written
+    /// so engine snapshots treat all three index kinds uniformly.
+    pub fn save_bytes(&self) -> Vec<u8> {
+        FLAT_MAGIC.to_vec()
     }
 
-    /// The magic tag as an owned buffer (the snapshot `index` section).
-    ///
-    /// # Errors
-    /// Infallible in practice; `Result` keeps the three kinds uniform.
-    pub fn save_bytes(&self) -> Result<Vec<u8>> {
-        Ok(FLAT_MAGIC.to_vec())
-    }
-
-    /// Validates and "loads" a file written by [`FlatIndex::save`].
-    ///
-    /// # Errors
-    /// I/O failures and a wrong magic tag.
-    pub fn load(path: impl AsRef<Path>) -> Result<FlatIndex> {
-        let bytes = std::fs::read(path).map_err(io_err)?;
-        FlatIndex::load_bytes(&bytes)
-    }
-
-    /// Validates an in-memory buffer written by [`FlatIndex::save_bytes`].
+    /// Validates a buffer written by [`FlatIndex::save_bytes`].
     ///
     /// # Errors
     /// A wrong magic tag.
     pub fn load_bytes(bytes: &[u8]) -> Result<FlatIndex> {
         if bytes != FLAT_MAGIC {
-            return Err(IndexError::Config("not a DDC flat-index file".into()));
+            return Err(IndexError::Config("not a DDC flat-index stream".into()));
         }
         Ok(FlatIndex)
     }
 }
 
 impl Ivf {
-    /// Serializes the centroids and posting lists to `path`.
-    ///
-    /// # Errors
-    /// I/O failures surface as [`IndexError::Config`].
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        let file = std::fs::File::create(path).map_err(io_err)?;
-        let mut w = BufWriter::new(file);
-        self.save_to(&mut w)?;
-        w.flush().map_err(io_err)
-    }
-
-    /// Serializes the index into an in-memory byte buffer (the snapshot
-    /// `index` section).
-    ///
-    /// # Errors
-    /// Same contract as [`Ivf::save`].
-    pub fn save_bytes(&self) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        self.save_to(&mut out)?;
-        Ok(out)
-    }
-
-    /// The writer-generic serializer behind [`Ivf::save`] and
-    /// [`Ivf::save_bytes`].
-    ///
-    /// # Errors
-    /// I/O failures surface as [`IndexError::Config`].
-    pub fn save_to(&self, w: &mut impl Write) -> Result<()> {
-        w.write_all(IVF_MAGIC).map_err(io_err)?;
+    /// Serializes the centroids and posting lists (the snapshot `index`
+    /// section).
+    pub fn save_bytes(&self) -> Vec<u8> {
+        let mut out = IVF_MAGIC.to_vec();
         let (centroids, lists) = self.parts();
-        write_u32(w, centroids.dim() as u32)?;
-        write_u32(w, lists.len() as u32)?;
-        write_f32_slice(w, centroids.as_flat())?;
+        put_u32(&mut out, centroids.dim() as u32);
+        put_u32(&mut out, lists.len() as u32);
+        out.extend_from_slice(&(centroids.as_flat().len() as u64).to_le_bytes());
+        for &x in centroids.as_flat() {
+            out.extend_from_slice(&x.to_le_bytes());
+        }
         for list in lists {
-            write_u32_slice(w, list)?;
+            put_u32_slice(&mut out, list);
         }
-        Ok(())
+        out
     }
 
-    /// Reloads an index saved with [`Ivf::save`].
+    /// Deserializes an index written by [`Ivf::save_bytes`].
     ///
     /// # Errors
-    /// I/O failures and structural validation errors.
-    pub fn load(path: impl AsRef<Path>) -> Result<Ivf> {
-        let file = std::fs::File::open(path).map_err(io_err)?;
-        Ivf::load_from(&mut BufReader::new(file))
-    }
-
-    /// Deserializes an index from an in-memory byte stream (the snapshot
-    /// `index` section).
-    ///
-    /// # Errors
-    /// Same contract as [`Ivf::load`].
-    pub fn load_bytes(mut bytes: &[u8]) -> Result<Ivf> {
-        Ivf::load_from(&mut bytes)
-    }
-
-    /// The reader-generic deserializer behind [`Ivf::load`] and
-    /// [`Ivf::load_bytes`].
-    ///
-    /// # Errors
-    /// I/O failures and structural validation errors.
-    pub fn load_from(r: &mut impl Read) -> Result<Ivf> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic).map_err(io_err)?;
-        if &magic != IVF_MAGIC {
-            return Err(IndexError::Config("not a DDC IVF file".into()));
-        }
-        let dim = read_u32(r)? as usize;
-        let nlist = read_u32(r)? as usize;
+    /// A wrong magic tag, truncation, and structural validation errors.
+    pub fn load_bytes(bytes: &[u8]) -> Result<Ivf> {
+        let mut r = Cursor(bytes);
+        r.magic(IVF_MAGIC, "IVF")?;
+        let dim = r.u32()? as usize;
+        let nlist = r.u32()? as usize;
         if dim == 0 || nlist == 0 {
             return Err(IndexError::Config("corrupt IVF header".into()));
         }
-        let flat = read_f32_vec(r, MAX_LIST)?;
-        let centroids = VecSet::from_flat(dim, flat)
+        let centroids = VecSet::from_flat(dim, r.words("buffer", f32::from_le_bytes)?)
             .map_err(|e| IndexError::Config(format!("corrupt IVF centroids: {e}")))?;
         if centroids.len() != nlist {
             return Err(IndexError::Config("IVF centroid count mismatch".into()));
         }
-        let lists: Result<Vec<Vec<u32>>> = (0..nlist).map(|_| read_u32_vec(r, MAX_LIST)).collect();
-        Ok(Ivf::from_parts(centroids, lists?))
+        let lists = (0..nlist)
+            .map(|_| r.words("list", u32::from_le_bytes))
+            .collect::<Result<_>>()?;
+        Ok(Ivf::from_parts(centroids, lists))
     }
 }
 
@@ -338,12 +233,6 @@ mod tests {
     use crate::ivf::{Ivf, IvfConfig};
     use ddc_core::Exact;
     use ddc_vecs::SynthSpec;
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("ddc-index-persist-{}-{name}", std::process::id()));
-        p
-    }
 
     #[test]
     fn hnsw_roundtrip_preserves_search() {
@@ -358,10 +247,7 @@ mod tests {
             },
         )
         .unwrap();
-        let path = tmp("g.hnsw");
-        g.save(&path).unwrap();
-        let back = Hnsw::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
+        let back = Hnsw::load_bytes(&g.save_bytes()).unwrap();
 
         assert_eq!(back.len(), g.len());
         assert_eq!(back.entry(), g.entry());
@@ -378,10 +264,7 @@ mod tests {
     fn ivf_roundtrip_preserves_search() {
         let w = SynthSpec::tiny_test(6, 300, 17).generate();
         let ivf = Ivf::build(&w.base, &IvfConfig::new(8)).unwrap();
-        let path = tmp("i.ivf");
-        ivf.save(&path).unwrap();
-        let back = Ivf::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
+        let back = Ivf::load_bytes(&ivf.save_bytes()).unwrap();
 
         assert_eq!(back.nlist(), ivf.nlist());
         let dco = Exact::build(&w.base);
@@ -394,11 +277,10 @@ mod tests {
 
     #[test]
     fn wrong_magic_rejected() {
-        let path = tmp("bad.bin");
-        std::fs::write(&path, b"NOTANIDX________").unwrap();
-        assert!(Hnsw::load(&path).is_err());
-        assert!(Ivf::load(&path).is_err());
-        std::fs::remove_file(&path).ok();
+        let bytes = b"NOTANIDX________";
+        assert!(Hnsw::load_bytes(bytes).is_err());
+        assert!(Ivf::load_bytes(bytes).is_err());
+        assert!(crate::FlatIndex::load_bytes(bytes).is_err());
     }
 
     #[test]
@@ -414,11 +296,39 @@ mod tests {
             },
         )
         .unwrap();
-        let path = tmp("trunc.hnsw");
-        g.save(&path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(Hnsw::load(&path).is_err());
-        std::fs::remove_file(&path).ok();
+        let bytes = g.save_bytes();
+        assert!(Hnsw::load_bytes(&bytes[..bytes.len() / 2]).is_err());
+        let ivf = Ivf::build(&w.base, &IvfConfig::new(4))
+            .unwrap()
+            .save_bytes();
+        assert!(Ivf::load_bytes(&ivf[..ivf.len() - 1]).is_err());
+    }
+
+    /// A 24-byte IVF stream whose centroid buffer claims 2⁴⁰ floats:
+    /// rejected before anything is allocated for it.
+    #[test]
+    fn forged_ivf_centroid_length_is_rejected() {
+        let mut s = b"DDCIVF01".to_vec();
+        s.extend_from_slice(&4u32.to_le_bytes()); // dim
+        s.extend_from_slice(&1u32.to_le_bytes()); // nlist
+        s.extend_from_slice(&(1u64 << 40).to_le_bytes()); // centroid floats
+        assert_eq!(s.len(), 24);
+        let err = Ivf::load_bytes(&s).unwrap_err().to_string();
+        assert!(err.contains("cannot fit"), "{err}");
+    }
+
+    /// A 40-byte HNSW header claiming `u32::MAX` nodes: rejected before the
+    /// node table is allocated.
+    #[test]
+    fn forged_hnsw_node_count_is_rejected() {
+        let mut s = b"DDCHNSW2".to_vec();
+        for v in [u32::MAX, 0, 0, 4, 4] {
+            s.extend_from_slice(&v.to_le_bytes()); // n, entry, max_level, m, dim
+        }
+        s.extend_from_slice(&0u64.to_le_bytes()); // seed
+        s.extend_from_slice(&16u32.to_le_bytes()); // ef_construction
+        assert_eq!(s.len(), 40);
+        let err = Hnsw::load_bytes(&s).unwrap_err().to_string();
+        assert!(err.contains("cannot fit"), "{err}");
     }
 }

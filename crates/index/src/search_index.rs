@@ -18,7 +18,6 @@ use crate::visited::VisitedSet;
 use crate::{FlatIndex, Hnsw, IndexError, Ivf, Result, SearchResult};
 use ddc_core::{DynDco, DynQueryDco};
 use ddc_linalg::RowAccess;
-use std::path::Path;
 
 /// Per-query search knobs, one struct for every index kind.
 ///
@@ -151,21 +150,11 @@ pub trait SearchIndex {
     /// unchanged in every error case.
     fn remove(&mut self, rows_before: &dyn RowAccess, dead_mask: &[bool]) -> Result<()>;
 
-    /// Persists the index structure to `path` (vectors and operators
-    /// travel separately — see [`crate::persist`]).
-    ///
-    /// # Errors
-    /// I/O failures surface as [`IndexError::Config`].
-    fn save(&self, path: &Path) -> Result<()>;
-
-    /// Serializes the index structure into an in-memory buffer — the same
-    /// byte stream [`SearchIndex::save`] writes, destined for the `index`
+    /// Serializes the index structure (vectors and operators travel
+    /// separately — see [`crate::persist`]), destined for the `index`
     /// section of an engine snapshot container. Reload through
     /// [`crate::IndexSpec::load_bytes`].
-    ///
-    /// # Errors
-    /// I/O failures surface as [`IndexError::Config`].
-    fn save_bytes(&self) -> Result<Vec<u8>>;
+    fn save_bytes(&self) -> Vec<u8>;
 }
 
 impl SearchIndex for FlatIndex {
@@ -208,11 +197,7 @@ impl SearchIndex for FlatIndex {
         removal_plan(rows_before.len(), dead_mask).map(|_| ())
     }
 
-    fn save(&self, path: &Path) -> Result<()> {
-        FlatIndex::save(self, path)
-    }
-
-    fn save_bytes(&self) -> Result<Vec<u8>> {
+    fn save_bytes(&self) -> Vec<u8> {
         FlatIndex::save_bytes(self)
     }
 }
@@ -257,11 +242,7 @@ impl SearchIndex for Ivf {
         Ivf::remove_rows(self, dead_mask)
     }
 
-    fn save(&self, path: &Path) -> Result<()> {
-        Ivf::save(self, path)
-    }
-
-    fn save_bytes(&self) -> Result<Vec<u8>> {
+    fn save_bytes(&self) -> Vec<u8> {
         Ivf::save_bytes(self)
     }
 }
@@ -318,11 +299,7 @@ impl SearchIndex for Hnsw {
         Hnsw::remove_rows(self, rows_before, dead_mask)
     }
 
-    fn save(&self, path: &Path) -> Result<()> {
-        Hnsw::save(self, path)
-    }
-
-    fn save_bytes(&self) -> Result<Vec<u8>> {
+    fn save_bytes(&self) -> Vec<u8> {
         Hnsw::save_bytes(self)
     }
 }
@@ -355,7 +332,7 @@ pub(crate) fn removal_plan(indexed: usize, dead_mask: &[bool]) -> Result<Option<
     }
 }
 
-/// An owned, thread-safe dynamic index handle (what `IndexSpec::build`
+/// An owned, thread-safe dynamic index handle (what `IndexSpec::build_rows`
 /// returns and `ddc-engine` stores).
 pub type BoxedIndex = Box<dyn SearchIndex + Send + Sync>;
 

@@ -3,9 +3,9 @@
 //!
 //! Same serde-free `name(key=value,...)` grammar (shared parser:
 //! [`ddc_core::SpecParams`]), same contract: [`std::fmt::Display`] emits a
-//! canonical form that parses back identically, [`IndexSpec::build`]
-//! produces a boxed [`crate::SearchIndex`], and [`IndexSpec::load`]
-//! reattaches a structure persisted by [`crate::SearchIndex::save`].
+//! canonical form that parses back identically, [`IndexSpec::build_rows`]
+//! produces a boxed [`crate::SearchIndex`], and [`IndexSpec::load_bytes`]
+//! reattaches a structure serialized by [`crate::SearchIndex::save_bytes`].
 //!
 //! ```
 //! use ddc_index::IndexSpec;
@@ -21,9 +21,7 @@ use crate::{FlatIndex, Hnsw, HnswConfig, IndexError, Ivf, IvfConfig, Result};
 use ddc_core::spec::take_metric_param;
 use ddc_core::SpecParams;
 use ddc_linalg::{Metric, RowAccess};
-use ddc_vecs::{VecSet, VecStore};
 use std::fmt::{self, Display};
-use std::path::Path;
 use std::str::FromStr;
 
 /// Runtime-selectable AKNN index.
@@ -74,30 +72,13 @@ impl IndexSpec {
     }
 
     /// Builds the index over `base` (exact distances, as always — DCOs
-    /// only enter at search time).
+    /// only enter at search time). One code path per index kind for every
+    /// row source, so a structure built over a mapped `VecStore` is
+    /// bit-identical to one built over a resident `VecSet` (the engine
+    /// parity suite pins this).
     ///
     /// # Errors
     /// Build failures of the underlying index.
-    pub fn build(&self, base: &VecSet) -> Result<BoxedIndex> {
-        self.build_rows(base)
-    }
-
-    /// [`IndexSpec::build`] from a [`VecStore`] — the structure of a
-    /// mapped dataset builds without the matrix ever being heap-resident.
-    ///
-    /// # Errors
-    /// Same contract as [`IndexSpec::build`].
-    pub fn build_from_store(&self, store: &VecStore) -> Result<BoxedIndex> {
-        self.build_rows(store)
-    }
-
-    /// The row-generic builder behind [`IndexSpec::build`] and
-    /// [`IndexSpec::build_from_store`] — one code path per index kind, so
-    /// store-built structures are bit-identical to RAM-built ones (the
-    /// engine parity suite pins this).
-    ///
-    /// # Errors
-    /// Same contract as [`IndexSpec::build`].
     pub fn build_rows<R: RowAccess + ?Sized>(&self, base: &R) -> Result<BoxedIndex> {
         Ok(match self {
             IndexSpec::Flat(_) => Box::new(FlatIndex::new()),
@@ -109,19 +90,6 @@ impl IndexSpec {
                 Box::new(Ivf::build_rows(base, &cfg)?)
             }
             IndexSpec::Hnsw(cfg) => Box::new(Hnsw::build_rows(base, cfg)?),
-        })
-    }
-
-    /// Reloads an index structure persisted by
-    /// [`crate::SearchIndex::save`], dispatching on the spec's kind.
-    ///
-    /// # Errors
-    /// I/O and validation failures from the kind-specific loader.
-    pub fn load(&self, path: &Path) -> Result<BoxedIndex> {
-        Ok(match self {
-            IndexSpec::Flat(_) => Box::new(FlatIndex::load(path)?),
-            IndexSpec::Ivf(c) => Box::new(Ivf::load(path)?.with_metric(c.metric.clone())),
-            IndexSpec::Hnsw(c) => Box::new(Hnsw::load(path)?.with_metric(c.metric.clone())),
         })
     }
 
@@ -143,8 +111,8 @@ impl IndexSpec {
 impl Display for IndexSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // The `metric=` key is emitted only when non-L2, so canonical L2
-        // forms stay byte-identical to the pre-metric grammar (old engine
-        // manifests round-trip unchanged).
+        // forms stay byte-identical to the pre-metric grammar (old
+        // snapshot `meta` sections round-trip unchanged).
         let metric_kv = |m: &Metric| {
             if *m == Metric::L2 {
                 String::new()
@@ -278,9 +246,8 @@ mod tests {
     fn metric_survives_save_load() {
         let w = SynthSpec::tiny_test(8, 200, 21).generate();
         let spec: IndexSpec = "hnsw(m=6,ef_construction=30,metric=ip)".parse().unwrap();
-        let built = spec.build(&w.base).unwrap();
-        let bytes = built.save_bytes().unwrap();
-        let back = spec.load_bytes(&bytes).unwrap();
+        let built = spec.build_rows(&w.base).unwrap();
+        let back = spec.load_bytes(&built.save_bytes()).unwrap();
         // The reloaded graph serves the spec's metric and searches
         // identically (graph structure is metric-built, loader re-tags).
         let dco = ddc_core::Exact::build_metric(&w.base, Metric::InnerProduct).unwrap();
@@ -303,7 +270,7 @@ mod tests {
             panic!("wrong variant")
         };
         assert_eq!(c.nlist, 0);
-        let built = spec.build(&w.base).unwrap();
+        let built = spec.build_rows(&w.base).unwrap();
         assert_eq!(built.kind(), "ivf");
         // And a built auto-IVF must actually be searchable.
         let dco = Exact::build(&w.base);
@@ -320,12 +287,8 @@ mod tests {
         let params = crate::SearchParams::new().with_ef(40).with_nprobe(4);
         for s in ["flat", "ivf(nlist=8)", "hnsw(m=6,ef_construction=30)"] {
             let spec: IndexSpec = s.parse().unwrap();
-            let built = spec.build(&w.base).unwrap();
-            let mut path = std::env::temp_dir();
-            path.push(format!("ddc-spec-{}-{}", std::process::id(), spec.kind()));
-            built.save(&path).unwrap();
-            let back = spec.load(&path).unwrap();
-            std::fs::remove_file(&path).ok();
+            let built = spec.build_rows(&w.base).unwrap();
+            let back = spec.load_bytes(&built.save_bytes()).unwrap();
             for qi in 0..w.queries.len().min(4) {
                 let q = w.queries.get(qi);
                 assert_eq!(

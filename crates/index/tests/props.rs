@@ -195,7 +195,7 @@ fn check_removal(before: &Hnsw, after: &Hnsw, dead: &[bool]) -> Result<(), Strin
     if (0..n).any(|u| after.node_levels(u) > after.max_level() + 1) {
         return Err("a node outgrows max_level".into());
     }
-    let back = Hnsw::load_bytes(&after.save_bytes().unwrap()).map_err(|e| e.to_string())?;
+    let back = Hnsw::load_bytes(&after.save_bytes()).map_err(|e| e.to_string())?;
     if back.len() != after.len() || back.entry() != after.entry() {
         return Err("round trip changed the graph".into());
     }
@@ -237,7 +237,7 @@ fn hnsw_removal_of_a_tenth_keeps_recall_near_a_fresh_build() {
     // Same mask, same graph: the repair has no hidden order dependence.
     let mut again = before.clone();
     again.remove_rows(&w.base, &dead).unwrap();
-    assert_eq!(again.save_bytes().unwrap(), repaired.save_bytes().unwrap());
+    assert_eq!(again.save_bytes(), repaired.save_bytes());
 
     // The repaired graph keeps growing like any other.
     let mut grown_rows = rows.clone();
@@ -277,7 +277,7 @@ fn hnsw_removal_edge_cases() {
     // An empty mask is a no-op, bit for bit.
     let mut h = g.clone();
     h.remove_rows(&w.base, &[false; 300]).unwrap();
-    assert_eq!(h.save_bytes().unwrap(), g.save_bytes().unwrap());
+    assert_eq!(h.save_bytes(), g.save_bytes());
 
     // Bad calls are errors, never panics, and leave the graph alone.
     let mut h = g.clone();
@@ -299,7 +299,7 @@ fn hnsw_removal_edge_cases() {
         h.remove_rows(&narrow, &[false; 300]),
         Err(IndexError::Dimension { .. })
     ));
-    assert_eq!(h.save_bytes().unwrap(), g.save_bytes().unwrap());
+    assert_eq!(h.save_bytes(), g.save_bytes());
 }
 
 #[test]
@@ -326,7 +326,7 @@ fn ivf_and_flat_removal_renumber_like_the_operator() {
             assert_eq!(r.ids(), gt.ids[qi], "{} query {qi}", idx.kind());
         }
     }
-    let back = Ivf::load_bytes(&ivf.save_bytes().unwrap()).unwrap();
+    let back = Ivf::load_bytes(&ivf.save_bytes()).unwrap();
     assert_eq!(back.memory_bytes(), ivf.memory_bytes());
 
     for idx in [&mut ivf as &mut dyn SearchIndex, &mut flat] {

@@ -50,44 +50,6 @@ impl Dataset {
         self.ys.push(label);
     }
 
-    /// Reserves room for `additional` samples (chunked collectors size
-    /// their blocks up front).
-    pub fn reserve(&mut self, additional: usize) {
-        self.xs.reserve(additional * self.n_features);
-        self.ys.reserve(additional);
-    }
-
-    /// Appends every sample of `other`, preserving order — the merge step
-    /// of chunked ingestion, where training tuples are collected one
-    /// out-of-core block at a time and concatenated.
-    ///
-    /// # Panics
-    /// Panics when the feature widths disagree.
-    pub fn extend_from(&mut self, other: &Dataset) {
-        assert_eq!(
-            self.n_features, other.n_features,
-            "cannot merge datasets of different widths"
-        );
-        self.xs.extend_from_slice(&other.xs);
-        self.ys.extend_from_slice(&other.ys);
-    }
-
-    /// Concatenates per-chunk datasets into one, in iteration order.
-    /// Equivalent to pushing every sample through one accumulator —
-    /// collectors that work block-by-block over an out-of-core source
-    /// (`ddc_vecs::store::ChunkedReader` blocks) produce the same dataset
-    /// as a single-pass collector.
-    ///
-    /// # Panics
-    /// Panics when chunk widths disagree with `n_features`.
-    pub fn from_chunks<I: IntoIterator<Item = Dataset>>(n_features: usize, chunks: I) -> Dataset {
-        let mut out = Dataset::new(n_features);
-        for chunk in chunks {
-            out.extend_from(&chunk);
-        }
-        out
-    }
-
     /// Borrow the feature row of sample `i`.
     #[inline]
     pub fn features(&self, i: usize) -> &[f32] {
@@ -187,36 +149,5 @@ mod tests {
         assert_eq!((t.len(), h.len()), (3, 0));
         let (t, h) = d.split_holdout(1.0);
         assert_eq!((t.len(), h.len()), (0, 3));
-    }
-
-    /// Chunked ingestion is order-preserving concatenation: collecting in
-    /// blocks then merging equals one single-pass collection.
-    #[test]
-    fn chunked_ingest_equals_single_pass() {
-        let mut single = Dataset::new(2);
-        let mut chunks = Vec::new();
-        for c in 0..3 {
-            let mut chunk = Dataset::new(2);
-            chunk.reserve(4);
-            for i in 0..4 {
-                let f = [(c * 4 + i) as f32, -(i as f32)];
-                single.push(&f, i % 2 == 0);
-                chunk.push(&f, i % 2 == 0);
-            }
-            chunks.push(chunk);
-        }
-        let merged = Dataset::from_chunks(2, chunks);
-        assert_eq!(merged.len(), single.len());
-        for i in 0..single.len() {
-            assert_eq!(merged.features(i), single.features(i));
-            assert_eq!(merged.label(i), single.label(i));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "different widths")]
-    fn merge_width_mismatch_panics() {
-        let mut a = Dataset::new(2);
-        a.extend_from(&Dataset::new(3));
     }
 }

@@ -261,7 +261,8 @@ const MATVEC_BATCH_BLOCK: usize = 16;
 /// instead of once per vector. With a `D×D` rotation bigger than L2 (the
 /// per-query `O(D²)` setup cost the paper accounts in §VI-A), this is the
 /// difference between reading the matrix `n` times and `⌈n/16⌉` times —
-/// the batched-search amortization `micro_kernels` measures.
+/// the batched-search amortization the benchmark's
+/// `linalg.rotate_batch_us_per_query` measures.
 ///
 /// Purely sequential (no threading): callers that want parallelism can
 /// split the batch themselves.

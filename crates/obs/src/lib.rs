@@ -34,9 +34,9 @@
 //! ## The global gate
 //!
 //! Instrumentation is on by default; `DDC_OBS_OFF=1` in the environment
-//! disables it at startup, and [`set_enabled`] flips it at runtime (what
-//! the `obs_overhead` bench uses to measure the instrumented vs
-//! uninstrumented serving paths in one process). Recording sites are
+//! disables it at startup, and [`set_enabled`] flips it at runtime (so one
+//! process can exercise both the instrumented and the uninstrumented
+//! path, as this crate's tests do). Recording sites are
 //! expected to check [`enabled`] — a single relaxed atomic load — before
 //! taking timestamps, so the disabled path costs nothing measurable.
 
@@ -69,9 +69,8 @@ pub fn enabled() -> bool {
     GATE_ON.load(Ordering::Relaxed)
 }
 
-/// Overrides the gate at runtime (wins over `DDC_OBS_OFF`). Used by the
-/// `obs_overhead` bench to compare instrumented and uninstrumented
-/// serving inside one process.
+/// Overrides the gate at runtime (wins over `DDC_OBS_OFF`), so one process
+/// can run both sides of the gate.
 pub fn set_enabled(on: bool) {
     GATE_INIT.call_once(|| {}); // claim init: the env no longer applies
     GATE_ON.store(on, Ordering::Relaxed);

@@ -8,9 +8,6 @@
 //! # Real data dropped into $DDC_DATA_DIR (TEXMEX layout):
 //! DDC_DATA_DIR=/datasets ddc-serve --data sift1m --limit 100000
 //!
-//! # A directory persisted by Engine::save:
-//! ddc-serve --load runs/engine-v3 --n 20000 --dim 64
-//!
 //! # Restart in O(ms) from a snapshot container (see --save-snapshot):
 //! ddc-serve --snapshot runs/engine.snap
 //!
@@ -21,14 +18,17 @@
 //! ```
 //!
 //! Argument parsing is intentionally clap-less (`--name value` pairs),
-//! mirroring `examples/common`.
+//! mirroring `examples/common`; the flags are the ones the usage table
+//! lists, and anything else exits 2.
 
 use ddc_engine::{Engine, EngineConfig, MutableConfig, MutableEngine};
 use ddc_index::SearchParams;
 use ddc_server::{Server, ServerConfig};
 use ddc_vecs::io::{read_fvecs, resolve_fixture, DATA_DIR_ENV};
 use ddc_vecs::{SynthSpec, VecSet, VecStore};
+use std::collections::HashMap;
 use std::path::Path;
+use std::sync::OnceLock;
 
 const USAGE: &str = "\
 ddc-serve — serve an AKNN engine over HTTP (no external dependencies)
@@ -59,7 +59,7 @@ ddc-serve — serve an AKNN engine over HTTP (no external dependencies)
   --dco SPEC         operator spec (default ddcres)
   --metric SPEC      distance metric for fresh builds: l2 (default), ip,
                      cosine, or wl2:w1;w2;... (one weight per dimension);
-                     --load/--snapshot boots carry their own metric
+                     --snapshot boots carry their own metric
   --payloads SPEC    attach one u64 payload tag per row and enable the
                      /search `filter` clause: `mod:N` tags row i with i%N,
                      anything else is a text file of one tag per line
@@ -74,14 +74,12 @@ ddc-serve — serve an AKNN engine over HTTP (no external dependencies)
                      memory-mapped (zero-copy, never fully loaded) where
                      the platform allows
   --limit N          cap on rows read from --data
-  --load DIR         reload an engine persisted by Engine::save instead of
-                     building one
   --snapshot FILE    boot from a snapshot container written by
                      Engine::save_snapshot (or --save-snapshot): opens in
                      O(ms), memory-mapped, no base vectors needed —
-                     --data/--n/--dim/--load are ignored
-  --save-snapshot F  after building/loading the engine, write it to a
-                     snapshot container at F (serving continues)
+                     --data/--n/--dim are ignored
+  --save-snapshot F  after building the engine, write it to a snapshot
+                     container at F (serving continues)
   --immutable        disable live mutability even when the dataset is
                      heap-resident (no /upsert, /delete, /admin/compact;
                      /admin/swap works instead)
@@ -101,18 +99,58 @@ ddc-serve — serve an AKNN engine over HTTP (no external dependencies)
 Mutability: built from heap-resident vectors (synthetic or RAM-loaded
 --data) the server boots *mutable* — /upsert, /delete, /admin/compact
 are live and a background compactor folds mutations into fresh engines
-mid-traffic. Snapshot, mmap, and --load boots serve immutable engines
-and answer mutations with 400 (use --immutable to force that).";
+mid-traffic. Snapshot and mmap boots serve immutable engines and answer
+mutations with 400 (use --immutable to force that).";
+
+/// The command line as `name → value` (`None` for a switch), checked
+/// against the usage table once: its two-space-indented `--name` lines
+/// are the flags, and a flag followed by an upper-case placeholder takes a
+/// value. Anything else — a typo, a retired flag, a stray word — exits 2
+/// rather than being ignored.
+fn args() -> &'static HashMap<String, Option<String>> {
+    static ARGS: OnceLock<HashMap<String, Option<String>>> = OnceLock::new();
+    ARGS.get_or_init(|| {
+        let flags: HashMap<&str, bool> = USAGE
+            .lines()
+            .filter_map(|line| {
+                let mut words = line.strip_prefix("  --")?.split_whitespace();
+                let name = words.next()?;
+                let placeholder = words
+                    .next()
+                    .is_some_and(|w| w.chars().all(|c| c.is_ascii_uppercase() || c == '|'));
+                Some((name, placeholder))
+            })
+            .collect();
+        let mut parsed = HashMap::new();
+        let mut it = std::env::args().skip(1);
+        while let Some(a) = it.next() {
+            let Some(name) = a.strip_prefix("--") else {
+                fail(&format!("unexpected argument `{a}` (see --help)"));
+            };
+            let value = match flags.get(name) {
+                None => fail(&format!("unknown flag `{a}` (see --help)")),
+                Some(false) => None,
+                Some(true) => Some(
+                    it.next()
+                        .unwrap_or_else(|| fail(&format!("{a} needs a value"))),
+                ),
+            };
+            parsed.insert(name.to_string(), value);
+        }
+        parsed
+    })
+}
 
 fn arg(name: &str, default: &str) -> String {
     arg_opt(name).unwrap_or_else(|| default.to_string())
 }
 
 fn arg_opt(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.windows(2)
-        .find(|w| w[0] == format!("--{name}"))
-        .map(|w| w[1].clone())
+    args().get(name).cloned().flatten()
+}
+
+fn switch(name: &str) -> bool {
+    args().contains_key(name)
 }
 
 fn parsed<T: std::str::FromStr>(name: &str, default: T) -> T {
@@ -158,7 +196,7 @@ fn load_data() -> (VecStore, Option<VecSet>, String) {
         }
         // A named fixture: real files under DDC_DATA_DIR win the moment
         // they exist there; otherwise the synthetic stand-in keeps the
-        // server usable (that fallback is `load_base_or`'s contract).
+        // server usable.
         let mut synth_train = None;
         let base = VecStore::open_fixture_or(&data, limit, || {
             eprintln!(
@@ -246,7 +284,7 @@ fn main() {
             defaults.coalesce_window.as_micros() as u64,
         )),
         coalesce_max_batch: parsed("coalesce-max-batch", defaults.coalesce_max_batch),
-        access_log: std::env::args().any(|a| a == "--access-log"),
+        access_log: switch("access-log"),
         access_log_sample_n: parsed("access-log-sample-n", 1),
         ..Default::default()
     };
@@ -260,7 +298,7 @@ fn main() {
             fail("--metric applies to fresh builds; a snapshot carries its own metric");
         }
         if payloads_spec.is_some() {
-            fail("--payloads applies to fresh/loaded engines; a snapshot carries its own payloads");
+            fail("--payloads applies to fresh builds; a snapshot carries its own payloads");
         }
         println!("opening snapshot {snap}...");
         let server = Server::bind_snapshot(&cfg, Path::new(&snap))
@@ -282,79 +320,61 @@ fn main() {
         let params = SearchParams::new()
             .with_ef(parsed("ef", 80))
             .with_nprobe(parsed("nprobe", 16));
-        let mut immutable = std::env::args().any(|a| a == "--immutable");
+        let mut immutable = switch("immutable");
         if payloads_spec.is_some() && !immutable {
             println!("--payloads forces an immutable boot (tags attach to a fixed row set)");
             immutable = true;
         }
 
-        if let Some(dir) = arg_opt("load") {
-            if metric.is_some() {
-                fail("--metric applies to fresh builds; a loaded engine carries its own metric");
+        let index = arg("index", "hnsw(m=16,ef_construction=200)");
+        let dco = arg("dco", "ddcres");
+        let mut engine_cfg = EngineConfig::from_strs(&index, &dco)
+            .unwrap_or_else(|e| fail(&e.to_string()))
+            .with_params(params);
+        if let Some(m) = &metric {
+            engine_cfg = engine_cfg.with_metric(m.clone());
+        }
+        match (immutable, base.as_vecset()) {
+            // Heap-resident rows and no opt-out: boot mutable, with
+            // the background compactor folding mutations in.
+            (false, Some(rows)) => {
+                println!("building mutable engine: index={index} dco={dco}");
+                let mcfg = MutableConfig {
+                    compact_threshold: parsed("compact-threshold", 256),
+                    compact_interval: std::time::Duration::from_millis(parsed(
+                        "compact-interval-ms",
+                        500,
+                    )),
+                    max_stale_rows: parsed("max-stale-rows", 1024),
+                };
+                println!(
+                    "live mutability on: compact threshold {}, interval {}ms, \
+                     stale budget {} rows",
+                    mcfg.compact_threshold,
+                    mcfg.compact_interval.as_millis(),
+                    mcfg.max_stale_rows
+                );
+                let me = MutableEngine::build(rows.clone(), train.clone(), engine_cfg, mcfg)
+                    .unwrap_or_else(|e| fail(&format!("engine build: {e}")));
+                let engine = me.handle().engine();
+                println!("{}", engine.stats());
+                save_snapshot_if_asked(&engine);
+                Server::bind_mutable(&cfg, me)
+                    .unwrap_or_else(|e| fail(&format!("bind {}: {e}", cfg.addr)))
             }
-            println!("loading engine from {dir}...");
-            let mut engine = Engine::load_from_store(Path::new(&dir), &base, train.as_ref())
-                .unwrap_or_else(|e| fail(&format!("loading {dir}: {e}")));
-            if let Some(spec) = &payloads_spec {
-                engine
-                    .set_payloads(payload_tags(spec, base.len()))
-                    .unwrap_or_else(|e| fail(&format!("--payloads: {e}")));
-            }
-            println!("{}", engine.stats());
-            save_snapshot_if_asked(&engine);
-            Server::bind_store(&cfg, engine, base, train)
-                .unwrap_or_else(|e| fail(&format!("bind {}: {e}", cfg.addr)))
-        } else {
-            let index = arg("index", "hnsw(m=16,ef_construction=200)");
-            let dco = arg("dco", "ddcres");
-            let mut engine_cfg = EngineConfig::from_strs(&index, &dco)
-                .unwrap_or_else(|e| fail(&e.to_string()))
-                .with_params(params);
-            if let Some(m) = &metric {
-                engine_cfg = engine_cfg.with_metric(m.clone());
-            }
-            match (immutable, base.as_vecset()) {
-                // Heap-resident rows and no opt-out: boot mutable, with
-                // the background compactor folding mutations in.
-                (false, Some(rows)) => {
-                    println!("building mutable engine: index={index} dco={dco}");
-                    let mcfg = MutableConfig {
-                        compact_threshold: parsed("compact-threshold", 256),
-                        compact_interval: std::time::Duration::from_millis(parsed(
-                            "compact-interval-ms",
-                            500,
-                        )),
-                        max_stale_rows: parsed("max-stale-rows", 1024),
-                    };
-                    println!(
-                        "live mutability on: compact threshold {}, interval {}ms, \
-                         stale budget {} rows",
-                        mcfg.compact_threshold,
-                        mcfg.compact_interval.as_millis(),
-                        mcfg.max_stale_rows
-                    );
-                    let me = MutableEngine::build(rows.clone(), train.clone(), engine_cfg, mcfg)
-                        .unwrap_or_else(|e| fail(&format!("engine build: {e}")));
-                    let engine = me.handle().engine();
-                    println!("{}", engine.stats());
-                    save_snapshot_if_asked(&engine);
-                    Server::bind_mutable(&cfg, me)
-                        .unwrap_or_else(|e| fail(&format!("bind {}: {e}", cfg.addr)))
+            _ => {
+                println!("building engine: index={index} dco={dco}");
+                let mut engine = Engine::build(&base, train.as_ref(), engine_cfg)
+                    .unwrap_or_else(|e| fail(&format!("engine build: {e}")));
+                if let Some(spec) = &payloads_spec {
+                    engine
+                        .set_payloads(payload_tags(spec, base.len()))
+                        .unwrap_or_else(|e| fail(&format!("--payloads: {e}")));
                 }
-                _ => {
-                    println!("building engine: index={index} dco={dco}");
-                    let mut engine = Engine::build_from_store(&base, train.as_ref(), engine_cfg)
-                        .unwrap_or_else(|e| fail(&format!("engine build: {e}")));
-                    if let Some(spec) = &payloads_spec {
-                        engine
-                            .set_payloads(payload_tags(spec, base.len()))
-                            .unwrap_or_else(|e| fail(&format!("--payloads: {e}")));
-                    }
-                    println!("{}", engine.stats());
-                    save_snapshot_if_asked(&engine);
-                    Server::bind_store(&cfg, engine, base, train)
-                        .unwrap_or_else(|e| fail(&format!("bind {}: {e}", cfg.addr)))
-                }
+                println!("{}", engine.stats());
+                save_snapshot_if_asked(&engine);
+                Server::bind(&cfg, engine, base, train)
+                    .unwrap_or_else(|e| fail(&format!("bind {}: {e}", cfg.addr)))
             }
         }
     };

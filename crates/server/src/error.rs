@@ -7,7 +7,7 @@ pub enum ServerError {
     Io(std::io::Error),
     /// Invalid serving configuration.
     Config(String),
-    /// An engine build/load failure surfaced at serving time.
+    /// An engine build/open failure surfaced at serving time.
     Engine(ddc_engine::EngineError),
 }
 

@@ -24,7 +24,7 @@
 //!                         ▼ completion queue wakes the reactor,
 //!                           which flushes responses nonblockingly
 //!            ServingHandle (epoch-stamped Arc<Engine> slot)
-//!              swap() installs a rebuilt/reloaded engine
+//!              swap() installs a rebuilt/reopened engine
 //!              atomically, mid-traffic
 //! ```
 //!
@@ -50,7 +50,7 @@
 //! | `/upsert` | POST | `{"id": 7, "vector": [...]}` — insert or replace a row (mutable boots) |
 //! | `/delete` | POST | `{"id": 7}` — tombstone a row (mutable boots) |
 //! | `/admin/compact` | POST | `{}` or `{"mode": "full"}` — compact pending mutations now; the reply's `mode` is `append`, `repair`, `fold` or `none` (mutable boots) |
-//! | `/admin/swap` | POST | `{"index": "...", "dco": "..."}` or `{"load": "dir"}` (immutable boots) |
+//! | `/admin/swap` | POST | `{"index": "...", "dco": "..."}` or `{"snapshot": "file"}` (immutable boots) |
 //!
 //! A server over heap-resident rows ([`Server::bind_mutable`], the
 //! `ddc-serve` default there) serves a [`ddc_engine::MutableEngine`]:

@@ -19,8 +19,8 @@
 //! Request *counters* are always maintained (they are the server's
 //! accounting, a handful of relaxed `fetch_add`s); the histograms, DCO
 //! series, and stage timers honor the global [`ddc_obs::enabled`] gate
-//! (`DDC_OBS_OFF=1`), which is what the `obs_overhead` bench flips to
-//! price the instrumentation.
+//! (`DDC_OBS_OFF=1`), so the instrumentation can be priced by running the
+//! same traffic with and without it.
 
 use crate::json::Json;
 use ddc_core::Counters;

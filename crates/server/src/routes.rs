@@ -106,19 +106,25 @@ fn hist_json(snap: &HistogramSnapshot) -> Json {
     )
 }
 
-fn stats(state: &ServerState) -> Response {
-    let snap = state.handle.snapshot();
-    let s = snap.engine.stats();
-    let c = state.collector.stats();
-    // The serving engine's own provenance wins: an engine opened from a
-    // snapshot container serves its working set out of the map regardless
-    // of what (if any) base store the server retains for rebuilds.
-    let (storage_backend, resident, mapped) = match (snap.engine.snapshot_info(), &state.base) {
+/// Where the served rows live: `(backend, resident bytes, mapped bytes)`
+/// for `/stats` and `/metrics`. The serving engine's own provenance wins:
+/// an engine opened from a snapshot container serves its working set out
+/// of the map regardless of what (if any) base store the server retains
+/// for rebuilds.
+fn storage(state: &ServerState, engine: &Engine) -> (&'static str, usize, usize) {
+    match (engine.snapshot_info(), &state.base) {
         (Some(info), _) => ("snapshot", 0, info.mapped_bytes),
         (None, Some(base)) => (base.backend(), base.resident_bytes(), base.mapped_bytes()),
         (None, None) if state.mutable.is_some() => ("mutable", 0, 0),
         (None, None) => ("none", 0, 0),
-    };
+    }
+}
+
+fn stats(state: &ServerState) -> Response {
+    let snap = state.handle.snapshot();
+    let s = snap.engine.stats();
+    let c = state.collector.stats();
+    let (storage_backend, resident, mapped) = storage(state, &snap.engine);
     let mut body = Json::obj([
         ("epoch", Json::from(snap.epoch)),
         ("index", Json::from(snap.engine.config().index.to_string())),
@@ -191,12 +197,7 @@ fn metrics(state: &ServerState) -> Response {
     let snap = state.handle.snapshot();
     let s = snap.engine.stats();
     let c = state.collector.stats();
-    let storage_backend = match (snap.engine.snapshot_info(), &state.base) {
-        (Some(_), _) => "snapshot",
-        (None, Some(base)) => base.backend(),
-        (None, None) if state.mutable.is_some() => "mutable",
-        (None, None) => "none",
-    };
+    let (storage_backend, ..) = storage(state, &snap.engine);
 
     let mut e = Expo::new();
     e.header("ddc_up", "1 while the server is serving", "gauge");
@@ -741,9 +742,9 @@ fn search(state: &Arc<ServerState>, req: &Request, framing_nanos: u64, respond: 
 }
 
 /// The 400 for mutation requests on a server without a write head.
-const IMMUTABLE: &str = "this server serves an immutable engine (snapshot, mmap, or \
-                         load boot); upsert/delete/compact need a mutable boot over \
-                         heap-resident vectors";
+const IMMUTABLE: &str = "this server serves an immutable engine (snapshot, mmap, \
+                         payloads or --immutable boot); upsert/delete/compact need a \
+                         mutable boot over heap-resident vectors";
 
 /// Pulls a `u32` external id out of the request body.
 fn id_from(body: &Json) -> Result<u32, Response> {
@@ -848,11 +849,10 @@ fn compact(state: &ServerState, req: &Request) -> Response {
     }
 }
 
-/// `POST /admin/swap`: build (`index` + `dco`, optional `ef`/`nprobe`),
-/// reload (`load` = a directory written by `Engine::save`), or reopen
-/// (`snapshot` = a container written by `Engine::save_snapshot`) a
-/// replacement engine, then atomically install it. Build and `load` need
-/// the server's retained base vectors; `snapshot` is self-sufficient and
+/// `POST /admin/swap`: build (`index` + `dco`, optional `ef`/`nprobe`) or
+/// reopen (`snapshot` = a container written by `Engine::save_snapshot`) a
+/// replacement engine, then atomically install it. A build needs the
+/// server's retained base vectors; `snapshot` is self-sufficient and
 /// works even on a server booted with `--snapshot` (no base). The
 /// rebuild runs on this request's worker thread; every other worker
 /// keeps serving the old engine until the moment of the swap.
@@ -872,14 +872,6 @@ fn swap(state: &ServerState, req: &Request) -> Response {
             return bad("`snapshot` must be a container file path string");
         };
         Engine::open_snapshot(Path::new(path))
-    } else if let Some(dir) = body.get("load") {
-        let Some(dir) = dir.as_str() else {
-            return bad("`load` must be a directory path string");
-        };
-        let Some(base) = &state.base else {
-            return bad(NO_BASE);
-        };
-        Engine::load_from_store(Path::new(dir), base, state.train.as_ref())
     } else {
         let current = state.handle.engine();
         let index = body
@@ -894,7 +886,7 @@ fn swap(state: &ServerState, req: &Request) -> Response {
             return bad("`index` and `dco` must be spec strings");
         };
         if body.get("index").is_none() && body.get("dco").is_none() {
-            return bad("swap needs `snapshot`, `load`, or at least one of `index` / `dco`");
+            return bad("swap needs `snapshot` or at least one of `index` / `dco`");
         }
         let Some(base) = &state.base else {
             return bad(NO_BASE);
@@ -910,7 +902,7 @@ fn swap(state: &ServerState, req: &Request) -> Response {
                     ))
                 }
             };
-            Engine::build_from_store(base, state.train.as_ref(), cfg.with_params(params))
+            Engine::build(base, state.train.as_ref(), cfg.with_params(params))
         })
     };
     match built {

@@ -120,37 +120,23 @@ impl Server {
     /// Binds `cfg.addr` and assembles the serving state around `engine`.
     ///
     /// `base` (and optionally `train`) are retained for `/admin/swap`
-    /// rebuilds — they must be the vectors `engine` was built over. This
-    /// entry point takes a resident [`VecSet`]; [`Server::bind_store`]
-    /// serves any [`VecStore`] backend.
+    /// rebuilds — they must be the vectors `engine` was built over. Pass a
+    /// resident [`VecSet`] or any [`VecStore`]: with the mapped backend
+    /// the served dataset stays on disk, and swap rebuilds read rows
+    /// through the map as well, so a swap never copies the matrix.
     ///
     /// # Errors
     /// Bind failures.
     pub fn bind(
         cfg: &ServerConfig,
         engine: Engine,
-        base: VecSet,
-        train: Option<VecSet>,
-    ) -> Result<Server, ServerError> {
-        Server::bind_store(cfg, engine, VecStore::Ram(base), train)
-    }
-
-    /// [`Server::bind`] over a [`VecStore`]: with the mapped backend the
-    /// served dataset stays on disk — `/admin/swap` rebuilds read rows
-    /// through the map as well, so a swap never materializes the matrix.
-    ///
-    /// # Errors
-    /// Bind failures.
-    pub fn bind_store(
-        cfg: &ServerConfig,
-        engine: Engine,
-        base: VecStore,
+        base: impl Into<VecStore>,
         train: Option<VecSet>,
     ) -> Result<Server, ServerError> {
         Server::bind_inner(
             cfg,
             Arc::new(ServingHandle::new(engine)),
-            Some(base),
+            Some(base.into()),
             train,
             None,
         )
@@ -161,7 +147,7 @@ impl Server {
     /// (memory-mapped, nothing rebuilt) and serves its working set
     /// zero-copy out of the container. No base vectors are retained, so
     /// `/admin/swap` accepts only `snapshot` (another container) —
-    /// rebuild (`index`/`dco`) and `load` requests get a clean 400.
+    /// rebuild (`index`/`dco`) requests get a clean 400.
     ///
     /// # Errors
     /// Bind failures; snapshot open/validation failures.

@@ -171,18 +171,23 @@ fn admin_swap_installs_a_new_epoch_live() {
     assert_eq!(body.get("epoch").and_then(Json::as_usize), Some(1));
     assert_eq!(fingerprint(&body), want_b);
 
-    // Swap back through `load`: persist the original config, reload it.
-    let dir = std::env::temp_dir().join(format!("ddc-serve-e2e-{}", std::process::id()));
-    engine(&w, INDEX, DCO_A).save(&dir).unwrap();
-    let swap = Json::obj([("load", Json::from(dir.to_str().unwrap()))]).dump();
+    // Swap back through a snapshot of the original config.
+    let snap = std::env::temp_dir().join(format!("ddc-serve-e2e-{}.snap", std::process::id()));
+    engine(&w, INDEX, DCO_A).save_snapshot(&snap).unwrap();
+    let swap = Json::obj([("snapshot", Json::from(snap.to_str().unwrap()))]).dump();
     let (status, body) = request(guard.addr(), "POST", "/admin/swap", Some(&swap));
     assert_eq!(status, 200, "{body}");
     assert_eq!(body.get("epoch").and_then(Json::as_usize), Some(2));
     let (_, body) = request(guard.addr(), "POST", "/search", Some(&query_body(&w, 0, K)));
-    assert_eq!(fingerprint(&body), want_a, "loaded engine serves epoch 2");
-    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(fingerprint(&body), want_a, "reopened engine serves epoch 2");
+    std::fs::remove_file(&snap).ok();
 
-    // A bad spec is rejected and the live engine is untouched.
+    // The retired directory `load` key and a bad spec are both rejected,
+    // and the live engine is untouched.
+    let dir = std::env::temp_dir().join(format!("ddc-serve-e2e-{}", std::process::id()));
+    let swap = Json::obj([("load", Json::from(dir.to_str().unwrap()))]).dump();
+    let (status, body) = request(guard.addr(), "POST", "/admin/swap", Some(&swap));
+    assert_eq!(status, 400, "{body}");
     let swap = Json::obj([("dco", Json::from("definitely-not-a-dco"))]).dump();
     let (status, _) = request(guard.addr(), "POST", "/admin/swap", Some(&swap));
     assert_eq!(status, 400);

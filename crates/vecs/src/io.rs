@@ -20,16 +20,14 @@
 //! fvecs/ivecs, `4 + d` for bvecs) — the invariant the zero-copy mapped
 //! backend in [`crate::store`] checks before trusting a file.
 //!
-//! # Three ways to read
+//! # Two ways to read
 //!
 //! * **Eager** ([`read_fvecs`] / [`read_bvecs`] / [`read_ivecs`]):
 //!   materialize everything into a heap [`VecSet`]. Right for sets that
 //!   fit comfortably in RAM.
-//! * **Mapped** ([`crate::store::VecStore::open`]): `mmap` the file and
-//!   serve rows zero-copy from the page cache — the out-of-core path.
-//! * **Chunked** ([`crate::store::ChunkedReader`]): stream fixed-size row
-//!   blocks through a bounded buffer — for single-pass work over files
-//!   larger than RAM on platforms without mapping.
+//! * **Mapped** ([`crate::store::VecStore::open`]): `mmap` an `.fvecs`
+//!   file and serve rows zero-copy from the page cache — the out-of-core
+//!   path.
 //!
 //! Read failures carry the offending file path and byte offset
 //! ([`VecsError::File`]), so a truncated 500 MB download is reported as
@@ -67,16 +65,15 @@ pub(crate) const MEMORY_PATH: &str = "<memory>";
 
 /// A framed reader over TEXMEX row framing that knows *where* it is: every
 /// error it produces carries the source path and the byte offset of the
-/// frame being decoded. Shared by the eager readers here and the chunked
-/// streaming reader in [`crate::store`].
-pub(crate) struct FramedSource<R> {
+/// frame being decoded. Shared by the eager readers.
+struct FramedSource<R> {
     r: R,
     path: PathBuf,
     offset: u64,
 }
 
 impl<R: Read> FramedSource<R> {
-    pub(crate) fn new(r: R, path: Option<&Path>) -> FramedSource<R> {
+    fn new(r: R, path: Option<&Path>) -> FramedSource<R> {
         FramedSource {
             r,
             path: path.map_or_else(|| PathBuf::from(MEMORY_PATH), Path::to_path_buf),
@@ -84,13 +81,8 @@ impl<R: Read> FramedSource<R> {
         }
     }
 
-    /// Byte offset of the next unread frame.
-    pub(crate) fn offset(&self) -> u64 {
-        self.offset
-    }
-
     /// An error pinned to the current frame position.
-    pub(crate) fn corrupt(&self, detail: impl Into<String>) -> VecsError {
+    fn corrupt(&self, detail: impl Into<String>) -> VecsError {
         VecsError::File {
             path: self.path.clone(),
             offset: self.offset,
@@ -100,7 +92,7 @@ impl<R: Read> FramedSource<R> {
 
     /// Reads one row header. `Ok(None)` at clean EOF (a frame boundary);
     /// a partial header is corruption.
-    pub(crate) fn read_header(&mut self) -> Result<Option<u32>> {
+    fn read_header(&mut self) -> Result<Option<u32>> {
         let mut buf = [0u8; 4];
         let mut got = 0usize;
         while got < 4 {
@@ -119,12 +111,7 @@ impl<R: Read> FramedSource<R> {
 
     /// Validates a header value as a dimensionality: nonzero (when
     /// `allow_zero` is false), plausible, and consistent with `expected`.
-    pub(crate) fn check_dim(
-        &self,
-        dim: usize,
-        expected: Option<usize>,
-        allow_zero: bool,
-    ) -> Result<()> {
+    fn check_dim(&self, dim: usize, expected: Option<usize>, allow_zero: bool) -> Result<()> {
         if (dim == 0 && !allow_zero) || dim > MAX_PLAUSIBLE_DIM {
             return Err(self.corrupt(format!("implausible row dimension {dim}")));
         }
@@ -141,7 +128,7 @@ impl<R: Read> FramedSource<R> {
     /// Reads an exact payload; a short read reports as a truncated row,
     /// other I/O failures keep their own message — both pinned to the
     /// frame that started at the last header.
-    pub(crate) fn read_payload(&mut self, buf: &mut [u8], what: &str) -> Result<()> {
+    fn read_payload(&mut self, buf: &mut [u8], what: &str) -> Result<()> {
         self.r.read_exact(buf).map_err(|e| {
             if e.kind() == std::io::ErrorKind::UnexpectedEof {
                 self.corrupt(format!("truncated {what} row"))
@@ -390,28 +377,6 @@ pub fn resolve_fixture(name: &str) -> Option<FixturePaths> {
     None
 }
 
-/// Loads the base vectors of fixture `name` when [`resolve_fixture`]
-/// finds it, otherwise falls back to `synth` — so callers get real
-/// SIFT1M/GIST1M the moment the files are dropped into `DDC_DATA_DIR`,
-/// and keep working without them.
-///
-/// This is the eager (all-in-RAM) variant;
-/// [`crate::store::VecStore::open_fixture_or`] is the out-of-core one.
-///
-/// # Errors
-/// I/O and format failures reading a *resolved* fixture (a missing
-/// fixture is not an error; it takes the fallback).
-pub fn load_base_or<F: FnOnce() -> VecSet>(
-    name: &str,
-    limit: Option<usize>,
-    synth: F,
-) -> Result<VecSet> {
-    match resolve_fixture(name) {
-        Some(fix) => read_fvecs(fix.base, limit),
-        None => Ok(synth()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,14 +507,12 @@ mod tests {
         write_fvecs(sift.join("sift_base.fvecs"), &base).unwrap();
         write_fvecs(sift.join("sift_query.fvecs"), &base).unwrap();
 
-        // Unset: resolution declines, the fallback loads.
+        // Unset: resolution declines.
         std::env::remove_var(DATA_DIR_ENV);
         assert!(data_dir().is_none());
         assert!(resolve_fixture("sift1m").is_none());
-        let v = load_base_or("sift1m", None, || VecSet::new(2)).unwrap();
-        assert_eq!(v.dim(), 2);
 
-        // Set: the fixture wins over the fallback.
+        // Set: the fixture resolves.
         std::env::set_var(DATA_DIR_ENV, &root);
         let fix = resolve_fixture("sift1m").expect("fixture resolves");
         assert_eq!(fix.name, "sift1m");
@@ -557,10 +520,6 @@ mod tests {
         assert!(fix.queries.is_some());
         assert!(fix.learn.is_none(), "no learn file was written");
         assert!(fix.ground_truth.is_none());
-        let v = load_base_or("sift1m", None, || unreachable!("fixture exists")).unwrap();
-        assert_eq!(v, base);
-        let capped = load_base_or("sift1m", Some(1), || unreachable!()).unwrap();
-        assert_eq!(capped.len(), 1);
 
         // Unknown names decline even with the env var set.
         assert!(resolve_fixture("no-such-dataset").is_none());

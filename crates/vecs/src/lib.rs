@@ -2,8 +2,8 @@
 //!
 //! Dataset substrate for the DDC reproduction: contiguous row-major vector
 //! storage ([`VecSet`]), the fvecs/ivecs/bvecs file formats used by every
-//! public ANN benchmark ([`io`]), out-of-core storage backends — zero-copy
-//! memory-mapped files and chunked streaming ([`store`]) — seeded synthetic
+//! public ANN benchmark ([`io`]), out-of-core storage — zero-copy
+//! memory-mapped `.fvecs` files ([`store`]) — seeded synthetic
 //! workload generators that stand in for the paper's datasets ([`synth`]),
 //! exact top-`k` under any metric ([`metric_oracle`]) with its
 //! multi-threaded L2 ground truth ([`gt`]), and the recall/QPS evaluation
@@ -49,7 +49,7 @@ pub use error::VecsError;
 pub use gt::{GroundTruth, Neighbor, TopK};
 pub use metrics::{hits, measure_qps, recall, recall_at};
 pub use snapshot::{SharedRows, Snapshot, SnapshotWriter};
-pub use store::{Advice, ChunkedReader, MmapVecs, VecStore};
+pub use store::{Advice, MmapVecs, VecStore};
 pub use synth::{SynthProfile, SynthSpec, Workload};
 pub use vecset::{retain_live_rows, VecSet};
 

@@ -1,5 +1,5 @@
-//! Out-of-core vector storage: memory-mapped TEXMEX files, a pluggable
-//! [`VecStore`] over RAM and mapped backends, and chunked streaming.
+//! Out-of-core vector storage: memory-mapped `.fvecs` files and a
+//! pluggable [`VecStore`] over RAM and mapped backends.
 //!
 //! # Why a store layer
 //!
@@ -21,24 +21,16 @@
 //! *same loop* as a RAM-built one and is bit-identical to it (pinned by
 //! `crates/engine/tests/parity.rs`).
 //!
-//! # Mapping vs. streaming
+//! # What maps
 //!
 //! Mapping wants random access and repeated passes (graph construction,
-//! k-means) — exactly what builders do. For strict single-pass work, or on
-//! platforms where the mapping shim is unavailable, [`ChunkedReader`]
-//! streams fixed-size row blocks through one bounded buffer;
-//! [`VecStore::open`] falls back to a buffered streaming load
-//! automatically when it cannot map.
-//!
-//! `.bvecs` payloads are `u8` and must be widened to `f32` to be served
-//! as rows, so they cannot be zero-copy: [`VecStore::open`] streams them
-//! into RAM (4× the file size), while [`ChunkedReader`] widens one block
-//! at a time for out-of-core passes. `.ivecs` files hold ids, not
-//! vectors; **uniform-width** ones (the standard `*_groundtruth.ivecs`
-//! shape) can be mapped with [`MmapVecs::open`] and read zero-copy via
-//! [`MmapVecs::row_ids`] — fixed-stride addressing cannot represent the
-//! variable-width rows [`crate::io::read_ivecs`] also accepts, so those
-//! must go through the eager reader (mapping them fails validation).
+//! k-means) — exactly what builders do. Only `.fvecs` maps: its payload
+//! already is the `f32` rows the stack reads. `.bvecs` payloads are `u8`
+//! and must be widened, so [`VecStore::open`] streams them into RAM
+//! through [`crate::io::read_bvecs`] (4× the file size); `.ivecs` files
+//! hold ids, not vectors, and go through [`crate::io::read_ivecs`]. Where
+//! the mapping shim is unavailable, [`VecStore::open`] falls back to a
+//! buffered streaming load of the `.fvecs` file.
 //!
 //! # Safety of the mapped backend
 //!
@@ -75,11 +67,10 @@
 //! std::fs::remove_file(&path).ok();
 //! ```
 
-use crate::io::{FramedSource, MAX_PLAUSIBLE_DIM};
+use crate::io::MAX_PLAUSIBLE_DIM;
 use crate::vecset::VecSet;
 use crate::{Result, VecsError};
 use ddc_linalg::RowAccess;
-use std::io::BufReader;
 use std::path::{Path, PathBuf};
 
 // ---------------------------------------------------------------------------
@@ -239,8 +230,8 @@ mod sys {
 
     pub(super) fn map_file(_file: &std::fs::File, _len: usize) -> io::Result<Option<*mut u8>> {
         // No shim for this platform (e.g. Windows would use
-        // CreateFileMapping/MapViewOfFile): callers fall back to the
-        // buffered streaming reader.
+        // CreateFileMapping/MapViewOfFile): callers fall back to a
+        // buffered streaming load.
         Ok(None)
     }
 
@@ -351,7 +342,7 @@ impl std::fmt::Debug for Mmap {
 pub enum VecFormat {
     /// `.fvecs`: `f32` components — the vector format proper.
     F32,
-    /// `.bvecs`: `u8` components, widened to `f32` on access.
+    /// `.bvecs`: `u8` components, widened to `f32` as they are read.
     U8,
     /// `.ivecs`: `u32` ids (ground truth), not vectors.
     U32,
@@ -373,14 +364,6 @@ impl VecFormat {
             ))),
         }
     }
-
-    /// Bytes per payload element.
-    pub fn elem_bytes(self) -> usize {
-        match self {
-            VecFormat::F32 | VecFormat::U32 => 4,
-            VecFormat::U8 => 1,
-        }
-    }
 }
 
 fn corrupt_at(path: &Path, offset: u64, detail: impl Into<String>) -> VecsError {
@@ -395,38 +378,33 @@ fn corrupt_at(path: &Path, offset: u64, detail: impl Into<String>) -> VecsError 
 // MmapVecs
 // ---------------------------------------------------------------------------
 
-/// A memory-mapped TEXMEX file: rows served zero-copy out of the page
-/// cache, no heap materialization.
-///
-/// Fixed-stride addressing requires every row to share one width — always
-/// true for `.fvecs`/`.bvecs`, and true for standard ground-truth
-/// `.ivecs`; variable-width ivecs (which [`crate::io::read_ivecs`]
-/// accepts) fail this validation and must use the eager reader.
+/// A memory-mapped `.fvecs` file: rows served zero-copy out of the page
+/// cache, never copied onto the heap.
 ///
 /// Opening validates the framing invariants that make fixed-stride
 /// addressing sound — first and last row headers, plausibility of the
 /// dimension, and that the file size is an exact multiple of the row
 /// stride — and attaches path + byte offset to anything it rejects.
-/// Interior headers are validated on demand ([`MmapVecs::verify`]) or as
-/// a side effect of chunked iteration, not at open: touching every page
-/// of a 500 MB file up front would defeat lazy loading.
+/// Interior headers are validated on demand ([`MmapVecs::verify`]), not
+/// at open: touching every page of a 500 MB file up front would defeat
+/// lazy loading.
 #[derive(Debug)]
 pub struct MmapVecs {
     map: Mmap,
     path: PathBuf,
-    format: VecFormat,
     dim: usize,
     len: usize,
     stride: usize,
 }
 
 impl MmapVecs {
-    /// Maps `path` whole. `Ok(None)` when the platform cannot map (the
-    /// caller then falls back to streaming); `Err` when the file is
-    /// missing, empty, or structurally invalid.
+    /// Maps the `.fvecs` file `path` whole. `Ok(None)` when the platform
+    /// cannot map (the caller then falls back to streaming); `Err` when the
+    /// file is not `.fvecs`, missing, empty, or structurally invalid.
     ///
     /// # Errors
-    /// Open/metadata failures and framing violations, with path + offset.
+    /// Other extensions, open/metadata failures and framing violations,
+    /// with path + offset.
     pub fn open(path: impl AsRef<Path>) -> Result<Option<MmapVecs>> {
         MmapVecs::open_limit(path, None)
     }
@@ -438,7 +416,13 @@ impl MmapVecs {
     /// Same contract as [`MmapVecs::open`].
     pub fn open_limit(path: impl AsRef<Path>, limit: Option<usize>) -> Result<Option<MmapVecs>> {
         let path = path.as_ref();
-        let format = VecFormat::from_path(path)?;
+        if VecFormat::from_path(path)? != VecFormat::F32 {
+            return Err(VecsError::Format(format!(
+                "`{}`: only .fvecs files map (read .bvecs with io::read_bvecs, \
+                 .ivecs with io::read_ivecs)",
+                path.display()
+            )));
+        }
         let file = crate::io::open_for_read(path)?;
         let size = file
             .metadata()
@@ -462,7 +446,7 @@ impl MmapVecs {
                 format!("implausible row dimension {dim}"),
             ));
         }
-        let stride = 4 + dim * format.elem_bytes();
+        let stride = 4 + 4 * dim;
         if !size.is_multiple_of(stride) {
             let full_rows = size / stride;
             return Err(corrupt_at(
@@ -491,16 +475,10 @@ impl MmapVecs {
         Ok(Some(MmapVecs {
             map,
             path: path.to_path_buf(),
-            format,
             dim,
             len,
             stride,
         }))
-    }
-
-    /// Payload element format.
-    pub fn format(&self) -> VecFormat {
-        self.format
     }
 
     /// Dimensionality of every row.
@@ -528,29 +506,15 @@ impl MmapVecs {
         self.map.len
     }
 
-    /// Raw payload bytes of row `i` (all formats).
+    /// Zero-copy `f32` view of row `i`.
     ///
     /// # Panics
     /// Panics when `i >= self.len()`.
-    pub fn row_bytes(&self, i: usize) -> &[u8] {
-        assert!(i < self.len, "row {i} out of bounds ({} rows)", self.len);
-        let start = i * self.stride + 4;
-        &self.map.bytes()[start..start + self.dim * self.format.elem_bytes()]
-    }
-
-    /// Zero-copy `f32` view of row `i` of an `.fvecs` map.
-    ///
-    /// # Panics
-    /// Panics when `i` is out of bounds or the format is not
-    /// [`VecFormat::F32`].
     #[inline]
     pub fn row_f32(&self, i: usize) -> &[f32] {
-        assert!(
-            self.format == VecFormat::F32,
-            "row_f32 on a {:?} map (use row_widened / row_ids)",
-            self.format
-        );
-        let bytes = self.row_bytes(i);
+        assert!(i < self.len, "row {i} out of bounds ({} rows)", self.len);
+        let start = i * self.stride + 4;
+        let bytes = &self.map.bytes()[start..start + 4 * self.dim];
         debug_assert_eq!(bytes.as_ptr().align_offset(std::mem::align_of::<f32>()), 0);
         // SAFETY: the payload is `dim` little-endian f32s on a
         // little-endian target (the shim is gated on that); the pointer is
@@ -558,36 +522,6 @@ impl MmapVecs {
         // offset `i·(4 + 4·dim) + 4` is a multiple of 4; the borrow is
         // tied to `&self`, which owns the mapping.
         unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<f32>(), self.dim) }
-    }
-
-    /// Zero-copy `u32` view of row `i` of an `.ivecs` map.
-    ///
-    /// # Panics
-    /// Panics when `i` is out of bounds or the format is not
-    /// [`VecFormat::U32`].
-    pub fn row_ids(&self, i: usize) -> &[u32] {
-        assert!(
-            self.format == VecFormat::U32,
-            "row_ids on a {:?} map",
-            self.format
-        );
-        let bytes = self.row_bytes(i);
-        // SAFETY: same layout argument as `row_f32`, with u32 payload.
-        unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<u32>(), self.dim) }
-    }
-
-    /// Widens row `i` into `out` (`.fvecs` copies, `.bvecs` converts).
-    ///
-    /// # Panics
-    /// Panics when `i` is out of bounds or the format is
-    /// [`VecFormat::U32`].
-    pub fn row_widened(&self, i: usize, out: &mut Vec<f32>) {
-        out.clear();
-        match self.format {
-            VecFormat::F32 => out.extend_from_slice(self.row_f32(i)),
-            VecFormat::U8 => out.extend(self.row_bytes(i).iter().map(|&b| f32::from(b))),
-            VecFormat::U32 => panic!("row_widened on an ivecs map (ids, not vectors)"),
-        }
     }
 
     /// Audits every interior row header against the first row's dimension
@@ -622,11 +556,6 @@ impl RowAccess for MmapVecs {
         self.dim
     }
 
-    /// # Panics
-    /// Panics for non-`.fvecs` maps — only [`VecFormat::F32`] rows can be
-    /// served as `&[f32]` without a conversion (which is why
-    /// [`VecStore::open`] widens `.bvecs` into RAM instead of wrapping the
-    /// map).
     fn row(&self, i: usize) -> &[f32] {
         self.row_f32(i)
     }
@@ -639,11 +568,10 @@ impl RowAccess for MmapVecs {
 /// A vector dataset behind one of two storage backends: resident heap
 /// rows ([`VecSet`]) or a zero-copy memory map ([`MmapVecs`]).
 ///
-/// This is the type the whole stack builds from:
-/// `DcoSpec::build_from_store`, `IndexSpec::build_from_store`,
-/// `Engine::build_from_store`, and `ddc-serve --data` all take a
-/// `VecStore`, and the parity suite pins that the backend choice never
-/// changes a single result bit.
+/// Every builder (`DcoSpec::build_rows`, `IndexSpec::build_rows`,
+/// `Engine::build`) takes it as a [`RowAccess`] row source beside a
+/// [`VecSet`], `ddc-serve --data` opens one, and the parity suite pins
+/// that the backend choice never changes a single result bit.
 #[derive(Debug)]
 pub enum VecStore {
     /// Fully resident rows.
@@ -661,14 +589,14 @@ impl From<VecSet> for VecStore {
 impl VecStore {
     /// Opens a vector file with the best available backend: `.fvecs` maps
     /// zero-copy (falling back to a buffered streaming load where mapping
-    /// is unavailable); `.bvecs` streams into RAM, widening `u8 → f32`
-    /// (widening cannot be zero-copy — use [`ChunkedReader`] for
-    /// out-of-core passes over bvecs).
+    /// is unavailable); `.bvecs` streams into RAM through
+    /// [`crate::io::read_bvecs`], widening `u8 → f32` (widening cannot be
+    /// zero-copy).
     ///
     /// # Errors
     /// Unknown extensions (including `.ivecs`, which holds ids — read it
-    /// with [`crate::io::read_ivecs`] or map it via [`MmapVecs::open`]),
-    /// and open/framing failures with path + offset attached.
+    /// with [`crate::io::read_ivecs`]), and open/framing failures with
+    /// path + offset attached.
     pub fn open(path: impl AsRef<Path>) -> Result<VecStore> {
         VecStore::open_limit(path, None)
     }
@@ -693,8 +621,7 @@ impl VecStore {
             },
             VecFormat::U8 => Ok(VecStore::Ram(crate::io::read_bvecs(path, limit)?)),
             VecFormat::U32 => Err(VecsError::Format(format!(
-                "`{}` holds ids, not vectors: read it with io::read_ivecs \
-                 (or map it with MmapVecs::open and row_ids)",
+                "`{}` holds ids, not vectors: read it with io::read_ivecs",
                 path.display()
             ))),
         }
@@ -702,9 +629,8 @@ impl VecStore {
 
     /// Opens the base file of fixture `name` under `DDC_DATA_DIR` with the
     /// best available backend, falling back to `synth` when the fixture is
-    /// absent — the out-of-core analog of [`crate::io::load_base_or`]
-    /// (`ddc-serve --data sift1m` goes through this, so a mapped SIFT1M
-    /// serves without ever being loaded).
+    /// absent (`ddc-serve --data sift1m` goes through this, so a mapped
+    /// SIFT1M serves without ever being loaded).
     ///
     /// # Errors
     /// Open/framing failures on a *resolved* fixture; a missing fixture is
@@ -767,8 +693,8 @@ impl VecStore {
     }
 
     /// Heap bytes this store holds for vector data. The mapped backend
-    /// answers **0** — that asymmetry is the whole point, and what the
-    /// `loader_throughput` bench reports as evidence.
+    /// answers **0** — that asymmetry is the whole point, and what
+    /// `/stats` reports as `storage_resident_bytes`.
     pub fn resident_bytes(&self) -> usize {
         match self {
             VecStore::Ram(s) => std::mem::size_of_val(s.as_flat()),
@@ -791,36 +717,6 @@ impl VecStore {
             VecStore::Mmap(_) => None,
         }
     }
-
-    /// Copies every row into a resident [`VecSet`].
-    pub fn materialize(&self) -> VecSet {
-        match self {
-            VecStore::Ram(s) => s.clone(),
-            VecStore::Mmap(m) => {
-                let mut out = VecSet::with_capacity(m.dim(), m.len());
-                for i in 0..m.len() {
-                    out.push(m.row_f32(i)).expect("dims match");
-                }
-                out
-            }
-        }
-    }
-
-    /// Iterates the store as blocks of at most `rows_per_chunk` rows, each
-    /// materialized as a [`VecSet`] — the chunked-ingest surface for
-    /// callers that want bounded working sets (one block resident at a
-    /// time) rather than row-at-a-time access.
-    ///
-    /// # Panics
-    /// Panics when `rows_per_chunk == 0`.
-    pub fn chunks(&self, rows_per_chunk: usize) -> StoreChunks<'_> {
-        assert!(rows_per_chunk > 0, "rows_per_chunk must be positive");
-        StoreChunks {
-            store: self,
-            rows_per_chunk,
-            next: 0,
-        }
-    }
 }
 
 impl RowAccess for VecStore {
@@ -834,204 +730,6 @@ impl RowAccess for VecStore {
 
     fn row(&self, i: usize) -> &[f32] {
         VecStore::row(self, i)
-    }
-}
-
-/// Iterator over fixed-size row blocks of a [`VecStore`]
-/// (see [`VecStore::chunks`]).
-#[derive(Debug)]
-pub struct StoreChunks<'a> {
-    store: &'a VecStore,
-    rows_per_chunk: usize,
-    next: usize,
-}
-
-impl Iterator for StoreChunks<'_> {
-    type Item = VecSet;
-
-    fn next(&mut self) -> Option<VecSet> {
-        let n = self.store.len();
-        if self.next >= n {
-            return None;
-        }
-        let hi = (self.next + self.rows_per_chunk).min(n);
-        let mut block = VecSet::with_capacity(self.store.dim(), hi - self.next);
-        for i in self.next..hi {
-            block.push(self.store.row(i)).expect("dims match");
-        }
-        self.next = hi;
-        Some(block)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ChunkedReader
-// ---------------------------------------------------------------------------
-
-/// Streams a `.fvecs`/`.bvecs` file as fixed-size row blocks through one
-/// bounded buffer — the strict out-of-core reader for single-pass work
-/// (and the fallback ingest path on platforms without mapping).
-///
-/// Unlike the mapped backend, this decodes every row header as it goes,
-/// so it doubles as a full-file integrity check; errors carry the path
-/// and byte offset of the offending frame.
-///
-/// ```
-/// use ddc_vecs::store::ChunkedReader;
-/// use ddc_vecs::{io, VecSet};
-///
-/// let mut path = std::env::temp_dir();
-/// path.push(format!("ddc-chunked-doc-{}.fvecs", std::process::id()));
-/// let rows: Vec<Vec<f32>> = (0..10).map(|i| vec![i as f32, -(i as f32)]).collect();
-/// io::write_fvecs(&path, &VecSet::from_rows(2, &rows).unwrap()).unwrap();
-///
-/// let mut total = 0;
-/// for block in ChunkedReader::open(&path, 4).unwrap() {
-///     let block = block.unwrap();
-///     assert!(block.len() <= 4);
-///     total += block.len();
-/// }
-/// assert_eq!(total, 10);
-/// std::fs::remove_file(&path).ok();
-/// ```
-pub struct ChunkedReader {
-    src: FramedSource<BufReader<std::fs::File>>,
-    format: VecFormat,
-    chunk_rows: usize,
-    dim: Option<usize>,
-    /// Rows still allowed out (row-limit support).
-    remaining: usize,
-    /// Set after an error or clean EOF; the iterator then fuses.
-    done: bool,
-}
-
-impl std::fmt::Debug for ChunkedReader {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChunkedReader")
-            .field("format", &self.format)
-            .field("chunk_rows", &self.chunk_rows)
-            .field("dim", &self.dim)
-            .finish()
-    }
-}
-
-impl ChunkedReader {
-    /// Opens `path` for block iteration with `chunk_rows` rows per block.
-    ///
-    /// # Errors
-    /// Unknown extensions (`.ivecs` is ids, not vectors) and open
-    /// failures.
-    ///
-    /// # Panics
-    /// Panics when `chunk_rows == 0`.
-    pub fn open(path: impl AsRef<Path>, chunk_rows: usize) -> Result<ChunkedReader> {
-        ChunkedReader::open_limit(path, chunk_rows, None)
-    }
-
-    /// [`ChunkedReader::open`] yielding at most `limit` rows in total.
-    ///
-    /// # Errors
-    /// Same contract as [`ChunkedReader::open`].
-    ///
-    /// # Panics
-    /// Panics when `chunk_rows == 0`.
-    pub fn open_limit(
-        path: impl AsRef<Path>,
-        chunk_rows: usize,
-        limit: Option<usize>,
-    ) -> Result<ChunkedReader> {
-        assert!(chunk_rows > 0, "chunk_rows must be positive");
-        let path = path.as_ref();
-        let format = match VecFormat::from_path(path)? {
-            VecFormat::U32 => {
-                return Err(VecsError::Format(format!(
-                    "`{}` holds ids, not vectors: read it with io::read_ivecs",
-                    path.display()
-                )))
-            }
-            f => f,
-        };
-        let file = crate::io::open_for_read(path)?;
-        if file
-            .metadata()
-            .map_err(|e| corrupt_at(path, 0, format!("metadata: {e}")))?
-            .len()
-            == 0
-        {
-            // Match the other readers: an empty file is an error, not a
-            // silent zero-block iteration.
-            return Err(VecsError::Empty("chunked vector file"));
-        }
-        Ok(ChunkedReader {
-            src: FramedSource::new(BufReader::new(file), Some(path)),
-            format,
-            chunk_rows,
-            dim: None,
-            remaining: limit.unwrap_or(usize::MAX),
-            done: false,
-        })
-    }
-
-    /// Byte offset of the next unread frame (diagnostics / progress).
-    pub fn offset(&self) -> u64 {
-        self.src.offset()
-    }
-
-    fn read_block(&mut self) -> Result<Option<VecSet>> {
-        let mut block: Option<VecSet> = None;
-        let mut row: Vec<f32> = Vec::new();
-        let mut bytes: Vec<u8> = Vec::new();
-        for _ in 0..self.chunk_rows.min(self.remaining) {
-            let Some(dim) = self.src.read_header()? else {
-                break;
-            };
-            let dim = dim as usize;
-            self.src.check_dim(dim, self.dim, false)?;
-            self.dim = Some(dim);
-            bytes.resize(dim * self.format.elem_bytes(), 0);
-            let what = match self.format {
-                VecFormat::F32 => "fvecs",
-                VecFormat::U8 => "bvecs",
-                VecFormat::U32 => unreachable!("rejected at open"),
-            };
-            self.src.read_payload(&mut bytes, what)?;
-            row.clear();
-            match self.format {
-                VecFormat::F32 => row.extend(
-                    bytes
-                        .chunks_exact(4)
-                        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])),
-                ),
-                VecFormat::U8 => row.extend(bytes.iter().map(|&b| f32::from(b))),
-                VecFormat::U32 => unreachable!("rejected at open"),
-            }
-            block
-                .get_or_insert_with(|| VecSet::with_capacity(dim, self.chunk_rows))
-                .push(&row)?;
-            self.remaining -= 1;
-        }
-        Ok(block)
-    }
-}
-
-impl Iterator for ChunkedReader {
-    type Item = Result<VecSet>;
-
-    fn next(&mut self) -> Option<Result<VecSet>> {
-        if self.done {
-            return None;
-        }
-        match self.read_block() {
-            Ok(Some(block)) => Some(Ok(block)),
-            Ok(None) => {
-                self.done = true;
-                None
-            }
-            Err(e) => {
-                self.done = true;
-                Some(Err(e))
-            }
-        }
     }
 }
 
@@ -1074,7 +772,6 @@ mod tests {
             };
             m.verify().unwrap();
         }
-        assert_eq!(store.materialize(), set);
         std::fs::remove_file(&p).ok();
     }
 
@@ -1097,8 +794,8 @@ mod tests {
         let p = tmp("widen.bvecs");
         write_bvecs(&p, &set).unwrap();
         let store = VecStore::open(&p).unwrap();
-        assert_eq!(store.backend(), "ram");
-        assert_eq!(store.materialize(), set);
+        assert_eq!(store.as_vecset(), Some(&set));
+        assert!(MmapVecs::open(&p).is_err(), "only .fvecs maps");
         std::fs::remove_file(&p).ok();
     }
 
@@ -1108,11 +805,8 @@ mod tests {
         crate::io::write_ivecs(&p, &[vec![1u32, 2, 3]]).unwrap();
         let err = VecStore::open(&p).unwrap_err().to_string();
         assert!(err.contains("read_ivecs"), "{err}");
-        // But the byte-level map can serve the ids zero-copy.
-        if mmap_supported() {
-            let m = MmapVecs::open(&p).unwrap().unwrap();
-            assert_eq!(m.row_ids(0), &[1, 2, 3]);
-        }
+        let err = MmapVecs::open(&p).unwrap_err().to_string();
+        assert!(err.contains("read_ivecs"), "{err}");
         std::fs::remove_file(&p).ok();
     }
 
@@ -1162,68 +856,6 @@ mod tests {
         std::fs::write(&p, []).unwrap();
         assert!(matches!(MmapVecs::open(&p), Err(VecsError::Empty(_))));
         std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn chunked_reader_streams_blocks() {
-        let set = sample(11, 3);
-        let p = tmp("chunks.fvecs");
-        write_fvecs(&p, &set).unwrap();
-        let blocks: Vec<VecSet> = ChunkedReader::open(&p, 4)
-            .unwrap()
-            .collect::<Result<_>>()
-            .unwrap();
-        assert_eq!(blocks.len(), 3);
-        assert_eq!(blocks[0].len(), 4);
-        assert_eq!(blocks[2].len(), 3);
-        let mut joined = VecSet::new(3);
-        for b in &blocks {
-            for r in b.iter() {
-                joined.push(r).unwrap();
-            }
-        }
-        assert_eq!(joined, set);
-
-        // Row limit.
-        let capped: Vec<VecSet> = ChunkedReader::open_limit(&p, 4, Some(6))
-            .unwrap()
-            .collect::<Result<_>>()
-            .unwrap();
-        assert_eq!(capped.iter().map(VecSet::len).sum::<usize>(), 6);
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn chunked_reader_reports_interior_corruption_with_offset() {
-        let set = sample(6, 2);
-        let p = tmp("chunk-corrupt.fvecs");
-        write_fvecs(&p, &set).unwrap();
-        let mut bytes = std::fs::read(&p).unwrap();
-        let stride = 4 + 2 * 4;
-        bytes[3 * stride..3 * stride + 4].copy_from_slice(&77u32.to_le_bytes());
-        std::fs::write(&p, &bytes).unwrap();
-        let results: Vec<Result<VecSet>> = ChunkedReader::open(&p, 2).unwrap().collect();
-        let err = results
-            .into_iter()
-            .find_map(|r| r.err())
-            .expect("corruption must surface");
-        let VecsError::File { offset, detail, .. } = &err else {
-            panic!("wrong variant: {err}")
-        };
-        assert_eq!(*offset, 3 * stride as u64);
-        assert!(detail.contains("disagrees"), "{detail}");
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn store_chunks_iterate_blocks() {
-        let set = sample(7, 2);
-        let store = VecStore::from(set.clone());
-        let blocks: Vec<VecSet> = store.chunks(3).collect();
-        assert_eq!(blocks.len(), 3);
-        assert_eq!(blocks[2].len(), 1);
-        assert_eq!(blocks[0].get(0), set.get(0));
-        assert_eq!(blocks[2].get(0), set.get(6));
     }
 
     #[test]

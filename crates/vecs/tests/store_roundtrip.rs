@@ -1,10 +1,10 @@
 //! Property tests for the out-of-core storage layer: for arbitrary
-//! content, the three read paths — eager RAM, zero-copy mmap, chunked
-//! streaming — must return **bit-identical** rows, and all three must
-//! reject truncated, corrupt-header, and zero-dimension inputs.
+//! content, the eager RAM readers and the zero-copy mmap behind
+//! [`VecStore::open`] must return **bit-identical** rows, and both must
+//! reject truncated, corrupt-header, zero-dimension, and empty inputs.
 
-use ddc_vecs::io::{read_bvecs, read_fvecs, write_bvecs, write_fvecs};
-use ddc_vecs::store::{mmap_supported, ChunkedReader, MmapVecs, VecStore};
+use ddc_vecs::io::{read_bvecs, read_fvecs, read_fvecs_from, write_bvecs, write_fvecs};
+use ddc_vecs::store::{mmap_supported, MmapVecs, VecStore};
 use ddc_vecs::{VecSet, VecsError};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -18,20 +18,6 @@ fn tmp(tag: &str, case: usize) -> PathBuf {
     p
 }
 
-/// Collect a chunked read back into one set, asserting the block size
-/// bound along the way.
-fn via_chunks(path: &PathBuf, dim: usize, chunk_rows: usize) -> VecSet {
-    let mut joined = VecSet::new(dim);
-    for block in ChunkedReader::open(path, chunk_rows).unwrap() {
-        let block = block.unwrap();
-        assert!(block.len() <= chunk_rows);
-        for r in block.iter() {
-            joined.push(r).unwrap();
-        }
-    }
-    joined
-}
-
 fn bits(set: &VecSet) -> Vec<u32> {
     set.as_flat().iter().map(|v| v.to_bits()).collect()
 }
@@ -39,14 +25,14 @@ fn bits(set: &VecSet) -> Vec<u32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// fvecs: write → read back through RAM, mmap, and chunked paths;
-    /// every path returns the same bits (including NaN payloads, which
-    /// survive because nothing here interprets the floats).
+    /// fvecs: write → read back from the file into RAM, from its bytes
+    /// through any `Read`, and through the mmap; every path returns the
+    /// same bits (including NaN payloads, which survive because nothing
+    /// here interprets the floats).
     #[test]
     fn fvecs_three_readers_agree_bitwise(
         dim in 1usize..8,
         n in 1usize..24,
-        chunk_rows in 1usize..9,
         seed in 0u64..1000,
     ) {
         let rows: Vec<Vec<f32>> = (0..n)
@@ -60,12 +46,15 @@ proptest! {
             })
             .collect();
         let set = VecSet::from_rows(dim, &rows).unwrap();
-        let path = tmp("f", n * 100 + dim * 10 + chunk_rows);
+        let path = tmp("f", n * 100 + dim * 10);
         let path = path.with_extension("fvecs");
         write_fvecs(&path, &set).unwrap();
 
         let ram = read_fvecs(&path, None).unwrap();
         prop_assert_eq!(bits(&ram), bits(&set));
+        let bytes = std::fs::read(&path).unwrap();
+        let from_bytes = read_fvecs_from(&bytes[..], None).unwrap();
+        prop_assert_eq!(bits(&from_bytes), bits(&set));
 
         let store = VecStore::open(&path).unwrap();
         prop_assert_eq!(store.len(), n);
@@ -80,53 +69,37 @@ proptest! {
             prop_assert_eq!(store.backend(), "mmap");
         }
 
-        let chunked = via_chunks(&path, dim, chunk_rows);
-        prop_assert_eq!(bits(&chunked), bits(&set));
-
         std::fs::remove_file(&path).ok();
     }
 
-    /// bvecs: byte payloads widen identically through all three paths.
+    /// bvecs: byte payloads widen identically through the eager reader
+    /// and the store, which streams them into RAM (zero-copy needs `f32`
+    /// payloads, so bvecs never map).
     #[test]
-    fn bvecs_three_readers_agree(
+    fn bvecs_ram_and_store_agree(
         dim in 1usize..8,
         n in 1usize..24,
-        chunk_rows in 1usize..9,
         seed in 0u64..1000,
     ) {
         let rows: Vec<Vec<f32>> = (0..n)
             .map(|i| (0..dim).map(|j| ((seed as usize + i * 7 + j * 3) % 256) as f32).collect())
             .collect();
         let set = VecSet::from_rows(dim, &rows).unwrap();
-        let path = tmp("b", n * 100 + dim * 10 + chunk_rows).with_extension("bvecs");
+        let path = tmp("b", n * 100 + dim * 10).with_extension("bvecs");
         write_bvecs(&path, &set).unwrap();
 
         let ram = read_bvecs(&path, None).unwrap();
         prop_assert_eq!(&ram, &set);
 
-        // VecStore widens bvecs into RAM (zero-copy needs 4-byte elements).
         let store = VecStore::open(&path).unwrap();
-        prop_assert_eq!(store.backend(), "ram");
-        prop_assert_eq!(&store.materialize(), &set);
-
-        // The byte-level map still serves raw rows when supported.
-        if mmap_supported() {
-            let m = MmapVecs::open(&path).unwrap().unwrap();
-            let mut widened = Vec::new();
-            for i in 0..n {
-                m.row_widened(i, &mut widened);
-                prop_assert_eq!(&widened[..], set.get(i));
-            }
-        }
-
-        let chunked = via_chunks(&path, dim, chunk_rows);
-        prop_assert_eq!(&chunked, &set);
+        prop_assert_eq!(store.as_vecset(), Some(&set));
+        prop_assert!(MmapVecs::open(&path).is_err());
 
         std::fs::remove_file(&path).ok();
     }
 
     /// Truncating a well-formed fvecs file anywhere inside a frame makes
-    /// every reader reject it (clean row boundaries shorten instead), and
+    /// both readers reject it (clean row boundaries shorten instead), and
     /// file-based errors name the path.
     #[test]
     fn truncation_rejected_by_all_readers(
@@ -148,12 +121,11 @@ proptest! {
         let on_boundary = cut % stride == 0;
 
         let ram = read_fvecs(&path, None);
-        let chunked: std::result::Result<Vec<VecSet>, VecsError> =
-            ChunkedReader::open(&path, 3).unwrap().collect();
+        let store = VecStore::open(&path);
         if on_boundary {
             // A cut at a row boundary is just a shorter valid file.
             prop_assert_eq!(ram.unwrap().len(), n - cut / stride);
-            prop_assert!(chunked.is_ok());
+            prop_assert_eq!(store.unwrap().len(), n - cut / stride);
             if mmap_supported() {
                 prop_assert!(MmapVecs::open(&path).unwrap().is_some());
             }
@@ -161,8 +133,8 @@ proptest! {
             let err = ram.unwrap_err();
             prop_assert!(err.is_corrupt(), "ram reader: {err}");
             prop_assert!(err.to_string().contains("ddc-store-prop"), "{err}");
-            let err = chunked.unwrap_err();
-            prop_assert!(err.is_corrupt(), "chunked reader: {err}");
+            let err = store.unwrap_err();
+            prop_assert!(err.is_corrupt(), "store: {err}");
             if mmap_supported() {
                 let err = MmapVecs::open(&path).unwrap_err();
                 prop_assert!(err.is_corrupt(), "mmap reader: {err}");
@@ -172,31 +144,31 @@ proptest! {
     }
 }
 
-/// Zero-dimension headers are rejected by all three readers.
+/// Zero-dimension headers are rejected by every reader.
 #[test]
 fn zero_dim_rejected_by_all_readers() {
     let path = tmp("z", 0).with_extension("fvecs");
     std::fs::write(&path, 0u32.to_le_bytes()).unwrap();
     assert!(read_fvecs(&path, None).unwrap_err().is_corrupt());
-    let chunked: Result<Vec<VecSet>, VecsError> = ChunkedReader::open(&path, 2).unwrap().collect();
-    assert!(chunked.unwrap_err().is_corrupt());
+    assert!(VecStore::open(&path).unwrap_err().is_corrupt());
     if mmap_supported() {
         assert!(MmapVecs::open(&path).unwrap_err().is_corrupt());
     }
     std::fs::remove_file(&path).ok();
 }
 
-/// Empty files are an error on all three readers — none may silently
-/// yield an empty dataset.
+/// Empty files are an error on every reader — none may silently yield
+/// an empty dataset.
 #[test]
 fn empty_file_rejected_by_all_readers() {
     let path = tmp("e", 0).with_extension("fvecs");
     std::fs::write(&path, []).unwrap();
     assert!(matches!(read_fvecs(&path, None), Err(VecsError::Empty(_))));
-    assert!(matches!(
-        ChunkedReader::open(&path, 2),
-        Err(VecsError::Empty(_))
-    ));
+    assert!(matches!(VecStore::open(&path), Err(VecsError::Empty(_))));
+    let bvecs = path.with_extension("bvecs");
+    std::fs::write(&bvecs, []).unwrap();
+    assert!(matches!(read_bvecs(&bvecs, None), Err(VecsError::Empty(_))));
+    std::fs::remove_file(&bvecs).ok();
     if mmap_supported() {
         assert!(matches!(MmapVecs::open(&path), Err(VecsError::Empty(_))));
     }
@@ -204,7 +176,7 @@ fn empty_file_rejected_by_all_readers() {
 }
 
 /// A corrupt interior header (wrong dim mid-file, stride preserved) is
-/// caught by the decoding readers immediately and by the mapped backend's
+/// caught by the decoding reader immediately and by the mapped backend's
 /// audit pass.
 #[test]
 fn corrupt_interior_header_rejected_by_all_readers() {
@@ -221,9 +193,12 @@ fn corrupt_interior_header_rejected_by_all_readers() {
     bytes[2 * stride..2 * stride + 4].copy_from_slice(&11u32.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
 
-    assert!(read_fvecs(&path, None).unwrap_err().is_corrupt());
-    let chunked: Result<Vec<VecSet>, VecsError> = ChunkedReader::open(&path, 2).unwrap().collect();
-    assert!(chunked.unwrap_err().is_corrupt());
+    let err = read_fvecs(&path, None).unwrap_err();
+    assert!(err.is_corrupt(), "{err}");
+    assert!(
+        err.to_string().contains(&format!("byte {}", 2 * stride)),
+        "{err}"
+    );
     if mmap_supported() {
         let m = MmapVecs::open(&path).unwrap().unwrap();
         let err = m.verify().unwrap_err();

@@ -1,6 +1,6 @@
 //! fixture_gen: write a synthetic dataset to disk in the TEXMEX layout,
-//! so the out-of-core paths (`VecStore::open`, `ddc-serve --data`,
-//! `ChunkedReader`) have a real file to map without downloading anything.
+//! so the out-of-core paths (`VecStore::open`, `ddc-serve --data`) have a
+//! real file to map without downloading anything.
 //!
 //! ```bash
 //! cargo run --release --example fixture_gen -- --dir /tmp/ddc-data --name demo --n 20000 --dim 32
