@@ -84,8 +84,8 @@ pub struct ExecMeta {
     pub queue_wait_nanos: u64,
     /// Queries sharing this engine batch (1 = the query ran solo).
     pub batch_len: usize,
-    /// Wall-clock nanos of the engine batch call, 0 when observability
-    /// is disabled.
+    /// Wall-clock nanos of the engine batch call (0 for a request that
+    /// never reached the engine).
     pub batch_nanos: u64,
 }
 
@@ -483,7 +483,7 @@ fn execute(s: &Shared, jobs: Vec<Pending>) {
             QueryBatch::from_rows(dim, &rows).expect("rows screened to the engine's dimension")
         });
         let batch = merged.as_ref().unwrap_or(&first.queries);
-        let timing = ddc_obs::enabled().then(Instant::now);
+        let started = Instant::now();
         // Shards across the pool when that can help; the collector
         // thread participates as the caller, so a saturated pool cannot
         // deadlock the batch.
@@ -494,7 +494,7 @@ fn execute(s: &Shared, jobs: Vec<Pending>) {
             &first.params,
             first.filter.as_ref(),
         );
-        let batch_nanos = timing.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let batch_nanos = started.elapsed().as_nanos() as u64;
         let size = batch.len();
         s.stats.batches.fetch_add(1, Ordering::Relaxed);
         if size >= 2 {

@@ -5,7 +5,7 @@ use crate::error::EngineError;
 use crate::filter::FilterPredicate;
 use crate::mutable::Overlay;
 use crate::pool::WorkerPool;
-use crate::stats::{EngineStats, ServingCounters};
+use crate::stats::EngineStats;
 use ddc_core::{BoxedDco, Counters, DcoSpec, DynDco, DynQueryDco, QueryBatch};
 use ddc_index::{BoxedIndex, IndexSpec, SearchParams, SearchResult};
 use ddc_linalg::kernels::backend_name;
@@ -114,8 +114,8 @@ fn check_metric_agreement(index: &IndexSpec, dco: &DcoSpec) -> Result<(), Engine
 /// comparison operator, one uniform search surface.
 ///
 /// `Engine` is `Send + Sync` and all search methods take `&self`, so one
-/// instance serves concurrent callers; work counters accumulate lock-free
-/// (see [`Engine::stats`]).
+/// instance serves concurrent callers. Each [`SearchResult`] carries its
+/// own work counters; totals are the caller's to keep.
 ///
 /// ```
 /// use ddc_engine::{Engine, EngineConfig};
@@ -128,13 +128,13 @@ fn check_metric_agreement(index: &IndexSpec, dco: &DcoSpec) -> Result<(), Engine
 ///
 /// let hits = engine.search(w.queries.get(0), 5).unwrap();
 /// assert_eq!(hits.neighbors.len(), 5);
-/// assert_eq!(engine.stats().queries, 1);
+/// assert!(hits.counters.candidates > 0);
+/// assert_eq!(engine.stats().len, 300);
 /// ```
 pub struct Engine {
     cfg: EngineConfig,
     index: BoxedIndex,
     dco: BoxedDco,
-    serving: ServingCounters,
     snapshot: Option<SnapshotInfo>,
     /// Live-mutability hook ([`crate::MutableEngine`]): a shared view of
     /// pending inserts and tombstones layered over the immutable base.
@@ -199,7 +199,6 @@ impl Engine {
             cfg,
             index,
             dco,
-            serving: ServingCounters::default(),
             snapshot: None,
             overlay: None,
             payloads: None,
@@ -349,9 +348,7 @@ impl Engine {
         k: usize,
         params: &SearchParams,
     ) -> Result<Vec<SearchResult>, EngineError> {
-        let out = self.search_group(batch, k, params, None)?;
-        self.serving.record_batch();
-        Ok(out)
+        self.search_group(batch, k, params, None)
     }
 
     /// Searches a batch — optionally restricted by `filter`, as in
@@ -392,9 +389,7 @@ impl Engine {
     ) -> Result<Vec<SearchResult>, EngineError> {
         let shards = pool.threads().min(batch.len());
         if shards <= 1 {
-            let out = self.search_group(batch, k, params, filter)?;
-            self.serving.record_batch();
-            return Ok(out);
+            return self.search_group(batch, k, params, filter);
         }
         let work = Arc::new(BatchWork {
             engine: Arc::clone(&self),
@@ -434,8 +429,6 @@ impl Engine {
                     .expect("a parallel batch shard panicked (see worker log)")?,
             );
         }
-        drop(slots);
-        self.serving.record_batch();
         Ok(out)
     }
 
@@ -444,8 +437,7 @@ impl Engine {
     /// all run through it. The dimension is checked even for empty
     /// batches (the rotation-based operators' `begin_batch` asserts it
     /// unconditionally, and a mismatched-but-empty batch should fail the
-    /// same way for every operator). The batch counter stays with the
-    /// callers — a sharded batch is one batch.
+    /// same way for every operator).
     fn search_group(
         &self,
         batch: &QueryBatch,
@@ -464,7 +456,7 @@ impl Engine {
     }
 
     /// A group of one without the batch machinery: the evaluator comes
-    /// from `begin_dyn` and no batch is counted.
+    /// from `begin_dyn`.
     fn search_solo(
         &self,
         q: &[f32],
@@ -513,10 +505,9 @@ impl Engine {
         params: &SearchParams,
         filter: Option<(&FilterPredicate, &[u64])>,
     ) -> SearchResult {
-        // Per-query traversal timing is informational (`elapsed_nanos`
-        // never participates in result identity) and free when
-        // observability is off.
-        let timing = ddc_obs::enabled().then(Instant::now);
+        // Per-query traversal timing is informational: `elapsed_nanos`
+        // never participates in result identity.
+        let started = Instant::now();
         let mut r = SearchResult {
             neighbors: Vec::new(),
             counters: Counters::new(),
@@ -549,7 +540,7 @@ impl Engine {
                 ov.translate(&mut r.neighbors);
             }
             if let (Some((ov, st)), None) = (&dirty, filter) {
-                let merge = ddc_obs::enabled().then(Instant::now);
+                let merge = Instant::now();
                 let extra =
                     st.delta_candidates(ov.generation(), q, &self.dco.metric(), &mut r.counters);
                 if !extra.is_empty() {
@@ -559,13 +550,10 @@ impl Engine {
                     r.neighbors.sort_unstable();
                     r.neighbors.truncate(k);
                 }
-                if let Some(t) = merge {
-                    ov.record_merge(t.elapsed().as_nanos() as u64);
-                }
+                ov.record_merge(merge.elapsed().as_nanos() as u64);
             }
         }
-        r.elapsed_nanos = timing.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        self.serving.record_query(&r.counters);
+        r.elapsed_nanos = started.elapsed().as_nanos() as u64;
         r
     }
 
@@ -594,7 +582,6 @@ impl Engine {
             cfg: self.cfg.clone(),
             index,
             dco,
-            serving: ServingCounters::default(),
             snapshot: None,
             overlay: None,
             payloads: self.payloads.clone(),
@@ -670,7 +657,7 @@ impl Engine {
         Ok(())
     }
 
-    /// Memory, composition, and accumulated work in one snapshot.
+    /// What the engine is: composition, memory and SIMD backend.
     pub fn stats(&self) -> EngineStats {
         EngineStats {
             index_kind: self.index.kind(),
@@ -683,9 +670,6 @@ impl Engine {
             index_bytes: self.index.memory_bytes(),
             dco_extra_bytes: self.dco.extra_bytes(),
             vector_bytes: self.dco.len() * self.dco.dim() * std::mem::size_of::<f32>(),
-            queries: self.serving.queries(),
-            batches: self.serving.batches(),
-            counters: self.serving.counters(),
         }
     }
 
@@ -824,7 +808,6 @@ impl Engine {
             },
             index,
             dco,
-            serving: ServingCounters::default(),
             snapshot: Some(info),
             overlay: None,
             payloads,
@@ -1005,14 +988,13 @@ mod tests {
 
         let r = engine.search(w.queries.get(0), 5).unwrap();
         assert_eq!(r.neighbors.len(), 5);
+        assert!(r.counters.candidates > 0);
         let stats = engine.stats();
         assert_eq!(stats.index_kind, "ivf");
         assert_eq!(stats.dco_name, "ADSampling");
-        assert_eq!(stats.queries, 1);
         assert_eq!(stats.vector_bytes, 300 * 12 * 4);
         assert_eq!(stats.dco_extra_bytes, 12 * 12 * 4);
         assert!(stats.total_bytes() > stats.vector_bytes);
-        assert!(stats.counters.candidates > 0);
     }
 
     #[test]
@@ -1027,9 +1009,6 @@ mod tests {
         let batch = QueryBatch::new(w.queries.clone());
         let results = engine.search_batch(&batch, 3).unwrap();
         assert_eq!(results.len(), w.queries.len());
-        let stats = engine.stats();
-        assert_eq!(stats.queries, w.queries.len() as u64);
-        assert_eq!(stats.batches, 1);
 
         let wrong = QueryBatch::from_rows(3, &[&[0.0, 0.0, 0.0]]).unwrap();
         assert!(engine.search_batch(&wrong, 3).is_err());
@@ -1226,11 +1205,6 @@ mod tests {
             assert_eq!(rs.len(), batch.len());
             assert!(rs.iter().all(|r| r.neighbors.is_empty()));
 
-            // Served work is still accounted.
-            let stats = engine.stats();
-            assert_eq!(stats.queries, 1 + batch.len() as u64);
-            assert_eq!(stats.batches, 1);
-
             // The dimension check still precedes the shortcut.
             assert!(engine.search(&[0.0; 3], 0).is_err());
         }
@@ -1279,8 +1253,6 @@ mod tests {
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a.ids(), b.ids());
         }
-        assert_eq!(engine.stats().batches, 2);
-        assert_eq!(engine.stats().queries, 2 * batch.len() as u64);
 
         // Edge shapes route through the sequential path.
         let empty = QueryBatch::from_rows(12, &[]).unwrap();

@@ -35,9 +35,10 @@
 //!   ([`ddc_linalg::kernels::matvec_batch_f32`]), amortizing the `O(D²)`
 //!   per-query setup the paper accounts in §VI-A, with bit-identical
 //!   results to per-query search.
-//! * **One stats surface** — [`Engine::stats`] reports composition,
-//!   memory (Fig. 7 accounting), the active SIMD backend, and accumulated
-//!   work counters (Fig. 10 metrics) in one [`EngineStats`].
+//! * **One stats surface** — [`Engine::stats`] reports what an engine
+//!   is: composition, memory (Fig. 7 accounting) and the active SIMD
+//!   backend, in one [`EngineStats`]. Work (Fig. 10 metrics) is counted
+//!   per query in each result's counters; the server keeps the totals.
 //! * **One constructor, one file format** — [`Engine::build`] takes any
 //!   row source (a resident [`ddc_vecs::VecSet`] or a mapped
 //!   [`ddc_vecs::VecStore`]) through one loop. [`Engine::save_snapshot`] /

@@ -598,15 +598,14 @@ impl MutableEngine {
         }
     }
 
-    /// Distribution of completed compaction durations (nanos). Empty
-    /// while observability is disabled.
+    /// Distribution of completed compaction durations (nanos).
     pub fn compaction_nanos(&self) -> HistogramSnapshot {
         self.compaction_hist.snapshot()
     }
 
     /// Distribution of dirty-search overlay delta-merge durations
-    /// (nanos). Empty while observability is disabled or while no
-    /// mutations are pending (clean searches skip the merge).
+    /// (nanos). Empty while no mutations are pending (clean searches
+    /// skip the merge).
     pub fn overlay_merge_nanos(&self) -> HistogramSnapshot {
         self.merge_hist.snapshot()
     }
@@ -636,7 +635,7 @@ impl MutableEngine {
     }
 
     fn compact_inner(&self, force_fold: bool) -> Result<CompactionReport, EngineError> {
-        let timing = ddc_obs::enabled().then(Instant::now);
+        let started = Instant::now();
         // One compaction at a time; mutations and searches do not take
         // this lock.
         let mut base = lock_base(&self.base);
@@ -746,9 +745,8 @@ impl MutableEngine {
         base.ids = (*ids_arc).clone();
         base.rows = new_rows;
         self.compactions.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = timing {
-            self.compaction_hist.record(t.elapsed().as_nanos() as u64);
-        }
+        self.compaction_hist
+            .record(started.elapsed().as_nanos() as u64);
         Ok(CompactionReport {
             epoch,
             mode: match (incremental, dropped) {

@@ -1,60 +1,9 @@
-//! Serving-side instrumentation: lock-free accumulation across queries
-//! plus the one-struct snapshot [`EngineStats`].
+//! [`EngineStats`]: what an engine is, in one struct.
 
-use ddc_core::Counters;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Lock-free accumulated totals, updated by every search on a shared
-/// `&Engine` (the engine is `Send + Sync`; relaxed ordering is enough for
-/// monotonic counters).
-#[derive(Debug, Default)]
-pub(crate) struct ServingCounters {
-    queries: AtomicU64,
-    batches: AtomicU64,
-    candidates: AtomicU64,
-    pruned: AtomicU64,
-    exact: AtomicU64,
-    dims_scanned: AtomicU64,
-    dims_full: AtomicU64,
-}
-
-impl ServingCounters {
-    pub(crate) fn record_query(&self, c: &Counters) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.candidates.fetch_add(c.candidates, Ordering::Relaxed);
-        self.pruned.fetch_add(c.pruned, Ordering::Relaxed);
-        self.exact.fetch_add(c.exact, Ordering::Relaxed);
-        self.dims_scanned
-            .fetch_add(c.dims_scanned, Ordering::Relaxed);
-        self.dims_full.fetch_add(c.dims_full, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_batch(&self) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn queries(&self) -> u64 {
-        self.queries.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn counters(&self) -> Counters {
-        Counters {
-            candidates: self.candidates.load(Ordering::Relaxed),
-            pruned: self.pruned.load(Ordering::Relaxed),
-            exact: self.exact.load(Ordering::Relaxed),
-            dims_scanned: self.dims_scanned.load(Ordering::Relaxed),
-            dims_full: self.dims_full.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time snapshot of everything an operator wants on one screen:
-/// what the engine is made of, what it costs in memory, and how much work
-/// it has done (returned by [`crate::Engine::stats`]).
+/// A point-in-time snapshot of what an engine is made of and what it
+/// costs in memory (returned by [`crate::Engine::stats`]). Work done is
+/// the server's ledger, not the engine's: every search result carries its
+/// own counters.
 #[derive(Debug, Clone)]
 pub struct EngineStats {
     /// Index kind tag (`"flat"`, `"ivf"`, `"hnsw"`).
@@ -81,12 +30,6 @@ pub struct EngineStats {
     pub dco_extra_bytes: usize,
     /// The operator's transformed vector copy: `len · dim · 4` bytes.
     pub vector_bytes: usize,
-    /// Queries served since construction (single + batched).
-    pub queries: u64,
-    /// Batches served via `search_batch`.
-    pub batches: u64,
-    /// Work counters accumulated over every query served.
-    pub counters: Counters,
 }
 
 impl EngineStats {
@@ -104,21 +47,13 @@ impl std::fmt::Display for EngineStats {
             "{}-{} over {} x {}d [{} kernels, {} metric]",
             self.index_kind, self.dco_name, self.len, self.dim, self.kernel_backend, self.metric
         )?;
-        writeln!(
+        write!(
             f,
             "  memory: {:.2} MiB vectors + {:.2} MiB index + {:.2} MiB operator = {:.2} MiB",
             mb(self.vector_bytes),
             mb(self.index_bytes),
             mb(self.dco_extra_bytes),
             mb(self.total_bytes())
-        )?;
-        write!(
-            f,
-            "  served: {} queries ({} batches), scan rate {:.1}%, pruned {:.1}%",
-            self.queries,
-            self.batches,
-            100.0 * self.counters.scan_rate(),
-            100.0 * self.counters.pruned_rate()
         )
     }
 }
@@ -126,23 +61,6 @@ impl std::fmt::Display for EngineStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accumulation_and_snapshot() {
-        let s = ServingCounters::default();
-        let mut c = Counters::new();
-        c.record(true, 8, 32);
-        c.record(false, 32, 32);
-        s.record_query(&c);
-        s.record_query(&c);
-        s.record_batch();
-        assert_eq!(s.queries(), 2);
-        assert_eq!(s.batches(), 1);
-        let total = s.counters();
-        assert_eq!(total.candidates, 4);
-        assert_eq!(total.pruned, 2);
-        assert_eq!(total.dims_scanned, 80);
-    }
 
     #[test]
     fn stats_display_and_totals() {
@@ -157,14 +75,11 @@ mod tests {
             index_bytes: 4096,
             dco_extra_bytes: 2048,
             vector_bytes: 128_000,
-            queries: 7,
-            batches: 1,
-            counters: Counters::new(),
         };
         assert_eq!(stats.total_bytes(), 134_144);
         let text = stats.to_string();
         assert!(text.contains("hnsw-DDCres"));
-        assert!(text.contains("7 queries"));
+        assert!(text.contains("1000 x 32d"));
         assert!(text.contains("cosine metric"));
     }
 }

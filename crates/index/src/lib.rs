@@ -58,9 +58,9 @@ pub struct SearchResult {
     /// Distance-computation counters accumulated during the query.
     pub counters: Counters,
     /// Wall-clock nanos this query spent in index traversal + DCO
-    /// evaluation. Indexes leave it 0; the engine layer stamps it (and
-    /// only when observability is enabled), so it is informational, not
-    /// part of the result's identity.
+    /// evaluation. Indexes leave it 0 and the engine layer stamps it on
+    /// every query; it is informational, not part of the result's
+    /// identity.
     pub elapsed_nanos: u64,
 }
 

@@ -98,7 +98,8 @@ pub trait SearchIndex {
     /// [`SearchIndex::search`] through an evaluator the caller already
     /// prepared — the batched-search entry point, where per-query rotation
     /// was amortized by [`ddc_core::DynDco::begin_batch_dyn`]. The caller
-    /// guarantees `q.len() == dco.dim()`.
+    /// guarantees `q.len() == dco.dim()`. It is
+    /// [`SearchIndex::search_prepared_filtered`] with every row live.
     fn search_prepared(
         &self,
         dco: &dyn DynDco,
@@ -106,14 +107,15 @@ pub trait SearchIndex {
         q: &[f32],
         k: usize,
         params: &SearchParams,
-    ) -> SearchResult;
+    ) -> SearchResult {
+        self.search_prepared_filtered(dco, eval, q, k, params, &|_| true)
+    }
 
     /// [`SearchIndex::search_prepared`] with a liveness filter — the
     /// tombstone entry point used by the mutable-engine overlay. Ids for
     /// which `live` returns `false` are repaired out of the result during
     /// traversal: they never consume a `k` slot, though graph indexes may
-    /// still route *through* them. With an always-true filter every
-    /// implementation is bit-identical to the unfiltered path.
+    /// still route *through* them.
     fn search_prepared_filtered(
         &self,
         dco: &dyn DynDco,
@@ -166,17 +168,6 @@ impl SearchIndex for FlatIndex {
         0
     }
 
-    fn search_prepared(
-        &self,
-        dco: &dyn DynDco,
-        eval: &mut dyn DynQueryDco,
-        _q: &[f32],
-        k: usize,
-        _params: &SearchParams,
-    ) -> SearchResult {
-        self.search_eval_filtered(dco.len(), eval, k, &|_| true)
-    }
-
     fn search_prepared_filtered(
         &self,
         dco: &dyn DynDco,
@@ -211,17 +202,6 @@ impl SearchIndex for Ivf {
         Ivf::memory_bytes(self)
     }
 
-    fn search_prepared(
-        &self,
-        _dco: &dyn DynDco,
-        eval: &mut dyn DynQueryDco,
-        q: &[f32],
-        k: usize,
-        params: &SearchParams,
-    ) -> SearchResult {
-        self.search_eval_filtered(eval, q, k, params.nprobe, &|_| true)
-    }
-
     fn search_prepared_filtered(
         &self,
         _dco: &dyn DynDco,
@@ -254,18 +234,6 @@ impl SearchIndex for Hnsw {
 
     fn memory_bytes(&self) -> usize {
         Hnsw::memory_bytes(self)
-    }
-
-    fn search_prepared(
-        &self,
-        _dco: &dyn DynDco,
-        eval: &mut dyn DynQueryDco,
-        _q: &[f32],
-        k: usize,
-        params: &SearchParams,
-    ) -> SearchResult {
-        let mut visited = VisitedSet::new(self.len());
-        self.search_eval_filtered(eval, k, params.ef, &mut visited, &|_| true)
     }
 
     fn search_prepared_filtered(

@@ -76,11 +76,6 @@ impl AtomicHistogram {
         Self::new(&LOG2_EDGES)
     }
 
-    /// The edge array this histogram was built over.
-    pub fn edges(&self) -> &'static [u64] {
-        self.edges
-    }
-
     /// Records one observation. Wait-free apart from the max update,
     /// which retries only while racing a larger concurrent value.
     pub fn record(&self, value: u64) {
@@ -114,33 +109,6 @@ impl AtomicHistogram {
             counts,
             sum: self.sum.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Folds another histogram's current counts into this one. Both
-    /// histograms must share the same edge array.
-    pub fn merge(&self, other: &AtomicHistogram) {
-        assert!(
-            std::ptr::eq(self.edges, other.edges) || self.edges == other.edges,
-            "cannot merge histograms with different edges"
-        );
-        for (dst, src) in self.buckets.iter().zip(other.buckets.iter()) {
-            dst.fetch_add(src.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        let other_max = other.max.load(Ordering::Relaxed);
-        let mut cur = self.max.load(Ordering::Relaxed);
-        while other_max > cur {
-            match self.max.compare_exchange_weak(
-                cur,
-                other_max,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
         }
     }
 }
@@ -195,44 +163,6 @@ impl HistogramSnapshot {
         self.counts[self.edges.partition_point(|&e| e < value)]
     }
 
-    /// Estimates the `q`-quantile (`0.0 ..= 1.0`) as the upper edge of
-    /// the bucket containing that rank; the overflow bucket reports the
-    /// observed `max`. Returns 0 for an empty histogram.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return if i < self.edges.len() {
-                    self.edges[i]
-                } else {
-                    self.max
-                };
-            }
-        }
-        self.max
-    }
-
-    /// Median estimate (see [`quantile`](Self::quantile)).
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// 90th-percentile estimate.
-    pub fn p90(&self) -> u64 {
-        self.quantile(0.90)
-    }
-
-    /// 99th-percentile estimate.
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-
     /// Non-cumulative `(label, count)` pairs in the legacy `/stats`
     /// shape: `le_<edge>` per bucket and `gt_<last>` for overflow.
     pub fn labeled(&self) -> Vec<(String, u64)> {
@@ -246,19 +176,6 @@ impl HistogramSnapshot {
             out.push((label, c));
         }
         out
-    }
-
-    /// Folds another snapshot (same edges) into this one.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        assert_eq!(
-            self.edges, other.edges,
-            "cannot merge snapshots with different edges"
-        );
-        for (dst, src) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *dst += src;
-        }
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -290,43 +207,10 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_estimate_upper_edges() {
-        let h = AtomicHistogram::new(&EDGES);
-        for _ in 0..90 {
-            h.record(5);
-        }
-        for _ in 0..9 {
-            h.record(500);
-        }
-        h.record(123_456);
-        let s = h.snapshot();
-        assert_eq!(s.p50(), 10);
-        assert_eq!(s.p90(), 10);
-        assert_eq!(s.quantile(0.95), 1_000);
-        assert_eq!(s.p99(), 1_000);
-        assert_eq!(s.quantile(1.0), 123_456); // overflow bucket -> max
-    }
-
-    #[test]
     fn empty_snapshot_is_zeroed() {
         let s = AtomicHistogram::new(&EDGES).snapshot();
         assert_eq!(s.count(), 0);
-        assert_eq!(s.p99(), 0);
         assert_eq!(s.max, 0);
-    }
-
-    #[test]
-    fn merge_adds_counts_and_takes_max() {
-        let a = AtomicHistogram::new(&EDGES);
-        let b = AtomicHistogram::new(&EDGES);
-        a.record(5);
-        b.record(50);
-        b.record(99_999);
-        a.merge(&b);
-        let s = a.snapshot();
-        assert_eq!(s.count(), 3);
-        assert_eq!(s.max, 99_999);
-        assert_eq!(s.sum, 5 + 50 + 99_999);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Request-lifecycle stage taxonomy.
 //!
 //! Every request to the serving layer passes through the same pipeline:
-//! parse → (coalesce) queue wait → engine search → DCO evaluation →
-//! response serialization → socket write. [`Stage`] names those phases
-//! and [`StageHistograms`] holds one nanosecond log2 histogram per
-//! stage, so the reactor, collector, and engine all record onto the same
-//! axis and `/metrics` can expose `ddc_stage_duration_seconds{stage=...}`.
+//! parse → (coalesce) queue wait → engine search → response
+//! serialization → socket write. [`Stage`] names those phases and
+//! [`StageHistograms`] holds one nanosecond log2 histogram per stage, so
+//! the reactor, collector, and engine all record onto the same axis and
+//! `/metrics` can expose `ddc_stage_duration_seconds{stage=...}`.
 
 use crate::hist::{AtomicHistogram, HistogramSnapshot};
 
@@ -13,7 +13,7 @@ use crate::hist::{AtomicHistogram, HistogramSnapshot};
 ///
 /// ```
 /// use ddc_obs::Stage;
-/// assert_eq!(Stage::DcoEval.name(), "dco_eval");
+/// assert_eq!(Stage::QueueWait.name(), "queue_wait");
 /// assert_eq!(Stage::ALL.len(), Stage::COUNT);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,11 +22,8 @@ pub enum Stage {
     Parse,
     /// Time a coalesced query sat in the batch collector queue.
     QueueWait,
-    /// The whole engine search call (for coalesced queries this is the
-    /// batch execution time, shared by every query in the batch).
+    /// Each query's own index traversal + distance-comparison time.
     Search,
-    /// This query's own index traversal + distance-comparison time.
-    DcoEval,
     /// Building the response JSON.
     Serialize,
     /// Draining the response bytes to the socket.
@@ -35,14 +32,13 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages.
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 5;
 
     /// All stages in pipeline order.
     pub const ALL: [Stage; Stage::COUNT] = [
         Stage::Parse,
         Stage::QueueWait,
         Stage::Search,
-        Stage::DcoEval,
         Stage::Serialize,
         Stage::Write,
     ];
@@ -53,7 +49,6 @@ impl Stage {
             Stage::Parse => "parse",
             Stage::QueueWait => "queue_wait",
             Stage::Search => "search",
-            Stage::DcoEval => "dco_eval",
             Stage::Serialize => "serialize",
             Stage::Write => "write",
         }
@@ -61,21 +56,11 @@ impl Stage {
 
     /// Dense index into per-stage arrays, matching [`Stage::ALL`] order.
     pub fn index(self) -> usize {
-        match self {
-            Stage::Parse => 0,
-            Stage::QueueWait => 1,
-            Stage::Search => 2,
-            Stage::DcoEval => 3,
-            Stage::Serialize => 4,
-            Stage::Write => 5,
-        }
+        self as usize
     }
 }
 
 /// One nanosecond log2 [`AtomicHistogram`] per [`Stage`].
-///
-/// Recording is gated on [`crate::enabled`], so a disabled process pays
-/// only the relaxed gate load.
 pub struct StageHistograms {
     hists: [AtomicHistogram; Stage::COUNT],
 }
@@ -88,12 +73,9 @@ impl StageHistograms {
         }
     }
 
-    /// Records `nanos` into the given stage's histogram when the global
-    /// gate is on.
+    /// Records `nanos` into the given stage's histogram.
     pub fn record(&self, stage: Stage, nanos: u64) {
-        if crate::enabled() {
-            self.hists[stage.index()].record(nanos);
-        }
+        self.hists[stage.index()].record(nanos);
     }
 
     /// Snapshot of one stage's histogram.
@@ -120,20 +102,12 @@ mod tests {
         let names: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
         assert_eq!(
             names,
-            [
-                "parse",
-                "queue_wait",
-                "search",
-                "dco_eval",
-                "serialize",
-                "write"
-            ]
+            ["parse", "queue_wait", "search", "serialize", "write"]
         );
     }
 
     #[test]
     fn record_lands_in_the_right_stage() {
-        crate::set_enabled(true);
         let sh = StageHistograms::new();
         sh.record(Stage::Search, 1_000);
         sh.record(Stage::Search, 2_000);

@@ -47,14 +47,9 @@ ddc-serve — serve an AKNN engine over HTTP (no external dependencies)
                      the adaptive controller treats this as its ceiling
   --coalesce-max-batch N  queue depth that triggers immediate batch
                      execution (default 64)
-  --access-log       emit one structured JSON line per finished request
-                     on stderr (endpoint, status, duration)
-  --access-log-sample-n N  with --access-log: log every Nth request
-                     (default 1 = all); histograms and /metrics still
-                     see every request
-                     (set DDC_OBS_OFF=1 to disable latency/stage/DCO
-                     instrumentation entirely; the request/status
-                     ledger on /metrics keeps counting)
+  --access-log N     emit one structured JSON line on stderr (endpoint,
+                     status, duration) for every Nth finished request
+                     (1 = all); histograms and /metrics see every request
   --index SPEC       index spec (default hnsw(m=16,ef_construction=200))
   --dco SPEC         operator spec (default ddcres)
   --metric SPEC      distance metric for fresh builds: l2 (default), ip,
@@ -284,8 +279,7 @@ fn main() {
             defaults.coalesce_window.as_micros() as u64,
         )),
         coalesce_max_batch: parsed("coalesce-max-batch", defaults.coalesce_max_batch),
-        access_log: switch("access-log"),
-        access_log_sample_n: parsed("access-log-sample-n", 1),
+        access_log: switch("access-log").then(|| parsed("access-log", 1)),
         ..Default::default()
     };
 

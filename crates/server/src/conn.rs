@@ -254,9 +254,7 @@ impl Conn {
     /// still flushing (the span then covers both until the buffer
     /// drains).
     fn mark_write_started(&mut self) {
-        if ddc_obs::enabled() && self.write_started.is_none() {
-            self.write_started = Some(Instant::now());
-        }
+        self.write_started.get_or_insert_with(Instant::now);
     }
 
     /// Tries to frame the next request out of the read buffer. Only
@@ -269,8 +267,8 @@ impl Conn {
             }
             return ConnEvent::Idle;
         }
-        let timing = ddc_obs::enabled().then(Instant::now);
-        let elapsed = |t: Option<Instant>| t.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let started = Instant::now();
+        let elapsed = || started.elapsed().as_nanos() as u64;
         if self.head.is_none() {
             match parse_head(&self.rbuf, max_body_bytes) {
                 Ok(Some(head)) => {
@@ -303,10 +301,10 @@ impl Conn {
                     self.close_after_flush = true;
                 }
                 self.last_activity = Instant::now();
-                ConnEvent::Request(req, earlier_nanos + elapsed(timing))
+                ConnEvent::Request(req, earlier_nanos + elapsed())
             }
             waiting => {
-                self.head = waiting.map(|(head, nanos)| (head, nanos + elapsed(timing)));
+                self.head = waiting.map(|(head, nanos)| (head, nanos + elapsed()));
                 if self.eof_seen {
                     if self.rbuf.is_empty() && self.head.is_none() {
                         // Clean end of a keep-alive connection; flush any

@@ -43,7 +43,7 @@
 //! | endpoint | method | purpose |
 //! |----------|--------|---------|
 //! | `/healthz` | GET | liveness + current epoch and specs |
-//! | `/stats` | GET | [`ddc_engine::EngineStats`] snapshot + connection, coalescing, and mutation counters |
+//! | `/stats` | GET | [`ddc_engine::EngineStats`] snapshot + the work ledger since boot (`queries`, `counters`; `batches` = collector engine calls) + connection, coalescing, and mutation counters |
 //! | `/metrics` | GET | Prometheus text exposition: request/status ledger, latency + stage histograms, DCO work series, engine/storage gauges |
 //! | `/search` | POST | `{"query": [...], "k": 10}` → ids + distances; optional `ef` / `nprobe`, a `"metric"` assertion, a `"filter"` predicate over payload tags, and `"explain": true` for a `trace` block |
 //! | `/search_batch` | POST | `{"queries": [[...], ...], "k": 10}` → `results: [...]`; the same optional fields as `/search` (the filter applies to every query, the trace is one block per request), coalesced with `/search` |

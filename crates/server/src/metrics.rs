@@ -16,11 +16,9 @@
 //!   endpoint);
 //! * the reactor's `refuse` (503 over the connection cap).
 //!
-//! Request *counters* are always maintained (they are the server's
-//! accounting, a handful of relaxed `fetch_add`s); the histograms, DCO
-//! series, and stage timers honor the global [`ddc_obs::enabled`] gate
-//! (`DDC_OBS_OFF=1`), so the instrumentation can be priced by running the
-//! same traffic with and without it.
+//! It is also the server's one DCO work ledger: `/metrics` exposes it as
+//! the `ddc_dco_*_total` counters and `/stats` as `queries` and
+//! `counters`, both monotonic since boot (a hot swap resets nothing).
 
 use crate::json::Json;
 use ddc_core::Counters;
@@ -81,11 +79,9 @@ pub(crate) struct ServerObs {
     /// nanos, per endpoint.
     request_hist: [AtomicHistogram; ENDPOINTS.len()],
     /// Request-lifecycle stage timings (parse, queue_wait, search,
-    /// serialize, write; `dco_eval` stays empty until an engine can
-    /// attribute DCO time separately from traversal).
+    /// serialize, write).
     stages: StageHistograms,
-    // Monotonic server-lifetime DCO work totals (engine-side aggregates
-    // reset on hot swap, so they cannot back Prometheus counters).
+    // Monotonic server-lifetime DCO work totals.
     dco_candidates: AtomicU64,
     dco_pruned: AtomicU64,
     dco_exact: AtomicU64,
@@ -133,22 +129,17 @@ impl ServerObs {
         &self.stages
     }
 
-    /// Books one finished request: the status ledger always, the latency
-    /// histogram when observability is on, and the access-log line when
-    /// configured. Each request must reach this exactly once.
+    /// Books one finished request: the status ledger, the latency
+    /// histogram, and the access-log line when configured. Each request
+    /// must reach this exactly once.
     pub(crate) fn record_request(&self, endpoint: usize, status: u16, nanos: u64) {
         self.requests[endpoint][status_slot(status)].fetch_add(1, Ordering::Relaxed);
-        if ddc_obs::enabled() {
-            self.request_hist[endpoint].record(nanos);
-        }
+        self.request_hist[endpoint].record(nanos);
         self.maybe_access_log(endpoint, status, nanos);
     }
 
     /// Books the DCO work of one answered query.
     pub(crate) fn record_dco(&self, c: &Counters) {
-        if !ddc_obs::enabled() {
-            return;
-        }
         self.dco_candidates
             .fetch_add(c.candidates, Ordering::Relaxed);
         self.dco_pruned.fetch_add(c.pruned, Ordering::Relaxed);
@@ -160,6 +151,20 @@ impl ServerObs {
         self.query_dims_scanned.record(c.dims_scanned);
         self.query_pruned_pct
             .record((c.pruned_rate() * 100.0).round() as u64);
+    }
+
+    /// Queries answered since boot and the work they summed to.
+    pub(crate) fn work(&self) -> (u64, Counters) {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let totals = Counters {
+            candidates: load(&self.dco_candidates),
+            pruned: load(&self.dco_pruned),
+            exact: load(&self.dco_exact),
+            dims_scanned: load(&self.dco_dims_scanned),
+            dims_full: load(&self.dco_dims_full),
+        };
+        // One per-query observation per answered query.
+        (self.query_candidates.snapshot().count(), totals)
     }
 
     /// One structured access-log line per sampled request, on stderr —
@@ -314,6 +319,7 @@ mod tests {
         c.record(true, 16, 128);
         c.record(false, 128, 128);
         obs.record_dco(&c);
+        assert_eq!(obs.work(), (1, c));
 
         let mut e = Expo::new();
         obs.render_into(&mut e);

@@ -1,7 +1,7 @@
 //! The nonblocking readiness loop: one thread owns the listener and
 //! every connection, multiplexed through `epoll` on Linux (raw
-//! syscalls, same libc-free shim style as the mmap in
-//! `ddc_vecs::store`) with a timed-tick fallback elsewhere.
+//! syscalls through the libc-free shim the mmap in `ddc_vecs::store`
+//! uses too, [`ddc_vecs::sys`]) with a timed-tick fallback elsewhere.
 //!
 //! Why a reactor: the previous accept loop submitted each connection to
 //! the [`ddc_engine::WorkerPool`] as a blocking job, so every idle
@@ -44,18 +44,17 @@ const WAKER_TOKEN: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
 // ---------------------------------------------------------------------------
-// Raw epoll/eventfd shim (libc-free, consistent with `compat/` policy)
+// Raw epoll/eventfd calls (libc-free, through `ddc_vecs::sys`)
 // ---------------------------------------------------------------------------
 
-/// Raw `epoll` + `eventfd` syscalls for the Linux targets this
-/// repository supports, written against the kernel ABI directly so no
-/// `libc` crate is needed (no registry access; see `compat/README.md`).
-/// The shim mirrors the `mmap` one in `ddc_vecs::store`.
+/// Raw `epoll` + `eventfd` calls for the Linux targets this repository
+/// supports, through the shared libc-free [`ddc_vecs::sys`] shim.
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 mod sys {
+    use ddc_vecs::sys::{check, syscall6};
     use std::io;
 
     const EPOLL_CLOEXEC: usize = 0x8_0000;
@@ -100,66 +99,6 @@ mod sys {
     pub(super) struct EpollEvent {
         pub events: u32,
         pub data: u64,
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn syscall6(
-        nr: usize,
-        a: usize,
-        b: usize,
-        c: usize,
-        d: usize,
-        e: usize,
-        f: usize,
-    ) -> isize {
-        let ret: isize;
-        std::arch::asm!(
-            "syscall",
-            inlateout("rax") nr as isize => ret,
-            in("rdi") a,
-            in("rsi") b,
-            in("rdx") c,
-            in("r10") d,
-            in("r8") e,
-            in("r9") f,
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack)
-        );
-        ret
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn syscall6(
-        nr: usize,
-        a: usize,
-        b: usize,
-        c: usize,
-        d: usize,
-        e: usize,
-        f: usize,
-    ) -> isize {
-        let ret: isize;
-        std::arch::asm!(
-            "svc #0",
-            in("x8") nr,
-            inlateout("x0") a => ret,
-            in("x1") b,
-            in("x2") c,
-            in("x3") d,
-            in("x4") e,
-            in("x5") f,
-            options(nostack)
-        );
-        ret
-    }
-
-    fn check(ret: isize) -> io::Result<usize> {
-        if (-4095..0).contains(&ret) {
-            Err(io::Error::from_raw_os_error(-ret as i32))
-        } else {
-            Ok(ret as usize)
-        }
     }
 
     fn close_fd(fd: i32) {

@@ -26,7 +26,7 @@ use ddc_core::{Counters, QueryBatch};
 use ddc_engine::{Engine, EngineConfig, ExecMeta, FilterPredicate, Metric};
 use ddc_index::{SearchParams, SearchResult};
 use ddc_obs::expo::Expo;
-use ddc_obs::{HistogramSnapshot, Stage, TraceSpan};
+use ddc_obs::{HistogramSnapshot, Stage};
 use ddc_vecs::VecSet;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -124,6 +124,7 @@ fn stats(state: &ServerState) -> Response {
     let snap = state.handle.snapshot();
     let s = snap.engine.stats();
     let c = state.collector.stats();
+    let (queries, work) = state.obs.work();
     let (storage_backend, resident, mapped) = storage(state, &snap.engine);
     let mut body = Json::obj([
         ("epoch", Json::from(snap.epoch)),
@@ -143,9 +144,9 @@ fn stats(state: &ServerState) -> Response {
         ("dco_extra_bytes", Json::from(s.dco_extra_bytes)),
         ("vector_bytes", Json::from(s.vector_bytes)),
         ("total_bytes", Json::from(s.total_bytes())),
-        ("queries", Json::from(s.queries)),
-        ("batches", Json::from(s.batches)),
-        ("counters", counters_json(&s.counters)),
+        ("queries", Json::from(queries)),
+        ("batches", Json::from(c.batches)),
+        ("counters", counters_json(&work)),
         ("workers", Json::from(state.pool.threads())),
         (
             "open_connections",
@@ -219,11 +220,6 @@ fn metrics(state: &ServerState) -> Response {
             "ddc_engine_dim",
             "Dimensionality of the served vectors",
             s.dim as f64,
-        ),
-        (
-            "ddc_engine_queries",
-            "Queries answered by the current engine (resets on hot swap)",
-            s.queries as f64,
         ),
         (
             "ddc_uptime_seconds",
@@ -539,17 +535,21 @@ fn row_problem(row: &[Json], dim: usize, label: &str) -> Option<String> {
     })
 }
 
-/// The explain block of a search: per-stage nanos from the request's
-/// [`TraceSpan`], the coalescing execution metadata, and the DCO work
-/// profile of the request (`work` sums its queries).
-fn trace_json(span: &TraceSpan, meta: &ExecMeta, epoch: u64, work: &Counters) -> Json {
-    let stages = Json::Obj(
-        span.stages()
-            .into_iter()
-            .map(|(s, n)| (s.name().to_string(), Json::from(n)))
-            .collect(),
-    );
-    let search_nanos = span.stage_nanos(Stage::Search).unwrap_or(0);
+/// The explain block of a search: the request's `parse` nanos, the
+/// coalescing execution metadata, and the summed `search` nanos and DCO
+/// work profile of its queries.
+fn trace_json(
+    parse_nanos: u64,
+    meta: &ExecMeta,
+    search_nanos: u64,
+    epoch: u64,
+    work: &Counters,
+) -> Json {
+    let stages = Json::obj([
+        (Stage::Parse.name(), Json::from(parse_nanos)),
+        (Stage::QueueWait.name(), Json::from(meta.queue_wait_nanos)),
+        (Stage::Search.name(), Json::from(search_nanos)),
+    ]);
     Json::obj([
         ("epoch", Json::from(epoch)),
         ("stage_nanos", stages),
@@ -688,22 +688,16 @@ fn parse_search(state: &ServerState, req: &Request) -> Result<SearchRequest, Res
 /// wraps the per-query answers in `results`; any failure fails the
 /// whole request.
 fn search(state: &Arc<ServerState>, req: &Request, framing_nanos: u64, respond: Responder) {
-    let parse_timing = ddc_obs::enabled().then(Instant::now);
+    let started = Instant::now();
     let parsed = parse_search(state, req);
-    let parse_nanos = framing_nanos + parse_timing.map_or(0, |t| t.elapsed().as_nanos() as u64);
+    let parse_nanos = framing_nanos + started.elapsed().as_nanos() as u64;
     let obs = Arc::clone(&state.obs);
     obs.stages().record(Stage::Parse, parse_nanos);
     let request = match parsed {
         Ok(request) => request,
         Err(resp) => return respond(resp),
     };
-    let mut span = if request.explain {
-        TraceSpan::enabled()
-    } else {
-        TraceSpan::disabled()
-    };
-    span.record(Stage::Parse, parse_nanos);
-    let (k, batch_shape) = (request.k, req.path == "/search_batch");
+    let (k, explain, batch_shape) = (request.k, request.explain, req.path == "/search_batch");
     state.collector.submit(
         request.queries,
         k,
@@ -718,24 +712,19 @@ fn search(state: &Arc<ServerState>, req: &Request, framing_nanos: u64, respond: 
                 Err(e) => return respond(bad(&e.to_string())),
             };
             obs.stages().record(Stage::QueueWait, meta.queue_wait_nanos);
-            span.record(Stage::QueueWait, meta.queue_wait_nanos);
-            let mut work = Counters::new();
+            let (mut work, mut search_nanos) = (Counters::new(), 0);
             for r in &results {
                 obs.stages().record(Stage::Search, r.elapsed_nanos);
-                span.record(Stage::Search, r.elapsed_nanos);
                 obs.record_dco(&r.counters);
                 work.merge(&r.counters);
+                search_nanos += r.elapsed_nanos;
             }
-            let ser_timing = ddc_obs::enabled().then(Instant::now);
-            let trace = span
-                .is_enabled()
-                .then(|| trace_json(&span, &meta, epoch, &work));
+            let started = Instant::now();
+            let trace = explain.then(|| trace_json(parse_nanos, &meta, search_nanos, epoch, &work));
             let body = search_body(epoch, k, &results, batch_shape, trace.as_ref());
             let resp = Response::json_text(200, body);
-            if let Some(t) = ser_timing {
-                obs.stages()
-                    .record(Stage::Serialize, t.elapsed().as_nanos() as u64);
-            }
+            obs.stages()
+                .record(Stage::Serialize, started.elapsed().as_nanos() as u64);
             respond(resp);
         }),
     );

@@ -48,12 +48,10 @@ pub struct ServerConfig {
     pub coalesce_window: Duration,
     /// Queue depth that triggers immediate batch execution.
     pub coalesce_max_batch: usize,
-    /// Emit one structured JSON access-log line per finished request on
-    /// stderr (sampled by [`ServerConfig::access_log_sample_n`]).
-    pub access_log: bool,
-    /// With [`ServerConfig::access_log`]: log every `n`-th request
-    /// (`1` = every request). Clamped to at least 1.
-    pub access_log_sample_n: u64,
+    /// `Some(n)` emits one structured JSON access-log line on stderr for
+    /// every `n`-th finished request (`1` = every request; `0` counts as
+    /// 1); `None` logs nothing.
+    pub access_log: Option<u64>,
 }
 
 impl Default for ServerConfig {
@@ -66,8 +64,7 @@ impl Default for ServerConfig {
             max_connections: 1024,
             coalesce_window: Duration::from_micros(200),
             coalesce_max_batch: 64,
-            access_log: false,
-            access_log_sample_n: 1,
+            access_log: None,
         }
     }
 }
@@ -218,9 +215,7 @@ impl Server {
                 read_timeout: cfg.read_timeout,
                 max_connections: cfg.max_connections,
                 open_conns: AtomicUsize::new(0),
-                obs: Arc::new(crate::metrics::ServerObs::new(
-                    cfg.access_log.then_some(cfg.access_log_sample_n),
-                )),
+                obs: Arc::new(crate::metrics::ServerObs::new(cfg.access_log)),
             }),
         })
     }

@@ -37,6 +37,15 @@ fn bad_flags_exit_2_instead_of_serving() {
         ),
         ("--addr 127.0.0.1:0 --workrs 8", "unknown flag `--workrs`"),
         ("--addr 127.0.0.1:0 --n", "--n needs a value"),
+        // The retired access-log pair: `--access-log` now takes the rate.
+        (
+            "--addr 127.0.0.1:0 --access-log-sample-n 4",
+            "unknown flag `--access-log-sample-n`",
+        ),
+        (
+            "--addr 127.0.0.1:0 --access-log",
+            "--access-log needs a value",
+        ),
     ] {
         let out = run(&args.split(' ').collect::<Vec<_>>());
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -7,7 +7,7 @@ use ddc_core::QueryBatch;
 use ddc_engine::{Engine, EngineConfig};
 use ddc_server::{Json, Server, ServerConfig, ServerGuard};
 use ddc_vecs::{SynthSpec, Workload};
-use util::{fingerprint, request, result_fingerprint, Conn};
+use util::{fingerprint, request, request_text, result_fingerprint, Conn};
 
 const K: usize = 5;
 const INDEX: &str = "hnsw(m=6,ef_construction=40,seed=3)";
@@ -193,6 +193,52 @@ fn admin_swap_installs_a_new_epoch_live() {
     assert_eq!(status, 400);
     let (_, body) = request(guard.addr(), "GET", "/healthz", None);
     assert_eq!(body.get("epoch").and_then(Json::as_usize), Some(2));
+
+    guard.shutdown();
+}
+
+/// `/stats` work totals are the server's one ledger — the same numbers as
+/// the `/metrics` counters, counted since boot — so a hot swap zeroes
+/// nothing.
+#[test]
+fn stats_work_ledger_survives_a_swap() {
+    let w = workload();
+    let guard = serve(&w, 2);
+    let mut candidates = 0;
+    for qi in 0..3 {
+        let (status, body) = request(
+            guard.addr(),
+            "POST",
+            "/search",
+            Some(&query_body(&w, qi, K)),
+        );
+        assert_eq!(status, 200, "{body}");
+        let c = body.get("counters").and_then(|c| c.get("candidates"));
+        candidates += c.and_then(Json::as_usize).unwrap();
+    }
+    let swap = Json::obj([("dco", Json::from(DCO_B))]).dump();
+    let (status, body) = request(guard.addr(), "POST", "/admin/swap", Some(&swap));
+    assert_eq!(status, 200, "{body}");
+
+    let (_, stats) = request(guard.addr(), "GET", "/stats", None);
+    assert_eq!(stats.get("epoch").and_then(Json::as_usize), Some(1));
+    assert_eq!(stats.get("queries").and_then(Json::as_usize), Some(3));
+    let counted = stats.get("counters").and_then(|c| c.get("candidates"));
+    assert_eq!(counted.and_then(Json::as_usize), Some(candidates));
+    // `batches` is the collector's count of engine calls.
+    let coalesced = stats.get("coalesce").and_then(|c| c.get("batches"));
+    assert_eq!(
+        stats.get("batches").and_then(Json::as_usize),
+        coalesced.and_then(Json::as_usize)
+    );
+
+    let (_, text) = request_text(guard.addr(), "GET", "/metrics", None);
+    let total = text
+        .lines()
+        .find_map(|l| l.strip_prefix("ddc_dco_candidates_total "))
+        .expect("ddc_dco_candidates_total");
+    assert_eq!(total.parse::<usize>().unwrap(), candidates);
+    assert!(!text.contains("ddc_engine_queries"), "{text}");
 
     guard.shutdown();
 }

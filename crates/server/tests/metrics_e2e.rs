@@ -305,8 +305,8 @@ fn explain_trace_absent_by_default_and_consistent_when_enabled() {
         for key in ["queue_wait_nanos", "batch_nanos"] {
             assert!(trace.get(key).is_some(), "{path}: trace lacks {key}");
         }
-        // Observability is on by default in-process, so the engine
-        // stamped real search durations, echoed in both places.
+        // The engine stamps every query's search duration; the block
+        // echoes their sum in both places.
         assert_eq!(num(trace, "search_nanos"), num(stages, "search"));
     }
     guard.shutdown();

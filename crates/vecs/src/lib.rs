@@ -41,6 +41,11 @@ pub mod metrics;
 pub mod snapshot;
 pub mod store;
 pub mod synth;
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+pub mod sys;
 pub mod transform;
 pub mod vecset;
 

@@ -74,20 +74,19 @@ use ddc_linalg::RowAccess;
 use std::path::{Path, PathBuf};
 
 // ---------------------------------------------------------------------------
-// Raw mmap shim (libc-free, consistent with the `compat/` vendoring policy)
+// Raw mmap calls (libc-free, through `crate::sys`)
 // ---------------------------------------------------------------------------
 
-/// Raw `mmap`/`munmap` syscalls for the platforms this repository targets,
-/// written against the kernel ABI directly so no `libc` crate is needed
-/// (the build environment has no registry access; see `compat/README.md`).
-/// Zero-copy `f32` views additionally require a little-endian target —
-/// the TEXMEX wire format is little-endian.
+/// Raw `mmap`/`munmap`/`madvise` calls through the shared [`crate::sys`]
+/// shim. Zero-copy `f32` views additionally require a little-endian
+/// target — the TEXMEX wire format is little-endian.
 #[cfg(all(
     target_os = "linux",
     target_endian = "little",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 mod sys {
+    use crate::sys::{check, syscall6};
     use std::io;
     use std::os::fd::{AsRawFd, RawFd};
 
@@ -112,66 +111,6 @@ mod sys {
     const SYS_MUNMAP: usize = 215;
     #[cfg(target_arch = "aarch64")]
     const SYS_MADVISE: usize = 233;
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn syscall6(
-        nr: usize,
-        a: usize,
-        b: usize,
-        c: usize,
-        d: usize,
-        e: usize,
-        f: usize,
-    ) -> isize {
-        let ret: isize;
-        std::arch::asm!(
-            "syscall",
-            inlateout("rax") nr as isize => ret,
-            in("rdi") a,
-            in("rsi") b,
-            in("rdx") c,
-            in("r10") d,
-            in("r8") e,
-            in("r9") f,
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack)
-        );
-        ret
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn syscall6(
-        nr: usize,
-        a: usize,
-        b: usize,
-        c: usize,
-        d: usize,
-        e: usize,
-        f: usize,
-    ) -> isize {
-        let ret: isize;
-        std::arch::asm!(
-            "svc #0",
-            in("x8") nr,
-            inlateout("x0") a => ret,
-            in("x1") b,
-            in("x2") c,
-            in("x3") d,
-            in("x4") e,
-            in("x5") f,
-            options(nostack)
-        );
-        ret
-    }
-
-    fn check(ret: isize) -> io::Result<usize> {
-        if (-4095..0).contains(&ret) {
-            Err(io::Error::from_raw_os_error(-ret as i32))
-        } else {
-            Ok(ret as usize)
-        }
-    }
 
     /// Maps `len` bytes of `file` read-only/private.
     pub(super) fn map_file(file: &std::fs::File, len: usize) -> io::Result<Option<*mut u8>> {

@@ -62,6 +62,6 @@ fn main() {
     assert_eq!(batched_ids, results, "batched search must match sequential");
     println!("batched:    identical top-{k}, {batch_qps:.0} QPS");
 
-    // 6. One stats surface: composition, memory, accumulated work.
+    // 6. One stats surface: composition and memory.
     println!("{}", engine.stats());
 }
