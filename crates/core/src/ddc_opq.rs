@@ -79,6 +79,11 @@ pub struct DdcOpq {
     error_trace: Vec<f32>,
     codes: Codes,
     qerr: Vec<f32>,
+    /// Whether `qerr` carries real reconstruction errors (the config's
+    /// `use_qerr_feature`) or zeros. Runtime-only: restore infers it once
+    /// from the stored column, so an operator emptied by
+    /// [`Dco::remove_rows`] still encodes its appends the way it was built.
+    qerr_on: bool,
     model: LogisticModel,
 }
 
@@ -190,6 +195,7 @@ impl DdcOpq {
             error_trace,
             codes,
             qerr,
+            qerr_on: cfg.use_qerr_feature,
             model,
         })
     }
@@ -263,6 +269,8 @@ impl DdcOpq {
             pq,
             error_trace,
             codes,
+            // The blob has no flag: a column of zeros is the ablation.
+            qerr_on: qerr.iter().any(|&e| e != 0.0),
             qerr,
             model,
         })
@@ -334,13 +342,13 @@ impl Dco for DdcOpq {
     /// Appends rows through the already-trained OPQ rotation and
     /// codebooks: rotate, store, encode, and extend the quantization-error
     /// cache. The qerr feature column is kept consistent with the build:
-    /// when every stored error is zero (the `use_qerr_feature = false`
-    /// ablation), appended rows get zeros too, otherwise the real
-    /// reconstruction error. Codebooks and classifier predate these rows,
-    /// so each append bumps [`Dco::stale_rows`] until a compaction
-    /// retrains.
+    /// under the `use_qerr_feature = false` ablation appended rows get
+    /// zeros too, otherwise the real reconstruction error — even when
+    /// every earlier row has been removed. Codebooks and classifier
+    /// predate these rows, so each append bumps [`Dco::stale_rows`] until
+    /// a compaction retrains.
     fn append_rows(&mut self, new_rows: &dyn RowAccess) -> crate::Result<()> {
-        let qerr_on = self.qerr.iter().any(|&e| e != 0.0);
+        let qerr_on = self.qerr_on;
         let (pq, codes, qerr) = (&self.pq, &mut self.codes, &mut self.qerr);
         let mut recon = Vec::new();
         self.store.append(new_rows, true, |x| {
@@ -491,6 +499,32 @@ mod tests {
         }
         let c = eval.counters();
         assert!(c.pruned_rate() > 0.5, "pruned_rate={}", c.pruned_rate());
+    }
+
+    #[test]
+    fn an_emptied_operator_appends_like_the_full_one() {
+        let (w, full) = setup();
+        let n = full.len();
+        let mut emptied = full.clone();
+        emptied.remove_rows(&vec![true; n]).unwrap();
+        assert!(emptied.is_empty());
+        let mut grown = full.clone();
+        emptied.append_rows(&w.queries).unwrap();
+        grown.append_rows(&w.queries).unwrap();
+
+        assert!(emptied.qerr.iter().any(|&e| e != 0.0));
+        assert_eq!(emptied.qerr[..], grown.qerr[n..]);
+        for probe in [0usize, 57, 311] {
+            let q = w.base.get(probe);
+            let (mut a, mut b) = (emptied.begin(q), grown.begin(q));
+            let mut dists: Vec<f32> = (0..w.queries.len() as u32).map(|i| a.exact(i)).collect();
+            dists.sort_by(f32::total_cmp);
+            for tau in [dists[2], dists[8]] {
+                for i in 0..w.queries.len() as u32 {
+                    assert_eq!(a.test(i, tau), b.test(n as u32 + i, tau), "row {i}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -494,9 +494,10 @@ impl Engine {
     /// hook, so a clean overlay stays bit-identical to an overlay-free
     /// engine over the same rows; otherwise rows that fail the predicate
     /// or are tombstoned still route graph traversal but never consume a
-    /// `k` slot. Pending inserts (an exact original-space scan of the
-    /// delta) are merged into unfiltered results only: they carry no
-    /// payload tags, so a filtered search cannot admit them.
+    /// `k` slot. Pending inserts (tested by their layer's pending-row
+    /// operator against the running `k`-th distance) are merged into
+    /// unfiltered results only: they carry no payload tags, so a filtered
+    /// search cannot admit them.
     fn search_one(
         &self,
         eval: &mut dyn DynQueryDco,
@@ -541,15 +542,7 @@ impl Engine {
             }
             if let (Some((ov, st)), None) = (&dirty, filter) {
                 let merge = Instant::now();
-                let extra =
-                    st.delta_candidates(ov.generation(), q, &self.dco.metric(), &mut r.counters);
-                if !extra.is_empty() {
-                    r.neighbors.extend(extra);
-                    // `Neighbor`'s total order (distance bits, then id) keeps the
-                    // merged ranking deterministic, matching `TopK::into_sorted`.
-                    r.neighbors.sort_unstable();
-                    r.neighbors.truncate(k);
-                }
+                st.merge_pending(ov.generation(), q, k, &mut r);
                 ov.record_merge(merge.elapsed().as_nanos() as u64);
             }
         }
@@ -574,18 +567,37 @@ impl Engine {
     /// # Errors
     /// Serialization round-trip failures.
     pub(crate) fn duplicate(&self) -> Result<Engine, EngineError> {
-        let flat = self.dco.rows().as_flat().to_vec();
-        let rows = SharedRows::Owned(VecSet::from_flat(self.dco.dim(), flat)?);
-        let dco = self.cfg.dco.restore(&self.dco.state_bytes(), rows)?;
         let index = self.cfg.index.load_bytes(&self.index.save_bytes())?;
         Ok(Engine {
             cfg: self.cfg.clone(),
             index,
-            dco,
+            dco: self.copy_operator()?,
             snapshot: None,
             overlay: None,
             payloads: self.payloads.clone(),
         })
+    }
+
+    /// An empty copy of the engine's operator, carrying its trained state
+    /// (rotation, PCA basis, codebooks, classifier): the pending-row
+    /// operator a [`crate::MutableEngine`] layer grows by its pending
+    /// inserts, so they are scored exactly like index candidates.
+    ///
+    /// # Errors
+    /// Serialization round-trip failures.
+    pub(crate) fn pending_row_operator(&self) -> Result<BoxedDco, EngineError> {
+        let mut dco = self.copy_operator()?;
+        dco.remove_rows(&vec![true; dco.len()])?;
+        Ok(dco)
+    }
+
+    /// A heap-resident copy of the operator, through its own persistence
+    /// surface: restored from its serialized state over a copy of the
+    /// pre-rotated matrix.
+    fn copy_operator(&self) -> Result<BoxedDco, EngineError> {
+        let flat = self.dco.rows().as_flat().to_vec();
+        let rows = SharedRows::Owned(VecSet::from_flat(self.dco.dim(), flat)?);
+        Ok(self.cfg.dco.restore(&self.dco.state_bytes(), rows)?)
     }
 
     /// Shrinks the engine in place: physically removes the rows flagged in

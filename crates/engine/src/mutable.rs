@@ -11,12 +11,16 @@
 //!   route graph traversal through dead nodes (their edges are the HNSW
 //!   graph's connectivity) but repair the result on the way out — dead
 //!   ids never consume one of the `k` result slots.
-//! * **Inserts** land in an original-space delta that is brute-force
-//!   scanned and merged into the top-`k`. The delta is expected to stay
-//!   small: a background *compactor* periodically works it (and the
-//!   tombstones) into a replacement engine, landed through the same
-//!   epoch-stamped [`ServingHandle`] swap the server already uses for hot
-//!   reloads.
+//! * **Inserts** land in an original-space delta (what compaction reads)
+//!   and, row for row, in a *pending-row operator*: an empty copy of the
+//!   serving operator's trained state grown by the delta. A search walks
+//!   the pending rows once, asks that operator's `test()` whether each
+//!   beats the running `k`-th distance — so pending rows are pruned under
+//!   the same contract as index candidates — and inserts the exact
+//!   survivors into the top-`k`. The delta is expected to stay small: a
+//!   background *compactor* periodically works it (and the tombstones)
+//!   into a replacement engine, landed through the same epoch-stamped
+//!   [`ServingHandle`] swap the server already uses for hot reloads.
 //!
 //! A compaction is **incremental** — O(churn), not O(n) — unless a fold
 //! is owed or asked for. It deep-copies the serving engine, physically
@@ -64,8 +68,9 @@
 use crate::engine::{Engine, EngineConfig};
 use crate::error::EngineError;
 use crate::handle::ServingHandle;
-use ddc_core::Counters;
-use ddc_linalg::Metric;
+use ddc_core::BoxedDco;
+use ddc_index::SearchResult;
+use ddc_linalg::{FlatRows, RowAccess};
 use ddc_obs::{AtomicHistogram, HistogramSnapshot};
 use ddc_vecs::{Neighbor, VecSet};
 use std::collections::HashSet;
@@ -73,25 +78,31 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-/// Sentinel for "no sealed layer": no engine generation matches it.
-const NO_SEALED: u64 = u64::MAX;
+/// Why a pending-row operator cannot refuse a write: it holds heap rows
+/// of the layer's dimension, one per delta row.
+const ALIGNED: &str = "pending-row operator is heap-resident and row-aligned with its delta";
 
 /// One batch of not-yet-compacted mutations: pending-insert rows (original
-/// space, paired with their external ids) and the external ids deleted
-/// from the layers underneath.
-#[derive(Debug)]
+/// space, paired with their external ids), the same rows as the serving
+/// operator stores them, and the external ids deleted from the layers
+/// underneath.
 struct Layer {
     tombstones: HashSet<u32>,
     delta: VecSet,
     delta_ids: Vec<u32>,
+    /// The pending-row operator: an empty copy of a serving operator's
+    /// trained state ([`Engine::pending_row_operator`]) grown by `delta`,
+    /// row `i` for row `i`, through every write.
+    scorer: BoxedDco,
 }
 
 impl Layer {
-    fn new(dim: usize) -> Layer {
+    fn new(scorer: BoxedDco) -> Layer {
         Layer {
             tombstones: HashSet::new(),
-            delta: VecSet::new(dim),
+            delta: VecSet::new(scorer.dim()),
             delta_ids: Vec::new(),
+            scorer,
         }
     }
 
@@ -99,12 +110,70 @@ impl Layer {
         self.tombstones.is_empty() && self.delta_ids.is_empty()
     }
 
-    /// Drops pending insert `pos` (a delete of a not-yet-compacted row)
-    /// in place; the rows behind it keep their order, which is the order
-    /// a compaction appends them in.
-    fn remove_delta_row(&mut self, pos: usize) {
-        self.delta_ids.remove(pos);
-        self.delta.remove_row(pos);
+    /// Appends original-space `rows` as pending inserts under `ids`.
+    fn push_rows(&mut self, ids: &[u32], rows: &dyn RowAccess) {
+        self.scorer.append_rows(rows).expect(ALIGNED);
+        for i in 0..rows.len() {
+            self.delta.push(rows.row(i)).expect(ALIGNED);
+        }
+        self.delta_ids.extend_from_slice(ids);
+    }
+
+    /// Overwrites pending row `pos` in place, keeping its arrival slot.
+    /// An operator cannot rewrite a stored row, so its tail from `pos` is
+    /// dropped and re-appended — one projection per tail row, paid only
+    /// by an upsert of a still-pending id.
+    fn overwrite(&mut self, pos: usize, row: &[f32]) {
+        self.delta.get_mut(pos).copy_from_slice(row);
+        let tail: Vec<bool> = (0..self.delta.len()).map(|i| i >= pos).collect();
+        self.scorer.remove_rows(&tail).expect(ALIGNED);
+        let dim = self.delta.dim();
+        let rows = FlatRows::new(&self.delta.as_flat()[pos * dim..], dim);
+        self.scorer.append_rows(&rows).expect(ALIGNED);
+    }
+
+    /// Drops the pending rows flagged in `dead` in place; the rows behind
+    /// them keep their order, which is the order a compaction appends
+    /// them in.
+    fn remove_rows(&mut self, dead: &[bool]) {
+        self.scorer.remove_rows(dead).expect(ALIGNED);
+        self.delta.remove_rows(dead);
+        ddc_vecs::retain_live_rows(&mut self.delta_ids, 1, dead);
+    }
+
+    /// Re-grows the pending rows in `scorer` — an empty operator carrying
+    /// another trained state (a fold re-trained the serving operator).
+    fn reseed(&mut self, mut scorer: BoxedDco) {
+        scorer.append_rows(&self.delta).expect(ALIGNED);
+        self.scorer = scorer;
+    }
+
+    /// Merges the pending rows whose ids pass `visible` into `r`, an
+    /// ascending result of at most `k`. One walk: each row is tested
+    /// against the running `k`-th distance (`∞` while `r` is short), and
+    /// exact survivors are inserted in `Neighbor` order — distance, then
+    /// id, the order a sort of the union would produce.
+    fn merge_into(&self, q: &[f32], k: usize, r: &mut SearchResult, visible: impl Fn(u32) -> bool) {
+        if self.delta_ids.is_empty() {
+            return;
+        }
+        let top = &mut r.neighbors;
+        let mut eval = self.scorer.begin_dyn(q);
+        for (row, &id) in self.delta_ids.iter().enumerate() {
+            if !visible(id) {
+                continue;
+            }
+            let tau = top.get(k - 1).map_or(f32::INFINITY, |n| n.dist);
+            if let Some(dist) = eval.test(row as u32, tau).exact() {
+                let hit = Neighbor { dist, id };
+                let at = top.partition_point(|n| *n < hit);
+                if at < k {
+                    top.insert(at, hit);
+                    top.truncate(k);
+                }
+            }
+        }
+        r.counters.merge(&eval.counters());
     }
 }
 
@@ -113,94 +182,81 @@ impl Layer {
 /// an in-flight compaction, or already folded and kept for the previous
 /// generation's in-flight searches), and the id set of the current serving
 /// base.
-#[derive(Debug)]
+///
+/// Shadowing invariant: every active pending id that the sealed layer or
+/// the base also holds is in `active.tombstones` — [`MutableEngine::upsert`]
+/// and [`MutableEngine::delete`] both tombstone such an id — so one
+/// tombstone lookup decides whether an active write supersedes a sealed row.
 pub(crate) struct MutState {
-    dim: usize,
     /// Generation of the current serving engine (bumped per compaction).
     gen: u64,
     /// External ids present in the current serving engine's base rows.
     base_ids: HashSet<u32>,
     active: Layer,
-    sealed: Layer,
+    /// `None` before the first seal and after an unseal.
+    sealed: Option<Layer>,
     /// Generation whose engines must still apply `sealed`; later
-    /// generations were built with it folded in. [`NO_SEALED`] when the
-    /// sealed layer is empty/retired.
+    /// generations were built with it folded in.
     sealed_gen: u64,
 }
 
 impl MutState {
-    fn fresh(dim: usize, base_ids: HashSet<u32>) -> MutState {
+    fn fresh(base_ids: HashSet<u32>, scorer: BoxedDco) -> MutState {
         MutState {
-            dim,
             gen: 0,
             base_ids,
-            active: Layer::new(dim),
-            sealed: Layer::new(dim),
-            sealed_gen: NO_SEALED,
+            active: Layer::new(scorer),
+            sealed: None,
+            sealed_gen: 0,
         }
     }
 
-    /// Does the sealed layer apply to an engine of `generation`?
-    fn applies_sealed(&self, generation: u64) -> bool {
-        self.sealed_gen == generation && !self.sealed.is_empty()
+    /// The sealed layer, when it applies to an engine of `generation`.
+    fn sealed_for(&self, generation: u64) -> Option<&Layer> {
+        self.sealed
+            .as_ref()
+            .filter(|s| self.sealed_gen == generation && !s.is_empty())
     }
 
-    /// Is the sealed layer still part of the current truth (an in-flight
-    /// fold has not yet landed)?
-    fn sealed_pending(&self) -> bool {
-        self.sealed_gen == self.gen
+    /// The sealed layer while it is still part of the current truth (an
+    /// in-flight fold has not yet landed).
+    fn sealed_pending(&self) -> Option<&Layer> {
+        self.sealed.as_ref().filter(|_| self.sealed_gen == self.gen)
+    }
+
+    /// Does the sealed layer (live or retired) hold pending row `id`?
+    fn sealed_holds(&self, id: u32) -> bool {
+        self.sealed
+            .as_ref()
+            .is_some_and(|s| s.delta_ids.contains(&id))
     }
 
     /// True when an engine of `generation` sees no pending mutations at
     /// all — its search can take the unfiltered fast path.
     pub(crate) fn clean_for(&self, generation: u64) -> bool {
-        self.active.is_empty() && !self.applies_sealed(generation)
+        self.active.is_empty() && self.sealed_for(generation).is_none()
     }
 
     /// Is external id `ext` deleted, from the viewpoint of an engine of
     /// `generation`?
     pub(crate) fn is_dead(&self, generation: u64, ext: u32) -> bool {
         self.active.tombstones.contains(&ext)
-            || (self.applies_sealed(generation) && self.sealed.tombstones.contains(&ext))
+            || self
+                .sealed_for(generation)
+                .is_some_and(|s| s.tombstones.contains(&ext))
     }
 
-    /// Exact original-space scan of the pending inserts visible to an
-    /// engine of `generation`, with full-scan work accounting. Active rows
-    /// shadow sealed rows with the same id; active tombstones suppress
-    /// sealed rows. Distances are computed in `metric` — the serving
-    /// engine's geometry — so merged delta candidates rank against index
-    /// results on one scale (for L2 this is exactly the old `l2_sq` scan,
-    /// bit for bit).
-    pub(crate) fn delta_candidates(
-        &self,
-        generation: u64,
-        q: &[f32],
-        metric: &Metric,
-        counters: &mut Counters,
-    ) -> Vec<Neighbor> {
-        let d = q.len() as u64;
-        let mut out = Vec::new();
-        for i in 0..self.active.delta.len() {
-            counters.record(false, d, d);
-            out.push(Neighbor {
-                dist: metric.distance(self.active.delta.get(i), q),
-                id: self.active.delta_ids[i],
-            });
+    /// Merges the pending inserts visible to an engine of `generation`
+    /// into `r`, the ascending top-`k` (`k ≥ 1`) of its index search:
+    /// active rows, then the sealed rows no active tombstone shadows.
+    /// Each row is scored by its layer's pending-row operator, so distances
+    /// rank against index results on one scale and far rows are pruned
+    /// without a full-dimension scan; the work lands in `r.counters`.
+    pub(crate) fn merge_pending(&self, generation: u64, q: &[f32], k: usize, r: &mut SearchResult) {
+        self.active.merge_into(q, k, r, |_| true);
+        if let Some(sealed) = self.sealed_for(generation) {
+            sealed.merge_into(q, k, r, |id| !self.active.tombstones.contains(&id));
         }
-        if self.applies_sealed(generation) {
-            for i in 0..self.sealed.delta.len() {
-                let id = self.sealed.delta_ids[i];
-                if self.active.tombstones.contains(&id) || self.active.delta_ids.contains(&id) {
-                    continue;
-                }
-                counters.record(false, d, d);
-                out.push(Neighbor {
-                    dist: metric.distance(self.sealed.delta.get(i), q),
-                    id,
-                });
-            }
-        }
-        out
     }
 
     /// Is `id` currently visible to searches (the mutation-side truth)?
@@ -208,45 +264,42 @@ impl MutState {
         if self.active.delta_ids.contains(&id) {
             return true;
         }
-        if self.sealed_pending()
-            && self.sealed.delta_ids.contains(&id)
+        let sealed = self.sealed_pending();
+        if sealed.is_some_and(|s| s.delta_ids.contains(&id))
             && !self.active.tombstones.contains(&id)
         {
             return true;
         }
         self.base_ids.contains(&id)
             && !self.active.tombstones.contains(&id)
-            && !(self.sealed_pending() && self.sealed.tombstones.contains(&id))
+            && !sealed.is_some_and(|s| s.tombstones.contains(&id))
     }
 }
 
+/// Freezes the active layer for folding; new mutations flow into a fresh
+/// active layer over `scorer`, an empty copy of the serving operator.
+fn seal(st: &mut MutState, scorer: BoxedDco) {
+    st.sealed = Some(std::mem::replace(&mut st.active, Layer::new(scorer)));
+    st.sealed_gen = st.gen;
+}
+
 /// Re-merges a sealed layer into the active one (a fold failed after
-/// sealing). Active entries are newer and win.
+/// sealing). Active entries are newer and win: a sealed row whose id an
+/// active write touched is tombstoned in the active layer, and goes.
 fn unseal(st: &mut MutState) {
-    let dim = st.dim;
-    let sealed = std::mem::replace(&mut st.sealed, Layer::new(dim));
-    st.sealed_gen = NO_SEALED;
-    let active = std::mem::replace(&mut st.active, Layer::new(dim));
-    let mut merged = Layer::new(dim);
-    merged.tombstones = &sealed.tombstones | &active.tombstones;
-    for i in 0..sealed.delta.len() {
-        let id = sealed.delta_ids[i];
-        if active.delta_ids.contains(&id) || active.tombstones.contains(&id) {
-            continue;
-        }
-        merged
-            .delta
-            .push(sealed.delta.get(i))
-            .expect("layer dims match");
-        merged.delta_ids.push(id);
-    }
-    for i in 0..active.delta.len() {
-        merged
-            .delta
-            .push(active.delta.get(i))
-            .expect("layer dims match");
-        merged.delta_ids.push(active.delta_ids[i]);
-    }
+    let Some(mut merged) = st.sealed.take() else {
+        return;
+    };
+    let shadowed: Vec<bool> = merged
+        .delta_ids
+        .iter()
+        .map(|id| st.active.tombstones.contains(id))
+        .collect();
+    merged.remove_rows(&shadowed);
+    merged
+        .tombstones
+        .extend(st.active.tombstones.iter().copied());
+    merged.push_rows(&st.active.delta_ids, &st.active.delta);
     st.active = merged;
 }
 
@@ -257,8 +310,9 @@ pub(crate) struct Overlay {
     ids: Option<Arc<Vec<u32>>>,
     shared: Arc<RwLock<MutState>>,
     generation: u64,
-    /// Shared across generations: duration of the dirty-path delta scan
-    /// + top-`k` merge, recorded by the engine's search core.
+    /// Shared across generations: duration of the dirty-path merge of
+    /// pending inserts into the index's top-`k` (it starts after the
+    /// index search), recorded by the engine's search core.
     merge_hist: Arc<AtomicHistogram>,
 }
 
@@ -276,7 +330,7 @@ impl Overlay {
         self.ids.as_ref().map(|a| a.as_slice())
     }
 
-    /// Records one overlay delta-merge duration (nanos).
+    /// Records one pending-insert merge duration (nanos).
     pub(crate) fn record_merge(&self, nanos: u64) {
         self.merge_hist.record(nanos);
     }
@@ -448,8 +502,8 @@ impl MutableEngine {
         let dim = base.dim();
         let ids: Vec<u32> = (0..base.len() as u32).collect();
         let shared = Arc::new(RwLock::new(MutState::fresh(
-            dim,
             ids.iter().copied().collect(),
+            engine.pending_row_operator()?,
         )));
         let merge_hist = Arc::new(AtomicHistogram::log2());
         engine.set_overlay(Overlay {
@@ -517,11 +571,10 @@ impl MutableEngine {
             let mut st = write_state(&self.shared);
             replaced = st.is_live(id);
             if let Some(pos) = st.active.delta_ids.iter().position(|&x| x == id) {
-                st.active.delta.get_mut(pos).copy_from_slice(vector);
+                st.active.overwrite(pos, vector);
             } else {
-                st.active.delta.push(vector)?;
-                st.active.delta_ids.push(id);
-                if st.base_ids.contains(&id) || st.sealed.delta_ids.contains(&id) {
+                st.active.push_rows(&[id], &FlatRows::new(vector, self.dim));
+                if st.base_ids.contains(&id) || st.sealed_holds(id) {
                     st.active.tombstones.insert(id);
                 }
             }
@@ -541,9 +594,10 @@ impl MutableEngine {
             let mut st = write_state(&self.shared);
             found = st.is_live(id);
             if let Some(pos) = st.active.delta_ids.iter().position(|&x| x == id) {
-                st.active.remove_delta_row(pos);
+                let dead: Vec<bool> = (0..st.active.delta_ids.len()).map(|i| i == pos).collect();
+                st.active.remove_rows(&dead);
             }
-            if st.base_ids.contains(&id) || st.sealed.delta_ids.contains(&id) {
+            if st.base_ids.contains(&id) || st.sealed_holds(id) {
                 st.active.tombstones.insert(id);
             }
         }
@@ -570,20 +624,17 @@ impl MutableEngine {
             .copied()
             .collect();
         let mut pending = st.active.delta_ids.len();
-        if st.sealed_pending() {
+        if let Some(sealed) = st.sealed_pending() {
             dead.extend(
-                st.sealed
+                sealed
                     .tombstones
                     .iter()
                     .filter(|id| st.base_ids.contains(id)),
             );
-            pending += st
-                .sealed
+            pending += sealed
                 .delta_ids
                 .iter()
-                .filter(|id| {
-                    !st.active.tombstones.contains(id) && !st.active.delta_ids.contains(id)
-                })
+                .filter(|id| !st.active.tombstones.contains(id))
                 .count();
         }
         MutationStats {
@@ -603,9 +654,9 @@ impl MutableEngine {
         self.compaction_hist.snapshot()
     }
 
-    /// Distribution of dirty-search overlay delta-merge durations
-    /// (nanos). Empty while no mutations are pending (clean searches
-    /// skip the merge).
+    /// Distribution of pending-insert merge durations (nanos), one per
+    /// unfiltered dirty search. Empty while no mutations are pending
+    /// (clean searches skip the merge).
     pub fn overlay_merge_nanos(&self) -> HistogramSnapshot {
         self.merge_hist.snapshot()
     }
@@ -641,10 +692,12 @@ impl MutableEngine {
         let mut base = lock_base(&self.base);
 
         // Seal: pending mutations freeze for folding, new ones flow into
-        // a fresh active layer.
+        // a fresh active layer. Its pending-row operator is copied off the
+        // serving engine before the lock is taken (a no-op call drops it).
+        let scorer = self.handle.engine().pending_row_operator()?;
         {
             let mut st = write_state(&self.shared);
-            if st.sealed_pending() {
+            if st.sealed_pending().is_some() {
                 // A previous fold failed after sealing; recover its work.
                 unseal(&mut st);
             }
@@ -658,9 +711,7 @@ impl MutableEngine {
                     len: base.rows.len(),
                 });
             }
-            let dim = st.dim;
-            st.sealed = std::mem::replace(&mut st.active, Layer::new(dim));
-            st.sealed_gen = st.gen;
+            seal(&mut st, scorer);
         }
 
         // Materialize the fold inputs. The sealed layer is immutable from
@@ -669,12 +720,13 @@ impl MutableEngine {
         // the copies.
         let (new_rows, new_ids, delta_rows, dead_mask) = {
             let st = read_state(&self.shared);
+            let sealed = st.sealed.as_ref().expect("sealed above");
             let dead_mask: Vec<bool> = base
                 .ids
                 .iter()
-                .map(|id| st.sealed.tombstones.contains(id))
+                .map(|id| sealed.tombstones.contains(id))
                 .collect();
-            let delta_rows = st.sealed.delta.clone();
+            let delta_rows = sealed.delta.clone();
             let mut rows = base.rows.clone();
             rows.remove_rows(&dead_mask);
             for row in delta_rows.iter() {
@@ -682,7 +734,7 @@ impl MutableEngine {
             }
             let mut ids = base.ids.clone();
             ddc_vecs::retain_live_rows(&mut ids, 1, &dead_mask);
-            ids.extend_from_slice(&st.sealed.delta_ids);
+            ids.extend_from_slice(&sealed.delta_ids);
             (rows, ids, delta_rows, dead_mask)
         };
         let appended = delta_rows.len();
@@ -710,8 +762,18 @@ impl MutableEngine {
         } else {
             Engine::build(&new_rows, base.train.as_ref(), self.cfg.clone())
         };
-        let mut next = match built {
-            Ok(e) => e,
+        // A fold re-trains the operator: the active layer's pending rows
+        // move to an empty copy of the replacement's.
+        let built = built.and_then(|next| {
+            let scorer = if incremental {
+                None
+            } else {
+                Some(next.pending_row_operator()?)
+            };
+            Ok((next, scorer))
+        });
+        let (mut next, scorer) = match built {
+            Ok(built) => built,
             Err(e) => {
                 unseal(&mut write_state(&self.shared));
                 return Err(e);
@@ -725,6 +787,9 @@ impl MutableEngine {
         let ids_arc = Arc::new(new_ids);
         let epoch = {
             let mut st = write_state(&self.shared);
+            if let Some(scorer) = scorer {
+                st.active.reseed(scorer);
+            }
             st.gen += 1;
             next.set_overlay(Overlay {
                 ids: Some(Arc::clone(&ids_arc)),
@@ -858,7 +923,9 @@ fn lock_base(base: &Mutex<BaseRows>) -> MutexGuard<'_, BaseRows> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ddc_core::Counters;
     use ddc_index::SearchParams;
+    use ddc_linalg::Metric;
     use ddc_vecs::SynthSpec;
 
     fn setup(index: &str, dco: &str) -> (Arc<MutableEngine>, ddc_vecs::Workload) {
@@ -1215,7 +1282,10 @@ mod tests {
             engine
                 .set_payloads((0..200).map(|i| i % 2).collect())
                 .unwrap();
-            let shared = Arc::new(RwLock::new(MutState::fresh(12, (0..200).collect())));
+            let shared = Arc::new(RwLock::new(MutState::fresh(
+                (0..200).collect(),
+                engine.pending_row_operator().unwrap(),
+            )));
             engine.set_overlay(Overlay {
                 ids: None,
                 shared: Arc::clone(&shared),
@@ -1233,8 +1303,7 @@ mod tests {
                 // pending insert: distance 0, but it carries no tag.
                 let mut st = write_state(&shared);
                 st.active.tombstones.insert(victim);
-                st.active.delta.push(q).unwrap();
-                st.active.delta_ids.push(5000);
+                st.active.push_rows(&[5000], &FlatRows::new(q, 12));
             }
             let unfiltered = engine.search_with(q, 5, &params).unwrap();
             assert_eq!(
@@ -1309,5 +1378,197 @@ mod tests {
         assert_eq!(me.compact().unwrap().mode, "append");
         let r = me.handle().engine().search(q, 1).unwrap();
         assert_eq!(r.neighbors[0].id, 999);
+    }
+
+    fn dist_bits(r: &[Neighbor]) -> Vec<(u32, u32)> {
+        r.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+    }
+
+    /// Seals the active layer the way a compaction does, leaving the fold
+    /// in flight.
+    fn seal_now(me: &MutableEngine) {
+        let scorer = me.handle().engine().pending_row_operator().unwrap();
+        seal(&mut write_state(&me.shared), scorer);
+    }
+
+    #[test]
+    fn pending_merge_matches_a_full_scan_and_sort() {
+        const K: usize = 10;
+        let w = SynthSpec::tiny_test(12, 200, 31).generate();
+        for metric in [Metric::L2, Metric::InnerProduct] {
+            for index in ["flat", "ivf(nlist=8)", "hnsw(m=6,ef_construction=30)"] {
+                let cfg = EngineConfig::from_strs(index, "exact")
+                    .unwrap()
+                    .with_metric(metric.clone());
+                let me = MutableEngine::build(w.base.clone(), None, cfg, MutableConfig::default())
+                    .unwrap();
+                for id in [3u32, 17, 40] {
+                    me.delete(id);
+                }
+                // Pending writes never tombstone a base row below, so
+                // this is the index's share of every later search.
+                let engine = me.handle().engine();
+                let index_part: Vec<SearchResult> = (0..8)
+                    .map(|qi| engine.search(w.queries.get(qi), K).unwrap())
+                    .collect();
+
+                let mut pending = std::collections::BTreeMap::new();
+                let mut put = |id: u32, v: &[f32]| {
+                    me.upsert(id, v).unwrap();
+                    pending.insert(id, v.to_vec());
+                };
+                // Copies of base rows tie with the index part; ids break it.
+                for i in 0..30 {
+                    put(1000 + i, w.base.get(i as usize * 5));
+                }
+                put(1003, w.queries.get(0)); // in-place overwrite
+                seal_now(&me);
+                put(1005, w.queries.get(1)); // shadows a sealed row
+                for i in 0..10 {
+                    put(2000 + i, w.base.get(i as usize * 7 + 1));
+                }
+                for id in [1004u32, 1006, 2003] {
+                    me.delete(id); // sealed and active pending deletes
+                    pending.remove(&id);
+                }
+
+                let check = |stage: &str| {
+                    for (qi, part) in index_part.iter().enumerate() {
+                        let q = w.queries.get(qi);
+                        let got = engine.search(q, K).unwrap();
+                        let mut want = part.neighbors.clone();
+                        want.extend(pending.iter().map(|(&id, v)| Neighbor {
+                            dist: metric.distance(v, q),
+                            id,
+                        }));
+                        want.sort_unstable();
+                        want.truncate(K);
+                        let what = format!("{index} {metric} {stage} query {qi}");
+                        assert_eq!(dist_bits(&got.neighbors), dist_bits(&want), "{what}");
+                        let scored = got.counters.candidates - part.counters.candidates;
+                        assert_eq!(scored, pending.len() as u64, "{what}");
+                    }
+                };
+                check("sealed");
+                unseal(&mut write_state(&me.shared));
+                check("unsealed");
+            }
+        }
+    }
+
+    #[test]
+    fn far_pending_rows_are_pruned_by_the_operator() {
+        for dco in ["adsampling(delta_d=4)", "ddcres(init_d=4,delta_d=4)"] {
+            let (me, w) = setup("flat", dco);
+            let q = w.queries.get(0);
+            me.delete(199); // both searches below take the dirty path
+            let before = me.handle().engine().search(q, 5).unwrap();
+            me.upsert(500, q).unwrap();
+            for i in 0..20u32 {
+                let far: Vec<f32> = q.iter().map(|v| v + 100.0 * (i + 1) as f32).collect();
+                me.upsert(600 + i, &far).unwrap();
+            }
+            let after = me.handle().engine().search(q, 5).unwrap();
+            assert_eq!(after.neighbors[0].id, 500, "{dco}: the near row merges");
+            let c = Counters::delta(&before.counters, &after.counters);
+            assert_eq!(c.candidates, 21, "{dco}");
+            assert!(c.pruned >= 20, "{dco}: {c:?}");
+            assert!(c.dims_scanned < 21 * 12, "{dco}: {c:?}");
+        }
+    }
+
+    /// Every active pending id that the sealed layer or the base also
+    /// holds carries an active tombstone.
+    fn assert_shadowing_invariant(st: &MutState) {
+        for &id in &st.active.delta_ids {
+            if st.base_ids.contains(&id) || st.sealed_holds(id) {
+                assert!(st.active.tombstones.contains(&id), "id {id} untombstoned");
+            }
+        }
+    }
+
+    /// `steps` seeded writes — new-id and overwriting upserts, deletes of
+    /// base and pending ids — checking the shadowing invariant after each.
+    fn churn(me: &MutableEngine, w: &ddc_vecs::Workload, rng: &mut u64, steps: usize) {
+        for _ in 0..steps {
+            *rng ^= *rng << 13;
+            *rng ^= *rng >> 7;
+            *rng ^= *rng << 17;
+            let r = *rng;
+            let id = if r & 1 == 0 {
+                (r >> 8) as u32 % 200
+            } else {
+                1000 + (r >> 8) as u32 % 40
+            };
+            if r.is_multiple_of(3) {
+                me.delete(id);
+            } else {
+                let v = w.queries.get((r >> 24) as usize % w.queries.len());
+                me.upsert(id, v).unwrap();
+            }
+            assert_shadowing_invariant(&read_state(&me.shared));
+        }
+    }
+
+    #[test]
+    fn active_writes_of_shadowed_ids_are_tombstoned_across_seals() {
+        let (me, w) = setup("flat", "exact");
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        for round in 0..4 {
+            churn(&me, &w, &mut rng, 60);
+            seal_now(&me);
+            churn(&me, &w, &mut rng, 60);
+            if round % 2 == 0 {
+                unseal(&mut write_state(&me.shared));
+            } else {
+                me.compact().unwrap(); // recovers the sealed layer, then lands
+            }
+            churn(&me, &w, &mut rng, 30);
+        }
+    }
+
+    /// Each pending layer's operator answers `exact` bit for bit like an
+    /// operator freshly grown by the same delta from the serving engine.
+    fn assert_aligned(me: &MutableEngine, q: &[f32], what: &str) {
+        let engine = me.handle().engine();
+        let st = read_state(&me.shared);
+        for layer in std::iter::once(&st.active).chain(st.sealed_pending()) {
+            let mut fresh = engine.pending_row_operator().unwrap();
+            fresh.append_rows(&layer.delta).unwrap();
+            assert_eq!(layer.scorer.len(), layer.delta_ids.len(), "{what}");
+            let (mut a, mut b) = (layer.scorer.begin_dyn(q), fresh.begin_dyn(q));
+            for row in 0..layer.delta_ids.len() as u32 {
+                assert_eq!(a.exact(row).to_bits(), b.exact(row).to_bits(), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn pending_row_operators_stay_aligned_through_every_write() {
+        for dco in [
+            "exact",
+            "adsampling(delta_d=4)",
+            "ddcres(init_d=4,delta_d=4)",
+            "ddcpca(init_d=4,delta_d=4)",
+            "ddcopq(m=4,nbits=4,opq_iters=2)",
+        ] {
+            let (me, w) = setup("hnsw(m=6,ef_construction=30)", dco);
+            let q = w.base.get(11);
+            let mut rng = 0xD1B5_4A32_D192_ED03u64;
+            for (step, write) in ["compact", "seal", "unseal", "seal", "fold"]
+                .iter()
+                .enumerate()
+            {
+                churn(&me, &w, &mut rng, 50);
+                assert_aligned(&me, q, &format!("{dco} before {write}"));
+                match *write {
+                    "seal" => seal_now(&me),
+                    "unseal" => unseal(&mut write_state(&me.shared)),
+                    "compact" => assert_ne!(me.compact().unwrap().mode, "fold"),
+                    _ => assert_eq!(me.compact_full().unwrap().mode, "fold"),
+                }
+                assert_aligned(&me, q, &format!("{dco} after {write} (step {step})"));
+            }
+        }
     }
 }

@@ -349,7 +349,7 @@ fn metrics(state: &ServerState) -> Response {
         );
         e.histogram(
             "ddc_overlay_merge_duration_seconds",
-            "Per-search overlay merge (tombstone filter + pending-insert scan)",
+            "Per dirty search: merge of pending inserts into the index's top-k",
             "",
             &me.overlay_merge_nanos(),
             1e9,

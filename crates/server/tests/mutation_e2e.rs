@@ -14,7 +14,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
-use util::{request, Conn};
+use util::{request, request_text, Conn};
 
 const K: usize = 10;
 
@@ -36,6 +36,18 @@ fn spawn_mutable(w: &Workload, index: &str, dco: &str, mcfg: MutableConfig) -> S
     )
     .unwrap();
     server.spawn().unwrap()
+}
+
+/// Observations of the per-search pending-insert merge so far.
+fn merges(addr: std::net::SocketAddr) -> u64 {
+    let (status, text) = request_text(addr, "GET", "/metrics", None);
+    assert_eq!(status, 200);
+    let series = "ddc_overlay_merge_duration_seconds_count ";
+    text.lines()
+        .find_map(|l| l.strip_prefix(series))
+        .unwrap_or_else(|| panic!("no {series}in:\n{text}"))
+        .parse()
+        .unwrap()
 }
 
 /// Only explicit `/admin/compact` calls compact; the background
@@ -72,7 +84,8 @@ fn upsert_delete_compact_smoke_over_http() {
     let search_body = Json::obj([("query", Json::from(q)), ("k", Json::from(1usize))]).dump();
 
     // Upsert the query vector itself under a fresh id: the very next
-    // search must return it at rank one.
+    // search must return it at rank one, through one pending-insert merge.
+    assert_eq!(merges(addr), 0, "clean searches skip the merge");
     let body = Json::obj([("id", Json::from(9999usize)), ("vector", Json::from(q))]).dump();
     let (status, reply) = request(addr, "POST", "/upsert", Some(&body));
     assert_eq!(status, 200, "{reply}");
@@ -80,6 +93,7 @@ fn upsert_delete_compact_smoke_over_http() {
     let (status, reply) = request(addr, "POST", "/search", Some(&search_body));
     assert_eq!(status, 200, "{reply}");
     assert_eq!(ids_of(&reply), vec![9999]);
+    assert_eq!(merges(addr), 1, "one merge per dirty search");
 
     // Delete it again: gone from the very next search.
     let body = Json::obj([("id", Json::from(9999usize))]).dump();
@@ -89,12 +103,16 @@ fn upsert_delete_compact_smoke_over_http() {
     let (status, reply) = request(addr, "POST", "/search", Some(&search_body));
     assert_eq!(status, 200, "{reply}");
     assert_ne!(ids_of(&reply), vec![9999]);
+    assert_eq!(merges(addr), 1, "nothing pending: a clean search");
 
     // Tombstone a base row, compact now, and check the counters: the
     // default policy repairs the copy in place, dropping the row for good.
     let body = Json::obj([("id", Json::from(5usize))]).dump();
     let (status, _) = request(addr, "POST", "/delete", Some(&body));
     assert_eq!(status, 200);
+    let (status, reply) = request(addr, "POST", "/search", Some(&search_body));
+    assert_eq!(status, 200, "{reply}");
+    assert_eq!(merges(addr), 2, "a tombstone alone makes a search dirty");
     let (status, reply) = request(addr, "POST", "/admin/compact", Some("{}"));
     assert_eq!(status, 200, "{reply}");
     assert_eq!(reply.get("mode").and_then(Json::as_str), Some("repair"));

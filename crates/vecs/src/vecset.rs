@@ -183,7 +183,9 @@ impl VecSet {
 /// rows whose `dead` flag is set and keeping the order of the rest — the
 /// one primitive behind [`VecSet::remove_rows`] and the per-row side
 /// columns (norms, codes, correction terms) operators keep beside their
-/// matrix.
+/// matrix. A table left less than a quarter full gives the spare memory
+/// back (an operator emptied to seed a fresh one keeps none of the rows it
+/// was copied with).
 ///
 /// # Panics
 /// Panics when `data.len() != width * dead.len()`.
@@ -197,6 +199,9 @@ pub fn retain_live_rows<T: Copy>(data: &mut Vec<T>, width: usize, dead: &[bool])
         live += 1;
     }
     data.truncate(live * width);
+    if data.len() < data.capacity() / 4 {
+        data.shrink_to_fit();
+    }
 }
 
 /// A [`VecSet`] is the canonical in-RAM [`RowAccess`] source; the
@@ -297,6 +302,12 @@ mod tests {
         assert_eq!(s, sample());
         s.remove_rows(&[true; 4]);
         assert!(s.is_empty());
+        // An emptied or mostly emptied table gives its memory back.
+        let mut big: Vec<f32> = (0..400).map(|i| i as f32).collect();
+        let dead: Vec<bool> = (0..100).map(|i| i != 7).collect();
+        retain_live_rows(&mut big, 4, &dead);
+        assert_eq!(big, [28.0, 29.0, 30.0, 31.0]);
+        assert!(big.capacity() < 100, "capacity {}", big.capacity());
         // Width-0 side columns (an absent table) pass through untouched.
         let mut none: Vec<f32> = Vec::new();
         retain_live_rows(&mut none, 0, &[true, false]);
