@@ -303,6 +303,10 @@ impl QueryDco for AdSamplingQuery<'_> {
         }
     }
 
+    fn prefetch(&self, id: u32) {
+        self.dco.store.prefetch_row(id as usize);
+    }
+
     fn counters(&self) -> Counters {
         self.counters
     }

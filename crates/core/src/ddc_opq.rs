@@ -14,7 +14,7 @@ use crate::snap_state::{StateReader, StateWriter};
 use crate::training::{collect_opq_samples, TrainingCaps};
 use crate::traits::{Dco, Decision, QueryDco};
 use ddc_learn::{calibrate_bias, LogisticConfig, LogisticModel, LogisticRegression};
-use ddc_linalg::kernels::{dot, l2_sq};
+use ddc_linalg::kernels::{dot, l2_sq, prefetch_head};
 use ddc_linalg::{Metric, RowAccess};
 use ddc_quant::{Codes, Opq, OpqConfig, Pq};
 use ddc_vecs::{SharedRows, VecSet};
@@ -406,6 +406,15 @@ impl QueryDco for DdcOpqQuery<'_> {
         let dim = self.dco.store.dim() as u64;
         self.counters.record(false, dim + m, dim);
         Decision::Exact(l2_sq(self.dco.store.row(id as usize), &self.q))
+    }
+
+    /// The row head, plus the code and quantization error the classifier
+    /// reads before the row.
+    fn prefetch(&self, id: u32) {
+        let i = id as usize;
+        self.dco.store.prefetch_row(i);
+        prefetch_head(self.dco.codes.get(i));
+        prefetch_head(&self.dco.qerr[i..=i]);
     }
 
     fn counters(&self) -> Counters {

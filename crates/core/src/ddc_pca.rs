@@ -291,6 +291,10 @@ impl QueryDco for DdcPcaQuery<'_> {
         Decision::Exact(acc)
     }
 
+    fn prefetch(&self, id: u32) {
+        self.dco.store.prefetch_row(id as usize);
+    }
+
     fn counters(&self) -> Counters {
         self.counters
     }

@@ -27,7 +27,7 @@ use crate::projected::{remove_column_rows, Projected, Projection};
 use crate::snap_state::{StateReader, StateWriter};
 use crate::stats::multiplier_for_quantile;
 use crate::traits::{Dco, Decision, QueryDco};
-use ddc_linalg::kernels::{dot, dot_range, norm_sq, weighted_sq_suffix};
+use ddc_linalg::kernels::{dot, dot_range, norm_sq, prefetch_head, weighted_sq_suffix};
 use ddc_linalg::pca::Pca;
 use ddc_linalg::{Metric, RowAccess};
 use ddc_vecs::SharedRows;
@@ -329,6 +329,13 @@ impl QueryDco for DdcResQuery<'_> {
             c2 += 2.0 * dot_range(x, &self.q, d, next);
             d = next;
         }
+    }
+
+    /// The row head, plus the norm cache entry `C1` reads first.
+    fn prefetch(&self, id: u32) {
+        let i = id as usize;
+        self.dco.store.prefetch_row(i);
+        prefetch_head(&self.dco.norms[i..=i]);
     }
 
     fn counters(&self) -> Counters {

@@ -113,6 +113,10 @@ impl QueryDco for ExactQuery<'_> {
         Decision::Exact(self.exact(id))
     }
 
+    fn prefetch(&self, id: u32) {
+        self.dco.store.prefetch_row(id as usize);
+    }
+
     fn counters(&self) -> Counters {
         self.counters
     }

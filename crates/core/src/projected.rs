@@ -28,7 +28,7 @@
 
 use crate::snap_state::{StateReader, StateWriter};
 use crate::CoreError;
-use ddc_linalg::kernels::{dot, matvec_batch_f32, matvec_f32, norm_sq};
+use ddc_linalg::kernels::{dot, matvec_batch_f32, matvec_f32, norm_sq, prefetch_head};
 use ddc_linalg::pca::Pca;
 use ddc_linalg::{Metric, RowAccess};
 use ddc_vecs::{SharedRows, VecSet};
@@ -366,6 +366,13 @@ impl Projected {
     #[inline]
     pub(crate) fn row(&self, id: usize) -> &[f32] {
         self.rows.get(id)
+    }
+
+    /// Starts loading the head of stored row `id` (see
+    /// [`crate::QueryDco::prefetch`]).
+    #[inline]
+    pub(crate) fn prefetch_row(&self, id: usize) {
+        prefetch_head(self.rows.get(id));
     }
 
     /// The stored matrix.

@@ -215,6 +215,18 @@ pub trait QueryDco {
     /// `tau == f32::INFINITY`.
     fn test(&mut self, id: u32, tau: f32) -> Decision;
 
+    /// Hints that point `id` is about to be tested: starts loading what
+    /// [`QueryDco::test`] reads first (the head of the stored row, plus
+    /// any per-row side column it consults before the row) without
+    /// waiting for it. Changes no result and no counter. An index that
+    /// knows several candidates ahead calls this for all of them before
+    /// the first test, so their cache misses overlap. The default does
+    /// nothing.
+    #[inline]
+    fn prefetch(&self, id: u32) {
+        let _ = id;
+    }
+
     /// Work counters accumulated so far for this query.
     fn counters(&self) -> Counters;
 }

@@ -28,11 +28,15 @@
 //! use the L2 [`GroundTruth`]; the ip/cosine cells below use
 //! [`metric_oracle`]), so the ±0.10 fresh-vs-grown band and the 0.60
 //! serving floor mean the same thing in every cell — they are never an
-//! L2 yardstick applied to a similarity ranking. The pending-insert delta
-//! scan is metric-aware ([`MutableEngine`] merges overlay candidates with
-//! `Metric::distance`, pinned by `overlay_delta_merge_is_metric_aware` in
-//! the crate's unit tests), which is what makes the grown-engine recall
-//! under similarity metrics comparable at all.
+//! L2 yardstick applied to a similarity ranking. Pending inserts are
+//! scored in the engine's own metric: [`MutableEngine`] merges them
+//! through the `test()` of each overlay layer's pending-row operator (an
+//! empty copy of the serving operator's trained state), against the
+//! running τ of the result — pinned bit for bit against a full scan and
+//! sort by `pending_merge_matches_a_full_scan_and_sort`, and per metric by
+//! `overlay_delta_merge_is_metric_aware`, in the crate's unit tests. That
+//! is what makes the grown-engine recall under similarity metrics
+//! comparable at all.
 
 use ddc_engine::{Engine, EngineConfig, Metric, MutableConfig, MutableEngine};
 use ddc_index::SearchParams;

@@ -20,7 +20,9 @@
 //! neighbors win, never whether the execution paths agree bit-for-bit.
 
 use ddc_core::{AdSampling, Dco, DcoSpec, DdcOpq, DdcPca, DdcRes, Exact, QueryBatch};
-use ddc_engine::{Engine, EngineConfig, FilterPredicate, Metric, WorkerPool};
+use ddc_engine::{
+    Engine, EngineConfig, FilterPredicate, Metric, MutableConfig, MutableEngine, WorkerPool,
+};
 use ddc_index::{FlatIndex, Hnsw, IndexSpec, Ivf, SearchParams, SearchResult};
 use ddc_vecs::{SynthSpec, VecStore, Workload};
 use std::sync::Arc;
@@ -444,4 +446,68 @@ fn batch_store_and_snapshot_parity_hold_across_metrics() {
         }
     }
     std::fs::remove_file(&fvecs).ok();
+}
+
+/// Saves `engine` to `a`, reopens `a`, saves the reopened engine to `b`:
+/// the two containers must be the same bytes.
+fn assert_resaves_identically(engine: &Engine, ctx: &str) {
+    let tmp = |tag: &str| {
+        let mut p = std::env::temp_dir();
+        p.push(format!(
+            "ddc-parity-resave-{}-{tag}-{}.snap",
+            std::process::id(),
+            ctx.replace(|c: char| !c.is_ascii_alphanumeric(), "_")
+        ));
+        p
+    };
+    let (a, b) = (tmp("a"), tmp("b"));
+    engine.save_snapshot(&a).unwrap();
+    Engine::open_snapshot(&a)
+        .unwrap()
+        .save_snapshot(&b)
+        .unwrap();
+    let (bytes_a, bytes_b) = (std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
+    std::fs::remove_file(&a).ok();
+    std::fs::remove_file(&b).ok();
+    assert!(bytes_a == bytes_b, "{ctx}: the re-saved container differs");
+}
+
+/// Contract 6: opening a container and saving it again writes the same
+/// bytes — the loaded graph is the saved graph, neighbour order and all,
+/// whatever the in-memory layout. Covered for HNSW under every operator
+/// and L2 / inner product / cosine, and for a graph after a repair
+/// compaction (lists re-selected around removed nodes, then grown).
+#[test]
+fn reopened_hnsw_engine_resaves_byte_identically() {
+    let w = workload();
+    let params = SearchParams::new().with_ef(50);
+    for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
+        for dco_str in DCO_SPECS {
+            let cfg = EngineConfig::from_strs(INDEX_SPECS[2], dco_str)
+                .unwrap()
+                .with_params(params)
+                .with_metric(metric.clone());
+            let engine = Engine::build(&w.base, Some(&w.train_queries), cfg).unwrap();
+            assert_resaves_identically(&engine, &format!("{} {dco_str}", metric.name()));
+        }
+    }
+
+    let cfg = EngineConfig::from_strs(INDEX_SPECS[2], DCO_SPECS[2])
+        .unwrap()
+        .with_params(params);
+    let me = MutableEngine::build(
+        w.base.clone(),
+        Some(w.train_queries.clone()),
+        cfg,
+        MutableConfig::default(),
+    )
+    .unwrap();
+    for id in (0..w.base.len() as u32).filter(|id| id % 9 == 4) {
+        assert!(me.delete(id));
+    }
+    for (i, id) in [7u32, 600, 601].into_iter().enumerate() {
+        me.upsert(id, w.queries.get(i)).unwrap();
+    }
+    assert_eq!(me.compact().unwrap().mode, "repair");
+    assert_resaves_identically(&me.handle().engine(), "repaired");
 }

@@ -31,6 +31,22 @@
 //! paper's §II-A/III describe (distance computation is ~80% of HNSW query
 //! time, so this is where DDC's savings appear).
 //!
+//! **Layout and prefetch.** Once the operator has cut the dimensions a
+//! candidate costs, what is left of the walk is mostly memory latency, so
+//! level 0 is laid out to be fetched ahead: one flat array of fixed-stride
+//! blocks, `[count, ids…, padding]` of `1 + 2M` words per node (a node's
+//! list is one multiply away, no pointer chase), while the sparse upper
+//! levels keep a list per node and level (nothing allocated for the nodes
+//! that live on level 0 only). Each expansion first marks every unvisited
+//! neighbour and asks the operator to prefetch it
+//! ([`QueryDco::prefetch`]: the row head plus any side column `test()`
+//! reads first), then tests them in link order, and the block of the next
+//! heap top is prefetched as soon as an expansion starts. Candidates, their
+//! order and `τ` are those of testing each neighbour as it is found, so
+//! results and counters are unchanged; only the cache misses overlap. The
+//! layout is private to memory: the snapshot `index` section stores each
+//! list with its own length, in neighbour order, exactly as before.
+//!
 //! Construction-time distances (`l2_sq`) dispatch to the fastest SIMD
 //! backend the CPU offers (see [`ddc_linalg::kernels`]); the
 //! `simd_dispatch_e2e` test pins that a 1k-point search returns identical
@@ -40,16 +56,23 @@ use crate::search_index::removal_plan;
 use crate::visited::VisitedSet;
 use crate::{IndexError, Result, SearchResult};
 use ddc_core::{Dco, Decision, QueryDco};
+use ddc_linalg::kernels::prefetch_head;
 use ddc_linalg::{Metric, RowAccess};
 use ddc_vecs::{Neighbor, TopK, VecSet};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// The largest `M` a graph may be built or loaded with. Every node's
+/// level-0 block holds `2M` slots whatever its degree, so `M` sizes the
+/// graph's memory directly; far above any useful value (hnswlib stops at
+/// the same number).
+pub const MAX_M: usize = 10_000;
+
 /// HNSW build configuration.
 #[derive(Debug, Clone)]
 pub struct HnswConfig {
     /// Max connections per node per upper layer (`2M` on layer 0). The
-    /// paper uses `M = 16`.
+    /// paper uses `M = 16`; at most [`MAX_M`].
     pub m: usize,
     /// Beam width during construction (paper: 500).
     pub ef_construction: usize,
@@ -73,13 +96,16 @@ impl Default for HnswConfig {
     }
 }
 
-/// Per-node adjacency: one neighbor list per layer the node exists on.
-type NodeLinks = Vec<Vec<u32>>;
-
 /// A built HNSW graph.
 #[derive(Debug, Clone)]
 pub struct Hnsw {
-    links: Vec<NodeLinks>,
+    /// Level 0: one fixed-stride block of `1 + 2m` words per node,
+    /// `[count, ids…, zero padding]`, so the walk reaches a node's list
+    /// with one multiply and one cache miss.
+    level0: Vec<u32>,
+    /// Levels `1..`, per node: `upper[id][l - 1]` is the list on level
+    /// `l`. Empty (no allocation) for the nodes that live on level 0 only.
+    upper: Vec<Vec<Vec<u32>>>,
     entry: u32,
     max_level: usize,
     m: usize,
@@ -109,8 +135,11 @@ impl Hnsw {
         if base.is_empty() {
             return Err(IndexError::Empty);
         }
-        if cfg.m < 2 {
-            return Err(IndexError::Config("m must be at least 2".into()));
+        if !(2..=MAX_M).contains(&cfg.m) {
+            return Err(IndexError::Config(format!(
+                "m must be in 2..={MAX_M}, got {}",
+                cfg.m
+            )));
         }
         if cfg.ef_construction == 0 {
             return Err(IndexError::Config(
@@ -122,7 +151,8 @@ impl Hnsw {
             .map_err(|e| IndexError::Config(format!("hnsw: {e}")))?;
         let n = base.len();
         let mut hnsw = Hnsw {
-            links: Vec::with_capacity(n),
+            level0: Vec::with_capacity(n * (1 + 2 * cfg.m)),
+            upper: Vec::with_capacity(n),
             entry: 0,
             max_level: 0,
             m: cfg.m,
@@ -166,7 +196,7 @@ impl Hnsw {
                 actual: base.dim(),
             });
         }
-        let next = self.links.len();
+        let next = self.len();
         if next > u32::MAX as usize {
             return Err(IndexError::Config("graph is at the u32 id ceiling".into()));
         }
@@ -178,9 +208,10 @@ impl Hnsw {
         }
         let id = next as u32;
         let level = level_for(self.seed, id, 1.0 / (self.m as f64).ln());
-        self.links.push(vec![Vec::new(); level + 1]);
-        visited.grow(self.links.len());
-        if self.links.len() == 1 {
+        self.level0.resize(self.level0.len() + self.stride(), 0);
+        self.upper.push(vec![Vec::new(); level]);
+        visited.grow(self.len());
+        if self.len() == 1 {
             self.entry = id;
             self.max_level = level;
             return Ok(id);
@@ -214,14 +245,10 @@ impl Hnsw {
         let mut eps = vec![ep];
         for lev in (0..=level.min(self.max_level)).rev() {
             let w = self.search_layer_build(base, q, &eps, ef_construction, lev, visited);
-            let m_max = self.max_degree(lev);
             let selected = select_neighbors_heuristic(base, &w, self.m, &self.metric);
             for &nb in &selected {
-                self.links[id as usize][lev].push(nb);
-                self.links[nb as usize][lev].push(id);
-                if self.links[nb as usize][lev].len() > m_max {
-                    self.shrink_links(base, nb, lev, m_max);
-                }
+                self.push_link(base, id, lev, nb);
+                self.push_link(base, nb, lev, id);
             }
             eps = w;
         }
@@ -235,15 +262,61 @@ impl Hnsw {
         }
     }
 
-    fn shrink_links<R: RowAccess + ?Sized>(
-        &mut self,
-        base: &R,
-        node: u32,
-        level: usize,
-        m_max: usize,
-    ) {
-        let ids = std::mem::take(&mut self.links[node as usize][level]);
-        self.reselect_links(base, node, level, &ids, m_max);
+    /// Words per level-0 block: the count, then `2m` id slots.
+    fn stride(&self) -> usize {
+        1 + 2 * self.m
+    }
+
+    /// Node `id`'s level-0 block, `[count, ids…, padding]`.
+    #[inline]
+    fn block(&self, id: u32) -> &[u32] {
+        let s = self.stride();
+        &self.level0[id as usize * s..][..s]
+    }
+
+    fn block_mut(&mut self, id: u32) -> &mut [u32] {
+        let s = self.stride();
+        &mut self.level0[id as usize * s..][..s]
+    }
+
+    /// Node `id`'s level-0 neighbour list.
+    #[inline]
+    fn level0_links(&self, id: u32) -> &[u32] {
+        let block = self.block(id);
+        &block[1..=block[0] as usize]
+    }
+
+    /// Adds the edge `node → e` on `level`. A list already at its cap is
+    /// shrunk back to it, through the heuristic, from itself plus `e` —
+    /// gathered in a scratch list, then written back.
+    fn push_link<R: RowAccess + ?Sized>(&mut self, base: &R, node: u32, level: usize, e: u32) {
+        let cap = self.max_degree(level);
+        let len = self.neighbors(node, level).len();
+        if len == cap {
+            let mut ids = Vec::with_capacity(cap + 1);
+            ids.extend_from_slice(self.neighbors(node, level));
+            ids.push(e);
+            self.reselect_links(base, node, level, &ids, cap);
+        } else if level == 0 {
+            let block = self.block_mut(node);
+            block[1 + len] = e;
+            block[0] += 1;
+        } else {
+            self.upper[node as usize][level - 1].push(e);
+        }
+    }
+
+    /// Replaces `node`'s list on `level` with `ids` (at most the level's
+    /// cap); level-0 slots past the new count are zeroed.
+    fn set_links(&mut self, node: u32, level: usize, ids: Vec<u32>) {
+        if level == 0 {
+            let block = self.block_mut(node);
+            block[0] = ids.len() as u32;
+            block[1..=ids.len()].copy_from_slice(&ids);
+            block[1 + ids.len()..].fill(0);
+        } else {
+            self.upper[node as usize][level - 1] = ids;
+        }
     }
 
     /// Replaces `node`'s list at `level` with the heuristic's pick of at
@@ -267,8 +340,8 @@ impl Hnsw {
             })
             .collect();
         cands.sort_unstable();
-        self.links[node as usize][level] =
-            select_neighbors_heuristic(base, &cands, cap, &self.metric);
+        let picked = select_neighbors_heuristic(base, &cands, cap, &self.metric);
+        self.set_links(node, level, picked);
     }
 
     /// Physically removes the rows flagged in `dead_mask` and renumbers
@@ -307,22 +380,22 @@ impl Hnsw {
                 actual: rows_before.dim(),
             });
         }
-        if rows_before.len() != self.links.len() {
+        let n = self.len();
+        if rows_before.len() != n {
             return Err(IndexError::Config(format!(
-                "row source has {} rows, {} are indexed",
+                "row source has {} rows, {n} are indexed",
                 rows_before.len(),
-                self.links.len()
             )));
         }
-        let Some(new_ids) = removal_plan(self.links.len(), dead_mask)? else {
+        let Some(new_ids) = removal_plan(n, dead_mask)? else {
             return Ok(());
         };
         let dead = |id: u32| dead_mask[id as usize];
 
         let mut ids = Vec::new();
-        for node in (0..self.links.len() as u32).filter(|&u| !dead(u)) {
-            for level in 0..self.links[node as usize].len() {
-                let old = &self.links[node as usize][level];
+        for node in (0..n as u32).filter(|&u| !dead(u)) {
+            for level in 0..self.node_levels(node) {
+                let old = self.neighbors(node, level);
                 if !old.iter().any(|&e| dead(e)) {
                     continue;
                 }
@@ -345,8 +418,8 @@ impl Hnsw {
         if dead(self.entry) {
             // Every surviving node then fits under the new top level, as
             // the loader demands.
-            let levels = |u: &u32| self.links[*u as usize].len();
-            let top = (0..self.links.len() as u32)
+            let levels = |u: &u32| self.node_levels(*u);
+            let top = (0..n as u32)
                 .filter(|&u| !dead(u))
                 .max_by_key(|u| (levels(u), std::cmp::Reverse(*u)))
                 .expect("removal_plan guarantees a survivor");
@@ -355,10 +428,23 @@ impl Hnsw {
         }
         self.entry = new_ids[self.entry as usize];
 
+        let s = self.stride();
+        let mut kept = 0;
+        for old in (0..n).filter(|&u| !dead_mask[u]) {
+            self.level0.copy_within(old * s..(old + 1) * s, kept * s);
+            kept += 1;
+        }
+        self.level0.truncate(kept * s);
         let mut keep = dead_mask.iter().map(|&d| !d);
-        self.links
-            .retain(|_| keep.next().expect("mask covers links"));
-        for list in self.links.iter_mut().flatten() {
+        self.upper
+            .retain(|_| keep.next().expect("mask covers the nodes"));
+        for block in self.level0.chunks_exact_mut(s) {
+            let (count, slots) = block.split_first_mut().expect("stride ≥ 1");
+            for e in &mut slots[..*count as usize] {
+                *e = new_ids[*e as usize];
+            }
+        }
+        for list in self.upper.iter_mut().flatten() {
             for e in list {
                 *e = new_ids[*e as usize];
             }
@@ -375,7 +461,7 @@ impl Hnsw {
     ) -> Neighbor {
         loop {
             let mut improved = false;
-            for &e in &self.links[ep.id as usize][level] {
+            for &e in self.neighbors(ep.id, level) {
                 let d = self.metric.distance(base.row(e as usize), q);
                 if d < ep.dist {
                     ep = Neighbor { id: e, dist: d };
@@ -411,7 +497,7 @@ impl Hnsw {
             if w.is_full() && c.dist > w.tau() {
                 break;
             }
-            for &e in &self.links[c.id as usize][level] {
+            for &e in self.neighbors(c.id, level) {
                 if !visited.insert(e) {
                     continue;
                 }
@@ -430,7 +516,7 @@ impl Hnsw {
     /// # Errors
     /// [`IndexError::Dimension`] when `q` has the wrong dimensionality.
     pub fn search<D: Dco>(&self, dco: &D, q: &[f32], k: usize, ef: usize) -> Result<SearchResult> {
-        self.search_with_visited(dco, q, k, ef, &mut VisitedSet::new(self.links.len()))
+        self.search_with_visited(dco, q, k, ef, &mut VisitedSet::new(self.len()))
     }
 
     /// [`Hnsw::search`] with a caller-provided visited set (amortizes
@@ -485,7 +571,7 @@ impl Hnsw {
         for lev in (1..=self.max_level).rev() {
             loop {
                 let mut improved = false;
-                for &e in &self.links[ep as usize][lev] {
+                for &e in self.neighbors(ep, lev) {
                     let d = eval.exact(e);
                     if d < ep_dist {
                         ep = e;
@@ -512,14 +598,27 @@ impl Hnsw {
             w.offer(ep, ep_dist);
         }
 
+        // Each expansion first marks its unvisited neighbours and asks the
+        // operator to prefetch them all, then tests them in link order:
+        // the same candidates, order and τ as testing each as it is
+        // found, but the rows' cache misses overlap. `fresh` holds at
+        // most one level-0 list (≤ 2m ids), so it never reallocates.
+        let mut fresh: Vec<u32> = Vec::with_capacity(2 * self.m);
         while let Some(Reverse(c)) = candidates.pop() {
             if w.is_full() && c.dist > w.tau() {
                 break;
             }
-            for &e in &self.links[c.id as usize][0] {
-                if !visited.insert(e) {
-                    continue;
+            if let Some(Reverse(next)) = candidates.peek() {
+                prefetch_head(self.block(next.id));
+            }
+            fresh.clear();
+            for &e in self.level0_links(c.id) {
+                if visited.insert(e) {
+                    eval.prefetch(e);
+                    fresh.push(e);
                 }
+            }
+            for &e in &fresh {
                 let tau = w.tau();
                 match eval.test(e, tau) {
                     Decision::Exact(d) => {
@@ -546,12 +645,12 @@ impl Hnsw {
 
     /// Number of indexed points.
     pub fn len(&self) -> usize {
-        self.links.len()
+        self.upper.len()
     }
 
     /// True when no points are indexed.
     pub fn is_empty(&self) -> bool {
-        self.links.is_empty()
+        self.upper.is_empty()
     }
 
     /// Highest layer in the graph.
@@ -567,20 +666,25 @@ impl Hnsw {
     /// Neighbor list of `id` at `level` (empty when the node does not reach
     /// that level).
     pub fn neighbors(&self, id: u32, level: usize) -> &[u32] {
-        self.links[id as usize]
-            .get(level)
-            .map_or(&[], Vec::as_slice)
+        match level {
+            0 => self.level0_links(id),
+            _ => self.upper[id as usize]
+                .get(level - 1)
+                .map_or(&[], Vec::as_slice),
+        }
     }
 
     /// Mean layer-0 out-degree.
     pub fn avg_degree(&self) -> f64 {
-        let total: usize = self.links.iter().map(|l| l[0].len()).sum();
-        total as f64 / self.links.len().max(1) as f64
+        let total: usize = (0..self.len() as u32)
+            .map(|id| self.level0_links(id).len())
+            .sum();
+        total as f64 / self.len().max(1) as f64
     }
 
     /// Number of layers node `id` participates in.
     pub fn node_levels(&self, id: u32) -> usize {
-        self.links[id as usize].len()
+        self.upper[id as usize].len() + 1
     }
 
     /// `M` parameter the graph was built with.
@@ -620,36 +724,42 @@ impl Hnsw {
         self
     }
 
-    /// Reassembles a graph from persisted parts (validation is the
-    /// loader's responsibility).
+    /// Reassembles a graph from persisted parts: the level-0 blocks and
+    /// the upper lists in the layout of [`Hnsw`]'s fields, built under
+    /// `cfg` over `dim`-dimensional rows (validation is the loader's
+    /// responsibility).
     pub(crate) fn from_parts(
-        links: Vec<NodeLinks>,
+        cfg: HnswConfig,
+        dim: usize,
+        level0: Vec<u32>,
+        upper: Vec<Vec<Vec<u32>>>,
         entry: u32,
         max_level: usize,
-        m: usize,
-        dim: usize,
-        seed: u64,
-        ef_construction: usize,
     ) -> Hnsw {
         Hnsw {
-            links,
+            level0,
+            upper,
             entry,
             max_level,
-            m,
+            m: cfg.m,
             dim,
-            seed,
-            ef_construction,
-            metric: Metric::L2,
+            seed: cfg.seed,
+            ef_construction: cfg.ef_construction,
+            metric: cfg.metric,
         }
     }
 
-    /// Adjacency memory (Fig. 7 space accounting).
+    /// Adjacency memory (Fig. 7 space accounting): the stored neighbour
+    /// ids, 4 bytes each. A property of the graph, not of its layout: it
+    /// counts neither the level-0 blocks' count words and empty slots
+    /// nor the upper lists' headers and spare capacity, so the figure is
+    /// the one the nested-list layout reported before the flat level 0.
     pub fn memory_bytes(&self) -> usize {
-        self.links
-            .iter()
-            .flat_map(|levels| levels.iter())
-            .map(|l| l.len() * std::mem::size_of::<u32>())
-            .sum()
+        let upper: usize = self.upper.iter().flatten().map(Vec::len).sum();
+        let level0: usize = (0..self.len() as u32)
+            .map(|id| self.level0_links(id).len())
+            .sum();
+        (level0 + upper) * std::mem::size_of::<u32>()
     }
 }
 
@@ -959,14 +1069,13 @@ mod tests {
             Err(IndexError::Empty)
         ));
         let w = workload(50);
-        assert!(Hnsw::build(
-            &w.base,
-            &HnswConfig {
-                m: 1,
+        for m in [1, MAX_M + 1] {
+            let cfg = HnswConfig {
+                m,
                 ..Default::default()
-            }
-        )
-        .is_err());
+            };
+            assert!(Hnsw::build(&w.base, &cfg).is_err(), "m = {m}");
+        }
         assert!(Hnsw::build(
             &w.base,
             &HnswConfig {

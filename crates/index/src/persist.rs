@@ -12,14 +12,25 @@
 //! allocation larger than the input.
 
 use crate::flat::FlatIndex;
-use crate::hnsw::Hnsw;
+use crate::hnsw::{Hnsw, HnswConfig, MAX_M};
 use crate::ivf::Ivf;
 use crate::{IndexError, Result};
+use ddc_linalg::Metric;
 use ddc_vecs::VecSet;
 
 const HNSW_MAGIC: &[u8; 8] = b"DDCHNSW2";
 const IVF_MAGIC: &[u8; 8] = b"DDCIVF01";
 const FLAT_MAGIC: &[u8; 8] = b"DDCFLAT1";
+
+/// The loaded level-0 array may be at most this many times the bytes of
+/// the section it came from. A stored list costs 12 + 4·len bytes and its
+/// padded block 4 + 8m; a built graph links each node to about `m` ids
+/// or more, which keeps the ratio below 2, so only a forged `m` gets near.
+const PADDED_PER_BYTE: usize = 16;
+
+/// ... and may always be this large, so that a graph of a few nodes built
+/// with a large `m` (short lists, wide blocks) still loads.
+const PADDED_FLOOR: usize = 1 << 16;
 
 fn corrupt(detail: impl std::fmt::Display) -> IndexError {
     IndexError::Config(format!("corrupt index stream: {detail}"))
@@ -119,8 +130,16 @@ impl Hnsw {
 
     /// Deserializes a graph written by [`Hnsw::save_bytes`].
     ///
+    /// Level-0 lists land in fixed-stride blocks of `1 + 2m` words, so
+    /// `m` sizes an allocation before any list is read: the padded array
+    /// may be at most 16 times the section's length (or 64 KiB).
+    ///
     /// # Errors
-    /// A wrong magic tag, truncation, and structural validation errors.
+    /// A wrong magic tag, truncation, and structural validation errors:
+    /// `m` outside `2..=MAX_M`, an `m` whose padded level-0 array the
+    /// section cannot account for, a level-0 list longer than `2m`, an
+    /// upper list longer than `m`, an edge id out of range, an entry point
+    /// below the top level.
     pub fn load_bytes(bytes: &[u8]) -> Result<Hnsw> {
         let mut r = Cursor(bytes);
         r.magic(HNSW_MAGIC, "HNSW")?;
@@ -134,35 +153,64 @@ impl Hnsw {
         if n == 0 || entry >= n {
             return Err(IndexError::Config("corrupt HNSW header".into()));
         }
+        if !(2..=MAX_M).contains(&m) {
+            return Err(corrupt(format!("HNSW m = {m} is outside 2..={MAX_M}")));
+        }
         // Every node carries at least its 4-byte level word.
         let n = r.count(u64::from(n), 4, "HNSW node")?;
-        let mut links = Vec::with_capacity(n);
-        for _ in 0..n {
+        let stride = 1 + 2 * m;
+        let padded = n * stride * 4;
+        if padded > (PADDED_PER_BYTE * bytes.len()).max(PADDED_FLOOR) {
+            return Err(corrupt(format!(
+                "HNSW m = {m} pads {n} level-0 lists to {padded} bytes, \
+                 more than a {}-byte section accounts for",
+                bytes.len()
+            )));
+        }
+        let mut level0 = vec![0u32; n * stride];
+        let mut upper = Vec::with_capacity(n);
+        for block in level0.chunks_exact_mut(stride) {
             let levels = r.u32()? as usize;
             if levels == 0 || levels > max_level + 1 {
                 return Err(IndexError::Config("corrupt HNSW node level".into()));
             }
             // Every level carries at least its 8-byte list length.
             let levels = r.count(levels as u64, 8, "HNSW level")?;
-            let mut node = Vec::with_capacity(levels);
-            for _ in 0..levels {
+            let mut node = Vec::with_capacity(levels - 1);
+            for level in 0..levels {
                 let nbrs = r.words("list", u32::from_le_bytes)?;
+                let cap = if level == 0 { 2 * m } else { m };
+                if nbrs.len() > cap {
+                    return Err(corrupt(format!(
+                        "HNSW level-{level} list of {} ids, the cap is {cap}",
+                        nbrs.len()
+                    )));
+                }
                 if nbrs.iter().any(|&e| e as usize >= n) {
                     return Err(IndexError::Config("corrupt HNSW edge id".into()));
                 }
-                node.push(nbrs);
+                if level == 0 {
+                    block[0] = nbrs.len() as u32;
+                    block[1..=nbrs.len()].copy_from_slice(&nbrs);
+                } else {
+                    node.push(nbrs);
+                }
             }
-            links.push(node);
+            upper.push(node);
         }
-        Ok(Hnsw::from_parts(
-            links,
-            entry,
-            max_level,
+        // The search descends from the entry through every level above 0.
+        if upper[entry as usize].len() != max_level {
+            return Err(IndexError::Config(
+                "corrupt HNSW entry: not on the top level".into(),
+            ));
+        }
+        let cfg = HnswConfig {
             m,
-            dim,
-            seed,
             ef_construction,
-        ))
+            seed,
+            metric: Metric::L2,
+        };
+        Ok(Hnsw::from_parts(cfg, dim, level0, upper, entry, max_level))
     }
 }
 
@@ -229,7 +277,7 @@ impl Ivf {
 
 #[cfg(test)]
 mod tests {
-    use crate::hnsw::{Hnsw, HnswConfig};
+    use crate::hnsw::{Hnsw, HnswConfig, MAX_M};
     use crate::ivf::{Ivf, IvfConfig};
     use ddc_core::Exact;
     use ddc_vecs::SynthSpec;
@@ -330,5 +378,130 @@ mod tests {
         assert_eq!(s.len(), 40);
         let err = Hnsw::load_bytes(&s).unwrap_err().to_string();
         assert!(err.contains("cannot fit"), "{err}");
+    }
+
+    /// An HNSW stream of `lists.len()` nodes: node `i` carries the lists
+    /// `lists[i]`, level 0 first.
+    fn hnsw_stream(m: u32, max_level: u32, lists: &[Vec<Vec<u32>>]) -> Vec<u8> {
+        let mut s = b"DDCHNSW2".to_vec();
+        for v in [lists.len() as u32, 0, max_level, m, 4] {
+            s.extend_from_slice(&v.to_le_bytes()); // n, entry, max_level, m, dim
+        }
+        s.extend_from_slice(&0u64.to_le_bytes()); // seed
+        s.extend_from_slice(&16u32.to_le_bytes()); // ef_construction
+        for node in lists {
+            super::put_u32(&mut s, node.len() as u32);
+            for list in node {
+                super::put_u32_slice(&mut s, list);
+            }
+        }
+        s
+    }
+
+    fn load_err(bytes: &[u8]) -> String {
+        match Hnsw::load_bytes(bytes) {
+            Err(crate::IndexError::Config(e)) => e,
+            other => panic!("expected a Config error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn hnsw_level0_list_over_2m_is_rejected() {
+        let full: Vec<u32> = (1..=4).collect(); // 2m for m = 2
+        let nodes = |l0: &[u32]| {
+            let mut nodes = vec![vec![l0.to_vec()]];
+            nodes.extend((1..=5).map(|_| vec![vec![0]]));
+            nodes
+        };
+        assert!(Hnsw::load_bytes(&hnsw_stream(2, 0, &nodes(&full))).is_ok());
+        let over: Vec<u32> = (1..=5).collect();
+        let err = load_err(&hnsw_stream(2, 0, &nodes(&over)));
+        assert!(err.contains("level-0 list of 5 ids"), "{err}");
+    }
+
+    #[test]
+    fn hnsw_upper_list_over_m_is_rejected() {
+        let nodes = |upper: Vec<u32>| {
+            let mut nodes = vec![vec![vec![1], upper]];
+            nodes.extend((1..=3).map(|_| vec![vec![0], vec![0]]));
+            nodes
+        };
+        assert!(Hnsw::load_bytes(&hnsw_stream(2, 1, &nodes(vec![1, 2]))).is_ok());
+        let err = load_err(&hnsw_stream(2, 1, &nodes(vec![1, 2, 3])));
+        assert!(err.contains("level-1 list of 3 ids"), "{err}");
+    }
+
+    /// A forged `max_level` above the entry's levels would send every
+    /// search through that many empty levels.
+    #[test]
+    fn hnsw_entry_below_the_top_level_is_rejected() {
+        let nodes = [vec![vec![1]], vec![vec![0]]];
+        assert!(Hnsw::load_bytes(&hnsw_stream(2, 0, &nodes)).is_ok());
+        let err = load_err(&hnsw_stream(2, u32::MAX - 1, &nodes));
+        assert!(err.contains("not on the top level"), "{err}");
+    }
+
+    #[test]
+    fn hnsw_m_outside_2_to_max_is_rejected() {
+        for m in [0, 1, MAX_M as u32 + 1, 1 << 30] {
+            let err = load_err(&hnsw_stream(m, 0, &[vec![vec![]]]));
+            assert!(err.contains("outside 2..="), "m = {m}: {err}");
+        }
+    }
+
+    /// A one-node graph claiming the largest `m`: its level-0 block alone
+    /// would be 80 kB, from a 52-byte section. Rejected before allocating.
+    #[test]
+    fn hnsw_m_padding_beyond_the_section_is_rejected() {
+        let s = hnsw_stream(MAX_M as u32, 0, &[vec![vec![]]]);
+        assert_eq!(s.len(), 52);
+        let err = load_err(&s);
+        assert!(err.contains("more than a 52-byte section"), "{err}");
+        // A single node with a wide but plausible m still loads.
+        assert!(Hnsw::load_bytes(&hnsw_stream(256, 0, &[vec![vec![]]])).is_ok());
+    }
+
+    /// Every 4-byte word of a real stream overwritten with boundary
+    /// values: the loader returns, never panics or over-allocates, and
+    /// whatever it accepts can be searched without a panic.
+    #[test]
+    fn hnsw_word_corruption_sweep_never_panics() {
+        let w = SynthSpec::tiny_test(4, 40, 29).generate();
+        let cfg = HnswConfig {
+            m: 2,
+            ef_construction: 10,
+            seed: 3,
+            ..Default::default()
+        };
+        let bytes = Hnsw::build(&w.base, &cfg).unwrap().save_bytes();
+        let dco = Exact::build(&w.base);
+        let mut accepted = 0;
+        for at in (8..bytes.len() - 3).step_by(4) {
+            let word = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+            for v in [
+                0,
+                1,
+                2,
+                5,
+                word ^ 1,
+                word.wrapping_add(1),
+                1 << 30,
+                u32::MAX,
+            ] {
+                let mut forged = bytes.clone();
+                forged[at..at + 4].copy_from_slice(&v.to_le_bytes());
+                let Ok(g) = Hnsw::load_bytes(&forged) else {
+                    continue;
+                };
+                accepted += 1;
+                if g.len() == w.base.len() {
+                    let _ = g.search(&dco, w.queries.get(0), 3, 8);
+                }
+            }
+        }
+        assert!(
+            accepted > 0,
+            "no forged stream loaded: the sweep tests nothing"
+        );
     }
 }

@@ -7,7 +7,8 @@
 # directory; pass an already-built binary of that revision as the second
 # argument to skip the build), has it `--save-snapshot` a 2 000 × 32
 # synthetic engine for each of the five operators × {l2, ip, cosine}
-# (HNSW, plus one IVF cell for DDCopq) and answer three fixed queries, then
+# (HNSW, plus one IVF cell for DDCopq, plus one HNSW cell with m = 4 whose
+# level-0 lists sit at their 2m cap) and answer three fixed queries, then
 # boots the working tree's `ddc-serve --snapshot` on each container and
 # requires byte-identical `/search` bodies (`ids`, `distances`, `counters`).
 #
@@ -67,6 +68,9 @@ for dco in "exact" "adsampling(delta_d=8)" "ddcres(init_d=8,delta_d=8)" "ddcpca(
   done
 done
 CELLS+=("ivf(nlist=16)|ddcopq(m=8,nbits=4)|l2")
+# Saturated degree: with m = 4 most level-0 lists are full (2m ids), so the
+# loader's conversion of full lists is checked across revisions too.
+CELLS+=("hnsw(m=4,ef_construction=60)|ddcres(init_d=8,delta_d=8)|l2")
 
 fail=0
 for cell in "${CELLS[@]}"; do
