@@ -25,11 +25,20 @@
 //! dead nodes, and renumbers the survivors — local work, the same way
 //! [`Hnsw::insert_next`] makes growth local.
 //!
-//! Search descends greedily to layer 0, then runs the `ef`-bounded
-//! best-first scan in which **every candidate evaluation goes through the
-//! DCO** with the result queue's threshold `τ` — the integration point the
-//! paper's §II-A/III describe (distance computation is ~80% of HNSW query
-//! time, so this is where DDC's savings appear).
+//! **One traversal.** Search and insertion walk the graph with the same
+//! two routines, both generic over the evaluator ([`QueryDco`]): a greedy
+//! descent from the entry point through the levels above a stop level,
+//! with exact distances (no `τ` exists yet), then an `ef`-bounded
+//! best-first layer search in which **every candidate evaluation goes
+//! through the evaluator's `test`** with the beam's threshold `τ` — the
+//! integration point the paper's §II-A/III describe (distance computation
+//! is ~80% of HNSW query time, so this is where DDC's savings appear). A
+//! query descends to level 0 and searches it through the DCO. An insert
+//! descends to the new node's level and searches every level from there
+//! down through a private exact evaluator over the row source, whose
+//! `test` always answers with `metric.distance(row, q)` — the same
+//! arguments in the same order as every construction distance before, so
+//! the graph keeps its bytes (pinned in `tests/graph_pins.rs`).
 //!
 //! **Layout and prefetch.** Once the operator has cut the dimensions a
 //! candidate costs, what is left of the walk is mostly memory latency, so
@@ -47,20 +56,26 @@
 //! layout is private to memory: the snapshot `index` section stores each
 //! list with its own length, in neighbour order, exactly as before.
 //!
-//! Construction-time distances (`l2_sq`) dispatch to the fastest SIMD
-//! backend the CPU offers (see [`ddc_linalg::kernels`]); the
-//! `simd_dispatch_e2e` test pins that a 1k-point search returns identical
-//! top-k under `DDC_FORCE_SCALAR=1` and the SIMD path.
+//! **Visited marks.** The layer search borrows one epoch-stamped visited
+//! set per thread, grown to the largest graph the thread has walked, so
+//! neither a query nor an insert allocates or zeroes one: starting a walk
+//! is an epoch bump.
 
 use crate::search_index::removal_plan;
 use crate::visited::VisitedSet;
 use crate::{IndexError, Result, SearchResult};
-use ddc_core::{Dco, Decision, QueryDco};
+use ddc_core::{Counters, Dco, Decision, QueryDco};
 use ddc_linalg::kernels::prefetch_head;
 use ddc_linalg::{Metric, RowAccess};
 use ddc_vecs::{Neighbor, TopK, VecSet};
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+thread_local! {
+    /// The layer search's visited marks, one set per thread.
+    static VISITED: RefCell<VisitedSet> = RefCell::new(VisitedSet::new(0));
+}
 
 /// The largest `M` a graph may be built or loaded with. Every node's
 /// level-0 block holds `2M` slots whatever its degree, so `M` sizes the
@@ -161,9 +176,8 @@ impl Hnsw {
             ef_construction: cfg.ef_construction,
             metric: cfg.metric.clone(),
         };
-        let mut visited = VisitedSet::new(n);
         for _ in 0..n {
-            hnsw.insert_next(base, &mut visited)?;
+            hnsw.insert_next(base)?;
         }
         Ok(hnsw)
     }
@@ -178,18 +192,14 @@ impl Hnsw {
     /// rows.
     ///
     /// `base` must hold the rows the graph was built over followed by the
-    /// row being inserted (at least `len() + 1` rows); `visited` grows to
-    /// cover the new id. Returns the id assigned to the new row.
+    /// row being inserted (at least `len() + 1` rows). Returns the id
+    /// assigned to the new row.
     ///
     /// # Errors
     /// [`IndexError::Dimension`] on a row-source dimensionality mismatch;
     /// [`IndexError::Config`] when `base` does not contain the row to
     /// insert or the graph is at the `u32` id ceiling.
-    pub fn insert_next<R: RowAccess + ?Sized>(
-        &mut self,
-        base: &R,
-        visited: &mut VisitedSet,
-    ) -> Result<u32> {
+    pub fn insert_next<R: RowAccess + ?Sized>(&mut self, base: &R) -> Result<u32> {
         if base.dim() != self.dim {
             return Err(IndexError::Dimension {
                 expected: self.dim,
@@ -210,13 +220,12 @@ impl Hnsw {
         let level = level_for(self.seed, id, 1.0 / (self.m as f64).ln());
         self.level0.resize(self.level0.len() + self.stride(), 0);
         self.upper.push(vec![Vec::new(); level]);
-        visited.grow(self.len());
         if self.len() == 1 {
             self.entry = id;
             self.max_level = level;
             return Ok(id);
         }
-        self.insert(base, id, level, self.ef_construction, visited);
+        self.insert(base, id, level);
         if level > self.max_level {
             self.max_level = level;
             self.entry = id;
@@ -224,28 +233,23 @@ impl Hnsw {
         Ok(id)
     }
 
-    fn insert<R: RowAccess + ?Sized>(
-        &mut self,
-        base: &R,
-        id: u32,
-        level: usize,
-        ef_construction: usize,
-        visited: &mut VisitedSet,
-    ) {
-        let q = base.row(id as usize);
-        let mut ep = Neighbor {
-            id: self.entry,
-            dist: self.metric.distance(base.row(self.entry as usize), q),
+    /// Wires node `id` (already allocated, no edges yet) into the graph:
+    /// the query's descent to the node's level, then on each level from
+    /// `min(level, max_level)` down to 0 the layer search plus heuristic
+    /// wiring, each level's beam seeding the next.
+    fn insert<R: RowAccess + ?Sized>(&mut self, base: &R, id: u32, level: usize) {
+        // The metric's clone shares any weights (`Arc`), so the evaluator
+        // outlives the borrows that wiring takes of `self`.
+        let metric = self.metric.clone();
+        let exact = &mut BuildEval {
+            base,
+            q: base.row(id as usize),
+            metric: &metric,
         };
-        // Greedy descent through layers above the node's level.
-        for lev in ((level + 1)..=self.max_level).rev() {
-            ep = self.greedy_closest(base, q, ep, lev);
-        }
-        // Connect on each layer from min(level, max_level) down to 0.
-        let mut eps = vec![ep];
+        let mut eps = vec![self.descend(exact, level)];
         for lev in (0..=level.min(self.max_level)).rev() {
-            let w = self.search_layer_build(base, q, &eps, ef_construction, lev, visited);
-            let selected = select_neighbors_heuristic(base, &w, self.m, &self.metric);
+            let w = self.search_layer(exact, &eps, self.ef_construction, lev, &|_| true);
+            let selected = select_neighbors_heuristic(base, &w, self.m, &metric);
             for &nb in &selected {
                 self.push_link(base, id, lev, nb);
                 self.push_link(base, nb, lev, id);
@@ -452,86 +456,11 @@ impl Hnsw {
         Ok(())
     }
 
-    fn greedy_closest<R: RowAccess + ?Sized>(
-        &self,
-        base: &R,
-        q: &[f32],
-        mut ep: Neighbor,
-        level: usize,
-    ) -> Neighbor {
-        loop {
-            let mut improved = false;
-            for &e in self.neighbors(ep.id, level) {
-                let d = self.metric.distance(base.row(e as usize), q);
-                if d < ep.dist {
-                    ep = Neighbor { id: e, dist: d };
-                    improved = true;
-                }
-            }
-            if !improved {
-                return ep;
-            }
-        }
-    }
-
-    /// Build-time `ef`-bounded best-first search with exact distances.
-    fn search_layer_build<R: RowAccess + ?Sized>(
-        &self,
-        base: &R,
-        q: &[f32],
-        eps: &[Neighbor],
-        ef: usize,
-        level: usize,
-        visited: &mut VisitedSet,
-    ) -> Vec<Neighbor> {
-        visited.next_epoch();
-        let mut candidates: BinaryHeap<Reverse<Neighbor>> = BinaryHeap::new();
-        let mut w = TopK::new(ef);
-        for &ep in eps {
-            if visited.insert(ep.id) {
-                candidates.push(Reverse(ep));
-                w.offer(ep.id, ep.dist);
-            }
-        }
-        while let Some(Reverse(c)) = candidates.pop() {
-            if w.is_full() && c.dist > w.tau() {
-                break;
-            }
-            for &e in self.neighbors(c.id, level) {
-                if !visited.insert(e) {
-                    continue;
-                }
-                let d = self.metric.distance(base.row(e as usize), q);
-                if !w.is_full() || d < w.tau() {
-                    candidates.push(Reverse(Neighbor { id: e, dist: d }));
-                    w.offer(e, d);
-                }
-            }
-        }
-        w.into_sorted()
-    }
-
     /// Queries the graph through a DCO.
     ///
     /// # Errors
     /// [`IndexError::Dimension`] when `q` has the wrong dimensionality.
     pub fn search<D: Dco>(&self, dco: &D, q: &[f32], k: usize, ef: usize) -> Result<SearchResult> {
-        self.search_with_visited(dco, q, k, ef, &mut VisitedSet::new(self.len()))
-    }
-
-    /// [`Hnsw::search`] with a caller-provided visited set (amortizes
-    /// allocation across a query batch).
-    ///
-    /// # Errors
-    /// [`IndexError::Dimension`] when `q` has the wrong dimensionality.
-    pub fn search_with_visited<D: Dco>(
-        &self,
-        dco: &D,
-        q: &[f32],
-        k: usize,
-        ef: usize,
-        visited: &mut VisitedSet,
-    ) -> Result<SearchResult> {
         if q.len() != self.dim {
             return Err(IndexError::Dimension {
                 expected: self.dim,
@@ -539,19 +468,19 @@ impl Hnsw {
             });
         }
         let mut eval = dco.begin(q);
-        Ok(self.search_eval_filtered(&mut eval, k, ef, visited, &|_| true))
+        Ok(self.search_eval_filtered(&mut eval, k, ef, &|_| true))
     }
 
-    /// [`Hnsw::search_with_visited`] through an already-prepared evaluator
-    /// — the entry point for batched search (evaluators prepared up front,
-    /// rotation amortized) and dynamic dispatch (`Q = dyn DynQueryDco`) —
-    /// with a liveness filter, the tombstone hook. The caller is
-    /// responsible for the dimension check. Dead nodes
-    /// (`live(id) == false`) still route the traversal (their edges carry
-    /// the graph's connectivity, so reachability does not degrade as
-    /// points are deleted) but are repaired out of the result before they
-    /// consume a `k` slot: they never enter the result queue, and the
-    /// pruning threshold `τ` reflects live results only.
+    /// [`Hnsw::search`] through an already-prepared evaluator — the entry
+    /// point for batched search (evaluators prepared up front, rotation
+    /// amortized) and dynamic dispatch (`Q = dyn DynQueryDco`) — with a
+    /// liveness filter, the tombstone hook. The caller is responsible for
+    /// the dimension check. Dead nodes (`live(id) == false`) still route
+    /// the traversal (their edges carry the graph's connectivity, so
+    /// reachability does not degrade as points are deleted) but are
+    /// repaired out of the result before they consume a `k` slot: they
+    /// never enter the result queue, and the pruning threshold `τ`
+    /// reflects live results only.
     ///
     /// The unfiltered paths pass the literal `&|_| true`, which
     /// monomorphises the hook away.
@@ -560,22 +489,33 @@ impl Hnsw {
         eval: &mut Q,
         k: usize,
         ef: usize,
-        visited: &mut VisitedSet,
         live: &F,
     ) -> SearchResult {
-        let ef = ef.max(k).max(1);
+        let ep = self.descend(eval, 0);
+        let mut neighbors = self.search_layer(eval, &[ep], ef.max(k), 0, live);
+        neighbors.truncate(k);
+        SearchResult {
+            neighbors,
+            counters: eval.counters(),
+            elapsed_nanos: 0,
+        }
+    }
 
-        // Greedy descent with exact distances (no τ exists yet).
-        let mut ep = self.entry;
-        let mut ep_dist = eval.exact(ep);
-        for lev in (1..=self.max_level).rev() {
+    /// Greedy descent from the entry point through every level above
+    /// `stop`, with exact distances: the closest node reached, where the
+    /// layer search on `stop` starts.
+    fn descend<Q: QueryDco + ?Sized>(&self, eval: &mut Q, stop: usize) -> Neighbor {
+        let mut ep = Neighbor {
+            id: self.entry,
+            dist: eval.exact(self.entry),
+        };
+        for lev in (stop + 1..=self.max_level).rev() {
             loop {
                 let mut improved = false;
-                for &e in self.neighbors(ep, lev) {
+                for &e in self.neighbors(ep.id, lev) {
                     let d = eval.exact(e);
-                    if d < ep_dist {
-                        ep = e;
-                        ep_dist = d;
+                    if d < ep.dist {
+                        ep = Neighbor { id: e, dist: d };
                         improved = true;
                     }
                 }
@@ -584,63 +524,73 @@ impl Hnsw {
                 }
             }
         }
+        ep
+    }
 
-        // Layer-0 best-first search through the DCO.
-        visited.next_epoch();
-        visited.insert(ep);
-        let mut candidates: BinaryHeap<Reverse<Neighbor>> = BinaryHeap::new();
-        candidates.push(Reverse(Neighbor {
-            id: ep,
-            dist: ep_dist,
-        }));
-        let mut w = TopK::new(ef);
-        if live(ep) {
-            w.offer(ep, ep_dist);
-        }
-
-        // Each expansion first marks its unvisited neighbours and asks the
-        // operator to prefetch them all, then tests them in link order:
-        // the same candidates, order and τ as testing each as it is
-        // found, but the rows' cache misses overlap. `fresh` holds at
-        // most one level-0 list (≤ 2m ids), so it never reallocates.
-        let mut fresh: Vec<u32> = Vec::with_capacity(2 * self.m);
-        while let Some(Reverse(c)) = candidates.pop() {
-            if w.is_full() && c.dist > w.tau() {
-                break;
-            }
-            if let Some(Reverse(next)) = candidates.peek() {
-                prefetch_head(self.block(next.id));
-            }
-            fresh.clear();
-            for &e in self.level0_links(c.id) {
-                if visited.insert(e) {
-                    eval.prefetch(e);
-                    fresh.push(e);
+    /// `ef`-bounded best-first search of `level` from `eps`: the beam,
+    /// sorted. Nodes failing `live` route the walk but never enter the
+    /// beam. A beam never holds more than every node, so it is sized at
+    /// `min(ef, len())` — the same results, and no `ef` sizes an
+    /// allocation beyond the graph.
+    ///
+    /// Each expansion first marks its unvisited neighbours and asks the
+    /// evaluator to prefetch them all, then tests them in link order: the
+    /// same candidates, order and `τ` as testing each as it is found, but
+    /// the rows' cache misses overlap. On level 0 the block of the next
+    /// heap top is prefetched as soon as an expansion starts.
+    fn search_layer<Q: QueryDco + ?Sized, F: Fn(u32) -> bool + ?Sized>(
+        &self,
+        eval: &mut Q,
+        eps: &[Neighbor],
+        ef: usize,
+        level: usize,
+        live: &F,
+    ) -> Vec<Neighbor> {
+        VISITED.with_borrow_mut(|visited| {
+            visited.grow(self.len());
+            visited.next_epoch();
+            let mut candidates: BinaryHeap<Reverse<Neighbor>> = BinaryHeap::new();
+            let mut w = TopK::new(ef.min(self.len()).max(1));
+            for &ep in eps {
+                if visited.insert(ep.id) {
+                    candidates.push(Reverse(ep));
+                    if live(ep.id) {
+                        w.offer(ep.id, ep.dist);
+                    }
                 }
             }
-            for &e in &fresh {
-                let tau = w.tau();
-                match eval.test(e, tau) {
-                    Decision::Exact(d) => {
-                        if !w.is_full() || d < w.tau() {
-                            candidates.push(Reverse(Neighbor { id: e, dist: d }));
-                            if live(e) {
-                                w.offer(e, d);
+            // Holds at most one list, so it never reallocates.
+            let mut fresh: Vec<u32> = Vec::with_capacity(self.max_degree(level));
+            while let Some(Reverse(c)) = candidates.pop() {
+                if w.is_full() && c.dist > w.tau() {
+                    break;
+                }
+                if let (0, Some(Reverse(next))) = (level, candidates.peek()) {
+                    prefetch_head(self.block(next.id));
+                }
+                fresh.clear();
+                for &e in self.neighbors(c.id, level) {
+                    if visited.insert(e) {
+                        eval.prefetch(e);
+                        fresh.push(e);
+                    }
+                }
+                for &e in &fresh {
+                    match eval.test(e, w.tau()) {
+                        Decision::Exact(d) => {
+                            if !w.is_full() || d < w.tau() {
+                                candidates.push(Reverse(Neighbor { id: e, dist: d }));
+                                if live(e) {
+                                    w.offer(e, d);
+                                }
                             }
                         }
+                        Decision::Pruned(_) => {}
                     }
-                    Decision::Pruned(_) => {}
                 }
             }
-        }
-
-        let mut neighbors = w.into_sorted();
-        neighbors.truncate(k);
-        SearchResult {
-            neighbors,
-            counters: eval.counters(),
-            elapsed_nanos: 0,
-        }
+            w.into_sorted()
+        })
     }
 
     /// Number of indexed points.
@@ -760,6 +710,34 @@ impl Hnsw {
             .map(|id| self.level0_links(id).len())
             .sum();
         (level0 + upper) * std::mem::size_of::<u32>()
+    }
+}
+
+/// Insertion's evaluator: the exact construction distance from each row
+/// of the source to the row being inserted, `metric.distance(row, q)`.
+/// `test` never prunes, so the layer search keeps every distance's bits
+/// and the graph its bytes; it counts nothing.
+struct BuildEval<'a, R: ?Sized> {
+    base: &'a R,
+    q: &'a [f32],
+    metric: &'a Metric,
+}
+
+impl<R: RowAccess + ?Sized> QueryDco for BuildEval<'_, R> {
+    fn exact(&mut self, id: u32) -> f32 {
+        self.metric.distance(self.base.row(id as usize), self.q)
+    }
+
+    fn test(&mut self, id: u32, _tau: f32) -> Decision {
+        Decision::Exact(self.exact(id))
+    }
+
+    fn prefetch(&self, id: u32) {
+        prefetch_head(self.base.row(id as usize));
+    }
+
+    fn counters(&self) -> Counters {
+        Counters::default()
     }
 }
 
@@ -977,9 +955,8 @@ mod tests {
             ..Default::default()
         };
         let mut grown = Hnsw::build(&head, &cfg).unwrap();
-        let mut visited = VisitedSet::new(grown.len());
         while grown.len() < w.base.len() {
-            grown.insert_next(&w.base, &mut visited).unwrap();
+            grown.insert_next(&w.base).unwrap();
         }
         assert_eq!(grown.entry(), full.entry());
         assert_eq!(grown.max_level(), full.max_level());
@@ -1003,15 +980,11 @@ mod tests {
     fn insert_next_validates_input() {
         let w = workload(50);
         let mut g = build(&w);
-        let mut visited = VisitedSet::new(g.len());
         // The row source must already contain the row being inserted.
-        assert!(matches!(
-            g.insert_next(&w.base, &mut visited),
-            Err(IndexError::Config(_))
-        ));
+        assert!(matches!(g.insert_next(&w.base), Err(IndexError::Config(_))));
         let narrow = VecSet::from_rows(3, &[vec![0.0; 3]]).unwrap();
         assert!(matches!(
-            g.insert_next(&narrow, &mut visited),
+            g.insert_next(&narrow),
             Err(IndexError::Dimension { .. })
         ));
     }
@@ -1024,19 +997,79 @@ mod tests {
         let dco = Exact::build(&w.base);
         let k = 10;
         let q = w.queries.get(0);
-        let mut visited = VisitedSet::new(g.len());
         let mut eval = dco.begin(q);
-        let full = g.search_eval_filtered(&mut eval, k, 80, &mut visited, &|_| true);
+        let full = g.search_eval_filtered(&mut eval, k, 80, &|_| true);
         // Tombstone the best hit: the filtered search must still fill all
         // k slots with live ids and never return the dead one.
         let dead = full.neighbors[0].id;
         let mut eval = dco.begin(q);
-        let filtered = g.search_eval_filtered(&mut eval, k, 80, &mut visited, &|id| id != dead);
+        let filtered = g.search_eval_filtered(&mut eval, k, 80, &|id| id != dead);
         assert_eq!(filtered.neighbors.len(), k);
         assert!(filtered.neighbors.iter().all(|n| n.id != dead));
         // The surviving results are exactly the full results minus the
         // dead id, topped up by the next-best live candidate.
         assert_eq!(filtered.neighbors[0].id, full.neighbors[1].id);
+    }
+
+    /// The layer search's visited set outlives a query: one thread
+    /// alternating between a small and a large graph, and four threads
+    /// searching at once, answer bit for bit what a thread's first search
+    /// (a fresh set) answers.
+    #[test]
+    fn per_thread_visited_set_answers_like_a_fresh_one() {
+        let (small, large) = (workload(100), workload(5_000));
+        let graphs = [build(&small), build(&large)];
+        let dcos = [Exact::build(&small.base), Exact::build(&large.base)];
+        let queries = &small.queries;
+        let nq = queries.len().min(12);
+        let search = |g: usize, qi: usize| {
+            let r = graphs[g].search(&dcos[g], queries.get(qi), 10, 40).unwrap();
+            let bits: Vec<(u32, u32)> = r
+                .neighbors
+                .iter()
+                .map(|n| (n.id, n.dist.to_bits()))
+                .collect();
+            (bits, r.counters)
+        };
+        let fresh: Vec<_> = std::thread::scope(|s| {
+            (0..nq)
+                .flat_map(|qi| [(0, qi), (1, qi)])
+                .map(|(g, qi)| s.spawn(move || search(g, qi)).join().unwrap())
+                .collect()
+        });
+        for round in 0..2 {
+            for qi in 0..nq {
+                for g in 0..2 {
+                    assert_eq!(
+                        search(g, qi),
+                        fresh[2 * qi + g],
+                        "round {round} graph {g} query {qi}"
+                    );
+                }
+            }
+        }
+        let (fresh, start) = (&fresh, &std::sync::Barrier::new(4));
+        std::thread::scope(|s| {
+            let threads: Vec<_> = (0..4)
+                .map(|t| {
+                    s.spawn(move || {
+                        start.wait();
+                        for qi in (t..nq).chain(0..t) {
+                            for g in [t % 2, 1 - t % 2] {
+                                assert_eq!(
+                                    search(g, qi),
+                                    fresh[2 * qi + g],
+                                    "thread {t} graph {g} query {qi}"
+                                );
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for t in threads {
+                t.join().unwrap();
+            }
+        });
     }
 
     #[test]

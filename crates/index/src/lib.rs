@@ -38,7 +38,7 @@ pub mod ivf;
 pub mod persist;
 pub mod search_index;
 pub mod spec;
-pub mod visited;
+pub(crate) mod visited;
 
 pub use error::IndexError;
 pub use flat::FlatIndex;

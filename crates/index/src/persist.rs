@@ -138,8 +138,9 @@ impl Hnsw {
     /// A wrong magic tag, truncation, and structural validation errors:
     /// `m` outside `2..=MAX_M`, an `m` whose padded level-0 array the
     /// section cannot account for, a level-0 list longer than `2m`, an
-    /// upper list longer than `m`, an edge id out of range, an entry point
-    /// below the top level.
+    /// upper list longer than `m`, an edge id out of range, an upper edge
+    /// to a node that does not reach its level, an entry point below the
+    /// top level, `ef_construction` of 0.
     pub fn load_bytes(bytes: &[u8]) -> Result<Hnsw> {
         let mut r = Cursor(bytes);
         r.magic(HNSW_MAGIC, "HNSW")?;
@@ -155,6 +156,9 @@ impl Hnsw {
         }
         if !(2..=MAX_M).contains(&m) {
             return Err(corrupt(format!("HNSW m = {m} is outside 2..={MAX_M}")));
+        }
+        if ef_construction == 0 {
+            return Err(corrupt("HNSW ef_construction = 0"));
         }
         // Every node carries at least its 4-byte level word.
         let n = r.count(u64::from(n), 4, "HNSW node")?;
@@ -197,6 +201,16 @@ impl Hnsw {
                 }
             }
             upper.push(node);
+        }
+        // An insert may link back along any edge, on the edge's level.
+        for (node, lists) in upper.iter().enumerate() {
+            for (l, list) in (1..).zip(lists) {
+                if let Some(e) = list.iter().find(|&&e| upper[e as usize].len() < l) {
+                    return Err(corrupt(format!(
+                        "HNSW level-{l} edge {node} → {e} to a node below level {l}"
+                    )));
+                }
+            }
         }
         // The search descends from the entry through every level above 0.
         if upper[entry as usize].len() != max_level {
@@ -280,7 +294,7 @@ mod tests {
     use crate::hnsw::{Hnsw, HnswConfig, MAX_M};
     use crate::ivf::{Ivf, IvfConfig};
     use ddc_core::Exact;
-    use ddc_vecs::SynthSpec;
+    use ddc_vecs::{SynthSpec, VecSet};
 
     #[test]
     fn hnsw_roundtrip_preserves_search() {
@@ -431,6 +445,22 @@ mod tests {
         assert!(err.contains("level-1 list of 3 ids"), "{err}");
     }
 
+    /// An upper edge to a node that lives below that level: the next
+    /// insert that reaches it would link it back on a level it lacks.
+    #[test]
+    fn hnsw_upper_edge_to_a_node_below_its_level_is_rejected() {
+        let nodes = |e: u32| {
+            [
+                vec![vec![1], vec![e]],
+                vec![vec![0]],
+                vec![vec![0], vec![0]],
+            ]
+        };
+        assert!(Hnsw::load_bytes(&hnsw_stream(2, 1, &nodes(2))).is_ok());
+        let err = load_err(&hnsw_stream(2, 1, &nodes(1)));
+        assert!(err.contains("level-1 edge 0 → 1"), "{err}");
+    }
+
     /// A forged `max_level` above the entry's levels would send every
     /// search through that many empty levels.
     #[test]
@@ -461,9 +491,57 @@ mod tests {
         assert!(Hnsw::load_bytes(&hnsw_stream(256, 0, &[vec![vec![]]])).is_ok());
     }
 
+    /// `rows` followed by `extra`: a source one insert longer.
+    fn with_row(rows: &VecSet, extra: &[f32]) -> VecSet {
+        let mut flat = rows.as_flat().to_vec();
+        flat.extend_from_slice(extra);
+        VecSet::from_flat(rows.dim(), flat).unwrap()
+    }
+
+    /// A real 40-node stream with its `ef_construction` word replaced.
+    fn with_ef_construction(ef: u32) -> (VecSet, Vec<u8>) {
+        let w = SynthSpec::tiny_test(4, 40, 29).generate();
+        let cfg = HnswConfig {
+            m: 4,
+            ef_construction: 10,
+            seed: 3,
+            ..Default::default()
+        };
+        let mut bytes = Hnsw::build(&w.base, &cfg).unwrap().save_bytes();
+        bytes[36..40].copy_from_slice(&ef.to_le_bytes()); // after magic, 5 words, seed
+        (with_row(&w.base, w.queries.get(0)), bytes)
+    }
+
+    /// A beam of width 0 cannot hold the entry point: the first insert
+    /// would fail, so the loader refuses the graph.
+    #[test]
+    fn hnsw_ef_construction_zero_is_rejected() {
+        let (_, bytes) = with_ef_construction(0);
+        let err = load_err(&bytes);
+        assert!(err.contains("ef_construction"), "{err}");
+    }
+
+    /// A beam wider than the graph is sized at the graph: the insert
+    /// allocates nothing in proportion to `ef_construction` and wires the
+    /// node exactly as a beam of `len()` does.
+    #[test]
+    fn hnsw_huge_ef_construction_inserts_like_a_beam_of_the_whole_graph() {
+        let (rows, bytes) = with_ef_construction(u32::MAX);
+        let mut huge = Hnsw::load_bytes(&bytes).unwrap();
+        assert_eq!(huge.ef_construction(), u32::MAX as usize);
+        let mut whole = bytes.clone();
+        whole[36..40].copy_from_slice(&40u32.to_le_bytes());
+        let mut whole = Hnsw::load_bytes(&whole).unwrap();
+        assert_eq!(huge.insert_next(&rows).unwrap(), 40);
+        whole.insert_next(&rows).unwrap();
+        let strip = |b: Vec<u8>| [&b[..36], &b[40..]].concat();
+        assert_eq!(strip(huge.save_bytes()), strip(whole.save_bytes()));
+    }
+
     /// Every 4-byte word of a real stream overwritten with boundary
     /// values: the loader returns, never panics or over-allocates, and
-    /// whatever it accepts can be searched without a panic.
+    /// whatever it accepts can be searched and grown by one insert
+    /// without a panic.
     #[test]
     fn hnsw_word_corruption_sweep_never_panics() {
         let w = SynthSpec::tiny_test(4, 40, 29).generate();
@@ -475,6 +553,7 @@ mod tests {
         };
         let bytes = Hnsw::build(&w.base, &cfg).unwrap().save_bytes();
         let dco = Exact::build(&w.base);
+        let grown = with_row(&w.base, w.queries.get(0));
         let mut accepted = 0;
         for at in (8..bytes.len() - 3).step_by(4) {
             let word = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
@@ -490,13 +569,14 @@ mod tests {
             ] {
                 let mut forged = bytes.clone();
                 forged[at..at + 4].copy_from_slice(&v.to_le_bytes());
-                let Ok(g) = Hnsw::load_bytes(&forged) else {
+                let Ok(mut g) = Hnsw::load_bytes(&forged) else {
                     continue;
                 };
                 accepted += 1;
                 if g.len() == w.base.len() {
                     let _ = g.search(&dco, w.queries.get(0), 3, 8);
                 }
+                let _ = g.insert_next(&grown);
             }
         }
         assert!(

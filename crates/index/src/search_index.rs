@@ -14,7 +14,6 @@
 //! the literal `&|_| true`), so dynamic dispatch returns bit-identical
 //! results (pinned by the engine parity suite).
 
-use crate::visited::VisitedSet;
 use crate::{FlatIndex, Hnsw, IndexError, Ivf, Result, SearchResult};
 use ddc_core::{DynDco, DynQueryDco};
 use ddc_linalg::RowAccess;
@@ -245,8 +244,7 @@ impl SearchIndex for Hnsw {
         params: &SearchParams,
         live: &dyn Fn(u32) -> bool,
     ) -> SearchResult {
-        let mut visited = VisitedSet::new(self.len());
-        self.search_eval_filtered(eval, k, params.ef, &mut visited, live)
+        self.search_eval_filtered(eval, k, params.ef, live)
     }
 
     fn append(&mut self, rows: &dyn RowAccess, start: usize) -> Result<()> {
@@ -256,9 +254,8 @@ impl SearchIndex for Hnsw {
                 self.len()
             )));
         }
-        let mut visited = VisitedSet::new(rows.len());
         for _ in start..rows.len() {
-            self.insert_next(rows, &mut visited)?;
+            self.insert_next(rows)?;
         }
         Ok(())
     }

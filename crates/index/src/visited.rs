@@ -2,7 +2,9 @@
 //!
 //! HNSW search marks every touched node; allocating or zeroing a bitset per
 //! query would dominate small-query latency, so the standard trick is a
-//! version array: a slot is "visited" iff it stores the current epoch.
+//! version array: a slot is "visited" iff it stores the current epoch. The
+//! HNSW layer search keeps one set per thread and grows it to the graph it
+//! walks, so a walk starts with an epoch bump.
 
 /// Reusable visited-marker over `n` slots.
 #[derive(Debug, Clone)]
@@ -43,12 +45,13 @@ impl VisitedSet {
     }
 
     /// True when `id` was already visited this epoch.
-    #[inline]
+    #[cfg(test)]
     pub fn contains(&self, id: u32) -> bool {
         self.marks[id as usize] == self.epoch
     }
 
     /// Number of slots covered.
+    #[cfg(test)]
     pub fn capacity(&self) -> usize {
         self.marks.len()
     }

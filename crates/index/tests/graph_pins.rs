@@ -1,13 +1,14 @@
 //! Pins on the HNSW graph that outlive any change of its in-memory
 //! layout.
 //!
-//! * **Graph bytes.** `save_bytes` of three fixed graphs — an L2 build,
-//!   an inner-product build, and a graph repaired by `remove_rows` and
-//!   then grown by `insert_next` — hash to constants recorded before the
-//!   level-0 lists moved into one flat array. The snapshot `index`
-//!   section is exactly these bytes, so a layout change that moves a hash
-//!   has changed the graph (or its order of neighbours), not just its
-//!   representation.
+//! * **Graph bytes.** `save_bytes` of five fixed graphs — builds under
+//!   L2, inner product, cosine and weighted L2, and a graph repaired by
+//!   `remove_rows` and then grown by `insert_next` — hash to constants
+//!   recorded before the level-0 lists moved into one flat array (the
+//!   cosine and weighted-L2 ones before insertion moved onto the query's
+//!   traversal). The snapshot `index` section is exactly these bytes, so
+//!   a layout or traversal change that moves a hash has changed the graph
+//!   (or its order of neighbours), not just its representation.
 //! * **The walk.** The level-0 search prefetches every unvisited
 //!   neighbour of an expansion before testing the first. A logging
 //!   operator shows that the ids it tests, in order, are the ones a
@@ -16,13 +17,13 @@
 //!   above 64, so no fixed-size buffer can hide a dropped neighbour.
 
 use ddc_core::{Counters, Dco, DdcRes, DdcResConfig, Decision, QueryDco};
-use ddc_index::visited::VisitedSet;
 use ddc_index::{Hnsw, HnswConfig};
 use ddc_linalg::Metric;
 use ddc_vecs::{Neighbor, SynthSpec, TopK, VecSet};
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashSet};
+use std::sync::Arc;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -60,6 +61,10 @@ fn saved_graph_bytes_are_pinned() {
     let base = rows(16, 600, 5);
     let l2 = Hnsw::build(&base, &cfg(8, Metric::L2)).unwrap();
     let ip = Hnsw::build(&base, &cfg(8, Metric::InnerProduct)).unwrap();
+    let cosine = Hnsw::build(&base, &cfg(8, Metric::Cosine)).unwrap();
+    let weights: Vec<f32> = (0..16).map(|i| 0.25 + (i % 4) as f32 * 0.5).collect();
+    let wl2 = Metric::WeightedL2(Arc::from(weights));
+    let wl2 = Hnsw::build(&base, &cfg(8, wl2)).unwrap();
 
     // Repair: build over the first 500 rows, drop every seventh, then
     // grow by the last 100 rows one insert at a time.
@@ -68,20 +73,21 @@ fn saved_graph_bytes_are_pinned() {
     let dead: Vec<bool> = (0..500).map(|i| i % 7 == 3).collect();
     grown.remove_rows(&head, &dead).unwrap();
     let source = survivors_then_tail(&base, 500, &dead);
-    let mut visited = VisitedSet::new(grown.len());
     while grown.len() < source.len() {
-        grown.insert_next(&source, &mut visited).unwrap();
+        grown.insert_next(&source).unwrap();
     }
 
     // Many level-0 lists sit at their 2m cap: the pins cover full blocks.
     assert!((0..l2.len() as u32).any(|u| l2.neighbors(u, 0).len() == 16));
-    let got = [l2, ip, grown].map(|g| fnv1a(&g.save_bytes()));
+    let got = [l2, ip, grown, cosine, wl2].map(|g| fnv1a(&g.save_bytes()));
     assert_eq!(
         got,
         [
             0xc0de_e52f_13f4_b2a0,
             0x65aa_dc30_2ea2_bdc9,
-            0xe1b4_db91_6954_db87
+            0xe1b4_db91_6954_db87,
+            0xcc06_7c7a_605d_91ee,
+            0xf908_e23d_32d0_1195
         ],
         "graph bytes moved: {got:#018x?}"
     );
@@ -143,9 +149,7 @@ fn one_at_a_time<Q: QueryDco>(g: &Hnsw, eval: &mut Q, k: usize, ef: usize) -> Ve
             }
         }
     }
-    let mut visited = VisitedSet::new(g.len());
-    visited.next_epoch();
-    visited.insert(ep);
+    let mut visited = HashSet::from([ep]);
     let mut candidates = BinaryHeap::new();
     candidates.push(Reverse(Neighbor {
         id: ep,
@@ -214,7 +218,6 @@ fn prefetching_walk_tests_what_the_one_at_a_time_walk_tests() {
     .unwrap();
 
     let (k, ef) = (10, 120);
-    let mut visited = VisitedSet::new(g.len());
     let mut pruned = 0;
     for qi in 0..w.queries.len() {
         let q = w.queries.get(qi);
@@ -222,7 +225,7 @@ fn prefetching_walk_tests_what_the_one_at_a_time_walk_tests() {
             inner: dco.begin(q),
             log: RefCell::default(),
         };
-        let got = g.search_eval_filtered(&mut walk, k, ef, &mut visited, &|_| true);
+        let got = g.search_eval_filtered(&mut walk, k, ef, &|_| true);
         let mut old = Logged {
             inner: dco.begin(q),
             log: RefCell::default(),

@@ -360,11 +360,6 @@ fn metrics(state: &ServerState) -> Response {
 
 /// Per-request parameter overrides: the engine's defaults unless the body
 /// carries `ef` / `nprobe`.
-///
-/// `ef` is clamped to the collection size: a beam cannot usefully exceed
-/// the number of points, and the search structures allocate `O(ef)` up
-/// front — an unvalidated huge value from the network would abort the
-/// process on allocation failure, not 400.
 fn params_from(body: &Json, engine: &Engine) -> Result<SearchParams, Response> {
     let mut params = engine.config().params;
     for (key, slot) in [("ef", &mut params.ef), ("nprobe", &mut params.nprobe)] {
@@ -375,12 +370,12 @@ fn params_from(body: &Json, engine: &Engine) -> Result<SearchParams, Response> {
             *slot = usize::try_from(n).unwrap_or(usize::MAX);
         }
     }
-    params.ef = params.ef.min(engine.len().max(1));
     Ok(params)
 }
 
-/// The requested `k`, clamped to the collection size (same allocation
-/// rationale as `params_from`; results past `len` cannot exist anyway).
+/// The requested `k`, clamped to the collection size: results past `len`
+/// cannot exist, and a huge `k` from the network must not size an
+/// allocation.
 fn k_from(body: &Json, engine: &Engine) -> Result<usize, Response> {
     let k = match body.get("k") {
         None => 10,

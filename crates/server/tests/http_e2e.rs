@@ -335,8 +335,9 @@ fn protocol_errors_are_4xx_not_crashes() {
     assert_eq!(status, 400);
     assert!(body.get("error").is_some());
 
-    // Hostile k/ef cannot drive an O(k) allocation: both clamp to the
-    // collection size instead of aborting the process.
+    // Hostile k/ef cannot drive an O(k) allocation: `k` clamps to the
+    // collection size and the HNSW beam to the graph's, instead of
+    // aborting the process.
     let huge = Json::obj([
         ("query", Json::from(w.queries.get(0))),
         ("k", Json::Num(1e15)),

@@ -11,6 +11,11 @@
 # level-0 lists sit at their 2m cap) and answer three fixed queries, then
 # boots the working tree's `ddc-serve --snapshot` on each container and
 # requires byte-identical `/search` bodies (`ids`, `distances`, `counters`).
+# The working tree's binary then builds each cell itself with the same
+# flags and `--save-snapshot`, and its container must `cmp` equal to the
+# one <rev> wrote: builds are identical across the two revisions. A change
+# that deliberately moves a graph or an operator's state fails this part
+# by design.
 #
 # Every persistence test in the suites is a round trip inside one build, so
 # a symmetric change to `state_bytes`/`restore` passes all of them while
@@ -50,15 +55,20 @@ boot() {
   PORT=$(cat "$WORK/port")
 }
 
+# stop: stops the server `boot` started.
+stop() {
+  kill "$SRV"
+  wait "$SRV" 2>/dev/null || true
+  SRV=
+}
+
 # answers <file>: the three /search bodies, one per line; stops the server.
 answers() {
   for s in 0 1 2; do
     curl -fsS -X POST --data "$(query $s)" "http://127.0.0.1:$PORT/search"
     echo
   done >"$1"
-  kill "$SRV"
-  wait "$SRV" 2>/dev/null || true
-  SRV=
+  stop
 }
 
 CELLS=()
@@ -76,8 +86,10 @@ fail=0
 for cell in "${CELLS[@]}"; do
   IFS='|' read -r index dco metric <<<"$cell"
   snap=$WORK/engine.snap
-  rm -f "$snap"
-  boot "$OLD" --n 2000 --dim 32 --immutable --index "$index" --dco "$dco" --metric "$metric" --save-snapshot "$snap"
+  rebuilt=$WORK/rebuilt.snap
+  rm -f "$snap" "$rebuilt"
+  flags=(--n 2000 --dim 32 --immutable --index "$index" --dco "$dco" --metric "$metric")
+  boot "$OLD" "${flags[@]}" --save-snapshot "$snap"
   answers "$WORK/old.json"
   [ -s "$snap" ] || { echo "FAIL $cell: $REV wrote no snapshot"; cat "$WORK/serve.log"; exit 1; }
   boot "$NEW" --snapshot "$snap"
@@ -89,6 +101,15 @@ for cell in "${CELLS[@]}"; do
     diff "$WORK/old.json" "$WORK/new.json" | head -8 || true
     fail=1
   fi
+  boot "$NEW" "${flags[@]}" --save-snapshot "$rebuilt"
+  stop
+  if [ -s "$rebuilt" ] && cmp -s "$snap" "$rebuilt"; then
+    echo "ok   $index × $dco × $metric: built identically"
+  else
+    echo "FAIL $index × $dco × $metric: the container this tree builds differs from $REV's"
+    cmp "$snap" "$rebuilt" || true
+    fail=1
+  fi
 done
-[ "$fail" -eq 0 ] && echo "snapshot_compat: all ${#CELLS[@]} cells written at $REV open and answer byte-identically"
+[ "$fail" -eq 0 ] && echo "snapshot_compat: all ${#CELLS[@]} cells written at $REV open, answer and rebuild byte-identically"
 exit "$fail"
