@@ -208,7 +208,7 @@ impl DcoSpec {
     ///
     /// `train_queries` feeds the data-driven operators (DDCpca / DDCopq);
     /// the others ignore it. One code path for every row source, so an
-    /// operator built over a mapped `VecStore` is **bit-identical** to one
+    /// operator built over a mapped `SharedRows` is **bit-identical** to one
     /// built over a resident `VecSet` (pinned across the full index ×
     /// operator grid by `crates/engine/tests/parity.rs`).
     ///
@@ -582,8 +582,8 @@ mod tests {
             assert_eq!(grown.len(), full.len(), "{spec_str}");
             assert_eq!(grown.stale_rows(), 0, "{spec_str}");
             assert_eq!(
-                grown.rows().as_flat(),
-                full.rows().as_flat(),
+                grown.rows().to_vecset(),
+                full.rows().to_vecset(),
                 "{spec_str}: appended rows must be bit-identical to build"
             );
             assert_eq!(grown.extra_bytes(), full.extra_bytes(), "{spec_str}");
@@ -706,8 +706,7 @@ mod tests {
             assert_survivors_identical(&*full, &*shrunk, &dead, &w.queries, spec_str);
 
             // The shrunk operator snapshots and restores like any other.
-            let rows =
-                SharedRows::Owned(VecSet::from_flat(8, shrunk.rows().as_flat().to_vec()).unwrap());
+            let rows = SharedRows::Owned(shrunk.rows().to_vecset());
             let restored = spec.restore(&shrunk.state_bytes(), rows).unwrap();
             assert_eq!(restored.extra_bytes(), shrunk.extra_bytes(), "{spec_str}");
             let what = format!("{spec_str} (restored)");
@@ -718,8 +717,8 @@ mod tests {
             if !spec.retrains_on_append() {
                 let fresh = spec.build_rows(&survivors, None).unwrap();
                 assert_eq!(
-                    shrunk.rows().as_flat(),
-                    fresh.rows().as_flat(),
+                    shrunk.rows().to_vecset(),
+                    fresh.rows().to_vecset(),
                     "{spec_str}"
                 );
                 assert_eq!(shrunk.state_bytes(), fresh.state_bytes(), "{spec_str}");
@@ -753,7 +752,8 @@ mod tests {
             let spec: DcoSpec = spec_str.parse().unwrap();
             let built = spec.build_rows(&w.base, Some(&w.train_queries)).unwrap();
             let mut snap = ddc_vecs::SnapshotWriter::new();
-            let bytes = built.rows().as_flat().iter().flat_map(|v| v.to_le_bytes());
+            let rows = built.rows().to_vecset();
+            let bytes = rows.as_flat().iter().flat_map(|v| v.to_le_bytes());
             snap.add_section("rows", bytes.collect()).unwrap();
             snap.finish(&path).unwrap();
             let mapped = ddc_vecs::Snapshot::open(&path)

@@ -174,8 +174,8 @@ impl std::fmt::Debug for Engine {
 
 impl Engine {
     /// Builds the configured index and operator over `base` — a resident
-    /// [`VecSet`] or a [`ddc_vecs::VecStore`]. With the mapped store
-    /// backend the base matrix is never heap-resident: rows page in lazily
+    /// [`VecSet`] or a [`ddc_vecs::SharedRows`]. With a mapped `.fvecs`
+    /// file the base matrix is never heap-resident: rows page in lazily
     /// while the index and operator build, and only their own structures
     /// (graph, rotated copy, codes) stay in RAM. Every row source goes
     /// through the same loop, so results are **bit-identical** across
@@ -595,8 +595,7 @@ impl Engine {
     /// surface: restored from its serialized state over a copy of the
     /// pre-rotated matrix.
     fn copy_operator(&self) -> Result<BoxedDco, EngineError> {
-        let flat = self.dco.rows().as_flat().to_vec();
-        let rows = SharedRows::Owned(VecSet::from_flat(self.dco.dim(), flat)?);
+        let rows = SharedRows::Owned(self.dco.rows().to_vecset());
         Ok(self.cfg.dco.restore(&self.dco.state_bytes(), rows)?)
     }
 
@@ -712,12 +711,14 @@ impl Engine {
             self.dim(),
         );
         w.add_section("meta", meta.into_bytes())?;
-        let flat = self.dco.rows().as_flat();
-        let mut rows = Vec::with_capacity(flat.len() * 4);
-        for v in flat {
-            rows.extend_from_slice(&v.to_le_bytes());
+        let rows = self.dco.rows();
+        let mut bytes = Vec::with_capacity(rows.len() * rows.dim() * 4);
+        for i in 0..rows.len() {
+            for v in rows.get(i) {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
         }
-        w.add_section("rows", rows)?;
+        w.add_section("rows", bytes)?;
         w.add_section("dcostate", self.dco.state_bytes())?;
         w.add_section("index", self.index.save_bytes())?;
         if let Some(p) = &self.payloads {
@@ -1181,6 +1182,65 @@ mod tests {
             assert!(msg.contains("`index` section"), "{index}: {msg}");
             std::fs::remove_file(&path).ok();
         }
+    }
+
+    /// Rewrites a real one-row, one-dimensional flat × exact container so
+    /// its `meta` claims `len` rows of `dim` columns over `rows`.
+    fn forge_meta_dim(name: &str, len: usize, dim: usize, rows: Vec<u8>) -> std::path::PathBuf {
+        let base = VecSet::from_rows(1, &[vec![0.5]]).unwrap();
+        let cfg = EngineConfig::from_strs("flat", "exact").unwrap();
+        let mut path = std::env::temp_dir();
+        path.push(format!("ddc-engine-{name}-{}.snap", std::process::id()));
+        Engine::build(&base, None, cfg)
+            .unwrap()
+            .save_snapshot(&path)
+            .unwrap();
+        let snap = Snapshot::open(&path).unwrap();
+        let mut out = SnapshotWriter::new();
+        for (tag, _) in snap.sections() {
+            let bytes = match tag {
+                "meta" => std::str::from_utf8(snap.section(tag).unwrap())
+                    .unwrap()
+                    .replace("len=1\n", &format!("len={len}\n"))
+                    .replace("dim=1\n", &format!("dim={dim}\n"))
+                    .into_bytes(),
+                "rows" => rows.clone(),
+                _ => snap.section(tag).unwrap().to_vec(),
+            };
+            out.add_section(tag, bytes).unwrap();
+        }
+        drop(snap);
+        out.finish(&path).unwrap();
+        path
+    }
+
+    #[test]
+    fn open_snapshot_rejects_a_dim_whose_row_stride_wraps_to_zero() {
+        // 4·2⁶² wraps to 0 bytes per row: an empty `rows` section must not
+        // reach a division by that stride.
+        let path = forge_meta_dim("dim-wraps-zero", 0, 1 << 62, Vec::new());
+        let Err(err) = Engine::open_snapshot(&path) else {
+            panic!("a 2^62-column matrix must not open");
+        };
+        assert!(err.to_string().contains("rows"), "got {err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn open_snapshot_rejects_a_dim_whose_row_stride_wraps_to_four_bytes() {
+        // 4·(2⁶² + 1) wraps to 4: one 4-byte row must not open as a
+        // 2⁶²-column matrix over 4 bytes.
+        let path = forge_meta_dim(
+            "dim-wraps-four",
+            1,
+            (1 << 62) + 1,
+            0.5f32.to_le_bytes().to_vec(),
+        );
+        let Err(err) = Engine::open_snapshot(&path) else {
+            panic!("a (2^62 + 1)-column matrix over 4 bytes must not open");
+        };
+        assert!(err.to_string().contains("rows"), "got {err}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

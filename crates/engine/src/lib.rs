@@ -41,7 +41,7 @@
 //!   per query in each result's counters; the server keeps the totals.
 //! * **One constructor, one file format** — [`Engine::build`] takes any
 //!   row source (a resident [`ddc_vecs::VecSet`] or a mapped
-//!   [`ddc_vecs::VecStore`]) through one loop. [`Engine::save_snapshot`] /
+//!   [`ddc_vecs::SharedRows`]) through one loop. [`Engine::save_snapshot`] /
 //!   [`Engine::open_snapshot`] write and reopen one checksummed,
 //!   memory-mapped container ([`ddc_vecs::snapshot`]) holding the
 //!   pre-rotated matrix, the fitted operator state (projection,

@@ -24,7 +24,7 @@ use ddc_engine::{
     Engine, EngineConfig, FilterPredicate, Metric, MutableConfig, MutableEngine, WorkerPool,
 };
 use ddc_index::{FlatIndex, Hnsw, IndexSpec, Ivf, SearchParams, SearchResult};
-use ddc_vecs::{SynthSpec, VecStore, Workload};
+use ddc_vecs::{SharedRows, SynthSpec, Workload};
 use std::sync::Arc;
 
 const K: usize = 10;
@@ -242,7 +242,7 @@ fn store_built_engine_matches_ram_built_on_the_full_grid() {
     let mut path = std::env::temp_dir();
     path.push(format!("ddc-parity-store-{}.fvecs", std::process::id()));
     ddc_vecs::io::write_fvecs(&path, &w.base).unwrap();
-    let store = VecStore::open(&path).unwrap();
+    let store = SharedRows::open(&path).unwrap();
     assert_eq!(store.len(), w.base.len());
     if ddc_vecs::store::mmap_supported() {
         assert_eq!(
@@ -282,7 +282,7 @@ fn store_built_engine_matches_ram_built_on_the_full_grid() {
 /// is **bit-identical** to the engine it was saved from — ids, distance
 /// bits, and work counters — for every index × operator combination,
 /// whether the original was built from RAM-resident vectors or from a
-/// mapped [`VecStore`], and through every search entry point including
+/// mapped [`SharedRows`], and through every search entry point including
 /// the shard-parallel batch path. Nothing is rebuilt on open: the
 /// container carries the pre-rotated matrix and the operator state
 /// verbatim, so parity is exact by construction and this test keeps it
@@ -293,7 +293,7 @@ fn snapshot_opened_engine_matches_fresh_build_on_the_full_grid() {
     let mut fvecs = std::env::temp_dir();
     fvecs.push(format!("ddc-parity-snap-{}.fvecs", std::process::id()));
     ddc_vecs::io::write_fvecs(&fvecs, &w.base).unwrap();
-    let store = VecStore::open(&fvecs).unwrap();
+    let store = SharedRows::open(&fvecs).unwrap();
 
     let batch = QueryBatch::new(w.queries.clone());
     let pool = WorkerPool::new(4);
@@ -407,7 +407,7 @@ fn batch_store_and_snapshot_parity_hold_across_metrics() {
     let mut fvecs = std::env::temp_dir();
     fvecs.push(format!("ddc-parity-metric-{}.fvecs", std::process::id()));
     ddc_vecs::io::write_fvecs(&fvecs, &w.base).unwrap();
-    let store = VecStore::open(&fvecs).unwrap();
+    let store = SharedRows::open(&fvecs).unwrap();
     let params = SearchParams::new().with_ef(50).with_nprobe(4);
     for metric in non_l2_metrics() {
         for index_str in INDEX_SPECS {

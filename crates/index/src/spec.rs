@@ -73,7 +73,7 @@ impl IndexSpec {
 
     /// Builds the index over `base` (exact distances, as always — DCOs
     /// only enter at search time). One code path per index kind for every
-    /// row source, so a structure built over a mapped `VecStore` is
+    /// row source, so a structure built over a mapped `SharedRows` is
     /// bit-identical to one built over a resident `VecSet` (the engine
     /// parity suite pins this).
     ///

@@ -4,11 +4,11 @@
 //! rotations, k-means, graph construction — consumes its input one
 //! `&[f32]` row at a time. [`RowAccess`] captures exactly that contract,
 //! so the same build code runs over an in-RAM matrix ([`FlatRows`], or
-//! `ddc_vecs::VecSet` which implements this trait) and over an
-//! out-of-core backend (`ddc_vecs::VecStore`, which serves rows straight
-//! out of a memory-mapped fvecs file) **without duplicating the build
-//! path** — the store-built artifacts are bit-identical to RAM-built ones
-//! because they are produced by the very same loop.
+//! `ddc_vecs::VecSet` which implements this trait) and over
+//! `ddc_vecs::SharedRows`, whose mapped arm serves rows straight out of a
+//! memory-mapped fvecs file or snapshot section, **without duplicating
+//! the build path** — artifacts built over a mapping are bit-identical to
+//! RAM-built ones because they are produced by the very same loop.
 //!
 //! The trait requires [`Sync`] so builders may fan row reads out across
 //! scoped threads (k-means assignment does).

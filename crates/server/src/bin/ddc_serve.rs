@@ -25,7 +25,7 @@ use ddc_engine::{Engine, EngineConfig, MutableConfig, MutableEngine};
 use ddc_index::SearchParams;
 use ddc_server::{Server, ServerConfig};
 use ddc_vecs::io::{read_fvecs, resolve_fixture, DATA_DIR_ENV};
-use ddc_vecs::{SynthSpec, VecSet, VecStore};
+use ddc_vecs::{SharedRows, SynthSpec, VecSet};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::OnceLock;
@@ -66,9 +66,11 @@ ddc-serve — serve an AKNN engine over HTTP (no external dependencies)
   --seed S           synthetic seed (default 42)
   --data NAME|FILE   real data: a .fvecs/.bvecs file, or a DDC_DATA_DIR
                      fixture name such as sift1m / gist1m; .fvecs files are
-                     memory-mapped (zero-copy, never fully loaded) where
-                     the platform allows
-  --limit N          cap on rows read from --data
+                     memory-mapped (zero-copy, never fully loaded; /stats
+                     storage_backend mmap) where the platform allows,
+                     streamed into RAM otherwise; .bvecs files are widened
+                     into RAM
+  --limit N          cap on rows read from --data (N >= 1)
   --snapshot FILE    boot from a snapshot container written by
                      Engine::save_snapshot (or --save-snapshot): opens in
                      O(ms), memory-mapped, no base vectors needed —
@@ -176,16 +178,16 @@ fn synth_workload(name: &str) -> ddc_vecs::Workload {
     spec.generate()
 }
 
-/// Base vectors (behind a [`VecStore`]) plus optional training queries
-/// for the data-driven operators.
-fn load_data() -> (VecStore, Option<VecSet>, String) {
+/// Base vectors (mapped or resident [`SharedRows`]) plus optional
+/// training queries for the data-driven operators.
+fn load_data() -> (SharedRows, Option<VecSet>, String) {
     let limit = arg_opt("limit").map(|v| match v.parse::<usize>() {
         Ok(n) => n,
         Err(_) => fail("--limit must be an integer"),
     });
     if let Some(data) = arg_opt("data") {
         if data.ends_with(".fvecs") || data.ends_with(".bvecs") {
-            let base = VecStore::open_limit(&data, limit)
+            let base = SharedRows::open_limit(&data, limit)
                 .unwrap_or_else(|e| fail(&format!("opening {data}: {e}")));
             return (base, None, data);
         }
@@ -193,7 +195,7 @@ fn load_data() -> (VecStore, Option<VecSet>, String) {
         // they exist there; otherwise the synthetic stand-in keeps the
         // server usable.
         let mut synth_train = None;
-        let base = VecStore::open_fixture_or(&data, limit, || {
+        let base = SharedRows::open_fixture_or(&data, limit, || {
             eprintln!(
                 "ddc-serve: fixture `{data}` not found under {DATA_DIR_ENV} \
                  (expected <stem>_base.fvecs, e.g. sift1m/sift_base.fvecs); \
@@ -216,7 +218,7 @@ fn load_data() -> (VecStore, Option<VecSet>, String) {
     }
     let w = synth_workload("ddc-serve-synth");
     let name = w.name.clone();
-    (VecStore::Ram(w.base), Some(w.train_queries), name)
+    (SharedRows::Owned(w.base), Some(w.train_queries), name)
 }
 
 /// Parses `--payloads`: `mod:N` tags row `i` with `i % N`; anything else
@@ -328,10 +330,10 @@ fn main() {
         if let Some(m) = &metric {
             engine_cfg = engine_cfg.with_metric(m.clone());
         }
-        match (immutable, base.as_vecset()) {
+        match (immutable, &base) {
             // Heap-resident rows and no opt-out: boot mutable, with
             // the background compactor folding mutations in.
-            (false, Some(rows)) => {
+            (false, SharedRows::Owned(rows)) => {
                 println!("building mutable engine: index={index} dco={dco}");
                 let mcfg = MutableConfig {
                     compact_threshold: parsed("compact-threshold", 256),

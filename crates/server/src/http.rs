@@ -1,6 +1,6 @@
-//! Hand-rolled HTTP/1.1 framing: request parsing and response writing
-//! over any `Read`/`Write` pair (the server feeds it `TcpStream`s; tests
-//! feed it byte buffers).
+//! Hand-rolled HTTP/1.1 framing: request heads framed off the front of a
+//! byte buffer ([`parse_head`], called by each connection as bytes
+//! arrive) and responses written to any `Write`.
 //!
 //! Scope is deliberately narrow — exactly what the serving endpoints
 //! need: request line + headers + `Content-Length` body, keep-alive by
@@ -9,7 +9,7 @@
 //! Chunked transfer encoding is rejected rather than implemented.
 
 use crate::json::Json;
-use std::io::{BufRead, Read, Write};
+use std::io::Write;
 
 /// Maximum bytes for the request line and for each header line.
 const MAX_LINE_BYTES: usize = 8 * 1024;
@@ -73,8 +73,6 @@ pub enum HttpError {
     Malformed(String),
     /// Declared body or header sizes exceed the configured limits (413).
     TooLarge(String),
-    /// The socket failed or timed out; close without answering.
-    Io(std::io::Error),
 }
 
 impl std::fmt::Display for HttpError {
@@ -82,62 +80,11 @@ impl std::fmt::Display for HttpError {
         match self {
             HttpError::Malformed(m) => write!(f, "malformed request: {m}"),
             HttpError::TooLarge(m) => write!(f, "request too large: {m}"),
-            HttpError::Io(e) => write!(f, "io: {e}"),
         }
     }
 }
 
 impl std::error::Error for HttpError {}
-
-impl From<std::io::Error> for HttpError {
-    fn from(e: std::io::Error) -> HttpError {
-        HttpError::Io(e)
-    }
-}
-
-/// Reads one request from `r`.
-///
-/// Returns `Ok(None)` on a clean end-of-stream before any request byte —
-/// the normal end of a keep-alive connection.
-///
-/// # Errors
-/// [`HttpError::Malformed`] / [`HttpError::TooLarge`] for protocol
-/// violations (answer 400/413 and close), [`HttpError::Io`] for socket
-/// failures and read timeouts (close silently).
-pub fn read_request(
-    r: &mut impl BufRead,
-    max_body_bytes: usize,
-) -> Result<Option<Request>, HttpError> {
-    let Some(line) = read_line(r)? else {
-        return Ok(None);
-    };
-    let (method, path) = parse_request_line(&line)?;
-    let mut headers = Vec::new();
-    loop {
-        let Some(line) = read_line(r)? else {
-            return Err(HttpError::Malformed("eof inside headers".into()));
-        };
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(HttpError::TooLarge("too many headers".into()));
-        }
-        headers.push(parse_header_line(&line)?);
-    }
-
-    let req = Request {
-        method,
-        path,
-        headers,
-        body: Vec::new(),
-    };
-    let len = content_length(&req, max_body_bytes)?;
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)
-        .map_err(|_| HttpError::Malformed("body shorter than Content-Length".into()))?;
-    Ok(Some(Request { body, ..req }))
-}
 
 /// A request head framed off the front of a buffer by [`parse_head`].
 #[derive(Debug)]
@@ -150,21 +97,19 @@ pub struct Head {
     pub body_len: usize,
 }
 
-/// Incremental variant of [`read_request`] for nonblocking connections:
-/// parses the request line and headers out of the front of `buf` without
-/// consuming it; `None` while the buffer holds only a prefix of them
-/// (read more bytes and retry). The caller waits for `body_len` more
-/// bytes behind the head — once framed, a head is not parsed again.
+/// Frames a request head for a nonblocking connection: parses the
+/// request line and headers out of the front of `buf` without consuming
+/// it; `None` while the buffer holds only a prefix of them (read more
+/// bytes and retry). The caller waits for `body_len` more bytes behind
+/// the head — once framed, a head is not parsed again.
 ///
-/// Framing semantics are shared with [`read_request`] (same helpers
-/// parse the request line, headers, and `Content-Length`), so the two
-/// entry points accept and reject exactly the same byte streams.
 /// Protocol violations surface as soon as they are visible in the
 /// prefix — an over-long line or an over-limit declared body fails
 /// without waiting for the rest of the request.
 ///
 /// # Errors
-/// Same as [`read_request`], minus [`HttpError::Io`] (no socket here).
+/// [`HttpError::Malformed`] / [`HttpError::TooLarge`] for protocol
+/// violations (answer 400/413 and close).
 pub fn parse_head(buf: &[u8], max_body_bytes: usize) -> Result<Option<Head>, HttpError> {
     let Some((line, mut pos)) = take_line(buf, 0)? else {
         return Ok(None);
@@ -264,8 +209,8 @@ fn content_length(req: &Request, max_body_bytes: usize) -> Result<usize, HttpErr
 
 /// The next `\n`-terminated line of `buf` starting at `start`, with the
 /// terminator (and an optional `\r`) stripped; `None` when the buffer
-/// ends before the terminator. Mirrors [`read_line`]'s limits: a line
-/// whose content exceeds [`MAX_LINE_BYTES`] fails even unterminated.
+/// ends before the terminator. A line whose content exceeds
+/// [`MAX_LINE_BYTES`] fails even unterminated.
 fn take_line(buf: &[u8], start: usize) -> Result<Option<(String, usize)>, HttpError> {
     let rest = &buf[start..];
     match rest.iter().position(|&b| b == b'\n') {
@@ -284,31 +229,6 @@ fn take_line(buf: &[u8], start: usize) -> Result<Option<(String, usize)>, HttpEr
         }
         None => Ok(None),
     }
-}
-
-/// One CRLF-terminated line, without the terminator. `None` on immediate
-/// EOF.
-fn read_line(r: &mut impl BufRead) -> Result<Option<String>, HttpError> {
-    let mut buf = Vec::new();
-    let mut limited = r.take(MAX_LINE_BYTES as u64 + 1);
-    let n = limited.read_until(b'\n', &mut buf)?;
-    if n == 0 {
-        return Ok(None);
-    }
-    if buf.last() != Some(&b'\n') {
-        return if buf.len() > MAX_LINE_BYTES {
-            Err(HttpError::TooLarge("header line too long".into()))
-        } else {
-            Err(HttpError::Malformed("eof mid-line".into()))
-        };
-    }
-    buf.pop();
-    if buf.last() == Some(&b'\r') {
-        buf.pop();
-    }
-    String::from_utf8(buf)
-        .map(Some)
-        .map_err(|_| HttpError::Malformed("header bytes are not UTF-8".into()))
 }
 
 /// An outgoing response: status code, content type, and body.
@@ -394,16 +314,20 @@ fn status_text(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
-    fn parse(bytes: &[u8]) -> Result<Option<Request>, HttpError> {
-        read_request(&mut BufReader::new(bytes), 1024)
+    fn parse(bytes: &[u8]) -> Result<Option<Head>, HttpError> {
+        parse_head(bytes, 1024)
     }
 
     #[test]
     fn parses_a_post_with_body() {
         let raw = b"POST /search?x=1 HTTP/1.1\r\nHost: localhost\r\nContent-Length: 9\r\n\r\n{\"k\": 3}\n";
-        let req = parse(raw).unwrap().unwrap();
+        let head = parse(raw).unwrap().unwrap();
+        assert_eq!((head.len, head.body_len), (raw.len() - 9, 9));
+        let req = Request {
+            body: raw[head.len..].to_vec(),
+            ..head.req
+        };
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/search");
         assert_eq!(req.header("host"), Some("localhost"));
@@ -419,14 +343,15 @@ mod tests {
     #[test]
     fn keep_alive_reads_consecutive_requests() {
         let raw = b"GET /healthz HTTP/1.1\r\n\r\nGET /stats HTTP/1.1\r\nConnection: close\r\n\r\n";
-        let mut r = BufReader::new(&raw[..]);
-        let first = read_request(&mut r, 1024).unwrap().unwrap();
-        assert_eq!(first.path, "/healthz");
-        assert!(!first.wants_close());
-        let second = read_request(&mut r, 1024).unwrap().unwrap();
-        assert_eq!(second.path, "/stats");
-        assert!(second.wants_close());
-        assert!(read_request(&mut r, 1024).unwrap().is_none(), "clean eof");
+        let first = parse(raw).unwrap().unwrap();
+        assert_eq!(first.req.path, "/healthz");
+        assert!(!first.req.wants_close());
+        let rest = &raw[first.len + first.body_len..];
+        let second = parse(rest).unwrap().unwrap();
+        assert_eq!(second.req.path, "/stats");
+        assert!(second.req.wants_close());
+        let rest = &rest[second.len + second.body_len..];
+        assert!(parse(rest).unwrap().is_none(), "nothing left to frame");
     }
 
     #[test]
@@ -448,10 +373,6 @@ mod tests {
             Err(HttpError::Malformed(_))
         ));
         assert!(matches!(
-            parse(b"POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\nab"),
-            Err(HttpError::Malformed(_))
-        ));
-        assert!(matches!(
             parse(b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
             Err(HttpError::Malformed(_))
         ));
@@ -463,6 +384,11 @@ mod tests {
         ));
         assert!(matches!(
             parse(b"POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nab"),
+            Err(HttpError::Malformed(_))
+        ));
+        // Non-UTF-8 header bytes.
+        assert!(matches!(
+            parse(b"GET /x HTTP/1.1\r\nX: \xff\r\n\r\n"),
             Err(HttpError::Malformed(_))
         ));
     }
@@ -478,6 +404,14 @@ mod tests {
             parse(long.as_bytes()),
             Err(HttpError::TooLarge(_))
         ));
+        let crowded = format!(
+            "GET / HTTP/1.1\r\n{}\r\n",
+            "X: y\r\n".repeat(MAX_HEADERS + 1)
+        );
+        assert!(matches!(
+            parse(crowded.as_bytes()),
+            Err(HttpError::TooLarge(_))
+        ));
     }
 
     #[test]
@@ -486,6 +420,7 @@ mod tests {
             parse(format!("GET / HTTP/1.1\r\nConnection: {v}\r\n\r\n").as_bytes())
                 .unwrap()
                 .unwrap()
+                .req
         };
         assert!(req("close").wants_close());
         assert!(req("CLOSE").wants_close());
@@ -498,7 +433,7 @@ mod tests {
         assert!(!req("close-notify").wants_close(), "whole-token match only");
         // Connection may also be spread over several header lines.
         let raw = b"GET / HTTP/1.1\r\nConnection: keep-alive\r\nConnection: TE, close\r\n\r\n";
-        assert!(parse(raw).unwrap().unwrap().wants_close());
+        assert!(parse(raw).unwrap().unwrap().req.wants_close());
     }
 
     #[test]

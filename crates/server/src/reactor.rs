@@ -640,8 +640,8 @@ impl Reactor {
         }
     }
 
-    /// Enforces the read timeout: idle connections close silently (the
-    /// `HttpError::Io` analogue), stalled mid-request clients get a 408,
+    /// Enforces the read timeout: idle connections close silently,
+    /// stalled mid-request clients get a 408,
     /// and draining connections whose flush itself stalls are dropped.
     /// `Busy` connections are exempt — the engine owes them a response.
     fn sweep_idle(&mut self) {

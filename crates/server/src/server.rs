@@ -14,7 +14,7 @@ use ddc_engine::{
     BatchCollector, CollectorConfig, CompactorHandle, Engine, MutableEngine, ServingHandle,
     WorkerPool,
 };
-use ddc_vecs::{VecSet, VecStore};
+use ddc_vecs::{SharedRows, VecSet};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -82,7 +82,7 @@ pub(crate) struct ServerState {
     pub(crate) handle: Arc<ServingHandle>,
     pub(crate) pool: Arc<WorkerPool>,
     pub(crate) collector: BatchCollector,
-    pub(crate) base: Option<VecStore>,
+    pub(crate) base: Option<SharedRows>,
     pub(crate) train: Option<VecSet>,
     /// The write head when the server was booted mutable
     /// ([`Server::bind_mutable`]); `/upsert`, `/delete`, and
@@ -118,8 +118,8 @@ impl Server {
     ///
     /// `base` (and optionally `train`) are retained for `/admin/swap`
     /// rebuilds — they must be the vectors `engine` was built over. Pass a
-    /// resident [`VecSet`] or any [`VecStore`]: with the mapped backend
-    /// the served dataset stays on disk, and swap rebuilds read rows
+    /// resident [`VecSet`] or any [`SharedRows`]: with a mapped `.fvecs`
+    /// file the served dataset stays on disk, and swap rebuilds read rows
     /// through the map as well, so a swap never copies the matrix.
     ///
     /// # Errors
@@ -127,7 +127,7 @@ impl Server {
     pub fn bind(
         cfg: &ServerConfig,
         engine: Engine,
-        base: impl Into<VecStore>,
+        base: impl Into<SharedRows>,
         train: Option<VecSet>,
     ) -> Result<Server, ServerError> {
         Server::bind_inner(
@@ -181,7 +181,7 @@ impl Server {
     fn bind_inner(
         cfg: &ServerConfig,
         handle: Arc<ServingHandle>,
-        base: Option<VecStore>,
+        base: Option<SharedRows>,
         train: Option<VecSet>,
         mutable: Option<(Arc<MutableEngine>, CompactorHandle)>,
     ) -> Result<Server, ServerError> {

@@ -6,7 +6,7 @@ mod util;
 use ddc_core::QueryBatch;
 use ddc_engine::{Engine, EngineConfig};
 use ddc_server::{Json, Server, ServerConfig, ServerGuard};
-use ddc_vecs::{SynthSpec, Workload};
+use ddc_vecs::{SharedRows, SynthSpec, Workload};
 use util::{fingerprint, request, request_text, result_fingerprint, Conn};
 
 const K: usize = 5;
@@ -311,6 +311,76 @@ fn snapshot_boot_serves_identical_results_without_base_vectors() {
     guard.shutdown();
     std::fs::remove_file(&snap_a).ok();
     std::fs::remove_file(&snap_b).ok();
+}
+
+/// A server booted on a memory-mapped `.fvecs` base holds no heap copy
+/// of the rows, answers byte-identically to a RAM boot over the same
+/// rows, and rebuilds over the mapping on `/admin/swap`.
+#[test]
+fn mapped_base_boot_serves_like_ram_and_swaps_over_the_map() {
+    let w = workload();
+    let path = std::env::temp_dir().join(format!("ddc-serve-mapped-{}.fvecs", std::process::id()));
+    ddc_vecs::io::write_fvecs(&path, &w.base).unwrap();
+    let file_len = std::fs::metadata(&path).unwrap().len() as usize;
+    let store = SharedRows::open(&path).unwrap();
+    let cfg = ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        ..Default::default()
+    };
+    let built = Engine::build(
+        &store,
+        Some(&w.train_queries),
+        EngineConfig::from_strs(INDEX, DCO_A).unwrap(),
+    )
+    .unwrap();
+    let mapped = Server::bind(&cfg, built, store, Some(w.train_queries.clone()))
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let ram = serve(&w, 2);
+
+    let (status, stats) = request(mapped.addr(), "GET", "/stats", None);
+    assert_eq!(status, 200);
+    if ddc_vecs::store::mmap_supported() {
+        let field = |key: &str| stats.get(key).cloned();
+        assert_eq!(field("storage_backend"), Some(Json::from("mmap")));
+        assert_eq!(field("storage_resident_bytes"), Some(Json::from(0usize)));
+        assert_eq!(field("storage_mapped_bytes"), Some(Json::from(file_len)));
+    }
+
+    for qi in 0..5 {
+        let body = query_body(&w, qi, K);
+        let (status, from_map) = request_text(mapped.addr(), "POST", "/search", Some(&body));
+        assert_eq!(status, 200, "{from_map}");
+        let (_, from_ram) = request_text(ram.addr(), "POST", "/search", Some(&body));
+        assert_eq!(from_map, from_ram, "query {qi}");
+    }
+
+    let swap = Json::obj([("dco", Json::from("adsampling"))]).dump();
+    let (status, body) = request(mapped.addr(), "POST", "/admin/swap", Some(&swap));
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(body.get("epoch").and_then(Json::as_usize), Some(1));
+    let want = result_fingerprint(
+        &engine(&w, INDEX, "adsampling")
+            .search(w.queries.get(0), K)
+            .unwrap(),
+    );
+    let (_, body) = request(
+        mapped.addr(),
+        "POST",
+        "/search",
+        Some(&query_body(&w, 0, K)),
+    );
+    assert_eq!(
+        fingerprint(&body),
+        want,
+        "swap rebuilt over the mapped rows"
+    );
+
+    mapped.shutdown();
+    ram.shutdown();
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

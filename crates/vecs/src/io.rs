@@ -18,16 +18,18 @@
 //! Every row of a file must carry the same `d`; a well-formed file's size
 //! is therefore an exact multiple of its row stride (`4 + 4·d` bytes for
 //! fvecs/ivecs, `4 + d` for bvecs) — the invariant the zero-copy mapped
-//! backend in [`crate::store`] checks before trusting a file.
+//! arm of [`crate::SharedRows`] checks before trusting a file.
 //!
 //! # Two ways to read
 //!
 //! * **Eager** ([`read_fvecs`] / [`read_bvecs`] / [`read_ivecs`]):
 //!   materialize everything into a heap [`VecSet`]. Right for sets that
 //!   fit comfortably in RAM.
-//! * **Mapped** ([`crate::store::VecStore::open`]): `mmap` an `.fvecs`
-//!   file and serve rows zero-copy from the page cache — the out-of-core
-//!   path.
+//! * **Mapped** ([`crate::SharedRows::open`]): `mmap` an `.fvecs` file
+//!   and serve rows zero-copy from the page cache — the out-of-core path.
+//!   It falls back to [`read_fvecs`] where mapping is unavailable, and
+//!   both paths answer a `limit` of `Some(0)` with [`VecsError::Empty`],
+//!   like an empty file.
 //!
 //! Read failures carry the offending file path and byte offset
 //! ([`VecsError::File`]), so a truncated 500 MB download is reported as

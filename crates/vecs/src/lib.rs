@@ -2,14 +2,15 @@
 //!
 //! Dataset substrate for the DDC reproduction: contiguous row-major vector
 //! storage ([`VecSet`]), the fvecs/ivecs/bvecs file formats used by every
-//! public ANN benchmark ([`io`]), out-of-core storage — zero-copy
-//! memory-mapped `.fvecs` files ([`store`]) — seeded synthetic
-//! workload generators that stand in for the paper's datasets ([`synth`]),
-//! exact top-`k` under any metric ([`metric_oracle`]) with its
-//! multi-threaded L2 ground truth ([`gt`]), and the recall/QPS evaluation
-//! metrics ([`metrics`]).
+//! public ANN benchmark ([`io`]), one resident-or-mapped row matrix
+//! ([`SharedRows`], in [`store`]) that serves `.fvecs` files and snapshot
+//! sections zero-copy, the snapshot container ([`snapshot`]), seeded
+//! synthetic workload generators that stand in for the paper's datasets
+//! ([`synth`]), exact top-`k` under any metric ([`metric_oracle`]) with
+//! its multi-threaded L2 ground truth ([`gt`]), and the recall/QPS
+//! evaluation metrics ([`metrics`]).
 //!
-//! [`VecSet`] and [`VecStore`] both implement [`RowAccess`], the row-level
+//! [`VecSet`] and [`SharedRows`] both implement [`RowAccess`], the row-level
 //! contract every build path in the workspace consumes — which is how a
 //! memory-mapped SIFT1M builds the same indexes and operators,
 //! bit-identically, as a heap-resident one.
@@ -46,15 +47,14 @@ pub mod synth;
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 pub mod sys;
-pub mod transform;
 pub mod vecset;
 
 pub use ddc_linalg::RowAccess;
 pub use error::VecsError;
 pub use gt::{GroundTruth, Neighbor, TopK};
 pub use metrics::{hits, measure_qps, recall, recall_at};
-pub use snapshot::{SharedRows, Snapshot, SnapshotWriter};
-pub use store::{Advice, MmapVecs, VecStore};
+pub use snapshot::{Snapshot, SnapshotWriter};
+pub use store::{Advice, SharedRows};
 pub use synth::{SynthProfile, SynthSpec, Workload};
 pub use vecset::{retain_live_rows, VecSet};
 

@@ -84,12 +84,12 @@
 //! std::fs::remove_file(&path).ok();
 //! ```
 
-use crate::store::{Advice, Mmap};
-use crate::vecset::VecSet;
+use crate::store::{
+    corrupt_at, Advice, AlignedBytes, Backing, FileBytes, MappedRows, Mmap, SharedRows,
+};
 use crate::{Result, VecsError};
-use ddc_linalg::RowAccess;
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::io::{Seek, SeekFrom, Write};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -154,14 +154,6 @@ fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
         c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c
-}
-
-fn corrupt_at(path: &Path, offset: u64, detail: impl Into<String>) -> VecsError {
-    VecsError::File {
-        path: path.to_path_buf(),
-        offset,
-        detail: detail.into(),
-    }
 }
 
 fn align_up(n: usize) -> usize {
@@ -329,51 +321,6 @@ impl SnapshotWriter {
 }
 
 // ---------------------------------------------------------------------------
-// Backing storage
-// ---------------------------------------------------------------------------
-
-/// Heap fallback for platforms without the mapping shim: the file is read
-/// into a `u64`-backed buffer so the base pointer is 8-byte aligned —
-/// a plain `Vec<u8>` only guarantees alignment 1, which would make the
-/// zero-copy `&[f32]` section casts unsound.
-struct AlignedBytes {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl AlignedBytes {
-    fn read_from(file: &mut std::fs::File, len: usize) -> std::io::Result<AlignedBytes> {
-        let mut words = vec![0u64; len.div_ceil(8)];
-        // SAFETY: the `u64` buffer is a valid writable byte region of at
-        // least `len` bytes; u64 has no invalid bit patterns.
-        let bytes = unsafe {
-            std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<u8>(), words.len() * 8)
-        };
-        file.read_exact(&mut bytes[..len])?;
-        Ok(AlignedBytes { words, len })
-    }
-
-    fn bytes(&self) -> &[u8] {
-        // SAFETY: `words` owns at least `len` initialized bytes.
-        unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast::<u8>(), self.len) }
-    }
-}
-
-enum Backing {
-    Mapped(Mmap),
-    Heap(AlignedBytes),
-}
-
-impl Backing {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            Backing::Mapped(m) => m.bytes(),
-            Backing::Heap(h) => h.bytes(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Snapshot (reader)
 // ---------------------------------------------------------------------------
 
@@ -388,8 +335,7 @@ struct SectionEntry {
 }
 
 struct SnapInner {
-    backing: Backing,
-    path: PathBuf,
+    file: Arc<FileBytes>,
     version: u32,
     flags_compat: u32,
     flags_incompat: u32,
@@ -412,7 +358,7 @@ pub struct Snapshot {
 impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snapshot")
-            .field("path", &self.inner.path)
+            .field("path", &self.inner.file.path)
             .field("backend", &self.backend())
             .field(
                 "sections",
@@ -461,7 +407,11 @@ impl Snapshot {
             Some(map) => Backing::Mapped(map),
             None => Backing::Heap(AlignedBytes::read_from(&mut file, size)?),
         };
-        let bytes = backing.bytes();
+        let image = Arc::new(FileBytes {
+            backing,
+            path: path.to_path_buf(),
+        });
+        let bytes = image.bytes();
 
         // Header. The CRC check comes right after the magic so a bit flip
         // in *any* header field — version, flags, counts, reserved — is
@@ -606,8 +556,7 @@ impl Snapshot {
         let verified = sections.iter().map(|_| AtomicBool::new(false)).collect();
         Ok(Snapshot {
             inner: Arc::new(SnapInner {
-                backing,
-                path: path.to_path_buf(),
+                file: image,
                 version,
                 flags_compat,
                 flags_incompat,
@@ -619,7 +568,7 @@ impl Snapshot {
 
     /// The container file.
     pub fn path(&self) -> &Path {
-        &self.inner.path
+        &self.inner.file.path
     }
 
     /// Format version of the open container (always [`SNAPSHOT_VERSION`]
@@ -644,19 +593,16 @@ impl Snapshot {
     /// Storage backend tag: `"mmap"` when the container is memory-mapped,
     /// `"heap"` on platforms without the mapping shim.
     pub fn backend(&self) -> &'static str {
-        match self.inner.backing {
+        match self.inner.file.backing {
             Backing::Mapped(_) => "mmap",
             Backing::Heap(_) => "heap",
         }
     }
 
     /// Bytes of address space the container occupies when mapped (0 for
-    /// the heap fallback, mirroring [`crate::VecStore::mapped_bytes`]).
+    /// the heap fallback, mirroring [`SharedRows::mapped_bytes`]).
     pub fn mapped_bytes(&self) -> usize {
-        match self.inner.backing {
-            Backing::Mapped(_) => self.inner.backing.bytes().len(),
-            Backing::Heap(_) => 0,
-        }
+        self.inner.file.mapped_bytes()
     }
 
     /// Section tags in container order, with payload sizes.
@@ -676,7 +622,7 @@ impl Snapshot {
             .find(|(_, s)| s.tag == tag)
             .ok_or_else(|| {
                 corrupt_at(
-                    &self.inner.path,
+                    &self.inner.file.path,
                     HEADER_LEN as u64,
                     format!("container has no `{tag}` section"),
                 )
@@ -684,7 +630,7 @@ impl Snapshot {
     }
 
     fn payload(&self, e: &SectionEntry) -> &[u8] {
-        &self.inner.backing.bytes()[e.offset..e.offset + e.len]
+        &self.inner.file.bytes()[e.offset..e.offset + e.len]
     }
 
     fn check_crc(&self, i: usize, e: &SectionEntry) -> Result<()> {
@@ -694,7 +640,7 @@ impl Snapshot {
         let got = crc32(self.payload(e));
         if got != e.crc {
             return Err(corrupt_at(
-                &self.inner.path,
+                &self.inner.file.path,
                 e.offset as u64,
                 format!(
                     "section `{}` checksum mismatch (stored {:#010x}, computed {got:#010x})",
@@ -717,8 +663,9 @@ impl Snapshot {
     }
 
     /// Serves a section as a zero-copy `dim`-column `f32` row matrix
-    /// ([`SharedRows`] keeps the container alive). Structure (length a
-    /// multiple of the row stride) is validated here; the payload CRC is
+    /// ([`SharedRows::Mapped`], which keeps the file image alive).
+    /// Structure (length a whole number of rows, with the row stride
+    /// computed without overflow) is validated here; the payload CRC is
     /// deliberately **not** — pre-scanning the bulk matrix would defeat
     /// O(ms) opening. Run [`Snapshot::verify`] for a full audit.
     ///
@@ -727,24 +674,19 @@ impl Snapshot {
     /// matrix.
     pub fn section_rows(&self, tag: &str, dim: usize) -> Result<SharedRows> {
         let (_, e) = self.entry(tag)?;
-        let stride = dim * std::mem::size_of::<f32>();
-        if dim == 0 || !e.len.is_multiple_of(stride) {
-            return Err(corrupt_at(
-                &self.inner.path,
+        let file = Arc::clone(&self.inner.file);
+        let rows = MappedRows::new(file, e.offset, e.len, 0, dim).ok_or_else(|| {
+            corrupt_at(
+                &self.inner.file.path,
                 e.offset as u64,
                 format!(
                     "section `{tag}` ({} bytes) is not a whole number of \
                      {dim}-dimensional f32 rows",
                     e.len
                 ),
-            ));
-        }
-        Ok(SharedRows::Mapped(SnapshotRows {
-            inner: Arc::clone(&self.inner),
-            offset: e.offset,
-            rows: e.len / stride,
-            dim,
-        }))
+            )
+        })?;
+        Ok(SharedRows::Mapped(rows))
     }
 
     /// Forwards an access-pattern hint for one section to the kernel
@@ -752,7 +694,7 @@ impl Snapshot {
     /// unknown tags, heap backing, or unsupported platforms — hints never
     /// fail.
     pub fn advise(&self, tag: &str, advice: Advice) {
-        if let Backing::Mapped(map) = &self.inner.backing {
+        if let Backing::Mapped(map) = &self.inner.file.backing {
             if let Ok((_, e)) = self.entry(tag) {
                 map.advise(e.offset, e.len, advice);
             }
@@ -767,12 +709,12 @@ impl Snapshot {
     /// # Errors
     /// [`VecsError::File`] naming the first mismatching region.
     pub fn verify(&self) -> Result<()> {
-        let bytes = self.inner.backing.bytes();
+        let bytes = self.inner.file.bytes();
         let stored = read_u32(&bytes[..HEADER_LEN], 32);
         let got = crc32(&bytes[HEADER_LEN..]);
         if got != stored {
             return Err(corrupt_at(
-                &self.inner.path,
+                &self.inner.file.path,
                 32,
                 format!(
                     "whole-file checksum mismatch (stored {stored:#010x}, computed {got:#010x})"
@@ -790,189 +732,11 @@ fn read_u32(bytes: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
 }
 
-// ---------------------------------------------------------------------------
-// SharedRows
-// ---------------------------------------------------------------------------
-
-/// A row matrix that is either heap-owned or served zero-copy out of an
-/// open [`Snapshot`] — the storage type behind every operator's working
-/// set, so a snapshot-opened engine reads rows straight off the mapping
-/// while a freshly built one keeps them resident, through one interface.
-#[derive(Debug, Clone)]
-pub enum SharedRows {
-    /// Heap-resident rows (freshly built operators).
-    Owned(VecSet),
-    /// Rows borrowed from a snapshot section (snapshot-opened operators).
-    Mapped(SnapshotRows),
-}
-
-/// The mapped variant of [`SharedRows`]: an `Arc` on the open container
-/// plus the section's geometry. Cloning shares the mapping.
-#[derive(Clone)]
-pub struct SnapshotRows {
-    inner: Arc<SnapInner>,
-    offset: usize,
-    rows: usize,
-    dim: usize,
-}
-
-impl std::fmt::Debug for SnapshotRows {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotRows")
-            .field("path", &self.inner.path)
-            .field("rows", &self.rows)
-            .field("dim", &self.dim)
-            .finish()
-    }
-}
-
-impl SnapshotRows {
-    #[inline]
-    fn flat(&self) -> &[f32] {
-        let bytes = &self.inner.backing.bytes()[self.offset..];
-        debug_assert_eq!(bytes.as_ptr().align_offset(std::mem::align_of::<f32>()), 0);
-        // SAFETY: the section payload is `rows·dim` little-endian f32s on
-        // a little-endian host (`Snapshot::open` rejects big-endian); the
-        // pointer is 4-aligned because section offsets are 64-aligned and
-        // both backings start 8+-aligned; the borrow is tied to `&self`,
-        // which keeps the `Arc`'d backing alive.
-        unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<f32>(), self.rows * self.dim) }
-    }
-}
-
-impl From<VecSet> for SharedRows {
-    fn from(set: VecSet) -> SharedRows {
-        SharedRows::Owned(set)
-    }
-}
-
-impl SharedRows {
-    /// Number of rows.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            SharedRows::Owned(s) => s.len(),
-            SharedRows::Mapped(m) => m.rows,
-        }
-    }
-
-    /// True when there are no rows.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Dimensionality of every row.
-    #[inline]
-    pub fn dim(&self) -> usize {
-        match self {
-            SharedRows::Owned(s) => s.dim(),
-            SharedRows::Mapped(m) => m.dim,
-        }
-    }
-
-    /// Borrows row `i`.
-    ///
-    /// # Panics
-    /// Panics when `i >= self.len()`.
-    #[inline]
-    pub fn get(&self, i: usize) -> &[f32] {
-        match self {
-            SharedRows::Owned(s) => s.get(i),
-            SharedRows::Mapped(m) => {
-                assert!(i < m.rows, "row {i} out of bounds ({} rows)", m.rows);
-                &m.flat()[i * m.dim..(i + 1) * m.dim]
-            }
-        }
-    }
-
-    /// The whole matrix as one row-major slice.
-    #[inline]
-    pub fn as_flat(&self) -> &[f32] {
-        match self {
-            SharedRows::Owned(s) => s.as_flat(),
-            SharedRows::Mapped(m) => m.flat(),
-        }
-    }
-
-    /// Heap bytes held for row data — 0 for the mapped variant, which is
-    /// the entire point of snapshot serving.
-    pub fn resident_bytes(&self) -> usize {
-        match self {
-            SharedRows::Owned(s) => std::mem::size_of_val(s.as_flat()),
-            SharedRows::Mapped(_) => 0,
-        }
-    }
-
-    /// Backend tag for stats: `"ram"` or `"snapshot"`.
-    pub fn backend(&self) -> &'static str {
-        match self {
-            SharedRows::Owned(_) => "ram",
-            SharedRows::Mapped(_) => "snapshot",
-        }
-    }
-
-    /// Appends one row in place. Only the heap-resident variant can grow;
-    /// a snapshot section is immutable, so the live-mutation path requires
-    /// owned rows (snapshot-booted engines reject appends with this
-    /// error).
-    ///
-    /// # Errors
-    /// [`VecsError::Dimension`] on a row-width mismatch,
-    /// [`VecsError::Format`] on the mapped variant.
-    pub fn push(&mut self, row: &[f32]) -> Result<()> {
-        match self {
-            SharedRows::Owned(s) => s.push(row),
-            SharedRows::Mapped(_) => Err(VecsError::Format(
-                "snapshot-mapped rows are immutable and cannot grow".into(),
-            )),
-        }
-    }
-
-    /// Removes every row whose `dead` flag is set, in place and order
-    /// preserving ([`VecSet::remove_rows`]). Like [`SharedRows::push`],
-    /// only the heap-resident variant can change.
-    ///
-    /// # Errors
-    /// [`VecsError::Format`] on the mapped variant or when the mask does
-    /// not cover exactly the stored rows.
-    pub fn remove_rows(&mut self, dead: &[bool]) -> Result<()> {
-        if dead.len() != self.len() {
-            return Err(VecsError::Format(format!(
-                "removal mask covers {} rows, {} are stored",
-                dead.len(),
-                self.len()
-            )));
-        }
-        match self {
-            SharedRows::Owned(s) => {
-                s.remove_rows(dead);
-                Ok(())
-            }
-            SharedRows::Mapped(_) => Err(VecsError::Format(
-                "snapshot-mapped rows are immutable and cannot shrink".into(),
-            )),
-        }
-    }
-}
-
-impl RowAccess for SharedRows {
-    fn len(&self) -> usize {
-        SharedRows::len(self)
-    }
-
-    fn dim(&self) -> usize {
-        SharedRows::dim(self)
-    }
-
-    fn row(&self, i: usize) -> &[f32] {
-        self.get(i)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::VecSet;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -1004,7 +768,7 @@ mod tests {
         assert_eq!(snap.section("index").unwrap(), &[7u8; 130][..]);
         let shared = snap.section_rows("rows", 6).unwrap();
         assert_eq!((shared.len(), shared.dim()), (4, 6));
-        assert_eq!(shared.as_flat(), &rows[..]);
+        assert_eq!(shared.to_vecset().as_flat(), &rows[..]);
         assert_eq!(shared.get(2), &rows[12..18]);
         assert_eq!(shared.resident_bytes(), 0);
         assert_eq!(shared.backend(), "snapshot");
@@ -1012,7 +776,7 @@ mod tests {
         // Hints are pure no-ops semantically.
         snap.advise("rows", Advice::Sequential);
         snap.advise("index", Advice::Random);
-        assert_eq!(shared.as_flat(), &rows[..]);
+        assert_eq!(shared.to_vecset().as_flat(), &rows[..]);
         std::fs::remove_file(&p).ok();
     }
 
@@ -1092,7 +856,7 @@ mod tests {
         let shared = SharedRows::from(set.clone());
         assert_eq!((shared.len(), shared.dim()), (2, 3));
         assert_eq!(shared.get(1), set.get(1));
-        assert_eq!(shared.as_flat(), set.as_flat());
+        assert_eq!(shared.to_vecset(), set);
         assert_eq!(shared.backend(), "ram");
         assert!(shared.resident_bytes() > 0);
     }

@@ -1,68 +1,69 @@
-//! Out-of-core vector storage: memory-mapped `.fvecs` files and a
-//! pluggable [`VecStore`] over RAM and mapped backends.
+//! Row storage: one matrix type, [`SharedRows`], whose rows are either
+//! heap-resident or served zero-copy out of a read-only file mapping.
 //!
-//! # Why a store layer
+//! # One type, two arms
 //!
-//! The eager readers in [`crate::io`] materialize a whole dataset on the
-//! heap before anything can be built over it. At million-row scale that
-//! costs a full extra copy of the base set (the DCOs keep their own
-//! rotated copy anyway), and past RAM scale it stops working entirely.
-//! [`VecStore`] makes the input a *backend choice*:
+//! * [`SharedRows::Owned`] — a heap [`VecSet`]: freshly built operators,
+//!   `.bvecs` files (widened `u8 → f32`), and anything opened where the
+//!   mapping shim is unavailable.
+//! * [`SharedRows::Mapped`] — a [`MappedRows`] view over a shared mapping:
+//!   rows are slices at `offset + i·stride` of the file image, so opening
+//!   is O(1) in heap terms and pages fault in lazily as readers touch
+//!   rows. Two files map this way, with different framing:
 //!
-//! * [`VecStore::Ram`] — the classic heap [`VecSet`];
-//! * [`VecStore::Mmap`] — a [`MmapVecs`]: the file is memory-mapped and
-//!   rows are served **zero-copy** straight out of the OS page cache.
-//!   Opening is O(1) in heap terms; pages fault in lazily as builders
-//!   touch rows and the kernel evicts them under pressure — the dataset
-//!   never needs to be resident all at once.
+//!   | source | offset of row 0 | stride | backend |
+//!   |---|---|---|---|
+//!   | `.fvecs` file ([`SharedRows::open`]) | 4 | `4 + 4·dim` | `"mmap"` |
+//!   | snapshot `rows` section ([`crate::Snapshot::section_rows`]) | section start | `4·dim` | `"snapshot"` |
 //!
-//! Both implement [`RowAccess`], which every index/operator build path in
-//! the workspace consumes — so a store-built engine is produced by the
-//! *same loop* as a RAM-built one and is bit-identical to it (pinned by
-//! `crates/engine/tests/parity.rs`).
+//! Both arms implement [`RowAccess`], which every index/operator build
+//! path in the workspace consumes — so an engine built over a mapped file
+//! is produced by the *same loop* as a RAM-built one and is bit-identical
+//! to it (pinned by `crates/engine/tests/parity.rs`), and a
+//! snapshot-opened operator compares against its rows through the same
+//! [`SharedRows::get`] as a freshly built one.
 //!
 //! # What maps
 //!
-//! Mapping wants random access and repeated passes (graph construction,
-//! k-means) — exactly what builders do. Only `.fvecs` maps: its payload
-//! already is the `f32` rows the stack reads. `.bvecs` payloads are `u8`
-//! and must be widened, so [`VecStore::open`] streams them into RAM
-//! through [`crate::io::read_bvecs`] (4× the file size); `.ivecs` files
-//! hold ids, not vectors, and go through [`crate::io::read_ivecs`]. Where
-//! the mapping shim is unavailable, [`VecStore::open`] falls back to a
-//! buffered streaming load of the `.fvecs` file.
+//! Only `.fvecs` maps: its payload already is the `f32` rows the stack
+//! reads. `.bvecs` payloads are `u8` and must be widened, so
+//! [`SharedRows::open`] streams them into RAM through
+//! [`crate::io::read_bvecs`] (4× the file size); `.ivecs` files hold ids,
+//! not vectors, and go through [`crate::io::read_ivecs`]. Where the
+//! mapping shim is unavailable, or the `mmap` call itself fails,
+//! [`SharedRows::open`] falls back to a buffered streaming load of the
+//! `.fvecs` file.
 //!
-//! # Safety of the mapped backend
+//! # Safety of the mapped arm
 //!
-//! The map is created read-only and private, and unmapped when the
-//! [`MmapVecs`] drops; every `&[f32]` handed out borrows the store, so
+//! The map is created read-only and private, and unmapped when the last
+//! view over it drops; every `&[f32]` handed out borrows the rows, so
 //! Rust's lifetimes keep slices from outliving the mapping. What the type
 //! system cannot prevent is another process truncating the file while it
 //! is mapped — accessing pages past the new end then raises `SIGBUS`, the
 //! standard caveat of every mmap consumer. Treat dataset files as
-//! immutable while a store is open (benchmark datasets are write-once in
-//! practice). Row framing is validated at open (first/last headers,
-//! stride divisibility) and can be fully audited with
-//! [`MmapVecs::verify`]; mapped reads themselves stay memory-safe within
-//! the mapping even if interior headers are corrupt, because row offsets
-//! are computed from the validated stride, never from file contents.
+//! immutable while they are open. A view's geometry is checked once, with
+//! checked arithmetic, when it is made (every row lies inside the file);
+//! a vector file's first and last row headers and its size are validated
+//! at open, and [`SharedRows::verify`] audits every interior header. Reads
+//! stay memory-safe even if interior headers are corrupt, because row
+//! offsets come from the validated stride, never from file contents.
 //!
 //! ```
-//! use ddc_vecs::store::VecStore;
-//! use ddc_vecs::{io, RowAccess, VecSet};
+//! use ddc_vecs::{io, SharedRows, VecSet};
 //!
 //! let mut path = std::env::temp_dir();
 //! path.push(format!("ddc-store-doc-{}.fvecs", std::process::id()));
 //! let set = VecSet::from_rows(2, &[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]).unwrap();
 //! io::write_fvecs(&path, &set).unwrap();
 //!
-//! let store = VecStore::open(&path).unwrap();
-//! assert_eq!((store.len(), store.dim()), (3, 2));
-//! assert_eq!(store.row(1), &[3.0, 4.0]);
-//! // The mapped backend holds no heap copy of the vectors:
-//! if store.backend() == "mmap" {
-//!     assert_eq!(store.resident_bytes(), 0);
-//!     assert!(store.mapped_bytes() > 0);
+//! let rows = SharedRows::open(&path).unwrap();
+//! assert_eq!((rows.len(), rows.dim()), (3, 2));
+//! assert_eq!(rows.get(1), &[3.0, 4.0]);
+//! // The mapped arm holds no heap copy of the vectors:
+//! if rows.backend() == "mmap" {
+//!     assert_eq!(rows.resident_bytes(), 0);
+//!     assert!(rows.mapped_bytes() > 0);
 //! }
 //! std::fs::remove_file(&path).ok();
 //! ```
@@ -71,7 +72,9 @@ use crate::io::MAX_PLAUSIBLE_DIM;
 use crate::vecset::VecSet;
 use crate::{Result, VecsError};
 use ddc_linalg::RowAccess;
+use std::io::Read;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Raw mmap calls (libc-free, through `crate::sys`)
@@ -179,7 +182,7 @@ mod sys {
     pub(super) fn advise(_addr: usize, _len: usize, _advice: usize) {}
 }
 
-/// True when this build can memory-map files (otherwise [`VecStore::open`]
+/// True when this build can memory-map files (otherwise [`SharedRows::open`]
 /// always takes the buffered streaming fallback).
 pub fn mmap_supported() -> bool {
     sys::SUPPORTED
@@ -271,41 +274,74 @@ impl std::fmt::Debug for Mmap {
     }
 }
 
-// ---------------------------------------------------------------------------
-// File formats
-// ---------------------------------------------------------------------------
-
-/// The three TEXMEX payload element types, detected from the file
-/// extension (see the [`crate::io`] format diagram).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VecFormat {
-    /// `.fvecs`: `f32` components — the vector format proper.
-    F32,
-    /// `.bvecs`: `u8` components, widened to `f32` as they are read.
-    U8,
-    /// `.ivecs`: `u32` ids (ground truth), not vectors.
-    U32,
+/// Heap fallback for platforms without the mapping shim: the file is read
+/// into a `u64`-backed buffer so the base pointer is 8-byte aligned —
+/// a plain `Vec<u8>` only guarantees alignment 1, which would make the
+/// zero-copy `&[f32]` row casts unsound.
+pub(crate) struct AlignedBytes {
+    words: Vec<u64>,
+    len: usize,
 }
 
-impl VecFormat {
-    /// Detects the format from a path's extension.
-    ///
-    /// # Errors
-    /// [`VecsError::Format`] for anything but `.fvecs`/`.bvecs`/`.ivecs`.
-    pub fn from_path(path: &Path) -> Result<VecFormat> {
-        match path.extension().and_then(|e| e.to_str()) {
-            Some("fvecs") => Ok(VecFormat::F32),
-            Some("bvecs") => Ok(VecFormat::U8),
-            Some("ivecs") => Ok(VecFormat::U32),
-            other => Err(VecsError::Format(format!(
-                "`{}`: unknown vector-file extension {other:?} (expected .fvecs/.bvecs/.ivecs)",
-                path.display()
-            ))),
+impl AlignedBytes {
+    pub(crate) fn read_from(file: &mut std::fs::File, len: usize) -> std::io::Result<AlignedBytes> {
+        let mut words = vec![0u64; len.div_ceil(8)];
+        // SAFETY: the `u64` buffer is a valid writable byte region of at
+        // least `len` bytes; u64 has no invalid bit patterns.
+        let bytes = unsafe {
+            std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<u8>(), words.len() * 8)
+        };
+        file.read_exact(&mut bytes[..len])?;
+        Ok(AlignedBytes { words, len })
+    }
+
+    fn bytes(&self) -> &[u8] {
+        // SAFETY: `words` owns at least `len` initialized bytes.
+        unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast::<u8>(), self.len) }
+    }
+}
+
+/// Where a file image lives: a read-only mapping, or (snapshots on
+/// platforms without the shim) an aligned heap copy.
+pub(crate) enum Backing {
+    Mapped(Mmap),
+    Heap(AlignedBytes),
+}
+
+/// The whole image of one read-only file, shared (behind an `Arc`) by the
+/// container that opened it and every row view over it.
+pub(crate) struct FileBytes {
+    pub(crate) backing: Backing,
+    pub(crate) path: PathBuf,
+}
+
+impl std::fmt::Debug for FileBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FileBytes")
+            .field("path", &self.path)
+            .finish()
+    }
+}
+
+impl FileBytes {
+    #[inline]
+    pub(crate) fn bytes(&self) -> &[u8] {
+        match &self.backing {
+            Backing::Mapped(m) => m.bytes(),
+            Backing::Heap(h) => h.bytes(),
+        }
+    }
+
+    /// Bytes of address space mapped (0 for the heap fallback).
+    pub(crate) fn mapped_bytes(&self) -> usize {
+        match &self.backing {
+            Backing::Mapped(m) => m.len,
+            Backing::Heap(_) => 0,
         }
     }
 }
 
-fn corrupt_at(path: &Path, offset: u64, detail: impl Into<String>) -> VecsError {
+pub(crate) fn corrupt_at(path: &Path, offset: u64, detail: impl Into<String>) -> VecsError {
     VecsError::File {
         path: path.to_path_buf(),
         offset,
@@ -314,262 +350,163 @@ fn corrupt_at(path: &Path, offset: u64, detail: impl Into<String>) -> VecsError 
 }
 
 // ---------------------------------------------------------------------------
-// MmapVecs
+// SharedRows
 // ---------------------------------------------------------------------------
 
-/// A memory-mapped `.fvecs` file: rows served zero-copy out of the page
-/// cache, never copied onto the heap.
-///
-/// Opening validates the framing invariants that make fixed-stride
-/// addressing sound — first and last row headers, plausibility of the
-/// dimension, and that the file size is an exact multiple of the row
-/// stride — and attaches path + byte offset to anything it rejects.
-/// Interior headers are validated on demand ([`MmapVecs::verify`]), not
-/// at open: touching every page of a 500 MB file up front would defeat
-/// lazy loading.
-#[derive(Debug)]
-pub struct MmapVecs {
-    map: Mmap,
-    path: PathBuf,
-    dim: usize,
-    len: usize,
-    stride: usize,
-}
-
-impl MmapVecs {
-    /// Maps the `.fvecs` file `path` whole. `Ok(None)` when the platform
-    /// cannot map (the caller then falls back to streaming); `Err` when the
-    /// file is not `.fvecs`, missing, empty, or structurally invalid.
-    ///
-    /// # Errors
-    /// Other extensions, open/metadata failures and framing violations,
-    /// with path + offset.
-    pub fn open(path: impl AsRef<Path>) -> Result<Option<MmapVecs>> {
-        MmapVecs::open_limit(path, None)
-    }
-
-    /// [`MmapVecs::open`] serving at most `limit` rows (the whole file is
-    /// still mapped and validated; only the row count is capped).
-    ///
-    /// # Errors
-    /// Same contract as [`MmapVecs::open`].
-    pub fn open_limit(path: impl AsRef<Path>, limit: Option<usize>) -> Result<Option<MmapVecs>> {
-        let path = path.as_ref();
-        if VecFormat::from_path(path)? != VecFormat::F32 {
-            return Err(VecsError::Format(format!(
-                "`{}`: only .fvecs files map (read .bvecs with io::read_bvecs, \
-                 .ivecs with io::read_ivecs)",
-                path.display()
-            )));
-        }
-        let file = crate::io::open_for_read(path)?;
-        let size = file
-            .metadata()
-            .map_err(|e| corrupt_at(path, 0, format!("metadata: {e}")))?
-            .len() as usize;
-        if size == 0 {
-            return Err(VecsError::Empty("mapped vector file"));
-        }
-        if size < 4 {
-            return Err(corrupt_at(path, 0, "file too small for a row header"));
-        }
-        let Some(map) = Mmap::map(&file, size).map_err(VecsError::Io)? else {
-            return Ok(None);
-        };
-        let bytes = map.bytes();
-        let dim = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) as usize;
-        if dim == 0 || dim > MAX_PLAUSIBLE_DIM {
-            return Err(corrupt_at(
-                path,
-                0,
-                format!("implausible row dimension {dim}"),
-            ));
-        }
-        let stride = 4 + 4 * dim;
-        if !size.is_multiple_of(stride) {
-            let full_rows = size / stride;
-            return Err(corrupt_at(
-                path,
-                (full_rows * stride) as u64,
-                format!(
-                    "file size {size} is not a multiple of the {stride}-byte row \
-                     stride (dim {dim}): truncated or corrupt"
-                ),
-            ));
-        }
-        let rows = size / stride;
-        // Cheap last-row check: catches files whose tail is garbage of a
-        // coincidentally-divisible length, without touching every page.
-        let last_off = (rows - 1) * stride;
-        let last_dim =
-            u32::from_le_bytes(bytes[last_off..last_off + 4].try_into().expect("4 bytes")) as usize;
-        if last_dim != dim {
-            return Err(corrupt_at(
-                path,
-                last_off as u64,
-                format!("last row claims dimension {last_dim}, first row {dim}"),
-            ));
-        }
-        let len = limit.map_or(rows, |l| l.min(rows));
-        Ok(Some(MmapVecs {
-            map,
-            path: path.to_path_buf(),
-            dim,
-            len,
-            stride,
-        }))
-    }
-
-    /// Dimensionality of every row.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of rows served (after any open-time limit).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no rows are served.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The mapped file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Total bytes mapped (the file size — *virtual*, not resident).
-    pub fn mapped_bytes(&self) -> usize {
-        self.map.len
-    }
-
-    /// Zero-copy `f32` view of row `i`.
-    ///
-    /// # Panics
-    /// Panics when `i >= self.len()`.
-    #[inline]
-    pub fn row_f32(&self, i: usize) -> &[f32] {
-        assert!(i < self.len, "row {i} out of bounds ({} rows)", self.len);
-        let start = i * self.stride + 4;
-        let bytes = &self.map.bytes()[start..start + 4 * self.dim];
-        debug_assert_eq!(bytes.as_ptr().align_offset(std::mem::align_of::<f32>()), 0);
-        // SAFETY: the payload is `dim` little-endian f32s on a
-        // little-endian target (the shim is gated on that); the pointer is
-        // 4-aligned because the mapping is page-aligned and every payload
-        // offset `i·(4 + 4·dim) + 4` is a multiple of 4; the borrow is
-        // tied to `&self`, which owns the mapping.
-        unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<f32>(), self.dim) }
-    }
-
-    /// Audits every interior row header against the first row's dimension
-    /// — the full-file integrity pass that open deliberately skips.
-    /// Sequential, touches every page once.
-    ///
-    /// # Errors
-    /// [`VecsError::File`] naming the first offending row's byte offset.
-    pub fn verify(&self) -> Result<()> {
-        let bytes = self.map.bytes();
-        for i in 0..self.map.len / self.stride {
-            let off = i * self.stride;
-            let d = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes")) as usize;
-            if d != self.dim {
-                return Err(corrupt_at(
-                    &self.path,
-                    off as u64,
-                    format!("row {i} claims dimension {d}, expected {}", self.dim),
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
-impl RowAccess for MmapVecs {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn row(&self, i: usize) -> &[f32] {
-        self.row_f32(i)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// VecStore
-// ---------------------------------------------------------------------------
-
-/// A vector dataset behind one of two storage backends: resident heap
-/// rows ([`VecSet`]) or a zero-copy memory map ([`MmapVecs`]).
+/// A row matrix that is either heap-owned or served zero-copy out of a
+/// shared file mapping — the storage behind every operator's working set
+/// and every input a build reads, through one interface.
 ///
 /// Every builder (`DcoSpec::build_rows`, `IndexSpec::build_rows`,
-/// `Engine::build`) takes it as a [`RowAccess`] row source beside a
-/// [`VecSet`], `ddc-serve --data` opens one, and the parity suite pins
-/// that the backend choice never changes a single result bit.
-#[derive(Debug)]
-pub enum VecStore {
-    /// Fully resident rows.
-    Ram(VecSet),
-    /// Rows served from a mapped `.fvecs` file.
-    Mmap(MmapVecs),
+/// `Engine::build`) takes it as a [`RowAccess`] row source, `ddc-serve
+/// --data` opens one, and the parity suite pins that the arm never
+/// changes a single result bit.
+#[derive(Debug, Clone)]
+pub enum SharedRows {
+    /// Heap-resident rows.
+    Owned(VecSet),
+    /// Rows served out of a mapped `.fvecs` file or snapshot section.
+    Mapped(MappedRows),
 }
 
-impl From<VecSet> for VecStore {
-    fn from(set: VecSet) -> VecStore {
-        VecStore::Ram(set)
+/// The mapped arm of [`SharedRows`]: a shared file image plus the byte
+/// offset of row 0, the row stride, and the matrix shape. Row `i` is the
+/// `4·dim` bytes at `offset + i·stride`. Cloning shares the mapping.
+#[derive(Debug, Clone)]
+pub struct MappedRows {
+    file: Arc<FileBytes>,
+    offset: usize,
+    stride: usize,
+    rows: usize,
+    dim: usize,
+}
+
+impl MappedRows {
+    /// Frames the `len` bytes at `start` of `file` as whole rows of `dim`
+    /// `f32`s, each behind a `header`-byte prefix (4 for a vector file's
+    /// count word, 0 for a snapshot section). `None` when `dim` is 0, the
+    /// stride overflows, `len` is not a whole number of rows, the span
+    /// leaves the file, or `start` or `header` is not a multiple of 4 — so
+    /// every row a view serves is an aligned `f32` slice inside the file.
+    pub(crate) fn new(
+        file: Arc<FileBytes>,
+        start: usize,
+        len: usize,
+        header: usize,
+        dim: usize,
+    ) -> Option<MappedRows> {
+        let stride = dim.checked_mul(4)?.checked_add(header)?;
+        let aligned = start.is_multiple_of(4) && header.is_multiple_of(4);
+        if dim == 0 || !aligned || !len.is_multiple_of(stride) {
+            return None;
+        }
+        if start.checked_add(len)? > file.bytes().len() {
+            return None;
+        }
+        Some(MappedRows {
+            file,
+            offset: start + header,
+            stride,
+            rows: len / stride,
+            dim,
+        })
+    }
+
+    /// Bytes in front of each row: a vector file's count word, none in a
+    /// snapshot section.
+    fn header(&self) -> usize {
+        self.stride - 4 * self.dim
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> &[f32] {
+        assert!(i < self.rows, "row {i} out of bounds ({} rows)", self.rows);
+        let start = self.offset + i * self.stride;
+        let bytes = &self.file.bytes()[start..start + 4 * self.dim];
+        debug_assert_eq!(bytes.as_ptr().align_offset(std::mem::align_of::<f32>()), 0);
+        // SAFETY: the payload is `dim` little-endian f32s on a
+        // little-endian host (the shim and `Snapshot::open` are gated on
+        // that); the pointer is 4-aligned because both backings start
+        // 8+-aligned and `MappedRows::new` only makes views whose
+        // `offset` and `stride` are multiples of 4; the slice above is
+        // bounds-checked; the borrow is tied to `&self`, which keeps the
+        // `Arc`'d image alive.
+        unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<f32>(), self.dim) }
     }
 }
 
-impl VecStore {
-    /// Opens a vector file with the best available backend: `.fvecs` maps
-    /// zero-copy (falling back to a buffered streaming load where mapping
-    /// is unavailable); `.bvecs` streams into RAM through
+impl From<VecSet> for SharedRows {
+    fn from(set: VecSet) -> SharedRows {
+        SharedRows::Owned(set)
+    }
+}
+
+impl SharedRows {
+    /// Opens a vector file: `.fvecs` maps zero-copy (falling back to a
+    /// buffered streaming load where mapping is unavailable or the `mmap`
+    /// call fails); `.bvecs` streams into RAM through
     /// [`crate::io::read_bvecs`], widening `u8 → f32` (widening cannot be
     /// zero-copy).
     ///
-    /// # Errors
-    /// Unknown extensions (including `.ivecs`, which holds ids — read it
-    /// with [`crate::io::read_ivecs`]), and open/framing failures with
-    /// path + offset attached.
-    pub fn open(path: impl AsRef<Path>) -> Result<VecStore> {
-        VecStore::open_limit(path, None)
-    }
-
-    /// [`VecStore::open`] serving at most `limit` rows.
+    /// Opening validates the framing that makes fixed-stride addressing
+    /// sound — first and last row headers, plausibility of the dimension,
+    /// and that the file size is an exact multiple of the row stride —
+    /// and attaches path + byte offset to anything it rejects. Interior
+    /// headers are audited on demand ([`SharedRows::verify`]), not at
+    /// open: touching every page of a 500 MB file up front would defeat
+    /// lazy loading.
     ///
     /// # Errors
-    /// Same contract as [`VecStore::open`].
-    pub fn open_limit(path: impl AsRef<Path>, limit: Option<usize>) -> Result<VecStore> {
+    /// Unknown extensions (including `.ivecs`, which holds ids — read it
+    /// with [`crate::io::read_ivecs`]), empty files, and open/framing
+    /// failures with path + offset attached.
+    pub fn open(path: impl AsRef<Path>) -> Result<SharedRows> {
+        SharedRows::open_limit(path, None)
+    }
+
+    /// [`SharedRows::open`] serving at most `limit` rows (a mapped file is
+    /// still mapped and validated whole; only the row count is capped).
+    ///
+    /// # Errors
+    /// Same contract as [`SharedRows::open`]; `Some(0)` is
+    /// [`VecsError::Empty`] on every backend, like an empty file.
+    pub fn open_limit(path: impl AsRef<Path>, limit: Option<usize>) -> Result<SharedRows> {
         let path = path.as_ref();
-        match VecFormat::from_path(path)? {
-            VecFormat::F32 => match MmapVecs::open_limit(path, limit) {
-                Ok(Some(map)) => Ok(VecStore::Mmap(map)),
-                Ok(None) => Ok(VecStore::Ram(crate::io::read_fvecs(path, limit)?)),
-                // The map syscall itself failed (ENODEV on some FUSE and
-                // network mounts, ENOMEM under pressure): that is the
-                // documented automatic-fallback case, not corruption —
-                // stream the file into RAM instead. Structural errors
-                // (bad framing, empty file) still propagate.
-                Err(VecsError::Io(_)) => Ok(VecStore::Ram(crate::io::read_fvecs(path, limit)?)),
+        match path.extension().and_then(|e| e.to_str()) {
+            Some("fvecs" | "bvecs") if limit == Some(0) => {
+                Err(VecsError::Empty("vector file opened with limit 0"))
+            }
+            Some("fvecs") => match map_fvecs(path) {
+                Ok(Some(mut rows)) => {
+                    rows.rows = limit.map_or(rows.rows, |l| l.min(rows.rows));
+                    Ok(SharedRows::Mapped(rows))
+                }
+                // No shim, or the map syscall itself failed (ENODEV on
+                // some FUSE and network mounts, ENOMEM under pressure):
+                // that is the documented automatic-fallback case, not
+                // corruption — stream the file into RAM instead.
+                // Structural errors (bad framing, empty file) propagate.
+                Ok(None) | Err(VecsError::Io(_)) => {
+                    Ok(SharedRows::Owned(crate::io::read_fvecs(path, limit)?))
+                }
                 Err(e) => Err(e),
             },
-            VecFormat::U8 => Ok(VecStore::Ram(crate::io::read_bvecs(path, limit)?)),
-            VecFormat::U32 => Err(VecsError::Format(format!(
+            Some("bvecs") => Ok(SharedRows::Owned(crate::io::read_bvecs(path, limit)?)),
+            Some("ivecs") => Err(VecsError::Format(format!(
                 "`{}` holds ids, not vectors: read it with io::read_ivecs",
+                path.display()
+            ))),
+            other => Err(VecsError::Format(format!(
+                "`{}`: unknown vector-file extension {other:?} (expected .fvecs/.bvecs)",
                 path.display()
             ))),
         }
     }
 
-    /// Opens the base file of fixture `name` under `DDC_DATA_DIR` with the
-    /// best available backend, falling back to `synth` when the fixture is
-    /// absent (`ddc-serve --data sift1m` goes through this, so a mapped
-    /// SIFT1M serves without ever being loaded).
+    /// Opens the base file of fixture `name` under `DDC_DATA_DIR`
+    /// ([`SharedRows::open_limit`]), falling back to `synth` when the
+    /// fixture is absent (`ddc-serve --data sift1m` goes through this, so
+    /// a mapped SIFT1M serves without ever being loaded).
     ///
     /// # Errors
     /// Open/framing failures on a *resolved* fixture; a missing fixture is
@@ -578,104 +515,251 @@ impl VecStore {
         name: &str,
         limit: Option<usize>,
         synth: F,
-    ) -> Result<VecStore> {
+    ) -> Result<SharedRows> {
         match crate::io::resolve_fixture(name) {
-            Some(fix) => VecStore::open_limit(fix.base, limit),
-            None => Ok(VecStore::Ram(synth())),
-        }
-    }
-
-    /// Dimensionality of every row.
-    pub fn dim(&self) -> usize {
-        match self {
-            VecStore::Ram(s) => s.dim(),
-            VecStore::Mmap(m) => m.dim(),
+            Some(fix) => SharedRows::open_limit(fix.base, limit),
+            None => Ok(SharedRows::Owned(synth())),
         }
     }
 
     /// Number of rows.
+    #[inline]
     pub fn len(&self) -> usize {
         match self {
-            VecStore::Ram(s) => s.len(),
-            VecStore::Mmap(m) => m.len(),
+            SharedRows::Owned(s) => s.len(),
+            SharedRows::Mapped(m) => m.rows,
         }
     }
 
     /// True when there are no rows.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Borrow row `i` (zero-copy on both backends).
+    /// Dimensionality of every row.
     #[inline]
-    pub fn row(&self, i: usize) -> &[f32] {
+    pub fn dim(&self) -> usize {
         match self {
-            VecStore::Ram(s) => s.get(i),
-            VecStore::Mmap(m) => m.row_f32(i),
+            SharedRows::Owned(s) => s.dim(),
+            SharedRows::Mapped(m) => m.dim,
         }
     }
 
-    /// Backend tag for logs and stats: `"ram"` or `"mmap"`.
+    /// Borrows row `i` (zero-copy on both arms).
+    ///
+    /// # Panics
+    /// Panics when `i >= self.len()`.
+    #[inline]
+    pub fn get(&self, i: usize) -> &[f32] {
+        match self {
+            SharedRows::Owned(s) => s.get(i),
+            SharedRows::Mapped(m) => m.row(i),
+        }
+    }
+
+    /// A heap-resident copy of the matrix: the owned arm is cloned in one
+    /// piece, a mapped view copied row by row.
+    pub fn to_vecset(&self) -> VecSet {
+        match self {
+            SharedRows::Owned(s) => s.clone(),
+            SharedRows::Mapped(m) => {
+                let mut flat = Vec::with_capacity(m.rows * m.dim);
+                for i in 0..m.rows {
+                    flat.extend_from_slice(m.row(i));
+                }
+                VecSet::from_flat(m.dim, flat).expect("a mapped view has dim > 0")
+            }
+        }
+    }
+
+    /// Backend tag for logs and stats: `"ram"`, `"mmap"` for a mapped
+    /// vector file, `"snapshot"` for a snapshot section.
     pub fn backend(&self) -> &'static str {
         match self {
-            VecStore::Ram(_) => "ram",
-            VecStore::Mmap(_) => "mmap",
+            SharedRows::Owned(_) => "ram",
+            SharedRows::Mapped(m) if m.header() > 0 => "mmap",
+            SharedRows::Mapped(_) => "snapshot",
         }
     }
 
-    /// The source file, when the store came from one.
+    /// The file the rows are served from; `None` when resident.
     pub fn source_path(&self) -> Option<&Path> {
         match self {
-            VecStore::Ram(_) => None,
-            VecStore::Mmap(m) => Some(m.path()),
+            SharedRows::Owned(_) => None,
+            SharedRows::Mapped(m) => Some(&m.file.path),
         }
     }
 
-    /// Heap bytes this store holds for vector data. The mapped backend
-    /// answers **0** — that asymmetry is the whole point, and what
-    /// `/stats` reports as `storage_resident_bytes`.
+    /// Heap bytes held for row data. The mapped arm answers **0** — that
+    /// asymmetry is the whole point, and what `/stats` reports as
+    /// `storage_resident_bytes`.
     pub fn resident_bytes(&self) -> usize {
         match self {
-            VecStore::Ram(s) => std::mem::size_of_val(s.as_flat()),
-            VecStore::Mmap(_) => 0,
+            SharedRows::Owned(s) => std::mem::size_of_val(s.as_flat()),
+            SharedRows::Mapped(_) => 0,
         }
     }
 
-    /// Bytes of address space mapped for vector data (0 for RAM).
+    /// Bytes of address space mapped behind the rows — the whole file,
+    /// *virtual*, not resident (0 when resident).
     pub fn mapped_bytes(&self) -> usize {
         match self {
-            VecStore::Ram(_) => 0,
-            VecStore::Mmap(m) => m.mapped_bytes(),
+            SharedRows::Owned(_) => 0,
+            SharedRows::Mapped(m) => m.file.mapped_bytes(),
         }
     }
 
-    /// Borrow the resident [`VecSet`] when this is the RAM backend.
-    pub fn as_vecset(&self) -> Option<&VecSet> {
+    /// Audits every served row header of a mapped vector file against its
+    /// dimension — the full integrity pass that open deliberately skips.
+    /// Sequential, touches every page once. Resident rows and snapshot
+    /// sections carry no headers (a container's checksums are
+    /// [`crate::Snapshot::verify`]'s to audit).
+    ///
+    /// # Errors
+    /// [`VecsError::File`] naming the first offending row's byte offset.
+    pub fn verify(&self) -> Result<()> {
+        let SharedRows::Mapped(m) = self else {
+            return Ok(());
+        };
+        if m.header() == 0 {
+            return Ok(());
+        }
+        let bytes = m.file.bytes();
+        for i in 0..m.rows {
+            let off = m.offset - 4 + i * m.stride;
+            let d = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes")) as usize;
+            if d != m.dim {
+                return Err(corrupt_at(
+                    &m.file.path,
+                    off as u64,
+                    format!("row {i} claims dimension {d}, expected {}", m.dim),
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Appends one row in place. Only the heap-resident arm can grow; a
+    /// mapped file is immutable, so the live-mutation path requires owned
+    /// rows (snapshot-booted engines reject appends with this error).
+    ///
+    /// # Errors
+    /// [`VecsError::Dimension`] on a row-width mismatch,
+    /// [`VecsError::Format`] on the mapped arm.
+    pub fn push(&mut self, row: &[f32]) -> Result<()> {
         match self {
-            VecStore::Ram(s) => Some(s),
-            VecStore::Mmap(_) => None,
+            SharedRows::Owned(s) => s.push(row),
+            SharedRows::Mapped(_) => Err(VecsError::Format(
+                "mapped rows are immutable and cannot grow".into(),
+            )),
+        }
+    }
+
+    /// Removes every row whose `dead` flag is set, in place and order
+    /// preserving ([`VecSet::remove_rows`]). Like [`SharedRows::push`],
+    /// only the heap-resident arm can change.
+    ///
+    /// # Errors
+    /// [`VecsError::Format`] on the mapped arm or when the mask does not
+    /// cover exactly the stored rows.
+    pub fn remove_rows(&mut self, dead: &[bool]) -> Result<()> {
+        if dead.len() != self.len() {
+            return Err(VecsError::Format(format!(
+                "removal mask covers {} rows, {} are stored",
+                dead.len(),
+                self.len()
+            )));
+        }
+        match self {
+            SharedRows::Owned(s) => {
+                s.remove_rows(dead);
+                Ok(())
+            }
+            SharedRows::Mapped(_) => Err(VecsError::Format(
+                "mapped rows are immutable and cannot shrink".into(),
+            )),
         }
     }
 }
 
-impl RowAccess for VecStore {
+impl RowAccess for SharedRows {
     fn len(&self) -> usize {
-        VecStore::len(self)
+        SharedRows::len(self)
     }
 
     fn dim(&self) -> usize {
-        VecStore::dim(self)
+        SharedRows::dim(self)
     }
 
     fn row(&self, i: usize) -> &[f32] {
-        VecStore::row(self, i)
+        self.get(i)
     }
+}
+
+/// Maps the `.fvecs` file `path` whole and frames it. `Ok(None)` when the
+/// platform cannot map; `Err(VecsError::Io)` when the `mmap` call fails.
+fn map_fvecs(path: &Path) -> Result<Option<MappedRows>> {
+    let file = crate::io::open_for_read(path)?;
+    let size = file
+        .metadata()
+        .map_err(|e| corrupt_at(path, 0, format!("metadata: {e}")))?
+        .len() as usize;
+    if size == 0 {
+        return Err(VecsError::Empty("mapped vector file"));
+    }
+    if size < 4 {
+        return Err(corrupt_at(path, 0, "file too small for a row header"));
+    }
+    let Some(map) = Mmap::map(&file, size).map_err(VecsError::Io)? else {
+        return Ok(None);
+    };
+    let header_at = |off: usize| {
+        u32::from_le_bytes(map.bytes()[off..off + 4].try_into().expect("4 bytes")) as usize
+    };
+    let dim = header_at(0);
+    if dim == 0 || dim > MAX_PLAUSIBLE_DIM {
+        return Err(corrupt_at(
+            path,
+            0,
+            format!("implausible row dimension {dim}"),
+        ));
+    }
+    let stride = 4 + 4 * dim;
+    if !size.is_multiple_of(stride) {
+        return Err(corrupt_at(
+            path,
+            (size / stride * stride) as u64,
+            format!(
+                "file size {size} is not a multiple of the {stride}-byte row \
+                 stride (dim {dim}): truncated or corrupt"
+            ),
+        ));
+    }
+    // Cheap last-row check: catches files whose tail is garbage of a
+    // coincidentally-divisible length, without touching every page.
+    let last_off = size - stride;
+    let last_dim = header_at(last_off);
+    if last_dim != dim {
+        return Err(corrupt_at(
+            path,
+            last_off as u64,
+            format!("last row claims dimension {last_dim}, first row {dim}"),
+        ));
+    }
+    let file = Arc::new(FileBytes {
+        backing: Backing::Mapped(map),
+        path: path.to_path_buf(),
+    });
+    Ok(Some(
+        MappedRows::new(file, 0, size, 4, dim).expect("size is a whole number of rows"),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{write_bvecs, write_fvecs};
+    use crate::io::{read_bvecs, read_fvecs, write_bvecs, write_fvecs};
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -695,21 +779,19 @@ mod tests {
         let set = sample(17, 6);
         let p = tmp("zero-copy.fvecs");
         write_fvecs(&p, &set).unwrap();
-        let store = VecStore::open(&p).unwrap();
-        assert_eq!(store.len(), 17);
-        assert_eq!(store.dim(), 6);
+        let rows = SharedRows::open(&p).unwrap();
+        assert_eq!(rows.len(), 17);
+        assert_eq!(rows.dim(), 6);
         for i in 0..17 {
-            assert_eq!(store.row(i), set.get(i), "row {i}");
+            assert_eq!(rows.get(i), set.get(i), "row {i}");
         }
+        assert_eq!(rows.to_vecset(), set);
         if mmap_supported() {
-            assert_eq!(store.backend(), "mmap");
-            assert_eq!(store.resident_bytes(), 0);
-            assert_eq!(store.mapped_bytes(), 17 * (4 + 6 * 4));
-            assert_eq!(store.source_path().unwrap(), p.as_path());
-            let VecStore::Mmap(ref m) = store else {
-                panic!("expected mmap backend")
-            };
-            m.verify().unwrap();
+            assert_eq!(rows.backend(), "mmap");
+            assert_eq!(rows.resident_bytes(), 0);
+            assert_eq!(rows.mapped_bytes(), 17 * (4 + 6 * 4));
+            assert_eq!(rows.source_path().unwrap(), p.as_path());
+            rows.verify().unwrap();
         }
         std::fs::remove_file(&p).ok();
     }
@@ -719,12 +801,35 @@ mod tests {
         let set = sample(10, 3);
         let p = tmp("limit.fvecs");
         write_fvecs(&p, &set).unwrap();
-        let store = VecStore::open_limit(&p, Some(4)).unwrap();
-        assert_eq!(store.len(), 4);
-        assert_eq!(store.row(3), set.get(3));
+        let rows = SharedRows::open_limit(&p, Some(4)).unwrap();
+        assert_eq!(rows.len(), 4);
+        assert_eq!(rows.get(3), set.get(3));
         // Limit above the row count is a no-op.
-        assert_eq!(VecStore::open_limit(&p, Some(99)).unwrap().len(), 10);
+        assert_eq!(SharedRows::open_limit(&p, Some(99)).unwrap().len(), 10);
         std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn open_limit_zero_is_empty_on_every_path() {
+        // The mapped open and the streaming readers it falls back to give
+        // the one answer an empty file gets.
+        let set = sample(5, 3);
+        let p = tmp("limit-zero.fvecs");
+        write_fvecs(&p, &set).unwrap();
+        assert!(matches!(
+            SharedRows::open_limit(&p, Some(0)),
+            Err(VecsError::Empty(_))
+        ));
+        assert!(matches!(read_fvecs(&p, Some(0)), Err(VecsError::Empty(_))));
+        let b = tmp("limit-zero.bvecs");
+        write_bvecs(&b, &set).unwrap();
+        assert!(matches!(
+            SharedRows::open_limit(&b, Some(0)),
+            Err(VecsError::Empty(_))
+        ));
+        assert!(matches!(read_bvecs(&b, Some(0)), Err(VecsError::Empty(_))));
+        std::fs::remove_file(&p).ok();
+        std::fs::remove_file(&b).ok();
     }
 
     #[test]
@@ -732,9 +837,12 @@ mod tests {
         let set = VecSet::from_rows(2, &[vec![0.0, 255.0], vec![7.0, 3.0]]).unwrap();
         let p = tmp("widen.bvecs");
         write_bvecs(&p, &set).unwrap();
-        let store = VecStore::open(&p).unwrap();
-        assert_eq!(store.as_vecset(), Some(&set));
-        assert!(MmapVecs::open(&p).is_err(), "only .fvecs maps");
+        let rows = SharedRows::open(&p).unwrap();
+        assert!(
+            matches!(&rows, SharedRows::Owned(s) if *s == set),
+            "only .fvecs maps"
+        );
+        assert_eq!(rows.backend(), "ram");
         std::fs::remove_file(&p).ok();
     }
 
@@ -742,9 +850,7 @@ mod tests {
     fn ivecs_store_is_rejected_with_guidance() {
         let p = tmp("ids.ivecs");
         crate::io::write_ivecs(&p, &[vec![1u32, 2, 3]]).unwrap();
-        let err = VecStore::open(&p).unwrap_err().to_string();
-        assert!(err.contains("read_ivecs"), "{err}");
-        let err = MmapVecs::open(&p).unwrap_err().to_string();
+        let err = SharedRows::open(&p).unwrap_err().to_string();
         assert!(err.contains("read_ivecs"), "{err}");
         std::fs::remove_file(&p).ok();
     }
@@ -761,7 +867,7 @@ mod tests {
         // Truncation: size stops being a stride multiple.
         let good = std::fs::read(&p).unwrap();
         std::fs::write(&p, &good[..good.len() - 5]).unwrap();
-        let err = MmapVecs::open(&p).unwrap_err();
+        let err = SharedRows::open(&p).unwrap_err();
         assert!(err.is_corrupt(), "{err}");
         assert!(err.to_string().contains("stride"), "{err}");
 
@@ -769,7 +875,7 @@ mod tests {
         let mut zero = good.clone();
         zero[0..4].copy_from_slice(&0u32.to_le_bytes());
         std::fs::write(&p, &zero).unwrap();
-        let err = MmapVecs::open(&p).unwrap_err().to_string();
+        let err = SharedRows::open(&p).unwrap_err().to_string();
         assert!(err.contains("implausible"), "{err}");
 
         // Corrupt interior header: open passes (lazy), verify pins it.
@@ -777,8 +883,8 @@ mod tests {
         let stride = 4 + 4 * 4;
         interior[2 * stride..2 * stride + 4].copy_from_slice(&9u32.to_le_bytes());
         std::fs::write(&p, &interior).unwrap();
-        let m = MmapVecs::open(&p).unwrap().unwrap();
-        let err = m.verify().unwrap_err();
+        let rows = SharedRows::open(&p).unwrap();
+        let err = rows.verify().unwrap_err();
         let VecsError::File { offset, .. } = &err else {
             panic!("wrong variant: {err}")
         };
@@ -789,11 +895,11 @@ mod tests {
         let last = 4 * stride;
         tail[last..last + 4].copy_from_slice(&9u32.to_le_bytes());
         std::fs::write(&p, &tail).unwrap();
-        assert!(MmapVecs::open(&p).is_err());
+        assert!(SharedRows::open(&p).is_err());
 
         // Empty file.
         std::fs::write(&p, []).unwrap();
-        assert!(matches!(MmapVecs::open(&p), Err(VecsError::Empty(_))));
+        assert!(matches!(SharedRows::open(&p), Err(VecsError::Empty(_))));
         std::fs::remove_file(&p).ok();
     }
 
@@ -802,9 +908,9 @@ mod tests {
         let set = sample(9, 4);
         let p = tmp("trait.fvecs");
         write_fvecs(&p, &set).unwrap();
-        let store = VecStore::open(&p).unwrap();
+        let rows = SharedRows::open(&p).unwrap();
         let a: &dyn RowAccess = &set;
-        let b: &dyn RowAccess = &store;
+        let b: &dyn RowAccess = &rows;
         assert_eq!(a.len(), b.len());
         assert_eq!(a.dim(), b.dim());
         for i in 0..a.len() {

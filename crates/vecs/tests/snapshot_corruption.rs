@@ -106,7 +106,7 @@ fn gauntlet_with(bytes: &[u8], tags: &[&str]) -> (PathBuf, Result<(), VecsError>
             snap.section(tag)?;
         }
         let rows = snap.section_rows("rows", 4)?;
-        let _ = rows.as_flat();
+        let _ = rows.to_vecset();
         Ok(())
     })();
     std::fs::remove_file(&p).ok();

@@ -1,11 +1,11 @@
 //! Property tests for the out-of-core storage layer: for arbitrary
 //! content, the eager RAM readers and the zero-copy mmap behind
-//! [`VecStore::open`] must return **bit-identical** rows, and both must
+//! [`SharedRows::open`] must return **bit-identical** rows, and both must
 //! reject truncated, corrupt-header, zero-dimension, and empty inputs.
 
 use ddc_vecs::io::{read_bvecs, read_fvecs, read_fvecs_from, write_bvecs, write_fvecs};
-use ddc_vecs::store::{mmap_supported, MmapVecs, VecStore};
-use ddc_vecs::{VecSet, VecsError};
+use ddc_vecs::store::mmap_supported;
+use ddc_vecs::{SharedRows, VecSet, VecsError};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -56,12 +56,12 @@ proptest! {
         let from_bytes = read_fvecs_from(&bytes[..], None).unwrap();
         prop_assert_eq!(bits(&from_bytes), bits(&set));
 
-        let store = VecStore::open(&path).unwrap();
+        let store = SharedRows::open(&path).unwrap();
         prop_assert_eq!(store.len(), n);
         prop_assert_eq!(store.dim(), dim);
         for i in 0..n {
             prop_assert_eq!(
-                store.row(i).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                store.get(i).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 set.get(i).iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             );
         }
@@ -91,9 +91,8 @@ proptest! {
         let ram = read_bvecs(&path, None).unwrap();
         prop_assert_eq!(&ram, &set);
 
-        let store = VecStore::open(&path).unwrap();
-        prop_assert_eq!(store.as_vecset(), Some(&set));
-        prop_assert!(MmapVecs::open(&path).is_err());
+        let store = SharedRows::open(&path).unwrap();
+        prop_assert!(matches!(&store, SharedRows::Owned(s) if *s == set));
 
         std::fs::remove_file(&path).ok();
     }
@@ -121,13 +120,14 @@ proptest! {
         let on_boundary = cut % stride == 0;
 
         let ram = read_fvecs(&path, None);
-        let store = VecStore::open(&path);
+        let store = SharedRows::open(&path);
         if on_boundary {
             // A cut at a row boundary is just a shorter valid file.
             prop_assert_eq!(ram.unwrap().len(), n - cut / stride);
-            prop_assert_eq!(store.unwrap().len(), n - cut / stride);
+            let store = store.unwrap();
+            prop_assert_eq!(store.len(), n - cut / stride);
             if mmap_supported() {
-                prop_assert!(MmapVecs::open(&path).unwrap().is_some());
+                prop_assert_eq!(store.backend(), "mmap");
             }
         } else {
             let err = ram.unwrap_err();
@@ -135,10 +135,6 @@ proptest! {
             prop_assert!(err.to_string().contains("ddc-store-prop"), "{err}");
             let err = store.unwrap_err();
             prop_assert!(err.is_corrupt(), "store: {err}");
-            if mmap_supported() {
-                let err = MmapVecs::open(&path).unwrap_err();
-                prop_assert!(err.is_corrupt(), "mmap reader: {err}");
-            }
         }
         std::fs::remove_file(&path).ok();
     }
@@ -150,10 +146,7 @@ fn zero_dim_rejected_by_all_readers() {
     let path = tmp("z", 0).with_extension("fvecs");
     std::fs::write(&path, 0u32.to_le_bytes()).unwrap();
     assert!(read_fvecs(&path, None).unwrap_err().is_corrupt());
-    assert!(VecStore::open(&path).unwrap_err().is_corrupt());
-    if mmap_supported() {
-        assert!(MmapVecs::open(&path).unwrap_err().is_corrupt());
-    }
+    assert!(SharedRows::open(&path).unwrap_err().is_corrupt());
     std::fs::remove_file(&path).ok();
 }
 
@@ -164,14 +157,11 @@ fn empty_file_rejected_by_all_readers() {
     let path = tmp("e", 0).with_extension("fvecs");
     std::fs::write(&path, []).unwrap();
     assert!(matches!(read_fvecs(&path, None), Err(VecsError::Empty(_))));
-    assert!(matches!(VecStore::open(&path), Err(VecsError::Empty(_))));
+    assert!(matches!(SharedRows::open(&path), Err(VecsError::Empty(_))));
     let bvecs = path.with_extension("bvecs");
     std::fs::write(&bvecs, []).unwrap();
     assert!(matches!(read_bvecs(&bvecs, None), Err(VecsError::Empty(_))));
     std::fs::remove_file(&bvecs).ok();
-    if mmap_supported() {
-        assert!(matches!(MmapVecs::open(&path), Err(VecsError::Empty(_))));
-    }
     std::fs::remove_file(&path).ok();
 }
 
@@ -200,8 +190,7 @@ fn corrupt_interior_header_rejected_by_all_readers() {
         "{err}"
     );
     if mmap_supported() {
-        let m = MmapVecs::open(&path).unwrap().unwrap();
-        let err = m.verify().unwrap_err();
+        let err = SharedRows::open(&path).unwrap().verify().unwrap_err();
         assert!(
             err.to_string().contains(&format!("byte {}", 2 * stride)),
             "{err}"

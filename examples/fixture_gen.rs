@@ -1,5 +1,5 @@
 //! fixture_gen: write a synthetic dataset to disk in the TEXMEX layout,
-//! so the out-of-core paths (`VecStore::open`, `ddc-serve --data`) have a
+//! so the out-of-core paths (`SharedRows::open`, `ddc-serve --data`) have a
 //! real file to map without downloading anything.
 //!
 //! ```bash
@@ -12,7 +12,7 @@
 //! expects for a custom fixture name.
 
 use ddc::vecs::io::write_fvecs;
-use ddc::vecs::{SynthSpec, VecStore};
+use ddc::vecs::{SharedRows, SynthSpec};
 
 #[path = "common/mod.rs"]
 mod common;
@@ -43,15 +43,15 @@ fn main() {
 
     // Prove the artifact round-trips through the out-of-core path before
     // declaring success.
-    let store = VecStore::open(&base).expect("reopen what we wrote");
-    assert_eq!((store.len(), store.dim()), (n, dim));
+    let rows = SharedRows::open(&base).expect("reopen what we wrote");
+    assert_eq!((rows.len(), rows.dim()), (n, dim));
     println!(
         "wrote {} ({} rows x {}d, {} KiB, reopened via {} backend)",
         base.display(),
-        store.len(),
-        store.dim(),
-        (store.mapped_bytes().max(store.resident_bytes())) / 1024,
-        store.backend(),
+        rows.len(),
+        rows.dim(),
+        (rows.mapped_bytes().max(rows.resident_bytes())) / 1024,
+        rows.backend(),
     );
     println!("use it: DDC_DATA_DIR={dir} ddc-serve --data {name}");
 }

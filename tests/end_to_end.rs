@@ -6,8 +6,11 @@ use ddc::core::{
     AdSampling, AdSamplingConfig, Counters, DdcOpq, DdcOpqConfig, DdcPca, DdcPcaConfig, DdcRes,
     DdcResConfig, Exact,
 };
-use ddc::index::{FlatIndex, Hnsw, HnswConfig, Ivf, IvfConfig};
+use ddc::index::{FlatIndex, Hnsw, HnswConfig, Ivf, IvfConfig, SearchParams};
+use ddc::linalg::Metric;
+use ddc::vecs::metric_oracle::{self, recall_against};
 use ddc::vecs::{recall, GroundTruth, SynthSpec};
+use ddc::{Engine, EngineConfig};
 
 struct Fixture {
     w: ddc::vecs::Workload,
@@ -204,39 +207,43 @@ fn counters_are_consistent() {
 
 #[test]
 fn cosine_and_mips_reductions_search_correctly() {
-    // §II-A: cosine / inner product reduce to L2; the whole stack (index +
-    // DCO) must then serve them unchanged.
+    // §II-A: cosine and inner product are served natively (`Metric`), by
+    // the same index + DCO stack as L2.
     let f = fixture();
     let k = 5;
+    let cfg = |index: &str, dco: &str, metric: Metric| {
+        EngineConfig::from_strs(index, dco)
+            .unwrap()
+            .with_metric(metric)
+            .with_params(SearchParams::new().with_ef(60))
+    };
 
-    // Cosine: normalize base + queries, search with DDCres over HNSW.
-    let base_n = ddc::vecs::transform::normalize_for_cosine(&f.w.base);
-    let queries_n = ddc::vecs::transform::normalize_for_cosine(&f.w.queries);
-    let gt_cos = GroundTruth::compute(&base_n, &queries_n, k, 0).unwrap();
-    let g = Hnsw::build(
-        &base_n,
-        &HnswConfig {
-            m: 8,
-            ef_construction: 80,
-            seed: 0,
-            ..Default::default()
-        },
+    // Cosine: DDCres over HNSW against the exact cosine top-k.
+    let engine = Engine::build(
+        &f.w.base,
+        None,
+        cfg(
+            "hnsw(m=8,ef_construction=80,seed=0)",
+            "ddcres",
+            Metric::Cosine,
+        ),
     )
     .unwrap();
-    let dco = DdcRes::build(&base_n, DdcResConfig::default()).unwrap();
-    let mut results = Vec::new();
-    for qi in 0..queries_n.len() {
-        results.push(g.search(&dco, queries_n.get(qi), k, 60).unwrap().ids());
-    }
-    assert!(recall(&results, &gt_cos, k) > 0.85);
+    let nq = f.w.queries.len();
+    let recall_sum: f64 = (0..nq)
+        .map(|qi| {
+            let q = f.w.queries.get(qi);
+            let oracle = metric_oracle::top_k(&f.w.base, q, k, &Metric::Cosine);
+            recall_against(&oracle, &engine.search(q, k).unwrap().ids())
+        })
+        .sum();
+    assert!(recall_sum / nq as f64 > 0.85);
 
-    // MIPS: augmented flat scan must rank by descending inner product.
-    let (aug, _m) = ddc::vecs::transform::augment_base_for_mips(&f.w.base).unwrap();
-    let exact = Exact::build(&aug);
-    let flat = FlatIndex::new();
+    // MIPS: an exact flat scan must rank by descending inner product.
+    let engine =
+        Engine::build(&f.w.base, None, cfg("flat", "exact", Metric::InnerProduct)).unwrap();
     let q = f.w.queries.get(0);
-    let aq = ddc::vecs::transform::augment_query_for_mips(q);
-    let got = flat.search(&exact, &aq, k).ids();
+    let got = engine.search(q, k).unwrap().ids();
     let mut by_ip: Vec<u32> = (0..f.w.base.len() as u32).collect();
     by_ip.sort_by(|&a, &b| {
         ddc::linalg::kernels::dot(f.w.base.get(b as usize), q)
