@@ -162,9 +162,8 @@ impl<D: Dco> DynDco for D {
 /// [`DynDco::begin_dyn`]), so a shared `&BoxedDco` may begin evaluators
 /// from any number of threads concurrently. Evaluators themselves are
 /// deliberately **not** required to be `Send`: they are scratch state that
-/// should be created, used, and dropped on one thread (the shard-parallel
-/// batch path begins its evaluators inside each worker for exactly this
-/// reason). The assertion below pins the bound at compile time so a future
+/// should be created, used, and dropped on one thread (a server worker
+/// begins the evaluators of the request it runs). The assertion below pins the bound at compile time so a future
 /// operator that smuggles in non-`Sync` state fails here, not in a
 /// downstream crate.
 pub type BoxedDco = Box<dyn DynDco + Send + Sync>;

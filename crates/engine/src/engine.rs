@@ -4,7 +4,6 @@
 use crate::error::EngineError;
 use crate::filter::FilterPredicate;
 use crate::mutable::Overlay;
-use crate::pool::WorkerPool;
 use crate::stats::EngineStats;
 use ddc_core::{BoxedDco, Counters, DcoSpec, DynDco, DynQueryDco, QueryBatch};
 use ddc_index::{BoxedIndex, IndexSpec, SearchParams, SearchResult};
@@ -12,8 +11,7 @@ use ddc_linalg::kernels::backend_name;
 use ddc_linalg::{Metric, RowAccess};
 use ddc_vecs::{Advice, SharedRows, Snapshot, SnapshotWriter, VecSet};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Everything needed to assemble an [`Engine`]: which index, which
@@ -351,94 +349,24 @@ impl Engine {
         self.search_group(batch, k, params, None)
     }
 
-    /// Searches a batch — optionally restricted by `filter`, as in
-    /// [`Engine::search_filtered_with`] — by splitting it into per-thread
-    /// shards executed on `pool`.
+    /// The group entry point — what the batch adapters above delegate
+    /// to and what the server answers every search request with:
+    /// `batch` searched for its `k` nearest neighbors under `params`,
+    /// restricted to rows matching `filter` when one is given (as in
+    /// [`Engine::search_filtered_with`]), one result per query in batch
+    /// order.
     ///
-    /// Results are **bit-identical** to sequential [`Engine::search_batch`]
-    /// (pinned across the full index × operator grid by the parity suite):
-    /// each shard runs the same batched-rotation setup, which is itself
-    /// bit-identical to per-query setup, so shard boundaries cannot perturb
-    /// a single bit. A batch (or pool) too small to shard runs inline.
-    ///
-    /// The calling thread *participates*: shards are claimed from a shared
-    /// cursor by the caller and by up to `shards - 1` pool workers, so the
-    /// call completes even when every pool worker is busy (no speedup, but
-    /// no deadlock — the [`crate::BatchCollector`] relies on this).
-    ///
-    /// Takes `self: Arc<Engine>` because shard jobs outlive the borrow
-    /// checker's view of the call: clone the `Arc` (cheap) at the call
-    /// site, e.g. `handle.engine().search_batch_parallel_with(...)`.
-    ///
-    /// Cost note: the batch is copied once into the shared work item (to
-    /// give pool jobs `'static` data) and each shard slices its
-    /// contiguous rows out once more — `O(batch bytes)` of memcpy, a
-    /// deliberate tradeoff for keeping the borrow-friendly `&QueryBatch`
-    /// signature. Against the `O(n · D)`-per-query search behind it this
-    /// is noise; revisit only if profiles say otherwise.
+    /// Every evaluator is prepared up front through
+    /// [`ddc_core::Dco::begin_batch`], so the queries' `O(D²)` rotations
+    /// share one cache-blocked pass. Results are bit-identical to solo
+    /// searches of the same queries (the parity suite pins this). The
+    /// dimension is checked even for an empty batch: the rotation-based
+    /// operators' `begin_batch` asserts it unconditionally, and a
+    /// mismatched-but-empty batch fails the same way for every operator.
     ///
     /// # Errors
     /// Dimension mismatches; a `filter` on an engine without payloads.
-    pub fn search_batch_parallel_with(
-        self: Arc<Self>,
-        pool: &WorkerPool,
-        batch: &QueryBatch,
-        k: usize,
-        params: &SearchParams,
-        filter: Option<&FilterPredicate>,
-    ) -> Result<Vec<SearchResult>, EngineError> {
-        let shards = pool.threads().min(batch.len());
-        if shards <= 1 {
-            return self.search_group(batch, k, params, filter);
-        }
-        let work = Arc::new(BatchWork {
-            engine: Arc::clone(&self),
-            batch: batch.clone(),
-            k,
-            params: *params,
-            filter: filter.cloned(),
-            shards,
-            cursor: AtomicUsize::new(0),
-            results: Mutex::new((0..shards).map(|_| None).collect()),
-            done: Mutex::new(0),
-            all_done: Condvar::new(),
-        });
-        // `shards - 1` helper tickets: pool workers that are free claim
-        // shards alongside the caller; tickets that fire after the cursor
-        // is exhausted return immediately.
-        for _ in 0..shards - 1 {
-            let w = Arc::clone(&work);
-            pool.submit(Box::new(move || w.run_claimant()));
-        }
-        work.run_claimant();
-        let mut done = work.done.lock().expect("batch latch poisoned");
-        while *done < shards {
-            done = work.all_done.wait(done).expect("batch latch poisoned");
-        }
-        drop(done);
-
-        let mut slots = work.results.lock().expect("batch results poisoned");
-        let mut out = Vec::with_capacity(batch.len());
-        for slot in slots.iter_mut() {
-            // A shard whose job panicked released the latch (drop guard)
-            // but left no result — re-raise the failure here instead of
-            // on the worker, where it was caught and logged.
-            out.append(
-                &mut slot
-                    .take()
-                    .expect("a parallel batch shard panicked (see worker log)")?,
-            );
-        }
-        Ok(out)
-    }
-
-    /// The one group entry point: the adapters above, each shard of the
-    /// parallel path and the [`crate::BatchCollector`]'s drained groups
-    /// all run through it. The dimension is checked even for empty
-    /// batches (the rotation-based operators' `begin_batch` asserts it
-    /// unconditionally, and a mismatched-but-empty batch should fail the
-    /// same way for every operator).
-    fn search_group(
+    pub fn search_group(
         &self,
         batch: &QueryBatch,
         k: usize,
@@ -899,87 +827,6 @@ impl Manifest {
 
 const MANIFEST_MAGIC: &str = "ddc-engine v1";
 
-/// One in-flight parallel batch: the shared cursor its claimants (caller +
-/// pool workers) pull shard indices from, and the latch the caller waits
-/// on.
-struct BatchWork {
-    engine: Arc<Engine>,
-    batch: QueryBatch,
-    k: usize,
-    params: SearchParams,
-    filter: Option<FilterPredicate>,
-    shards: usize,
-    cursor: AtomicUsize,
-    results: Mutex<Vec<Option<crate::Result<Vec<SearchResult>>>>>,
-    done: Mutex<usize>,
-    all_done: Condvar,
-}
-
-impl BatchWork {
-    /// Claims and executes shards until the cursor is exhausted. Runs on
-    /// the calling thread and on any pool worker that picked up a ticket.
-    fn run_claimant(&self) {
-        loop {
-            let shard = self.cursor.fetch_add(1, Ordering::Relaxed);
-            if shard >= self.shards {
-                return;
-            }
-            // Armed before the search so the latch releases even if the
-            // search panics on a pool worker (where panics are caught and
-            // the thread survives) — otherwise the caller would wait on
-            // the condvar forever. The caller detects the missing result
-            // and re-raises.
-            let release = LatchGuard { work: self };
-            let (lo, hi) = shard_range(self.batch.len(), self.shards, shard);
-            let dim = self.batch.dim();
-            // One contiguous memcpy per shard (ranges are contiguous by
-            // construction), not a per-row rebuild.
-            let flat = self.batch.as_flat()[lo * dim..hi * dim].to_vec();
-            let sub =
-                QueryBatch::new(VecSet::from_flat(dim, flat).expect("shard slice is row-aligned"));
-            let rs = self
-                .engine
-                .search_group(&sub, self.k, &self.params, self.filter.as_ref());
-            match self.results.lock() {
-                Ok(mut slots) => slots[shard] = Some(rs),
-                Err(poisoned) => poisoned.into_inner()[shard] = Some(rs),
-            }
-            drop(release);
-        }
-    }
-}
-
-/// Releases one shard's slot of the [`BatchWork`] latch on drop — the
-/// panic-safety mechanism behind `run_claimant`.
-struct LatchGuard<'a> {
-    work: &'a BatchWork,
-}
-
-impl Drop for LatchGuard<'_> {
-    fn drop(&mut self) {
-        // Recover from poisoning: the counter is a plain usize, never
-        // left torn, and this drop may itself run during an unwind.
-        let mut done = match self.work.done.lock() {
-            Ok(done) => done,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        *done += 1;
-        if *done == self.work.shards {
-            self.work.all_done.notify_all();
-        }
-    }
-}
-
-/// Contiguous, balanced shard boundaries: the first `len % shards` shards
-/// get one extra query.
-fn shard_range(len: usize, shards: usize, shard: usize) -> (usize, usize) {
-    let base = len / shards;
-    let rem = len % shards;
-    let lo = shard * base + shard.min(rem);
-    let hi = lo + base + usize::from(shard < rem);
-    (lo, hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1244,21 +1091,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_ranges_are_contiguous_and_balanced() {
-        for (len, shards) in [(10, 3), (7, 7), (8, 3), (100, 4), (5, 2), (1, 1)] {
-            let mut covered = 0;
-            for s in 0..shards {
-                let (lo, hi) = shard_range(len, shards, s);
-                assert_eq!(lo, covered, "len={len} shards={shards} shard={s}");
-                assert!(hi - lo <= len / shards + 1);
-                assert!(hi - lo >= len / shards);
-                covered = hi;
-            }
-            assert_eq!(covered, len, "len={len} shards={shards}");
-        }
-    }
-
-    #[test]
     fn k_zero_returns_well_defined_empty_results_on_every_index() {
         let w = workload();
         for index in ["flat", "ivf(nlist=8)", "hnsw(m=6,ef_construction=30)"] {
@@ -1301,48 +1133,40 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batch_matches_sequential_and_handles_edges() {
+    fn group_search_matches_solo_and_handles_edges() {
         let w = workload();
-        let engine = Arc::new(
-            Engine::build(
-                &w.base,
-                None,
-                EngineConfig::from_strs("hnsw(m=6,ef_construction=30)", "adsampling(delta_d=4)")
-                    .unwrap(),
-            )
-            .unwrap(),
-        );
-        let pool = crate::pool::WorkerPool::new(3);
+        let engine = Engine::build(
+            &w.base,
+            None,
+            EngineConfig::from_strs("hnsw(m=6,ef_construction=30)", "adsampling(delta_d=4)")
+                .unwrap(),
+        )
+        .unwrap();
         let batch = QueryBatch::new(w.queries.clone());
 
         let params = engine.config().params;
-        let seq = engine.search_batch(&batch, 5).unwrap();
-        let par = engine
-            .clone()
-            .search_batch_parallel_with(&pool, &batch, 5, &params, None)
-            .unwrap();
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.ids(), b.ids());
+        let group = engine.search_group(&batch, 5, &params, None).unwrap();
+        assert_eq!(group.len(), batch.len());
+        for (qi, r) in group.iter().enumerate() {
+            assert_eq!(r.ids(), engine.search(batch.get(qi), 5).unwrap().ids());
         }
 
-        // Edge shapes route through the sequential path.
         let empty = QueryBatch::from_rows(12, &[]).unwrap();
         assert!(engine
-            .clone()
-            .search_batch_parallel_with(&pool, &empty, 5, &params, None)
+            .search_group(&empty, 5, &params, None)
             .unwrap()
             .is_empty());
         assert!(engine
-            .clone()
-            .search_batch_parallel_with(&pool, &batch, 0, &params, None)
+            .search_group(&batch, 0, &params, None)
             .unwrap()
             .iter()
             .all(|r| r.neighbors.is_empty()));
         let wrong = QueryBatch::from_rows(3, &[&[0.0; 3]]).unwrap();
+        assert!(engine.search_group(&wrong, 5, &params, None).is_err());
+        // A predicate needs payload tags to read.
+        let pred = FilterPredicate::Eq(1);
         assert!(engine
-            .clone()
-            .search_batch_parallel_with(&pool, &wrong, 5, &params, None)
+            .search_group(&batch, 5, &params, Some(&pred))
             .is_err());
     }
 

@@ -21,12 +21,13 @@
 //!  └──────────────────────────────────────────────────┘
 //! ```
 //!
-//! * **One search path** — the six entry points ([`Engine::search`],
+//! * **One search path** — the five adapters ([`Engine::search`],
 //!   [`Engine::search_with`], [`Engine::search_filtered_with`],
-//!   [`Engine::search_batch`], [`Engine::search_batch_with`],
-//!   [`Engine::search_batch_parallel_with`]) are adapters of a few lines
-//!   over one private group method and one per-query core: a solo query
-//!   is a group of one, an unfiltered search has the predicate `None`.
+//!   [`Engine::search_batch`], [`Engine::search_batch_with`]) are a few
+//!   lines each over the public group entry point
+//!   [`Engine::search_group`] (a batch plus an optional
+//!   [`FilterPredicate`]) and one per-query core: a solo query is a group
+//!   of one, an unfiltered search has the predicate `None`.
 //! * **Runtime selection** — [`EngineConfig::from_strs`] parses
 //!   `name(key=value,...)` specs ([`ddc_core::DcoSpec`] /
 //!   [`ddc_index::IndexSpec`]) straight from CLI flags or config files.
@@ -49,22 +50,11 @@
 //!   ([`ddc_index::persist`]); reopening needs no base vectors, refits
 //!   nothing, runs in `O(ms)`, and serves the matrix zero-copy off the map
 //!   with results bit-identical to the saved engine.
-//! * **Shard-parallel batches** — [`Engine::search_batch_parallel_with`]
-//!   splits a batch (filtered or not) across a [`WorkerPool`] (fixed
-//!   threads, sharded queues, no work stealing) with results
-//!   bit-identical to the sequential path; the calling thread
-//!   participates, so the call is deadlock-free even on a saturated
-//!   pool.
+//! * **A worker pool** — [`WorkerPool`] runs jobs (the server's request
+//!   handlers) on fixed threads taking from one FIFO queue.
 //! * **Hot swap** — [`ServingHandle`] is an epoch-stamped engine slot:
 //!   readers snapshot an `Arc<Engine>`, [`ServingHandle::swap`] replaces
 //!   it atomically mid-traffic (what `ddc-server`'s `/admin/swap` uses).
-//! * **Request coalescing** — [`BatchCollector`] turns concurrent
-//!   requests (one query or many, filtered or not) into engine batches
-//!   through its one `submit`: arrivals within a small adaptive window
-//!   that agree on `k`, parameters and predicate share one engine call
-//!   (bit-identical to solo execution by the parity contract) and fan
-//!   back out through per-request callbacks stamped with their
-//!   execution epoch.
 //! * **Generalized metrics & filtering** — both specs accept a `metric=`
 //!   key (`l2`, `ip`, `cosine`, `wl2:w1;w2;...`; see [`Metric`]) and the
 //!   engine validates that index and operator agree;
@@ -96,7 +86,6 @@
 //! }
 //! ```
 
-mod collector;
 mod engine;
 mod error;
 mod filter;
@@ -105,8 +94,6 @@ mod mutable;
 mod pool;
 mod stats;
 
-pub use collector::{BatchCollector, CollectorConfig, CollectorStats, ExecMeta, SearchCallback};
-pub use collector::{SIZE_BUCKETS, WAIT_BUCKETS_US};
 pub use engine::{Engine, EngineConfig, SnapshotInfo};
 pub use error::EngineError;
 pub use filter::FilterPredicate;

@@ -1,20 +1,11 @@
-//! A fixed-size worker pool with per-worker sharded queues.
+//! A fixed-size worker pool over one shared FIFO queue.
 //!
-//! The serving layer needs long-lived threads for two jobs: handling
-//! connections (`ddc-server`) and executing the shards of
-//! [`crate::Engine::search_batch_parallel_with`]. Both are throughput work —
-//! many independent tasks — so the pool deliberately skips work stealing:
-//! each worker owns one queue, submitters place each task once (on the
-//! least-loaded queue, ties broken round-robin), and a task never
-//! migrates after placement. That keeps the hot path to one mutex +
-//! condvar per task with zero cross-worker coordination, while the load
-//! signal steers short tasks away from workers pinned by long-running
-//! ones (an idle keep-alive connection, a slow shard).
-//!
-//! Deadlock note: jobs must not *block* on other jobs in the same pool.
-//! The parallel batch path obeys this by construction — the submitting
-//! thread participates in its own batch (claiming shards from a shared
-//! cursor), so every batch completes even when all workers are busy.
+//! The server runs every request handler as a pool job. One queue shared
+//! by all workers means a job waits only while *every* worker is busy: a
+//! search never queues behind an `/admin/swap` rebuild or an
+//! `/admin/compact` on one worker while another sits idle. Jobs start in
+//! submission order; a job must not block on another job of the same
+//! pool.
 //!
 //! ```
 //! use ddc_engine::WorkerPool;
@@ -34,49 +25,29 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// The unit of pool work: a boxed, owned closure.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
-struct ShardState {
-    queue: VecDeque<Job>,
+struct Queue {
+    jobs: VecDeque<Job>,
     shutdown: bool,
 }
 
-struct Shard {
-    state: Mutex<ShardState>,
+struct Shared {
+    queue: Mutex<Queue>,
     available: Condvar,
-    /// Queued plus in-flight jobs — the placement signal. A worker pinned
-    /// by a long-running job (e.g. an idle keep-alive connection) keeps a
-    /// nonzero load, steering new work to free workers.
-    load: AtomicUsize,
 }
 
-impl Shard {
-    fn new() -> Shard {
-        Shard {
-            state: Mutex::new(ShardState {
-                queue: VecDeque::new(),
-                shutdown: false,
-            }),
-            available: Condvar::new(),
-            load: AtomicUsize::new(0),
-        }
-    }
-}
-
-/// Fixed-size thread pool: `n` workers, `n` queues, least-loaded
-/// placement (round-robin tie-break), no work stealing.
+/// Fixed-size thread pool: `n` workers taking jobs from one FIFO queue.
 ///
 /// Dropping the pool shuts it down gracefully: every already-queued job
 /// still runs, then the workers exit and are joined.
 pub struct WorkerPool {
-    shards: Vec<Arc<Shard>>,
+    shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    next: AtomicUsize,
 }
 
 impl std::fmt::Debug for WorkerPool {
@@ -90,24 +61,23 @@ impl std::fmt::Debug for WorkerPool {
 impl WorkerPool {
     /// Spawns `threads` workers (clamped up to 1).
     pub fn new(threads: usize) -> WorkerPool {
-        let threads = threads.max(1);
-        let shards: Vec<Arc<Shard>> = (0..threads).map(|_| Arc::new(Shard::new())).collect();
-        let workers = shards
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                let shard = Arc::clone(shard);
+        let shared = Arc::new(Shared {
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                shutdown: false,
+            }),
+            available: Condvar::new(),
+        });
+        let workers = (0..threads.max(1))
+            .map(|i| {
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("ddc-pool-{i}"))
-                    .spawn(move || worker_loop(&shard))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn pool worker")
             })
             .collect();
-        WorkerPool {
-            shards,
-            workers,
-            next: AtomicUsize::new(0),
-        }
+        WorkerPool { shared, workers }
     }
 
     /// Number of worker threads.
@@ -115,47 +85,26 @@ impl WorkerPool {
         self.workers.len()
     }
 
-    /// Enqueues a job on the least-loaded queue (ties broken round-robin).
-    ///
-    /// Placement is final — there is no stealing — so the load signal
-    /// (queued + in-flight per worker) is what keeps short jobs from
-    /// queueing behind a worker pinned by a long-running one. Jobs run in
-    /// submission order within one queue; ordering across queues is
-    /// unspecified.
+    /// Enqueues a job at the back of the queue; the next free worker
+    /// takes it.
     pub fn submit(&self, job: Job) {
-        let start = self.next.fetch_add(1, Ordering::Relaxed);
-        let n = self.shards.len();
-        let mut best = start % n;
-        let mut best_load = self.shards[best].load.load(Ordering::Relaxed);
-        for off in 1..n {
-            let i = (start + off) % n;
-            let load = self.shards[i].load.load(Ordering::Relaxed);
-            if load < best_load {
-                best = i;
-                best_load = load;
-            }
-        }
-        let shard = &self.shards[best];
-        shard.load.fetch_add(1, Ordering::Relaxed);
-        let mut state = shard.state.lock().expect("pool queue poisoned");
-        state.queue.push_back(job);
-        drop(state);
-        shard.available.notify_one();
+        let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
+        queue.jobs.push_back(job);
+        drop(queue);
+        self.shared.available.notify_one();
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        for shard in &self.shards {
-            if let Ok(mut state) = shard.state.lock() {
-                state.shutdown = true;
-            }
-            shard.available.notify_all();
+        if let Ok(mut queue) = self.shared.queue.lock() {
+            queue.shutdown = true;
         }
+        self.shared.available.notify_all();
         let me = std::thread::current().id();
         for worker in self.workers.drain(..) {
             // The pool can be dropped *from inside a job* — e.g. when the
-            // last owner of a server's shared state is a connection job.
+            // last owner of a server's shared state is a handler job.
             // Joining the current thread would deadlock it forever; skip
             // it (this worker exits on its own right after this drop, and
             // dropping its handle detaches it).
@@ -169,22 +118,21 @@ impl Drop for WorkerPool {
     }
 }
 
-fn worker_loop(shard: &Shard) {
-    let mut state = shard.state.lock().expect("pool queue poisoned");
+fn worker_loop(shared: &Shared) {
+    let mut queue = shared.queue.lock().expect("pool queue poisoned");
     loop {
-        if let Some(job) = state.queue.pop_front() {
-            drop(state);
+        if let Some(job) = queue.jobs.pop_front() {
+            drop(queue);
             // One panicking job must not retire the worker: the pool is
             // fixed-size, so a lost thread is lost capacity forever.
             if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err() {
                 eprintln!("ddc-engine worker: job panicked (worker continues)");
             }
-            shard.load.fetch_sub(1, Ordering::Relaxed);
-            state = shard.state.lock().expect("pool queue poisoned");
-        } else if state.shutdown {
+            queue = shared.queue.lock().expect("pool queue poisoned");
+        } else if queue.shutdown {
             return;
         } else {
-            state = shard.available.wait(state).expect("pool queue poisoned");
+            queue = shared.available.wait(queue).expect("pool queue poisoned");
         }
     }
 }
@@ -192,7 +140,9 @@ fn worker_loop(shard: &Shard) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn runs_all_jobs_across_workers() {
@@ -254,7 +204,7 @@ mod tests {
 
     #[test]
     fn jobs_on_one_queue_run_in_submission_order() {
-        // One worker → one queue → strict FIFO.
+        // One worker → strict FIFO.
         let pool = WorkerPool::new(1);
         let log = Arc::new(Mutex::new(Vec::new()));
         for i in 0..10 {
@@ -263,5 +213,27 @@ mod tests {
         }
         drop(pool);
         assert_eq!(*log.lock().unwrap(), (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_queued_job_takes_the_first_worker_that_frees_up() {
+        // Worker A stays pinned; worker B is busy until the third job is
+        // queued, then frees up. The third job must run on B, not wait
+        // behind A.
+        let pool = WorkerPool::new(2);
+        let (release_a, pinned) = mpsc::channel::<()>();
+        let (release_b, busy) = mpsc::channel::<()>();
+        let (done, ran) = mpsc::channel::<()>();
+        pool.submit(Box::new(move || {
+            let _ = pinned.recv_timeout(Duration::from_secs(20));
+        }));
+        pool.submit(Box::new(move || {
+            let _ = busy.recv_timeout(Duration::from_secs(20));
+        }));
+        pool.submit(Box::new(move || done.send(()).unwrap()));
+        release_b.send(()).unwrap();
+        let outcome = ran.recv_timeout(Duration::from_secs(10));
+        release_a.send(()).unwrap();
+        outcome.expect("the job waited behind the pinned worker");
     }
 }

@@ -1,7 +1,7 @@
 //! The engine parity suite: dynamic dispatch and batching must be
 //! invisible in results.
 //!
-//! Two contracts, both **exact** (no tolerances):
+//! Three contracts, all **exact** (no tolerances):
 //!
 //! 1. For every `IndexSpec × DcoSpec` combination (3 indexes × 5
 //!    operators), [`Engine`] returns bit-identical top-k ids and distances
@@ -13,19 +13,19 @@
 //!    memory traffic without perturbing a single bit (the
 //!    `matvec_batch_bit_identical_to_per_query` property in `ddc-linalg`
 //!    is the kernel-level half of this contract).
+//! 3. [`Engine::search_group`] — the one group entry point the server
+//!    answers every search request with — is bit-identical to solo
+//!    searches, filtered or not.
 //!
-//! Both contracts — plus the store-vs-RAM and snapshot-vs-built ones —
+//! The first two contracts — plus the store-vs-RAM and snapshot-vs-built ones —
 //! are additionally swept across the non-L2 metrics (inner product,
 //! cosine, weighted-L2): changing the metric must change *which*
 //! neighbors win, never whether the execution paths agree bit-for-bit.
 
 use ddc_core::{AdSampling, Dco, DcoSpec, DdcOpq, DdcPca, DdcRes, Exact, QueryBatch};
-use ddc_engine::{
-    Engine, EngineConfig, FilterPredicate, Metric, MutableConfig, MutableEngine, WorkerPool,
-};
+use ddc_engine::{Engine, EngineConfig, FilterPredicate, Metric, MutableConfig, MutableEngine};
 use ddc_index::{FlatIndex, Hnsw, IndexSpec, Ivf, SearchParams, SearchResult};
 use ddc_vecs::{SharedRows, SynthSpec, Workload};
-use std::sync::Arc;
 
 const K: usize = 10;
 
@@ -171,18 +171,16 @@ fn search_batch_matches_sequential_search_on_the_full_grid() {
     }
 }
 
-/// Contract 3 (PR 4): shard-parallel batched search is bit-identical to
-/// sequential batched search for every index × operator combination —
-/// shard boundaries and thread interleavings must not perturb ids,
-/// distance bits, or per-query counters. Both an oversubscribed pool
-/// (more threads than shards get work) and a single-thread pool (the
-/// degenerate sequential fallback) are pinned.
+/// Contract 3: the group entry point is bit-identical to solo search
+/// for every index × operator combination — ids, distance bits, and
+/// per-query counters — both unfiltered (against [`Engine::search`]) and
+/// under a predicate (against [`Engine::search_filtered_with`]).
 #[test]
-fn search_batch_parallel_matches_sequential_batch_on_the_full_grid() {
+fn search_group_matches_solo_search_on_the_full_grid() {
     let w = workload();
     let batch = QueryBatch::new(w.queries.clone());
-    assert!(batch.len() >= 8, "batch must exercise real sharding");
-    let pools = [WorkerPool::new(4), WorkerPool::new(1)];
+    assert!(batch.len() >= 8, "batch must exercise the blocked kernel");
+    let pred = FilterPredicate::Range(1, 2);
     for index_str in INDEX_SPECS {
         for dco_str in DCO_SPECS {
             let cfg = EngineConfig::from_strs(index_str, dco_str)
@@ -191,37 +189,18 @@ fn search_batch_parallel_matches_sequential_batch_on_the_full_grid() {
             let mut engine = Engine::build(&w.base, Some(&w.train_queries), cfg).unwrap();
             let tags = (0..engine.len() as u64).map(|row| row % 5).collect();
             engine.set_payloads(tags).unwrap();
-            let engine = Arc::new(engine);
             let params = engine.config().params;
-            let sequential = engine.search_batch(&batch, K).unwrap();
-            for pool in &pools {
-                let parallel = engine
-                    .clone()
-                    .search_batch_parallel_with(pool, &batch, K, &params, None)
-                    .unwrap();
-                assert_eq!(parallel.len(), sequential.len());
-                for (qi, (got, want)) in parallel.iter().zip(&sequential).enumerate() {
-                    let ctx = format!(
-                        "{index_str} x {dco_str} parallel({}) query {qi}",
-                        pool.threads()
-                    );
-                    assert_same_results(got, want, &ctx);
-                    assert_eq!(got.counters, want.counters, "{ctx}: counters diverge");
-                }
-            }
-
-            // The predicate rides the same path into every batch shape:
-            // a filtered batch, sharded or inline, ≡ filtered solo.
-            let pred = FilterPredicate::Range(1, 2);
-            for pool in &pools {
-                let filtered = engine
-                    .clone()
-                    .search_batch_parallel_with(pool, &batch, K, &params, Some(&pred))
-                    .unwrap();
-                for (qi, got) in filtered.iter().enumerate() {
-                    let ctx = format!("{index_str} x {dco_str} filtered query {qi}");
-                    let want = engine.search_filtered_with(batch.get(qi), K, &params, &pred);
+            for filter in [None, Some(&pred)] {
+                let group = engine.search_group(&batch, K, &params, filter).unwrap();
+                assert_eq!(group.len(), batch.len());
+                for (qi, got) in group.iter().enumerate() {
+                    let q = batch.get(qi);
+                    let want = match filter {
+                        Some(f) => engine.search_filtered_with(q, K, &params, f),
+                        None => engine.search(q, K),
+                    };
                     let want = want.unwrap();
+                    let ctx = format!("{index_str} x {dco_str} filter {filter:?} query {qi}");
                     assert_same_results(got, &want, &ctx);
                     assert_eq!(got.counters, want.counters, "{ctx}: counters diverge");
                 }
@@ -283,7 +262,7 @@ fn store_built_engine_matches_ram_built_on_the_full_grid() {
 /// bits, and work counters — for every index × operator combination,
 /// whether the original was built from RAM-resident vectors or from a
 /// mapped [`SharedRows`], and through every search entry point including
-/// the shard-parallel batch path. Nothing is rebuilt on open: the
+/// the group path. Nothing is rebuilt on open: the
 /// container carries the pre-rotated matrix and the operator state
 /// verbatim, so parity is exact by construction and this test keeps it
 /// that way.
@@ -296,16 +275,14 @@ fn snapshot_opened_engine_matches_fresh_build_on_the_full_grid() {
     let store = SharedRows::open(&fvecs).unwrap();
 
     let batch = QueryBatch::new(w.queries.clone());
-    let pool = WorkerPool::new(4);
     let params = SearchParams::new().with_ef(50).with_nprobe(4);
     for index_str in INDEX_SPECS {
         for dco_str in DCO_SPECS {
             let cfg = EngineConfig::from_strs(index_str, dco_str)
                 .unwrap()
                 .with_params(params);
-            let ram =
-                Arc::new(Engine::build(&w.base, Some(&w.train_queries), cfg.clone()).unwrap());
-            let stored = Arc::new(Engine::build(&store, Some(&w.train_queries), cfg).unwrap());
+            let ram = Engine::build(&w.base, Some(&w.train_queries), cfg.clone()).unwrap();
+            let stored = Engine::build(&store, Some(&w.train_queries), cfg).unwrap();
             for (label, fresh) in [("ram", &ram), ("store", &stored)] {
                 let mut path = std::env::temp_dir();
                 path.push(format!(
@@ -313,7 +290,7 @@ fn snapshot_opened_engine_matches_fresh_build_on_the_full_grid() {
                     std::process::id()
                 ));
                 fresh.save_snapshot(&path).unwrap();
-                let back = Arc::new(Engine::open_snapshot(&path).unwrap());
+                let back = Engine::open_snapshot(&path).unwrap();
                 assert!(
                     back.snapshot_info().is_some(),
                     "{label}: provenance recorded"
@@ -327,18 +304,16 @@ fn snapshot_opened_engine_matches_fresh_build_on_the_full_grid() {
                     assert_eq!(a.counters, b.counters, "{ctx}: counters diverge");
                 }
 
-                // The reopened engine's parallel batch path against the
-                // fresh engine's sequential path: snapshot serving and
-                // sharding together must still be invisible.
+                // The reopened engine's group path against the fresh
+                // engine's batch path: snapshot serving must still be
+                // invisible there.
                 let want = fresh.search_batch(&batch, K).unwrap();
                 let got = back
-                    .clone()
-                    .search_batch_parallel_with(&pool, &batch, K, &back.config().params, None)
+                    .search_group(&batch, K, &back.config().params, None)
                     .unwrap();
                 assert_eq!(got.len(), want.len());
                 for (qi, (g, w_)) in got.iter().zip(&want).enumerate() {
-                    let ctx =
-                        format!("{index_str} x {dco_str} {label} snapshot parallel query {qi}");
+                    let ctx = format!("{index_str} x {dco_str} {label} snapshot group query {qi}");
                     assert_same_results(g, w_, &ctx);
                     assert_eq!(g.counters, w_.counters, "{ctx}: counters diverge");
                 }

@@ -1,10 +1,11 @@
 //! Request-lifecycle stage taxonomy.
 //!
 //! Every request to the serving layer passes through the same pipeline:
-//! parse → (coalesce) queue wait → engine search → response
-//! serialization → socket write. [`Stage`] names those phases and
-//! [`StageHistograms`] holds one nanosecond log2 histogram per stage, so
-//! the reactor, collector, and engine all record onto the same axis and
+//! parse → queue wait → engine search → response serialization →
+//! socket write. [`Stage`] names those phases and [`StageHistograms`]
+//! holds one nanosecond log2 histogram per stage, so the reactor, the
+//! worker that runs a request, and the engine all record onto the same
+//! axis and
 //! `/metrics` can expose `ddc_stage_duration_seconds{stage=...}`.
 
 use crate::hist::{AtomicHistogram, HistogramSnapshot};
@@ -18,9 +19,11 @@ use crate::hist::{AtomicHistogram, HistogramSnapshot};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// HTTP request framing plus body validation on the reactor thread.
+    /// HTTP request framing on the reactor thread plus body validation
+    /// on the worker.
     Parse,
-    /// Time a coalesced query sat in the batch collector queue.
+    /// Time a search request waited for a worker: from the reactor's
+    /// dispatch to the start of its pool job.
     QueueWait,
     /// Each query's own index traversal + distance-comparison time.
     Search,

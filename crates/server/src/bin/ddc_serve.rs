@@ -34,19 +34,14 @@ const USAGE: &str = "\
 ddc-serve — serve an AKNN engine over HTTP (no external dependencies)
 
   --addr ADDR        bind address (default 127.0.0.1:8321; port 0 = ephemeral)
-  --workers N        worker threads for request handlers + batch shards
-                     (default 4; connections live on the reactor thread)
+  --workers N        worker threads; each request, a search included, runs
+                     as one job on one of them (default 4; connections
+                     live on the reactor thread)
   --max-conns N      simultaneously-open connection cap — clients over it
                      get a 503 (default 1024)
   --read-timeout-ms N  idle allowance per connection: stalled mid-request
                      draws a 408, idle between requests closes silently
                      (default 5000)
-  --coalesce-window-us N  how long the first pending /search query waits
-                     for company before its batch executes (default 200;
-                     0 = never wait, solo queries execute immediately);
-                     the adaptive controller treats this as its ceiling
-  --coalesce-max-batch N  queue depth that triggers immediate batch
-                     execution (default 64)
   --access-log N     emit one structured JSON line on stderr (endpoint,
                      status, duration) for every Nth finished request
                      (1 = all); histograms and /metrics see every request
@@ -276,11 +271,6 @@ fn main() {
             "read-timeout-ms",
             defaults.read_timeout.as_millis() as u64,
         )),
-        coalesce_window: std::time::Duration::from_micros(parsed(
-            "coalesce-window-us",
-            defaults.coalesce_window.as_micros() as u64,
-        )),
-        coalesce_max_batch: parsed("coalesce-max-batch", defaults.coalesce_max_batch),
         access_log: switch("access-log").then(|| parsed("access-log", 1)),
         ..Default::default()
     };
@@ -376,12 +366,10 @@ fn main() {
     };
     let addr = server.local_addr().unwrap_or_else(|e| fail(&e.to_string()));
     println!(
-        "ddc-serve listening on http://{addr}/ ({} workers, {} conns max, \
-         coalesce window {}us adaptive) — endpoints: /healthz /stats /metrics \
-         /search /search_batch /upsert /delete /admin/compact /admin/swap",
-        cfg.workers,
-        cfg.max_connections,
-        cfg.coalesce_window.as_micros(),
+        "ddc-serve listening on http://{addr}/ ({} workers, {} conns max) — \
+         endpoints: /healthz /stats /metrics /search /search_batch /upsert \
+         /delete /admin/compact /admin/swap",
+        cfg.workers, cfg.max_connections,
     );
     if let Some(path) = arg_opt("port-file") {
         std::fs::write(&path, addr.port().to_string())

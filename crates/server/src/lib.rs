@@ -11,16 +11,10 @@
 //!                         │ per-conn state machines frame requests
 //!                         │ incrementally; idle sweep enforces
 //!                         │ read timeouts and the connection cap
-//!              ┌──────────┴──────────┐
-//!              │ POST /search        │ everything else
-//!              │ POST /search_batch  │
-//!              ▼                     ▼
-//!     one search handler      WorkerPool job
-//!      → BatchCollector        (parse body → route → respond)
-//!      (coalesces concurrent
-//!       requests into one
-//!       batched engine call)
-//!              └──────────┬──────────┘
+//!                         ▼ every request: one WorkerPool job
+//!                           (one FIFO queue shared by the workers)
+//!                           parse body → route → respond; a search
+//!                           is one batched engine call
 //!                         ▼ completion queue wakes the reactor,
 //!                           which flushes responses nonblockingly
 //!            ServingHandle (epoch-stamped Arc<Engine> slot)
@@ -32,21 +26,21 @@
 //! keep-alive clients cost a registered fd each instead of a blocked
 //! worker. Every search takes one request path: `/search` and
 //! `/search_batch` bodies parse into the same request (`/search` is a
-//! batch of one, an absent `filter` is `None`), and concurrent requests
-//! that arrive within the coalescing window and agree on `k`,
-//! `ef`/`nprobe` and predicate share one batched engine call with
-//! bit-identical results to solo execution; the window adapts toward
-//! zero when traffic is solo (see `docs/ARCHITECTURE.md`).
+//! batch of one, an absent `filter` is `None`), validated and answered
+//! against one engine snapshot by one [`ddc_engine::Engine::search_group`]
+//! call — the rows of a multi-query body share one batched rotation,
+//! with results bit-identical to solo execution (see
+//! `docs/ARCHITECTURE.md`).
 //!
 //! Endpoints (all JSON):
 //!
 //! | endpoint | method | purpose |
 //! |----------|--------|---------|
 //! | `/healthz` | GET | liveness + current epoch and specs |
-//! | `/stats` | GET | [`ddc_engine::EngineStats`] snapshot + the work ledger since boot (`queries`, `counters`; `batches` = collector engine calls) + connection, coalescing, and mutation counters |
+//! | `/stats` | GET | [`ddc_engine::EngineStats`] snapshot + the work ledger since boot (`queries`, `counters`) + connection and mutation counters |
 //! | `/metrics` | GET | Prometheus text exposition: request/status ledger, latency + stage histograms, DCO work series, engine/storage gauges |
 //! | `/search` | POST | `{"query": [...], "k": 10}` → ids + distances; optional `ef` / `nprobe`, a `"metric"` assertion, a `"filter"` predicate over payload tags, and `"explain": true` for a `trace` block |
-//! | `/search_batch` | POST | `{"queries": [[...], ...], "k": 10}` → `results: [...]`; the same optional fields as `/search` (the filter applies to every query, the trace is one block per request), coalesced with `/search` |
+//! | `/search_batch` | POST | `{"queries": [[...], ...], "k": 10}` → `results: [...]`; the same optional fields as `/search` (the filter applies to every query, the trace is one block per request), one engine call for the whole body |
 //! | `/upsert` | POST | `{"id": 7, "vector": [...]}` — insert or replace a row (mutable boots) |
 //! | `/delete` | POST | `{"id": 7}` — tombstone a row (mutable boots) |
 //! | `/admin/compact` | POST | `{}` or `{"mode": "full"}` — compact pending mutations now; the reply's `mode` is `append`, `repair`, `fold` or `none` (mutable boots) |

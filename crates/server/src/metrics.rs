@@ -191,7 +191,7 @@ impl ServerObs {
 
     /// Renders this struct's metric families into a Prometheus
     /// exposition body (the `/metrics` route appends the engine, storage,
-    /// coalescing, and mutation families around it).
+    /// and mutation families around it).
     pub(crate) fn render_into(&self, e: &mut Expo) {
         e.header(
             "ddc_requests_total",

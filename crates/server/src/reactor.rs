@@ -8,7 +8,7 @@
 //! keep-alive connection pinned a worker and concurrent clients were
 //! capped at pool size. Here idle connections cost one registered fd
 //! and ~100 bytes of state; the pool only ever runs *request handlers*
-//! and batch shards, never waits on sockets.
+//! (one job per request), never waits on sockets.
 //!
 //! ```text
 //!        epoll_pwait ──▶ [listener] accept → register Conn
@@ -16,8 +16,9 @@
 //!             │          [conn fd]  Conn::on_readable / on_writable
 //!             ▼                        │ complete request
 //!       idle sweep (408/close)         ▼
-//!                          routes::handle ──▶ pool job / BatchCollector
-//!                                               │ Response (any thread)
+//!                          routes::handle ──▶ pool job (route; a search
+//!                                               │ is one engine call)
+//!                                               │ Response (worker thread)
 //!                          Completions::push ◀──┘
 //!                            (eventfd wakeup → reactor writes it out)
 //! ```
@@ -430,9 +431,9 @@ impl Waker {
     }
 }
 
-/// The cross-thread response queue: handlers finish on pool (or
-/// collector) threads and push here; the reactor drains after every
-/// wakeup and writes each response into its connection.
+/// The cross-thread response queue: handlers finish on pool threads and
+/// push here; the reactor drains after every wakeup and writes each
+/// response into its connection.
 pub(crate) struct Completions {
     queue: Mutex<Vec<(u64, Response)>>,
     waker: Waker,

@@ -1,32 +1,28 @@
 //! Endpoint dispatch.
 //!
-//! The reactor hands framed requests to [`handle`], which decides the
-//! execution venue. Both search endpoints take one path: [`search`]
+//! The reactor hands every framed request to [`handle`], which queues it
+//! as one [`ddc_engine::WorkerPool`] job running the synchronous
+//! [`route`]. Both search endpoints take one path there: [`search`]
 //! parses `POST /search` and `POST /search_batch` bodies into the same
 //! request — `/search` is a batch of one, an absent `filter` is `None` —
-//! validates it inline (cheap), and joins the
-//! [`ddc_engine::BatchCollector`] coalescing queue; one completion books
-//! the stage ledger and the DCO counters and picks the response shape.
-//! Everything else — including the mutation endpoints `/upsert`,
-//! `/delete`, and `/admin/compact` of a mutable boot — becomes a
-//! [`ddc_engine::WorkerPool`] job running the synchronous [`route`].
-//! Either way the response comes back through a [`Responder`] callback —
-//! handlers never touch sockets.
+//! and answers it with one [`Engine::search_group`] call. The response
+//! comes back through a [`Responder`] callback — handlers never touch
+//! sockets.
 //!
 //! Every successful response carries the `epoch` of the engine snapshot
 //! that served it, so clients (and the stress suite) can attribute each
-//! answer to exactly one installed engine. Searches report the epoch of
-//! the snapshot their *batch executed* under — the engine that actually
-//! computed the answer.
+//! answer to exactly one installed engine. A search validates and runs
+//! against one snapshot, so its epoch names the engine that checked the
+//! body *and* computed the answer.
 
 use crate::http::{Request, Response};
 use crate::json::{scan_body, write_f64, Json, INFALLIBLE};
 use crate::server::ServerState;
 use ddc_core::{Counters, QueryBatch};
-use ddc_engine::{Engine, EngineConfig, ExecMeta, FilterPredicate, Metric};
+use ddc_engine::{Engine, EngineConfig, FilterPredicate, Metric};
 use ddc_index::{SearchParams, SearchResult};
 use ddc_obs::expo::Expo;
-use ddc_obs::{HistogramSnapshot, Stage};
+use ddc_obs::Stage;
 use ddc_vecs::VecSet;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -38,35 +34,38 @@ use std::time::Instant;
 /// whatever thread the handler finished on.
 pub(crate) type Responder = Box<dyn FnOnce(Response) + Send + 'static>;
 
-/// Entry point from the reactor: picks the venue and returns
-/// immediately; `respond` fires when the handler finishes.
+/// Entry point from the reactor: queues the request as one pool job and
+/// returns immediately; `respond` fires when the job finishes.
 /// `framing_nanos` is what the connection spent framing the request —
-/// the first half of its `parse` stage, booked here exactly once per
-/// request (searches add their JSON parse to it first).
+/// the first half of its `parse` stage, booked by [`route`] exactly once
+/// per request (searches add their JSON parse to it first).
 pub(crate) fn handle(
     state: &Arc<ServerState>,
     req: Request,
     framing_nanos: u64,
     respond: Responder,
 ) {
-    if req.method == "POST" && (req.path == "/search" || req.path == "/search_batch") {
-        // Validated inline on the reactor thread — submissions reach the
-        // collector with minimal arrival spread, which is what lets
-        // concurrent requests share a coalescing window.
-        search(state, &req, framing_nanos, respond);
-        return;
-    }
-    state.obs.stages().record(Stage::Parse, framing_nanos);
-    let state = Arc::clone(state);
-    let pool = Arc::clone(&state.pool);
-    pool.submit(Box::new(move || respond(route(&state, &req))));
+    let job_state = Arc::clone(state);
+    let dispatched = Instant::now();
+    state.pool.submit(Box::new(move || {
+        let queue_wait_nanos = dispatched.elapsed().as_nanos() as u64;
+        respond(route(&job_state, &req, framing_nanos, queue_wait_nanos));
+    }));
 }
 
 /// Routes one request synchronously. Infallible by design: protocol and
-/// engine errors become 4xx responses. (`POST /search` and
-/// `POST /search_batch` never reach this — [`handle`] sends them through
-/// [`search`].)
-pub(crate) fn route(state: &ServerState, req: &Request) -> Response {
+/// engine errors become 4xx responses. `queue_wait_nanos` is how long
+/// the job waited for a worker.
+pub(crate) fn route(
+    state: &ServerState,
+    req: &Request,
+    framing_nanos: u64,
+    queue_wait_nanos: u64,
+) -> Response {
+    if req.method == "POST" && (req.path == "/search" || req.path == "/search_batch") {
+        return search(state, req, framing_nanos, queue_wait_nanos);
+    }
+    state.obs.stages().record(Stage::Parse, framing_nanos);
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => healthz(state),
         ("GET", "/stats") => stats(state),
@@ -95,17 +94,6 @@ fn healthz(state: &ServerState) -> Response {
     ]))
 }
 
-/// The legacy `/stats` histogram shape (`le_<edge>` buckets plus a final
-/// `gt_<last>`), now produced from a [`HistogramSnapshot`].
-fn hist_json(snap: &HistogramSnapshot) -> Json {
-    Json::Obj(
-        snap.labeled()
-            .into_iter()
-            .map(|(k, v)| (k, Json::from(v)))
-            .collect(),
-    )
-}
-
 /// Where the served rows live: `(backend, resident bytes, mapped bytes)`
 /// for `/stats` and `/metrics`. The serving engine's own provenance wins:
 /// an engine opened from a snapshot container serves its working set out
@@ -123,7 +111,6 @@ fn storage(state: &ServerState, engine: &Engine) -> (&'static str, usize, usize)
 fn stats(state: &ServerState) -> Response {
     let snap = state.handle.snapshot();
     let s = snap.engine.stats();
-    let c = state.collector.stats();
     let (queries, work) = state.obs.work();
     let (storage_backend, resident, mapped) = storage(state, &snap.engine);
     let mut body = Json::obj([
@@ -145,24 +132,11 @@ fn stats(state: &ServerState) -> Response {
         ("vector_bytes", Json::from(s.vector_bytes)),
         ("total_bytes", Json::from(s.total_bytes())),
         ("queries", Json::from(queries)),
-        ("batches", Json::from(c.batches)),
         ("counters", counters_json(&work)),
         ("workers", Json::from(state.pool.threads())),
         (
             "open_connections",
             Json::from(state.open_conns.load(Ordering::Relaxed)),
-        ),
-        (
-            "coalesce",
-            Json::obj([
-                ("submitted", Json::from(c.submitted)),
-                ("batches", Json::from(c.batches)),
-                ("coalesced_batches", Json::from(c.coalesced_batches)),
-                ("max_batch", Json::from(c.max_batch)),
-                ("window_us", Json::from(c.window_us)),
-                ("size_hist", hist_json(&c.size_hist)),
-                ("wait_us_hist", hist_json(&c.wait_us_hist)),
-            ]),
         ),
     ]);
     // Mutable boots additionally report the write-side state: what is
@@ -191,13 +165,12 @@ fn stats(state: &ServerState) -> Response {
 
 /// `GET /metrics` — Prometheus text exposition v0.0.4. The request
 /// ledger, latency/stage histograms, and DCO series come from
-/// [`crate::metrics::ServerObs`]; engine composition, storage, the
-/// coalescing collector, and (on mutable boots) the write-side land as
-/// gauges, counters, and histograms around them.
+/// [`crate::metrics::ServerObs`]; engine composition, storage, and (on
+/// mutable boots) the write-side land as gauges, counters, and histograms
+/// around them.
 fn metrics(state: &ServerState) -> Response {
     let snap = state.handle.snapshot();
     let s = snap.engine.stats();
-    let c = state.collector.stats();
     let (storage_backend, ..) = storage(state, &snap.engine);
 
     let mut e = Expo::new();
@@ -233,13 +206,8 @@ fn metrics(state: &ServerState) -> Response {
         ),
         (
             "ddc_workers",
-            "Worker threads for handlers and batch shards",
+            "Worker threads running request handlers",
             state.pool.threads() as f64,
-        ),
-        (
-            "ddc_coalesce_window_microseconds",
-            "Current coalescing window ceiling",
-            c.window_us as f64,
         ),
     ] {
         e.header(name, help, "gauge");
@@ -254,41 +222,6 @@ fn metrics(state: &ServerState) -> Response {
         "ddc_storage_backend",
         &format!("backend=\"{storage_backend}\""),
         1.0,
-    );
-
-    for (name, help, v) in [
-        (
-            "ddc_coalesce_submitted_total",
-            "Queries submitted to the coalescing collector",
-            c.submitted,
-        ),
-        (
-            "ddc_coalesce_batches_total",
-            "Engine batches the collector executed",
-            c.batches,
-        ),
-        (
-            "ddc_coalesce_coalesced_batches_total",
-            "Collector batches holding more than one query",
-            c.coalesced_batches,
-        ),
-    ] {
-        e.header(name, help, "counter");
-        e.sample(name, "", v as f64);
-    }
-    e.histogram(
-        "ddc_coalesce_batch_size",
-        "Queries per executed collector batch",
-        "",
-        &c.size_hist,
-        1.0,
-    );
-    e.histogram(
-        "ddc_coalesce_wait_seconds",
-        "Time queries waited in the coalescing queue",
-        "",
-        &c.wait_us_hist,
-        1e6,
     );
 
     if let Some(me) = &state.mutable {
@@ -530,27 +463,29 @@ fn row_problem(row: &[Json], dim: usize, label: &str) -> Option<String> {
     })
 }
 
-/// The explain block of a search: the request's `parse` nanos, the
-/// coalescing execution metadata, and the summed `search` nanos and DCO
-/// work profile of its queries.
+/// The explain block of a search: the request's `parse`, `queue_wait`
+/// and summed `search` nanos, its query count (`batch_len`), the wall
+/// time of its one engine call (`batch_nanos`), and the summed DCO work
+/// profile of its queries.
 fn trace_json(
-    parse_nanos: u64,
-    meta: &ExecMeta,
-    search_nanos: u64,
     epoch: u64,
+    stage_nanos: [u64; 3],
+    batch_len: usize,
+    batch_nanos: u64,
     work: &Counters,
 ) -> Json {
+    let [parse_nanos, queue_wait_nanos, search_nanos] = stage_nanos;
     let stages = Json::obj([
         (Stage::Parse.name(), Json::from(parse_nanos)),
-        (Stage::QueueWait.name(), Json::from(meta.queue_wait_nanos)),
+        (Stage::QueueWait.name(), Json::from(queue_wait_nanos)),
         (Stage::Search.name(), Json::from(search_nanos)),
     ]);
     Json::obj([
         ("epoch", Json::from(epoch)),
         ("stage_nanos", stages),
-        ("queue_wait_nanos", Json::from(meta.queue_wait_nanos)),
-        ("batch_len", Json::from(meta.batch_len)),
-        ("batch_nanos", Json::from(meta.batch_nanos)),
+        ("queue_wait_nanos", Json::from(queue_wait_nanos)),
+        ("batch_len", Json::from(batch_len)),
+        ("batch_nanos", Json::from(batch_nanos)),
         ("search_nanos", Json::from(search_nanos)),
         ("candidates", Json::from(work.candidates)),
         ("pruned", Json::from(work.pruned)),
@@ -643,11 +578,9 @@ struct SearchRequest {
     explain: bool,
 }
 
-/// Parses and validates a search body against the engine serving right
-/// now (the one that executes it may be newer; see [`search`]).
-fn parse_search(state: &ServerState, req: &Request) -> Result<SearchRequest, Response> {
-    let snap = state.handle.snapshot();
-    let engine = &*snap.engine;
+/// Parses and validates a search body against `engine`, the one that
+/// then executes it.
+fn parse_search(engine: &Engine, req: &Request) -> Result<SearchRequest, Response> {
     let dim = engine.dim();
     let (key, nested) = if req.path == "/search" {
         ("query", false)
@@ -671,58 +604,60 @@ fn parse_search(state: &ServerState, req: &Request) -> Result<SearchRequest, Res
     })
 }
 
-/// `POST /search` and `POST /search_batch`: validate here (on the
-/// reactor thread), execute through the coalescing collector — where the
-/// request shares the window, and an engine call, with whatever
-/// compatible traffic arrives around it — and answer from the callback.
-/// The callback also books the observability of the request: one
-/// `parse` (framing + JSON), one `queue_wait`, one `serialize`, and a
-/// `search` plus the DCO work profile per query. `"explain": true`
-/// additionally returns a `trace` block — built from the same
-/// observations, never changing what was searched. `/search_batch`
-/// wraps the per-query answers in `results`; any failure fails the
-/// whole request.
-fn search(state: &Arc<ServerState>, req: &Request, framing_nanos: u64, respond: Responder) {
+/// `POST /search` and `POST /search_batch`: one engine snapshot
+/// validates the body and answers it with one [`Engine::search_group`]
+/// call, so a swap cannot land between the two. Books the request's
+/// observability: one `parse` (framing + JSON); for an answered request
+/// also one `queue_wait`, one `serialize`, and a `search` plus the DCO
+/// work profile per query. `"explain": true` additionally returns a
+/// `trace` block — built from the same observations, never changing
+/// what was searched. `/search_batch` wraps the per-query answers in
+/// `results`; any failure fails the whole request.
+fn search(
+    state: &ServerState,
+    req: &Request,
+    framing_nanos: u64,
+    queue_wait_nanos: u64,
+) -> Response {
     let started = Instant::now();
-    let parsed = parse_search(state, req);
+    let snap = state.handle.snapshot();
+    let parsed = parse_search(&snap.engine, req);
     let parse_nanos = framing_nanos + started.elapsed().as_nanos() as u64;
-    let obs = Arc::clone(&state.obs);
+    let obs = &state.obs;
     obs.stages().record(Stage::Parse, parse_nanos);
     let request = match parsed {
         Ok(request) => request,
-        Err(resp) => return respond(resp),
+        Err(resp) => return resp,
     };
-    let (k, explain, batch_shape) = (request.k, request.explain, req.path == "/search_batch");
-    state.collector.submit(
-        request.queries,
-        k,
-        request.params,
-        request.filter,
-        Box::new(move |epoch, meta, results| {
-            let results = match results {
-                Ok(results) => results,
-                // Post-validation failures are race-shaped (e.g. a swap
-                // changed the dimension mid-flight): still client-safe
-                // 400s, never 500.
-                Err(e) => return respond(bad(&e.to_string())),
-            };
-            obs.stages().record(Stage::QueueWait, meta.queue_wait_nanos);
-            let (mut work, mut search_nanos) = (Counters::new(), 0);
-            for r in &results {
-                obs.stages().record(Stage::Search, r.elapsed_nanos);
-                obs.record_dco(&r.counters);
-                work.merge(&r.counters);
-                search_nanos += r.elapsed_nanos;
-            }
-            let started = Instant::now();
-            let trace = explain.then(|| trace_json(parse_nanos, &meta, search_nanos, epoch, &work));
-            let body = search_body(epoch, k, &results, batch_shape, trace.as_ref());
-            let resp = Response::json_text(200, body);
-            obs.stages()
-                .record(Stage::Serialize, started.elapsed().as_nanos() as u64);
-            respond(resp);
-        }),
-    );
+    let (k, filter) = (request.k, request.filter.as_ref());
+    let started = Instant::now();
+    let group = snap
+        .engine
+        .search_group(&request.queries, k, &request.params, filter);
+    let results = match group {
+        Ok(results) => results,
+        Err(e) => return bad(&e.to_string()),
+    };
+    let batch_nanos = started.elapsed().as_nanos() as u64;
+    obs.stages().record(Stage::QueueWait, queue_wait_nanos);
+    let (mut work, mut search_nanos) = (Counters::new(), 0);
+    for r in &results {
+        obs.stages().record(Stage::Search, r.elapsed_nanos);
+        obs.record_dco(&r.counters);
+        work.merge(&r.counters);
+        search_nanos += r.elapsed_nanos;
+    }
+    let started = Instant::now();
+    let trace = request.explain.then(|| {
+        let stage_nanos = [parse_nanos, queue_wait_nanos, search_nanos];
+        trace_json(snap.epoch, stage_nanos, results.len(), batch_nanos, &work)
+    });
+    let batch_shape = req.path == "/search_batch";
+    let body = search_body(snap.epoch, k, &results, batch_shape, trace.as_ref());
+    let resp = Response::json_text(200, body);
+    obs.stages()
+        .record(Stage::Serialize, started.elapsed().as_nanos() as u64);
+    resp
 }
 
 /// The 400 for mutation requests on a server without a write head.

@@ -1,19 +1,15 @@
 //! The server proper: configuration, shared serving state, and the
 //! lifecycle around the nonblocking reactor loop (`crate::reactor`).
 //!
-//! Connections no longer occupy [`WorkerPool`] workers: the reactor
-//! thread multiplexes all of them (epoll on Linux, timed polling
-//! elsewhere), the pool runs request handlers and batch shards, and the
-//! [`BatchCollector`] coalesces concurrent `/search` and `/search_batch`
-//! requests into engine batches. Idle keep-alive connections therefore cost one
-//! registered fd each — the concurrent-client ceiling is
+//! Connections do not occupy [`WorkerPool`] workers: the reactor thread
+//! multiplexes all of them (epoll on Linux, timed polling elsewhere) and
+//! the pool runs one job per request — a search is one engine call on
+//! the worker that takes it. Idle keep-alive connections therefore cost
+//! one registered fd each — the concurrent-client ceiling is
 //! [`ServerConfig::max_connections`], not the worker count.
 
 use crate::error::ServerError;
-use ddc_engine::{
-    BatchCollector, CollectorConfig, CompactorHandle, Engine, MutableEngine, ServingHandle,
-    WorkerPool,
-};
+use ddc_engine::{CompactorHandle, Engine, MutableEngine, ServingHandle, WorkerPool};
 use ddc_vecs::{SharedRows, VecSet};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -25,8 +21,9 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Bind address; port `0` picks an ephemeral port.
     pub addr: String,
-    /// Worker threads: they run request handlers *and* the shards of
-    /// batched searches (never connections — the reactor owns those).
+    /// Worker threads: each request runs as one job on one of them,
+    /// taken from one FIFO queue (never connections — the reactor owns
+    /// those).
     pub workers: usize,
     /// Idle allowance per connection: a client stalled this long
     /// mid-request is answered `408`; one idle between requests is
@@ -38,15 +35,9 @@ pub struct ServerConfig {
     /// Maximum simultaneously-open connections; clients over the cap
     /// get a best-effort `503` and are dropped.
     pub max_connections: usize,
-    /// Coalescing window for concurrent search requests: the first
-    /// pending query waits at most this long for company before the
-    /// batch executes (see [`BatchCollector`]). This is the ceiling the
-    /// window adapts under: idle solo drains shrink the live window
-    /// toward zero (a trickle of requests stops paying it as latency),
-    /// coalesced or backlogged drains grow it back. Zero disables
-    /// waiting.
-    pub coalesce_window: Duration,
-    /// Queue depth that triggers immediate batch execution.
+    /// Inert: nothing reads it. The benchmark harness still sets it;
+    /// ROADMAP item 1's benchmark change deletes that use and this field.
+    #[doc(hidden)]
     pub coalesce_max_batch: usize,
     /// `Some(n)` emits one structured JSON access-log line on stderr for
     /// every `n`-th finished request (`1` = every request; `0` counts as
@@ -62,7 +53,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(5),
             max_body_bytes: 32 * 1024 * 1024,
             max_connections: 1024,
-            coalesce_window: Duration::from_micros(200),
             coalesce_max_batch: 64,
             access_log: None,
         }
@@ -70,8 +60,7 @@ impl Default for ServerConfig {
 }
 
 /// Everything the handlers share: the hot-swappable engine slot, the
-/// worker pool, the search coalescing collector, and the vector
-/// store swaps rebuild from (which may be a zero-copy memory map —
+/// worker pool, and the vector store swaps rebuild from (which may be a zero-copy memory map —
 /// rebuilds then stream rows straight off disk).
 ///
 /// `base` is `None` when the server was booted from a snapshot container
@@ -80,8 +69,7 @@ impl Default for ServerConfig {
 /// then limited to other snapshots.
 pub(crate) struct ServerState {
     pub(crate) handle: Arc<ServingHandle>,
-    pub(crate) pool: Arc<WorkerPool>,
-    pub(crate) collector: BatchCollector,
+    pub(crate) pool: WorkerPool,
     pub(crate) base: Option<SharedRows>,
     pub(crate) train: Option<VecSet>,
     /// The write head when the server was booted mutable
@@ -186,15 +174,6 @@ impl Server {
         mutable: Option<(Arc<MutableEngine>, CompactorHandle)>,
     ) -> Result<Server, ServerError> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        let pool = Arc::new(WorkerPool::new(cfg.workers));
-        let collector = BatchCollector::new(
-            Arc::clone(&handle),
-            Arc::clone(&pool),
-            CollectorConfig {
-                window: cfg.coalesce_window,
-                max_batch: cfg.coalesce_max_batch,
-            },
-        );
         let (mutable, compactor) = match mutable {
             Some((m, c)) => (Some(m), Some(c)),
             None => (None, None),
@@ -203,8 +182,7 @@ impl Server {
             listener,
             state: Arc::new(ServerState {
                 handle,
-                pool,
-                collector,
+                pool: WorkerPool::new(cfg.workers),
                 base,
                 train,
                 mutable,
@@ -286,8 +264,8 @@ impl ServerGuard {
     }
 
     /// Stops the reactor, wakes it, and joins it. Open connections drop
-    /// with the reactor; handler threads drain when the pool and
-    /// collector drop with the last state reference.
+    /// with the reactor; handler threads drain when the pool drops with
+    /// the last state reference.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }

@@ -46,6 +46,15 @@ fn bad_flags_exit_2_instead_of_serving() {
             "--addr 127.0.0.1:0 --access-log",
             "--access-log needs a value",
         ),
+        // The retired coalescing knobs.
+        (
+            "--addr 127.0.0.1:0 --coalesce-window-us 200",
+            "unknown flag `--coalesce-window-us`",
+        ),
+        (
+            "--addr 127.0.0.1:0 --coalesce-max-batch 64",
+            "unknown flag `--coalesce-max-batch`",
+        ),
     ] {
         let out = run(&args.split(' ').collect::<Vec<_>>());
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -99,7 +99,7 @@ fn search_matches_the_library_engine_bit_for_bit() {
 }
 
 #[test]
-fn search_batch_is_shard_parallel_and_bit_identical() {
+fn search_batch_is_bit_identical_to_the_library_batch() {
     let w = workload();
     let guard = serve(&w, 4);
     let reference = guard.handle().engine();
@@ -124,6 +124,39 @@ fn search_batch_is_shard_parallel_and_bit_identical() {
         );
     }
 
+    guard.shutdown();
+}
+
+/// A multi-query request waits only for a worker, never for company: on
+/// a default one-worker server, sequential 2-query `/search_batch`
+/// requests report a median `queue_wait_nanos` under 100 µs.
+#[test]
+fn sequential_search_batch_requests_wait_only_for_a_worker() {
+    let w = workload();
+    let guard = serve(&w, 1);
+    let rows = (0..2).map(|qi| Json::from(w.queries.get(qi))).collect();
+    let body = Json::obj([
+        ("queries", Json::Arr(rows)),
+        ("k", Json::from(K)),
+        ("explain", Json::Bool(true)),
+    ])
+    .dump();
+    let mut conn = Conn::open(guard.addr());
+    let mut waits: Vec<usize> = (0..24)
+        .map(|_| {
+            let (status, reply) = conn.request("POST", "/search_batch", Some(&body), false);
+            assert_eq!(status, 200, "{reply}");
+            let trace = reply.get("trace").expect("trace block");
+            trace
+                .get("queue_wait_nanos")
+                .and_then(Json::as_usize)
+                .unwrap()
+        })
+        .skip(4) // warm-up
+        .collect();
+    waits.sort_unstable();
+    let median = waits[waits.len() / 2];
+    assert!(median < 100_000, "median queue wait {median} ns: {waits:?}");
     guard.shutdown();
 }
 
@@ -225,12 +258,6 @@ fn stats_work_ledger_survives_a_swap() {
     assert_eq!(stats.get("queries").and_then(Json::as_usize), Some(3));
     let counted = stats.get("counters").and_then(|c| c.get("candidates"));
     assert_eq!(counted.and_then(Json::as_usize), Some(candidates));
-    // `batches` is the collector's count of engine calls.
-    let coalesced = stats.get("coalesce").and_then(|c| c.get("batches"));
-    assert_eq!(
-        stats.get("batches").and_then(Json::as_usize),
-        coalesced.and_then(Json::as_usize)
-    );
 
     let (_, text) = request_text(guard.addr(), "GET", "/metrics", None);
     let total = text

@@ -1,7 +1,6 @@
 //! End-to-end observability tests: the `/metrics` Prometheus surface,
-//! per-query explain traces, `/stats` histogram-shape backward
-//! compatibility, and the exactly-once status ledger under a mixed
-//! good/bad/timeout/refused traffic soak.
+//! per-query explain traces, and the exactly-once status ledger under a
+//! mixed good/bad/timeout/refused traffic soak.
 
 mod util;
 
@@ -192,45 +191,9 @@ fn metrics_exposition_validates_and_reports_search_latency() {
         "ddc_stage_duration_seconds_bucket{stage=\"search\"",
         "ddc_engine_epoch",
         "ddc_storage_backend{backend=\"ram\"} 1",
-        "ddc_coalesce_batch_size_bucket",
-        "ddc_coalesce_submitted_total",
     ] {
         assert!(text.contains(needle), "missing {needle} in:\n{text}");
     }
-
-    guard.shutdown();
-}
-
-#[test]
-fn stats_histogram_keys_stay_backward_compatible() {
-    let w = workload();
-    let guard = serve(&w, default_cfg());
-    let (status, _) = request(
-        guard.addr(),
-        "POST",
-        "/search",
-        Some(&query_body(&w, 0, &[])),
-    );
-    assert_eq!(status, 200);
-
-    let (status, body) = request(guard.addr(), "GET", "/stats", None);
-    assert_eq!(status, 200);
-    let coalesce = body.get("coalesce").expect("coalesce block");
-    // The exact pre-migration key sets: every `le_<edge>` plus the final
-    // `gt_<last>`, per histogram. A /stats consumer must not notice the
-    // move onto ddc_obs::AtomicHistogram.
-    let size = coalesce.get("size_hist").expect("size_hist");
-    for key in ["le_1", "le_2", "le_4", "le_8", "le_16", "le_32", "gt_32"] {
-        assert!(size.get(key).is_some(), "size_hist lost key {key}");
-    }
-    let wait = coalesce.get("wait_us_hist").expect("wait_us_hist");
-    for key in [
-        "le_50", "le_100", "le_200", "le_500", "le_1000", "le_5000", "gt_5000",
-    ] {
-        assert!(wait.get(key).is_some(), "wait_us_hist lost key {key}");
-    }
-    // And the solo search above is visible in the size histogram.
-    assert_eq!(size.get("le_1").and_then(Json::as_usize), Some(1));
 
     guard.shutdown();
 }

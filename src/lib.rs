@@ -11,10 +11,9 @@
 //!    `DdcRes` / `DdcPca` / `DdcOpq` / `AdSampling` / `Exact` plugged into
 //!    [`index`]'s flat / IVF / HNSW, or at runtime through the [`engine`]
 //!    layer's string-configurable [`Engine`],
-//! 3. search — single queries, whole batches
-//!    ([`Engine::search_batch`] amortizes the per-query rotation cost),
-//!    or shard-parallel batches over a [`WorkerPool`]
-//!    ([`Engine::search_batch_parallel_with`]),
+//! 3. search — single queries, or whole batches, filtered or not
+//!    ([`Engine::search_batch`] / [`Engine::search_group`] amortize the
+//!    per-query rotation cost),
 //! 4. serve — the [`server`] subsystem (`ddc-serve` binary) exposes the
 //!    engine over HTTP with hot-swappable configuration
 //!    ([`ServingHandle`]).
