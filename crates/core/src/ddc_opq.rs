@@ -214,7 +214,8 @@ impl DdcOpq {
         let rotation = Projection::take_rotation(&mut r)?;
         let error_trace = r.take_f32s()?;
         let dim = r.take_usize()?;
-        let m = r.take_usize()?;
+        // Each subspace takes a 16-byte range and an 8-byte codebook length.
+        let m = r.take_count(24)?;
         let ksub = r.take_usize()?;
         if m == 0 || m > dim.max(1) {
             return Err(crate::CoreError::Config(format!(
@@ -426,6 +427,22 @@ impl QueryDco for DdcOpqQuery<'_> {
 mod tests {
     use super::*;
     use ddc_vecs::SynthSpec;
+
+    #[test]
+    fn restore_rejects_a_forged_subspace_count_before_allocating() {
+        // A subspace count within `dim` but far beyond what the blob
+        // holds: sizing the range table from it would be a 512 GiB
+        // allocation, which aborts the process rather than failing.
+        let mut w = StateWriter::new("DDCopq");
+        w.put_f32s(&[]); // rotation
+        w.put_f32s(&[]); // error trace
+        w.put_usize(1 << 40); // dim
+        w.put_usize(1 << 35); // m
+        w.put_usize(16); // ksub
+        let rows = SharedRows::from(VecSet::new(16));
+        let err = DdcOpq::restore(&w.into_bytes(), rows).unwrap_err();
+        assert!(err.to_string().contains("implausible count"), "{err}");
+    }
 
     fn setup() -> (ddc_vecs::Workload, DdcOpq) {
         let mut spec = SynthSpec::tiny_test(16, 400, 51);

@@ -156,7 +156,9 @@ impl DdcPca {
         let mut r = StateReader::new(state, "DDCpca");
         r.expect_name("DDCpca")?;
         let pca = Projection::take_pca(&mut r)?;
-        let n_levels = r.take_usize()?;
+        // Each level takes an 8-byte width, then a model: an 8-byte weight
+        // count and a 4-byte bias.
+        let n_levels = r.take_count(20)?;
         if n_levels == 0 || n_levels > rows.dim().max(1) {
             return Err(crate::CoreError::Config(format!(
                 "DDCpca state: implausible level count {n_levels}"
@@ -305,6 +307,21 @@ mod tests {
     use super::*;
     use ddc_linalg::kernels::dot;
     use ddc_vecs::SynthSpec;
+
+    #[test]
+    fn restore_rejects_a_forged_level_count_before_allocating() {
+        // Zero rows of a forged width admit any level count up to that
+        // width; sizing the level table from 2^36 would abort the process.
+        let mut w = StateWriter::new("DDCpca");
+        w.put_usize(4); // pca dim
+        for _ in 0..3 {
+            w.put_f32s(&[]); // mean, rotation, eigenvalues
+        }
+        w.put_usize(1 << 36); // levels
+        let rows = SharedRows::from(VecSet::new(1 << 40));
+        let err = DdcPca::restore(&w.into_bytes(), rows).unwrap_err();
+        assert!(err.to_string().contains("implausible count"), "{err}");
+    }
 
     fn setup() -> (ddc_vecs::Workload, DdcPca) {
         let mut spec = SynthSpec::tiny_test(16, 400, 41);

@@ -60,6 +60,9 @@ pub trait DynDco {
     /// [`Dco::metric`]).
     fn metric(&self) -> Metric;
 
+    /// The dimension the state blob fixes (see [`Dco::recorded_dim`]).
+    fn recorded_dim(&self) -> Option<usize>;
+
     /// Preprocessing bytes beyond the raw vectors (see
     /// [`Dco::extra_bytes`]).
     fn extra_bytes(&self) -> usize;
@@ -113,6 +116,10 @@ impl<D: Dco> DynDco for D {
 
     fn metric(&self) -> Metric {
         Dco::metric(self)
+    }
+
+    fn recorded_dim(&self) -> Option<usize> {
+        Dco::recorded_dim(self)
     }
 
     fn extra_bytes(&self) -> usize {

@@ -393,6 +393,14 @@ impl Projected {
         self.rows.dim()
     }
 
+    /// The dimension the saved state fixes — a projection's side, or
+    /// weighted-L2 weights' length — or `None` when only the rows do.
+    pub(crate) fn recorded_dim(&self) -> Option<usize> {
+        let fixed = !matches!(self.projection, Projection::Identity)
+            || matches!(self.metric, Metric::WeightedL2(_));
+        fixed.then(|| self.dim())
+    }
+
     /// The metric every distance is answered in.
     #[inline]
     pub(crate) fn metric(&self) -> &Metric {

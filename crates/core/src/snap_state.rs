@@ -148,6 +148,25 @@ impl<'a> StateReader<'a> {
         usize::try_from(v).map_err(|_| self.err(format!("length {v} exceeds the platform word")))
     }
 
+    /// Reads a count of items that each occupy at least `min_bytes` of
+    /// the rest of the blob — the one read for every count that sizes an
+    /// allocation, so a forged count fails here instead of reaching
+    /// `Vec::with_capacity`.
+    ///
+    /// # Errors
+    /// [`CoreError::Config`] on truncation, or when `count · min_bytes`
+    /// exceeds the bytes left.
+    pub fn take_count(&mut self, min_bytes: usize) -> crate::Result<usize> {
+        let n = self.take_usize()?;
+        if n > self.remaining() / min_bytes.max(1) {
+            return Err(self.err(format!(
+                "implausible count {n}: {} bytes remain, each item takes at least {min_bytes}",
+                self.remaining()
+            )));
+        }
+        Ok(n)
+    }
+
     /// Reads an `f32` bitwise.
     ///
     /// # Errors
@@ -182,10 +201,7 @@ impl<'a> StateReader<'a> {
     /// # Errors
     /// [`CoreError::Config`] on truncation or an implausible length.
     pub fn take_f32s(&mut self) -> crate::Result<Vec<f32>> {
-        let n = self.take_usize()?;
-        if n > self.bytes.len() / 4 {
-            return Err(self.err(format!("implausible f32 count {n}")));
-        }
+        let n = self.take_count(4)?;
         let raw = self.take(n * 4)?;
         Ok(raw
             .chunks_exact(4)
@@ -198,10 +214,7 @@ impl<'a> StateReader<'a> {
     /// # Errors
     /// [`CoreError::Config`] on truncation.
     pub fn take_bytes(&mut self) -> crate::Result<Vec<u8>> {
-        let n = self.take_usize()?;
-        if n > self.bytes.len() {
-            return Err(self.err(format!("implausible byte count {n}")));
-        }
+        let n = self.take_count(1)?;
         Ok(self.take(n)?.to_vec())
     }
 
@@ -311,6 +324,23 @@ mod tests {
         let mut r = StateReader::new(&blob3, "A");
         r.expect_name("A").unwrap();
         assert!(r.take_bool().unwrap_err().to_string().contains("bool"));
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_bytes_left() {
+        let mut w = StateWriter::new("A");
+        w.put_usize(3);
+        w.put_bytes(&[0; 16]); // 8-byte length + 16 bytes = 24 after the count
+        let blob = w.into_bytes();
+        for (min_bytes, ok) in [(8, true), (9, false), (0, true)] {
+            let mut r = StateReader::new(&blob, "A");
+            r.expect_name("A").unwrap();
+            let got = r.take_count(min_bytes);
+            assert_eq!(got.is_ok(), ok, "min_bytes {min_bytes}: {got:?}");
+            if let Err(e) = got {
+                assert!(e.to_string().contains("implausible count 3"), "{e}");
+            }
+        }
     }
 
     #[test]

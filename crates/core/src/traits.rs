@@ -98,6 +98,15 @@ pub trait Dco {
         self.store().metric().clone()
     }
 
+    /// The dimension [`Dco::state_bytes`] fixes (a projection, or
+    /// weighted-L2 weights), or `None` when only the rows carry it — as
+    /// for [`crate::Exact`] under an unweighted metric. A restore checks
+    /// it against the rows; a snapshot with no rows has nothing else to
+    /// check its dimension against.
+    fn recorded_dim(&self) -> Option<usize> {
+        self.store().recorded_dim()
+    }
+
     /// Preprocessing bytes the DCO holds **beyond** the raw vectors it
     /// serves: rotation matrices, per-point norms, codebooks, classifier
     /// weights (the paper's Fig. 7 space accounting).

@@ -6,7 +6,7 @@ use crate::filter::FilterPredicate;
 use crate::mutable::Overlay;
 use crate::stats::EngineStats;
 use ddc_core::{BoxedDco, Counters, DcoSpec, DynDco, DynQueryDco, QueryBatch};
-use ddc_index::{BoxedIndex, IndexSpec, SearchParams, SearchResult};
+use ddc_index::{BoxedIndex, IndexSpec, SearchIndex, SearchParams, SearchResult};
 use ddc_linalg::kernels::backend_name;
 use ddc_linalg::{Metric, RowAccess};
 use ddc_vecs::{Advice, SharedRows, Snapshot, SnapshotWriter, VecSet};
@@ -693,15 +693,7 @@ impl Engine {
             ))
         })?;
         let manifest = Manifest::parse(meta, &format!("{} (meta section)", path.display()))?;
-        let (len, dim) = (manifest.len, manifest.dim);
-        let rows = snap.section_rows("rows", dim)?;
-        if rows.len() != len {
-            return Err(EngineError::Config(format!(
-                "{}: meta says {len} rows but the `rows` section holds {}",
-                path.display(),
-                rows.len()
-            )));
-        }
+        let rows = snap.section_rows("rows", manifest.dim)?;
         check_metric_agreement(&manifest.index, &manifest.dco)?;
         let invalid = |tag: &str, e: &dyn std::fmt::Display| {
             EngineError::Config(format!("{}: `{tag}` section: {e}", path.display()))
@@ -714,24 +706,20 @@ impl Engine {
             .index
             .load_bytes(snap.section("index")?)
             .map_err(|e| invalid("index", &e))?;
-        let payloads = if snap.sections().iter().any(|(tag, _)| *tag == "payl") {
-            let bytes = snap.section("payl")?;
-            if bytes.len() != len * 8 {
-                return Err(EngineError::Config(format!(
-                    "{}: `payl` section holds {} bytes but {len} rows need {}",
-                    path.display(),
-                    bytes.len(),
-                    len * 8
-                )));
-            }
+        let payl = if snap.sections().iter().any(|(tag, _)| *tag == "payl") {
+            Some(snap.section("payl")?)
+        } else {
+            None
+        };
+        check_sections(&manifest, &*dco, &*index, payl)
+            .map_err(|e| EngineError::Config(format!("{}: {e}", path.display())))?;
+        let payloads = payl.map(|bytes| {
             let tags: Vec<u64> = bytes
                 .chunks_exact(8)
                 .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunks")))
                 .collect();
-            Some(Arc::new(tags))
-        } else {
-            None
-        };
+            Arc::new(tags)
+        });
         // Access-pattern hints: searches stride the matrix front-to-back
         // (scan shape) but hop the graph links unpredictably.
         snap.advise("rows", Advice::Sequential);
@@ -760,6 +748,49 @@ impl Engine {
     pub fn snapshot_info(&self) -> Option<&SnapshotInfo> {
         self.snapshot.as_ref()
     }
+}
+
+/// Every check between the sections of one snapshot container, in one
+/// place: `meta`'s `len` and `dim` against the `rows` matrix, the
+/// dimension the restored operator (`dcostate`) and index (`index`) each
+/// record, and the `payl` tags. A `rows` section with no rows fits any
+/// `dim`, so then the operator or the index must record it.
+fn check_sections(
+    manifest: &Manifest,
+    dco: &dyn DynDco,
+    index: &dyn SearchIndex,
+    payl: Option<&[u8]>,
+) -> Result<(), String> {
+    let (len, dim) = (manifest.len, manifest.dim);
+    if dco.len() != len {
+        return Err(format!(
+            "meta says {len} rows but the `rows` section holds {}",
+            dco.len()
+        ));
+    }
+    let recorded = [("dcostate", dco.recorded_dim()), ("index", index.dim())];
+    for (tag, got) in recorded {
+        if let Some(got) = got.filter(|&d| d != dim) {
+            return Err(format!(
+                "meta says dim {dim} but the `{tag}` section records {got}"
+            ));
+        }
+    }
+    if len == 0 && recorded.iter().all(|(_, d)| d.is_none()) {
+        return Err(format!(
+            "meta says dim {dim} over zero rows, and no other section records a dim to check it against"
+        ));
+    }
+    if let Some(bytes) = payl {
+        if bytes.len() != len * 8 {
+            return Err(format!(
+                "`payl` section holds {} bytes but {len} rows need {}",
+                bytes.len(),
+                len * 8
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// The parsed key=value body of the snapshot `meta` section
@@ -1087,6 +1118,53 @@ mod tests {
             panic!("a (2^62 + 1)-column matrix over 4 bytes must not open");
         };
         assert!(err.to_string().contains("rows"), "got {err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn open_snapshot_rejects_a_zero_row_dim_that_no_section_records() {
+        // Zero rows fit any dim, and neither a flat index nor an L2 exact
+        // operator records one: `meta` alone would set the engine's dim.
+        let path = forge_meta_dim("dim-unrecorded", 0, 1 << 40, Vec::new());
+        let Err(err) = Engine::open_snapshot(&path) else {
+            panic!("a 2^40-column matrix of zero rows must not open");
+        };
+        let msg = err.to_string();
+        assert!(matches!(err, EngineError::Config(_)), "got {msg}");
+        assert!(msg.contains("no other section records a dim"), "got {msg}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn open_snapshot_rejects_an_index_whose_dim_disagrees_with_meta() {
+        // The graph header's `dim` word (after the magic and four u32s),
+        // one more than the rows': CRC-valid, and the operator agrees
+        // with `meta`, so only the cross-section check can catch it.
+        let w = workload();
+        let cfg = EngineConfig::from_strs("hnsw(m=6,ef_construction=30)", "exact").unwrap();
+        let mut path = std::env::temp_dir();
+        path.push(format!("ddc-engine-index-dim-{}.snap", std::process::id()));
+        Engine::build(&w.base, None, cfg)
+            .unwrap()
+            .save_snapshot(&path)
+            .unwrap();
+        let snap = Snapshot::open(&path).unwrap();
+        let mut out = SnapshotWriter::new();
+        for (tag, _) in snap.sections() {
+            let mut bytes = snap.section(tag).unwrap().to_vec();
+            if tag == "index" {
+                assert_eq!(bytes[24..28], (w.base.dim() as u32).to_le_bytes());
+                bytes[24..28].copy_from_slice(&(w.base.dim() as u32 + 1).to_le_bytes());
+            }
+            out.add_section(tag, bytes).unwrap();
+        }
+        drop(snap);
+        out.finish(&path).unwrap();
+        let Err(err) = Engine::open_snapshot(&path) else {
+            panic!("a graph of another dim must not open");
+        };
+        let msg = err.to_string();
+        assert!(msg.contains("`index` section records"), "got {msg}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -72,6 +72,10 @@ pub trait SearchIndex {
     /// the stateless flat scan.
     fn memory_bytes(&self) -> usize;
 
+    /// The row dimension the structure itself records (the graph's, the
+    /// centroids'); `None` for the stateless flat scan.
+    fn dim(&self) -> Option<usize>;
+
     /// Searches for the `k` nearest neighbors of original-space query `q`
     /// through `dco`.
     ///
@@ -167,6 +171,10 @@ impl SearchIndex for FlatIndex {
         0
     }
 
+    fn dim(&self) -> Option<usize> {
+        None
+    }
+
     fn search_prepared_filtered(
         &self,
         dco: &dyn DynDco,
@@ -201,6 +209,10 @@ impl SearchIndex for Ivf {
         Ivf::memory_bytes(self)
     }
 
+    fn dim(&self) -> Option<usize> {
+        Some(self.parts().0.dim())
+    }
+
     fn search_prepared_filtered(
         &self,
         _dco: &dyn DynDco,
@@ -233,6 +245,10 @@ impl SearchIndex for Hnsw {
 
     fn memory_bytes(&self) -> usize {
         Hnsw::memory_bytes(self)
+    }
+
+    fn dim(&self) -> Option<usize> {
+        Some(self.dim_param())
     }
 
     fn search_prepared_filtered(

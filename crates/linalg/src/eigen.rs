@@ -5,6 +5,28 @@
 //! Jacobi is slower than Householder-tridiagonal + QL for very large `D`, but
 //! it is simple, unconditionally stable, and produces strictly orthogonal
 //! eigenvectors — which the isometry-invariance tests rely on.
+//!
+//! # Layout and the bit-identity contract
+//!
+//! Every DDCres / DDCpca row is rotated by these eigenvectors and stored
+//! (in RAM and in snapshots), so the output is pinned bit for bit
+//! (`tests/fit_pins.rs`): the rotation sequence, the skip and sweep tests,
+//! the arithmetic (`c·x − s·y` and `s·x + c·y`, no fused multiply-add) and
+//! the stable descending sort are fixed. Only the memory layout is free:
+//!
+//! * the sweeps run on a private copy of `a` whose row stride is padded
+//!   off a power of two (`n + STRIDE_PAD`), so the two-column update of
+//!   each rotation does not map every element of a column to the same
+//!   cache sets (at `n = 256` an unpadded row is 2 KiB);
+//! * the accumulated eigenvectors are kept as *rows* (`Vᵀ`), so their
+//!   update is two contiguous rows and the output is a row gather.
+//!
+//! The working copy is the full square, not one triangle: the two
+//! off-diagonal entries of a rotated 2 × 2 block round differently, and
+//! later rotations read both. A tridiagonal + QL solver would be faster
+//! still, but it computes different bits, which would move every
+//! PCA-rotated row and every snapshot built from one
+//! (`scripts/snapshot_compat.sh` compares those across revisions).
 
 use crate::matrix::Matrix;
 use crate::{LinalgError, Result};
@@ -20,6 +42,10 @@ pub struct EigenDecomposition {
 
 /// Maximum number of full Jacobi sweeps before giving up.
 const MAX_SWEEPS: usize = 64;
+
+/// Elements added to each row of the working copy so its stride is off a
+/// power of two.
+const STRIDE_PAD: usize = 8;
 
 /// Decomposes the symmetric matrix `a`.
 ///
@@ -39,55 +65,54 @@ pub fn sym_eigen(a: &Matrix) -> Result<EigenDecomposition> {
     if n == 0 {
         return Err(LinalgError::EmptyInput("sym_eigen"));
     }
-    let mut m = a.clone();
-    let mut v = Matrix::identity(n);
+    let stride = n + STRIDE_PAD;
+    // `m`: the working copy, row `r` at `r * stride`. `vt`: the
+    // accumulated rotations, transposed (row `k` is column `k` of `V`).
+    let mut m = vec![0.0f64; n * stride];
+    for (dst, src) in m.chunks_exact_mut(stride).zip(a.as_slice().chunks_exact(n)) {
+        dst[..n].copy_from_slice(src);
+    }
+    let mut vt = vec![0.0f64; n * stride];
+    for k in 0..n {
+        vt[k * stride + k] = 1.0;
+    }
     let tol = 1e-12 * a.frobenius_norm().max(1.0);
 
     let mut converged = false;
     for _sweep in 0..MAX_SWEEPS {
-        let off = offdiag_frobenius(&m);
+        let off = offdiag_frobenius(&m, n, stride);
         if off <= tol {
             converged = true;
             break;
         }
         for p in 0..n - 1 {
             for q in p + 1..n {
-                let apq = m.get(p, q);
+                let apq = m[p * stride + q];
                 if apq.abs() <= tol / (n as f64) {
                     continue;
                 }
-                let app = m.get(p, p);
-                let aqq = m.get(q, q);
+                let app = m[p * stride + p];
+                let aqq = m[q * stride + q];
                 // Classic Jacobi rotation parameters.
                 let theta = (aqq - app) / (2.0 * apq);
                 let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
                 let c = 1.0 / (t * t + 1.0).sqrt();
                 let s = t * c;
 
-                // Update rows/cols p and q of m (m stays symmetric).
-                for k in 0..n {
-                    let mkp = m.get(k, p);
-                    let mkq = m.get(k, q);
-                    m.set(k, p, c * mkp - s * mkq);
-                    m.set(k, q, s * mkp + c * mkq);
+                // Columns p and q of m, then rows p and q (which read the
+                // 2 × 2 block the column pass wrote).
+                for row in m.chunks_exact_mut(stride) {
+                    let (mkp, mkq) = (row[p], row[q]);
+                    row[p] = c * mkp - s * mkq;
+                    row[q] = s * mkp + c * mkq;
                 }
-                for k in 0..n {
-                    let mpk = m.get(p, k);
-                    let mqk = m.get(q, k);
-                    m.set(p, k, c * mpk - s * mqk);
-                    m.set(q, k, s * mpk + c * mqk);
-                }
-                // Accumulate rotation into eigenvector matrix (columns).
-                for k in 0..n {
-                    let vkp = v.get(k, p);
-                    let vkq = v.get(k, q);
-                    v.set(k, p, c * vkp - s * vkq);
-                    v.set(k, q, s * vkp + c * vkq);
-                }
+                rotate_rows(&mut m, stride, n, p, q, c, s);
+                // Accumulate into V's columns p and q: rows of `vt`.
+                rotate_rows(&mut vt, stride, n, p, q, c, s);
             }
         }
     }
-    if !converged && offdiag_frobenius(&m) > tol {
+    if !converged && offdiag_frobenius(&m, n, stride) > tol {
         return Err(LinalgError::NotConverged {
             algorithm: "jacobi",
             iterations: MAX_SWEEPS,
@@ -96,21 +121,37 @@ pub fn sym_eigen(a: &Matrix) -> Result<EigenDecomposition> {
 
     // Sort descending by eigenvalue; emit eigenvectors as rows.
     let mut order: Vec<usize> = (0..n).collect();
-    let diag: Vec<f64> = (0..n).map(|i| m.get(i, i)).collect();
+    let diag: Vec<f64> = (0..n).map(|i| m[i * stride + i]).collect();
     order.sort_by(|&i, &j| diag[j].partial_cmp(&diag[i]).expect("finite eigenvalues"));
 
     let values: Vec<f64> = order.iter().map(|&i| diag[i]).collect();
-    let vectors = Matrix::from_fn(n, n, |r, c| v.get(c, order[r]));
+    let mut vectors = Vec::with_capacity(n * n);
+    for &k in &order {
+        vectors.extend_from_slice(&vt[k * stride..k * stride + n]);
+    }
+    let vectors = Matrix::from_vec(n, n, vectors)?;
     Ok(EigenDecomposition { values, vectors })
 }
 
-fn offdiag_frobenius(m: &Matrix) -> f64 {
-    let n = m.rows();
+/// `(x_p, x_q) ← (c·x_p − s·x_q, s·x_p + c·x_q)` over the first `n`
+/// elements of rows `p < q` of a matrix with row stride `stride`.
+fn rotate_rows(x: &mut [f64], stride: usize, n: usize, p: usize, q: usize, c: f64, s: f64) {
+    let (head, tail) = x.split_at_mut(q * stride);
+    let rp = &mut head[p * stride..p * stride + n];
+    let rq = &mut tail[..n];
+    for (xp, xq) in rp.iter_mut().zip(rq.iter_mut()) {
+        let (a, b) = (*xp, *xq);
+        *xp = c * a - s * b;
+        *xq = s * a + c * b;
+    }
+}
+
+/// Frobenius norm of the off-diagonal part, summed in row-major order.
+fn offdiag_frobenius(m: &[f64], n: usize, stride: usize) -> f64 {
     let mut s = 0.0;
-    for r in 0..n {
-        for c in 0..n {
+    for (r, row) in m.chunks_exact(stride).enumerate() {
+        for (c, &x) in row[..n].iter().enumerate() {
             if r != c {
-                let x = m.get(r, c);
                 s += x * x;
             }
         }

@@ -6,7 +6,9 @@
 //! for seeding): row-major [`Matrix`] arithmetic, Householder [`qr`](fn@qr),
 //! a cyclic-Jacobi symmetric eigensolver ([`sym_eigen`]), an
 //! [`svd`](fn@svd) built on
-//! it, the orthogonal-Procrustes solver used by OPQ, [`Pca`] fitting, and
+//! it, the orthogonal-Procrustes solver used by OPQ, the row-blocked
+//! outer-product sum ([`OuterSum`]) behind PCA's covariance and OPQ's
+//! Procrustes input, [`Pca`] fitting, and
 //! Haar-distributed [`random_orthogonal_matrix`] matrices used by ADSampling.
 //!
 //! Numeric conventions:
@@ -36,6 +38,7 @@ pub mod kernels;
 pub mod matrix;
 pub mod metric;
 pub mod orthogonal;
+pub mod outer;
 pub mod pca;
 pub mod qr;
 pub mod rng;
@@ -47,6 +50,7 @@ pub use error::LinalgError;
 pub use matrix::Matrix;
 pub use metric::Metric;
 pub use orthogonal::{random_orthogonal_f32, random_orthogonal_matrix};
+pub use outer::OuterSum;
 pub use pca::Pca;
 pub use qr::qr;
 pub use rng::{fill_gaussian, fill_gaussian_f64, Gaussian};

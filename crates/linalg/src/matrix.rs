@@ -117,6 +117,12 @@ impl Matrix {
         &self.data
     }
 
+    /// Mutable flat row-major view of the storage.
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);

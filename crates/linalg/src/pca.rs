@@ -7,10 +7,17 @@
 //! (sub)sample, eigendecomposes the covariance with Jacobi, and bakes the
 //! full `D x D` rotation into an `f32` row-major matrix for the hot path.
 //! The per-dimension variances `λ_i` feed DDCres' error bound (Eq. 3).
+//!
+//! The fit is deterministic to the bit: the covariance is summed in `f64`
+//! over the sampled rows in sample order ([`OuterSum`], upper triangle,
+//! blocked for the cache without reordering any sum), then mirrored, and
+//! [`sym_eigen`] keeps a fixed rotation sequence. A change that moves one
+//! bit of the output moves every stored DDCres / DDCpca row, so
+//! `tests/fit_pins.rs` pins it.
 
 use crate::eigen::sym_eigen;
 use crate::kernels::{matvec_batch_f32, matvec_f32};
-use crate::matrix::Matrix;
+use crate::outer::OuterSum;
 use crate::rows::{FlatRows, RowAccess};
 use crate::{LinalgError, Result};
 use rand::rngs::StdRng;
@@ -89,24 +96,15 @@ impl Pca {
         }
 
         // Covariance (upper triangle, then mirrored).
-        let mut cov = Matrix::zeros(dim, dim);
+        let mut acc = OuterSum::upper(dim);
         let mut centered = vec![0.0f64; dim];
         for &r in &rows {
-            let row = data.row(r);
-            for i in 0..dim {
-                centered[i] = f64::from(row[i]) - mean[i];
+            for ((c, &v), &mu) in centered.iter_mut().zip(data.row(r)).zip(&mean) {
+                *c = f64::from(v) - mu;
             }
-            for i in 0..dim {
-                let ci = centered[i];
-                if ci == 0.0 {
-                    continue;
-                }
-                for (j, &cj) in centered.iter().enumerate().skip(i) {
-                    let v = cov.get(i, j) + ci * cj;
-                    cov.set(i, j, v);
-                }
-            }
+            acc.push(&centered, &centered);
         }
+        let mut cov = acc.finish();
         let denom = (m.max(2) - 1) as f64;
         for i in 0..dim {
             for j in i..dim {

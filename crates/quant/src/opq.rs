@@ -16,6 +16,7 @@ use crate::Result;
 use ddc_linalg::kernels::matvec_f32;
 use ddc_linalg::matrix::Matrix;
 use ddc_linalg::svd::procrustes;
+use ddc_linalg::OuterSum;
 use ddc_linalg::RowAccess;
 use ddc_vecs::VecSet;
 use rand::rngs::StdRng;
@@ -118,24 +119,21 @@ impl Opq {
 
             // (2) Procrustes rotation update: R = argmin ‖X·Rᵀ − Ŷ‖F.
             let codes = model.encode_set(&rotated);
-            let n = train.len();
             let mut recon = vec![0.0f32; dim];
+            let (mut y, mut x) = (vec![0.0f64; dim], vec![0.0f64; dim]);
             // M = Ŷᵀ·X accumulated in f64.
-            let mut m = Matrix::zeros(dim, dim);
-            for i in 0..n {
+            let mut acc = OuterSum::full(dim, dim);
+            for i in 0..train.len() {
                 model.decode(codes.get(i), &mut recon);
-                let x = train.get(i);
-                for (r, &recon_r) in recon.iter().enumerate() {
-                    let yr = f64::from(recon_r);
-                    if yr == 0.0 {
-                        continue;
-                    }
-                    let row = m.row_mut(r);
-                    for (c, &xc) in x.iter().enumerate() {
-                        row[c] += yr * f64::from(xc);
-                    }
+                for (y, &r) in y.iter_mut().zip(&recon) {
+                    *y = f64::from(r);
                 }
+                for (x, &v) in x.iter_mut().zip(train.get(i)) {
+                    *x = f64::from(v);
+                }
+                acc.push(&y, &x);
             }
+            let m = acc.finish();
             rotation = procrustes(&m)?;
             rotation_f32 = rotation.to_f32_rowmajor();
             pq = Some(model);

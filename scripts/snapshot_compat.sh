@@ -7,8 +7,9 @@
 # directory; pass an already-built binary of that revision as the second
 # argument to skip the build), has it `--save-snapshot` a 2 000 × 32
 # synthetic engine for each of the five operators × {l2, ip, cosine}
-# (HNSW, plus one IVF cell for DDCopq, plus one HNSW cell with m = 4 whose
-# level-0 lists sit at their 2m cap) and answer three fixed queries, then
+# (HNSW, plus one IVF cell for DDCopq, one HNSW cell with m = 4 whose
+# level-0 lists sit at their 2m cap, and one 1 000 × 256 DDCres cell whose
+# PCA fit runs at a power-of-two dimension) and answer three fixed queries, then
 # boots the working tree's `ddc-serve --snapshot` on each container and
 # requires byte-identical `/search` bodies (`ids`, `distances`, `counters`).
 # The working tree's binary then builds each cell itself with the same
@@ -42,8 +43,9 @@ fi
 (cd "$ROOT" && cargo build --release --quiet -p ddc-server)
 NEW=${CARGO_TARGET_DIR:-$ROOT/target}/release/ddc-serve
 
-# Three fixed 32-d queries (none of them zero: cosine normalises).
-query() { awk -v s="$1" 'BEGIN { printf "{\"k\":10,\"query\":["; for (i = 0; i < 32; i++) printf "%s%.4f", (i ? "," : ""), sin(i * 0.7 + s) + s / 4; printf "]}" }'; }
+# query <seed> <dim>: one of three fixed queries (none of them zero:
+# cosine normalises).
+query() { awk -v s="$1" -v d="$2" 'BEGIN { printf "{\"k\":10,\"query\":["; for (i = 0; i < d; i++) printf "%s%.4f", (i ? "," : ""), sin(i * 0.7 + s) + s / 4; printf "]}" }'; }
 
 # boot <binary> <args...>: starts a server, waits for its port, sets PORT.
 boot() {
@@ -62,10 +64,11 @@ stop() {
   SRV=
 }
 
-# answers <file>: the three /search bodies, one per line; stops the server.
+# answers <file> <dim>: the three /search bodies, one per line; stops the
+# server.
 answers() {
   for s in 0 1 2; do
-    curl -fsS -X POST --data "$(query $s)" "http://127.0.0.1:$PORT/search"
+    curl -fsS -X POST --data "$(query $s "$2")" "http://127.0.0.1:$PORT/search"
     echo
   done >"$1"
   stop
@@ -81,19 +84,23 @@ CELLS+=("ivf(nlist=16)|ddcopq(m=8,nbits=4)|l2")
 # Saturated degree: with m = 4 most level-0 lists are full (2m ids), so the
 # loader's conversion of full lists is checked across revisions too.
 CELLS+=("hnsw(m=4,ef_construction=60)|ddcres(init_d=8,delta_d=8)|l2")
+# 256-d, the deep256 benchmark's dimension: the PCA fit's eigensolver
+# works at a power-of-two row length, where a layout change matters most.
+CELLS+=("hnsw(m=8,ef_construction=60)|ddcres(init_d=32,delta_d=32)|l2|1000|256")
 
 fail=0
 for cell in "${CELLS[@]}"; do
-  IFS='|' read -r index dco metric <<<"$cell"
+  IFS='|' read -r index dco metric n dim <<<"$cell"
+  n=${n:-2000} dim=${dim:-32}
   snap=$WORK/engine.snap
   rebuilt=$WORK/rebuilt.snap
   rm -f "$snap" "$rebuilt"
-  flags=(--n 2000 --dim 32 --immutable --index "$index" --dco "$dco" --metric "$metric")
+  flags=(--n "$n" --dim "$dim" --immutable --index "$index" --dco "$dco" --metric "$metric")
   boot "$OLD" "${flags[@]}" --save-snapshot "$snap"
-  answers "$WORK/old.json"
+  answers "$WORK/old.json" "$dim"
   [ -s "$snap" ] || { echo "FAIL $cell: $REV wrote no snapshot"; cat "$WORK/serve.log"; exit 1; }
   boot "$NEW" --snapshot "$snap"
-  answers "$WORK/new.json"
+  answers "$WORK/new.json" "$dim"
   if cmp -s "$WORK/old.json" "$WORK/new.json" && [ "$(grep -c '"ids":\[' "$WORK/new.json")" -eq 3 ]; then
     echo "ok   $index × $dco × $metric"
   else
